@@ -38,10 +38,21 @@ THREADS_ENV = "GALAXYID_THREADS"
 
 
 def _threads(args) -> int:
+    """Worker count from --threads, else GALAXYID_THREADS, else 1.
+
+    A value that is not an integer >= 1 is rejected with its source named.
+    """
     if args.threads is not None:
-        return args.threads
-    env = os.environ.get(THREADS_ENV)
-    return int(env) if env else 1
+        value, source = str(args.threads), "--threads"
+    else:
+        value, source = os.environ.get(THREADS_ENV) or "1", THREADS_ENV
+    try:
+        threads = int(value)
+    except ValueError:
+        threads = 0
+    if threads < 1:
+        raise ValueError(f"{source} must be an integer >= 1, got {value!r}")
+    return threads
 
 
 def _params_from_args(args) -> GalaxyParams:

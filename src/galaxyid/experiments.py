@@ -40,6 +40,7 @@ __all__ = [
 
 UNIT_SIZE = 8192  # trials per RNG work unit; fixed so worker count never matters
 _PAIR_CAP = 20000  # strategies larger than this are subsampled deterministically
+_MASK_CELLS = 1 << 20  # distance-matrix entries per block of the min_distance filter
 ANGLE_TOL = 1e-9
 
 
@@ -107,6 +108,8 @@ class PairStrategy:
             raise ValueError(f"unknown pair mode {self.mode!r}; expected one of {self._MODES}")
         if self.mode == "exhaustive-sample" and not self.sample_count:
             raise ValueError("exhaustive-sample requires sample_count")
+        if self.min_distance is not None and not math.isfinite(self.min_distance):
+            raise ValueError(f"min_distance must be finite, got {self.min_distance}")
 
 
 @dataclass
@@ -191,20 +194,33 @@ class _CodewordKernel:
         return shell, slabs, shell & slabs.all(axis=1)
 
 
+def _slab_tail(params: DecoderParams) -> float:
+    """Probability 2 Phi(-w/sigma) that noise leaves one slab of half-width w.
+
+    With sigma = 0 the ratio is undefined; log2 n, the default w/sigma,
+    stands in.
+    """
+    if params.sigma > 0:
+        return projection_tail(params.slab_halfwidth / params.sigma)
+    return projection_tail(math.log2(params.n))
+
+
 def _unit_plan(trials: int) -> list[tuple[int, int]]:
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     return [(s, min(UNIT_SIZE, trials - s)) for s in range(0, trials, UNIT_SIZE)]
 
 
-def _resolve_threads(threads: int | None) -> int:
-    return max(1, threads or 1)
+def _worker_count(threads: int | None, n_units: int) -> int:
+    """Threads to start: the requested count (None means 1), at most one per unit."""
+    return max(1, min(threads or 1, n_units))
 
 
-def _run_units(worker, n_units: int, threads: int) -> list:
-    if threads <= 1:
+def _run_units(worker, n_units: int, threads: int | None) -> list:
+    workers = _worker_count(threads, n_units)
+    if workers == 1:
         return [worker(i) for i in range(n_units)]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
+    with ThreadPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(worker, range(n_units)))
 
 
@@ -246,10 +262,10 @@ def estimate_type1(
             hits += int(rows.size - accept.sum())
         return hits
 
-    hits = sum(_run_units(run_unit, len(plan), _resolve_threads(threads)))
+    hits = sum(_run_units(run_unit, len(plan), threads))
     spec = ShellSpec(n=n, sigma=sigma, eps_n=params.eps_n)
     t_bar = code.params.t_bar
-    bound = (1.0 - shell_prob_same(spec, "exact")) + t_bar * projection_tail(math.log2(n))
+    bound = (1.0 - shell_prob_same(spec, "exact")) + t_bar * _slab_tail(params)
     return ErrorEstimate(
         kind="type1",
         trials=trials,
@@ -263,18 +279,62 @@ def estimate_type1(
     )
 
 
-def select_pairs(code: GalaxyCode, strategy: PairStrategy, master_seed: int) -> list[tuple[int, int]]:
-    """Ordered (target, sender) index pairs matching the strategy.
+def _blocks(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """[start, end) of the run of equal key rows that holds each row.
 
-    Deterministic: any subsampling uses a stream derived from the master
-    seed.  Raises when the code contains no pair of the requested class.
+    Raises when a key comes back after its run ended: pair positions are
+    then not index arithmetic on the codeword list.
+    """
+    starts = np.flatnonzero(np.r_[True, (keys[1:] != keys[:-1]).any(axis=1)])
+    if len(np.unique(keys[starts], axis=0)) != len(starts):
+        raise ValueError("codewords are not listed in contiguous tree blocks")
+    sizes = np.diff(np.r_[starts, len(keys)])
+    return np.repeat(starts, sizes), np.repeat(starts + sizes, sizes)
+
+
+def _far_partners(u, sq, rows, inner_lo, inner_hi, min_distance: float) -> np.ndarray:
+    """Mask of the j outside row i's inner block with ||u_i - u_j|| >= min_distance.
+
+    Distances come from the Gram form.  Pairs within its rounding band of
+    the threshold are decided by np.linalg.norm of the difference, so a tie
+    goes the way a direct per-pair comparison sends it.
+    """
+    scale = sq[rows, None] + sq[None, :]
+    d2 = scale - 2.0 * (u[rows] @ u.T)
+    md2 = max(min_distance, 0.0) ** 2
+    far = d2 >= md2
+    band = 16 * (u.shape[1] + 4) * np.finfo(np.float64).eps * (scale + md2)
+    for a, j in zip(*np.nonzero(np.abs(d2 - md2) <= band)):
+        far[a, j] = float(np.linalg.norm(u[rows[a]] - u[j])) >= min_distance
+    cols = np.arange(len(u))
+    return far & ((cols < inner_lo[rows, None]) | (cols >= inner_hi[rows, None]))
+
+
+def select_pairs(code: GalaxyCode, strategy: PairStrategy, master_seed: int) -> list[tuple[int, int]]:
+    """Ordered (target, sender) index pairs matching the strategy, i-major.
+
+    Codewords are listed depth-first, so the senders of target i are an
+    outer block minus an inner block, both contiguous runs of codewords
+    sharing (root, index_path[:L]): i's height-1 sibling group minus i for
+    same-planet, i's root minus i's first-level subtree for
+    same-galaxy-deep, the whole code minus i's root for cross-galaxy.
+    Pairs are counted per target in closed form and located by position,
+    so no pair list larger than the result is built.  Deterministic: any
+    subsampling uses a stream derived from the master seed.  Raises when
+    the code contains no pair of the requested class.
     """
     cws = code.codewords
     n_cw = len(cws)
     if n_cw < 2:
         raise ValueError("need at least two codewords to form pairs")
-    pairs: list[tuple[int, int]] = []
     if strategy.mode == "exhaustive-sample":
+        ordered = n_cw * (n_cw - 1)
+        if not 1 <= strategy.sample_count <= ordered:
+            raise ValueError(
+                f"sample_count {strategy.sample_count} outside [1, {ordered}]: "
+                f"{n_cw} codewords form {ordered} ordered pairs"
+            )
+        pairs: list[tuple[int, int]] = []
         rng = np.random.default_rng(derive_seed(master_seed, "pair-sample"))
         seen = set()
         while len(pairs) < strategy.sample_count:
@@ -283,31 +343,60 @@ def select_pairs(code: GalaxyCode, strategy: PairStrategy, master_seed: int) -> 
                 seen.add((i, j))
                 pairs.append((i, j))
         return pairs
+
     t_bar = code.params.t_bar
-    for i in range(n_cw):
-        for j in range(n_cw):
-            if i == j:
-                continue
-            if cws[i].root_index != cws[j].root_index:
-                if strategy.mode != "cross-galaxy":
-                    continue
-                if strategy.min_distance is not None:
-                    if float(np.linalg.norm(cws[i].u - cws[j].u)) < strategy.min_distance:
-                        continue
-                pairs.append((i, j))
-            else:
-                meet = meet_depth(cws[i], cws[j])
-                if strategy.mode == "same-planet" and meet == 1:
-                    pairs.append((i, j))
-                elif strategy.mode == "same-galaxy-deep" and meet == t_bar:
-                    pairs.append((i, j))
-    if not pairs:
+    index_paths = np.asarray([c.index_path for c in cws])
+    if index_paths.shape != (n_cw, t_bar):
+        raise ValueError(f"every codeword needs an index path of length t_bar = {t_bar}")
+    keys = np.column_stack([[c.root_index for c in cws], index_paths])
+    outer, inner = {
+        "same-planet": (t_bar - 1, t_bar),
+        "same-galaxy-deep": (0, 1),
+        "cross-galaxy": (-1, 0),  # level -1: the whole code is one block
+    }[strategy.mode]
+    outer_lo, outer_hi = _blocks(keys[:, : outer + 1])
+    inner_lo, inner_hi = _blocks(keys[:, : inner + 1])
+
+    filtered = strategy.mode == "cross-galaxy" and strategy.min_distance is not None
+    if filtered:
+        u = np.asarray([c.u for c in cws])
+        sq = np.einsum("ij,ij->i", u, u)
+        step = max(1, _MASK_CELLS // n_cw)
+
+        def far(rows):
+            return _far_partners(u, sq, rows, inner_lo, inner_hi, strategy.min_distance)
+
+        counts = np.concatenate(
+            [far(np.arange(s, min(s + step, n_cw))).sum(axis=1) for s in range(0, n_cw, step)]
+        )
+    else:
+        counts = (outer_hi - outer_lo) - (inner_hi - inner_lo)
+    ends = np.cumsum(counts)
+    total = int(ends[-1])
+    if total == 0:
         raise ValueError(f"no pairs match strategy {strategy.mode!r}")
-    if len(pairs) > _PAIR_CAP:
+    if total > _PAIR_CAP:
         rng = np.random.default_rng(derive_seed(master_seed, "pair-cap"))
-        keep = rng.choice(len(pairs), size=_PAIR_CAP, replace=False)
-        pairs = [pairs[int(t)] for t in np.sort(keep)]
-    return pairs
+        keep = np.sort(rng.choice(total, size=_PAIR_CAP, replace=False))
+    else:
+        keep = np.arange(total)
+    targets = np.searchsorted(ends, keep, side="right")
+    local = keep - (ends[targets] - counts[targets])
+
+    if filtered:
+        senders = np.empty_like(keep)
+        rows, first = np.unique(targets, return_index=True)
+        bounds = np.r_[first, len(keep)]
+        for s in range(0, len(rows), step):
+            for a, row_mask in enumerate(far(rows[s : s + step]), start=s):
+                lo, hi = bounds[a], bounds[a + 1]
+                senders[lo:hi] = np.flatnonzero(row_mask)[local[lo:hi]]
+    else:
+        before = inner_lo[targets] - outer_lo[targets]
+        senders = np.where(
+            local < before, outer_lo[targets] + local, inner_hi[targets] + (local - before)
+        )
+    return list(zip(targets.tolist(), senders.tolist()))
 
 
 def estimate_type2(
@@ -354,7 +443,7 @@ def estimate_type2(
                 slab_ct += int(slabs[:, meet_rows[p]].sum())
         return decision, shell_ct, slab_ct
 
-    totals = _run_units(run_unit, len(plan), _resolve_threads(threads))
+    totals = _run_units(run_unit, len(plan), threads)
     hits = sum(t[0] for t in totals)
     shell_hits = sum(t[1] for t in totals)
     slab_hits = sum(t[2] for t in totals)
@@ -365,10 +454,10 @@ def estimate_type2(
         bound = shell_prob_cross(spec, min(cross_ds)) if spec else 0.0
         formula = "cross-shell"
     elif not cross_ds:
-        bound = projection_tail(math.log2(n))
+        bound = _slab_tail(params)
         formula = "meet-slab-tail"
     else:
-        slab = projection_tail(math.log2(n))
+        slab = _slab_tail(params)
         cross = shell_prob_cross(spec, min(cross_ds)) if spec else 0.0
         bound = max(slab, cross)
         formula = "max(cross-shell,meet-slab-tail)"
@@ -611,4 +700,4 @@ def sweep(
             result.error = str(exc)
         return result
 
-    return _run_units(run_cell, len(grid), _resolve_threads(threads))
+    return _run_units(run_cell, len(grid), threads)

@@ -122,13 +122,23 @@ def center_count_bounds(n: int, P: float, b: float) -> tuple[float, float]:
     """Volume-argument bounds on the size of a saturated center packing.
 
     lo = 2^-n (sqrt(nP)/n^(b+1/4))^n, hi = ((sqrt(nP)+n^(b+1/4))/n^(b+1/4))^n.
+    A bound beyond float range is math.inf.
     """
     if P <= 0:
         raise ValueError(f"P must be > 0, got {P}")
     s = math.sqrt(n * P)
     rho = n ** (b + 0.25)
-    lo = 2.0**-n * (s / rho) ** n
-    hi = ((s + rho) / rho) ** n
+    try:
+        lo = 2.0**-n * (s / rho) ** n
+    except OverflowError:  # (s/rho)^n can leave float range where lo itself does not
+        try:
+            lo = math.exp(n * math.log(s / (2.0 * rho)))
+        except OverflowError:
+            lo = math.inf
+    try:
+        hi = ((s + rho) / rho) ** n
+    except OverflowError:
+        hi = math.inf
     return lo, hi
 
 

@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -5,6 +6,7 @@ import sys
 
 import pytest
 
+from galaxyid import cli
 from galaxyid.reports import REPORT_COLUMNS
 
 BUILD_ARGS = [
@@ -180,7 +182,57 @@ def test_threads_env_honored_only_without_flag(code_file):
     bad_env = {**os.environ, "GALAXYID_THREADS": "abc"}
     bad_run = run_cli(*base, env=bad_env)
     assert bad_run.returncode == 2, bad_run.stderr
-    assert "error: invalid literal for int()" in bad_run.stderr
+    assert "error: GALAXYID_THREADS must be an integer >= 1, got 'abc'" in bad_run.stderr
     flag_wins = run_cli(*base, "--threads", "1", env=bad_env)
     assert flag_wins.returncode == 0, flag_wins.stderr
     assert flag_wins.stdout == flag_run.stdout
+
+
+@pytest.mark.parametrize(
+    ("flag", "env", "source"),
+    [
+        (["--threads", "0"], None, "--threads"),
+        (["--threads", "-2"], None, "--threads"),
+        ([], "-1", "GALAXYID_THREADS"),
+        ([], "2.5", "GALAXYID_THREADS"),
+    ],
+)
+def test_bad_thread_count_names_source(code_file, flag, env, source):
+    environ = {**os.environ}
+    environ.pop("GALAXYID_THREADS", None)
+    if env is not None:
+        environ["GALAXYID_THREADS"] = env
+    res = run_cli("simulate", "--code", str(code_file), "--type1", "--trials", "100", *flag,
+                  env=environ)
+    assert res.returncode == 2
+    assert f"error: {source} must be an integer >= 1" in res.stderr
+
+
+def test_thread_resolver_accepts_large_counts(monkeypatch):
+    # resolved only; a count this large must never reach a thread pool in a test
+    monkeypatch.delenv("GALAXYID_THREADS", raising=False)
+    assert cli._threads(argparse.Namespace(threads=None)) == 1
+    assert cli._threads(argparse.Namespace(threads=10**9)) == 10**9
+    monkeypatch.setenv("GALAXYID_THREADS", str(10**9))
+    assert cli._threads(argparse.Namespace(threads=None)) == 10**9
+    assert cli._threads(argparse.Namespace(threads=3)) == 3
+
+
+@pytest.mark.parametrize("count", ["553", "-1"])
+def test_pair_sample_out_of_range_rejected(code_file, count):
+    # the CLI code has 24 codewords: 552 ordered pairs
+    res = run_cli("simulate", "--code", str(code_file), "--type2", "--pairs", "exhaustive-sample",
+                  "--pair-sample", count, "--trials", "100", timeout=60)
+    assert res.returncode == 2
+    assert f"sample_count {count} outside [1, 552]" in res.stderr
+
+
+def test_rate_code_mode_out_of_float_range(tmp_path):
+    path = tmp_path / "deep.json"
+    build = run_cli("build", "--n", "256", "--k", "16", "--power", "1e7", "--m", "2",
+                    "--depth", "3", "--r-min-coeff", "2", "--max-roots", "1", "--out", str(path))
+    assert build.returncode == 0, build.stderr
+    res = run_cli("rate", "--code", str(path))
+    assert res.returncode == 0, res.stderr
+    row = dict(zip(REPORT_COLUMNS, res.stdout.splitlines()[1].split(",")))
+    assert row["count_bound_claim1_hi"] == "inf"

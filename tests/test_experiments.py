@@ -7,6 +7,7 @@ import pytest
 from galaxyid.channel import DecoderParams
 from galaxyid.experiments import (
     PairStrategy,
+    _worker_count,
     TrialPlan,
     estimate_type1,
     estimate_type2,
@@ -17,6 +18,7 @@ from galaxyid.experiments import (
     wilson_interval,
 )
 from galaxyid.galaxy import GalaxyParams, build_code, flatten_codewords
+from galaxyid.gaussian import projection_tail
 
 
 @pytest.fixture(scope="module")
@@ -96,6 +98,9 @@ def test_pair_strategy_validation():
         PairStrategy(mode="bogus")
     with pytest.raises(ValueError):
         PairStrategy(mode="exhaustive-sample")
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="min_distance must be finite"):
+            PairStrategy(mode="cross-galaxy", min_distance=bad)
 
 
 def test_type2_cross_galaxy(small_code, decoder):
@@ -114,6 +119,30 @@ def test_type2_same_planet_bound_tag(small_code, decoder):
     )
     assert est.bound_formula == "meet-slab-tail"
     assert est.analytic_bound == pytest.approx(2 * 0.5 * math.erfc(math.log2(16) / math.sqrt(2)))
+
+
+def test_analytic_bounds_follow_slab_halfwidth():
+    code = build_code(
+        GalaxyParams(n=100, power=400.0, k=8, m_per_level=4, master_seed=11, r_min_coeff=2.0,
+                     max_roots=8)
+    )
+    dec = DecoderParams(n=100, sigma=1.0, slab_halfwidth=2.0)
+    tail = projection_tail(2.0)  # 2 Phi(-2) = 0.0455
+    type1 = estimate_type1(code, dec, 2_000, master_seed=1)
+    assert type1.analytic_bound >= tail
+    type2 = estimate_type2(code, PairStrategy(mode="same-planet"), dec, 2_000, master_seed=1)
+    assert type2.analytic_bound == tail
+    # the half-width is in units of sigma
+    wider = DecoderParams(n=100, sigma=2.0, slab_halfwidth=4.0)
+    type2 = estimate_type2(code, PairStrategy(mode="same-planet"), wider, 2_000, master_seed=1)
+    assert type2.analytic_bound == tail
+
+
+def test_worker_count():
+    assert _worker_count(None, 10) == 1
+    assert _worker_count(4, 10) == 4
+    assert _worker_count(10**9, 3) == 3  # one thread per unit at most
+    assert _worker_count(8, 1) == 1
 
 
 def test_type2_parallel_merge(small_code, decoder):
@@ -229,6 +258,17 @@ def test_rate_report(small_code):
     assert rep.claim1_upper_ok
     assert rep.m_achieved == 4
     assert rep.asymptotic == pytest.approx(0.375 - 1 / 6)
+
+
+def test_rate_report_out_of_float_range():
+    # (s / rho)^n leaves float range for every n = 256 depth-3 code
+    code = build_code(
+        GalaxyParams(n=256, power=1e7, k=16, m_per_level=2, t_bar=3, r_min_coeff=2.0,
+                     master_seed=7, max_roots=1)
+    )
+    lo, hi = rate_report(code).claim1_bounds
+    assert hi == math.inf
+    assert lo == math.inf
 
 
 def test_rate_report_single_codeword():

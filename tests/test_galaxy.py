@@ -100,6 +100,12 @@ def test_center_count_bounds():
     lo, hi = center_count_bounds(n, p_match, 0.0)
     assert hi == pytest.approx(2.0**n, rel=1e-9)
     assert lo == pytest.approx(2.0**-n, rel=1e-9)
+    # beyond float range: hi is inf; lo = 1.1^1000 still fits although 2.2^1000 does not
+    n = 1000
+    p_wide = (2.2 * n**0.25) ** 2 / n  # sqrt(nP) / n^(1/4) = 2.2
+    lo, hi = center_count_bounds(n, p_wide, 0.0)
+    assert hi == math.inf
+    assert lo == pytest.approx(1.1**n, rel=1e-9)
 
 
 def test_rate_lower_bound_example():

@@ -1,0 +1,178 @@
+"""select_pairs against the direct definition: every ordered pair, one at a time."""
+
+import math
+from collections import Counter
+from unittest import mock
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from galaxyid import experiments
+from galaxyid.experiments import PairStrategy, select_pairs
+from galaxyid.galaxy import GalaxyCode, GalaxyParams, build_code, meet_depth
+from galaxyid.seeding import derive_seed
+
+MODES = ("same-planet", "same-galaxy-deep", "cross-galaxy")
+
+
+def reference_pairs(code, strategy, master_seed):
+    """Walk all N(N-1) ordered pairs i-major, keep the matches, then cap them."""
+    cws = code.codewords
+    t_bar = code.params.t_bar
+    pairs = []
+    for i in range(len(cws)):
+        for j in range(len(cws)):
+            if i == j:
+                continue
+            if cws[i].root_index != cws[j].root_index:
+                if strategy.mode != "cross-galaxy":
+                    continue
+                if strategy.min_distance is not None:
+                    if float(np.linalg.norm(cws[i].u - cws[j].u)) < strategy.min_distance:
+                        continue
+                pairs.append((i, j))
+            else:
+                meet = meet_depth(cws[i], cws[j])
+                if strategy.mode == "same-planet" and meet == 1:
+                    pairs.append((i, j))
+                elif strategy.mode == "same-galaxy-deep" and meet == t_bar:
+                    pairs.append((i, j))
+    if not pairs:
+        raise ValueError(f"no pairs match strategy {strategy.mode!r}")
+    if len(pairs) > experiments._PAIR_CAP:
+        rng = np.random.default_rng(derive_seed(master_seed, "pair-cap"))
+        keep = rng.choice(len(pairs), size=experiments._PAIR_CAP, replace=False)
+        pairs = [pairs[int(t)] for t in np.sort(keep)]
+    return pairs
+
+
+def assert_same_selection(code, strategy, seed):
+    try:
+        expected = reference_pairs(code, strategy, seed)
+    except ValueError:
+        with pytest.raises(ValueError, match="no pairs match"):
+            select_pairs(code, strategy, seed)
+        return
+    assert select_pairs(code, strategy, seed) == expected
+
+
+@st.composite
+def codes(draw):
+    """Small codes at depths 1-3.  In the plane, k >= 32 leaves room for a
+    random number of points past the axis witnesses, so a few attempts make
+    sibling blocks of uneven size."""
+    t_bar = draw(st.integers(1, 3))
+    k = draw(st.sampled_from([8, 16, 32]))
+    params = GalaxyParams(
+        n=draw(st.sampled_from([8] if k == 8 else [2, 3, 8])),  # k=8 needs n >= 4
+        power=1e8,
+        k=k,
+        m_per_level=draw(st.integers(2, 7 if t_bar < 3 else 4)),
+        t_bar=t_bar,
+        master_seed=draw(st.integers(0, 2**16)),
+        max_roots=draw(st.integers(1, 4)),
+        saturation_probes=30,
+        max_attempts=draw(st.sampled_from([5, 40])),
+    )
+    return build_code(params)
+
+
+SETTINGS = settings(
+    max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow]
+)
+
+
+@SETTINGS
+@given(code=codes(), seed=st.integers(0, 2**16))
+def test_select_pairs_matches_reference(code, seed):
+    if len(code.codewords) < 2:
+        return
+    for mode in MODES:
+        assert_same_selection(code, PairStrategy(mode=mode), seed)
+
+
+@SETTINGS
+@given(code=codes(), pick=st.integers(0, 2**16), seed=st.integers(0, 2**16))
+def test_min_distance_tie_matches_reference(code, pick, seed):
+    cws = code.codewords
+    cross = [(i, j) for i in range(len(cws)) for j in range(len(cws))
+             if cws[i].root_index != cws[j].root_index]
+    if not cross:
+        return
+    i, j = cross[pick % len(cross)]
+    tie = float(np.linalg.norm(cws[i].u - cws[j].u))
+    for md in (tie, math.nextafter(tie, 0.0), math.nextafter(tie, math.inf)):
+        assert_same_selection(code, PairStrategy(mode="cross-galaxy", min_distance=md), seed)
+
+
+@SETTINGS
+@given(code=codes(), cap=st.integers(1, 12), seed=st.integers(0, 2**16))
+def test_capped_selection_matches_reference(code, cap, seed):
+    if len(code.codewords) < 2:
+        return
+    cws = code.codewords
+    median = float(np.median([np.linalg.norm(c.u - cws[0].u) for c in cws]))
+    with mock.patch.object(experiments, "_PAIR_CAP", cap):
+        for mode in MODES:
+            assert_same_selection(code, PairStrategy(mode=mode), seed)
+        assert_same_selection(code, PairStrategy(mode="cross-galaxy", min_distance=median), seed)
+
+
+@pytest.fixture(scope="module")
+def two_root_code():
+    return build_code(
+        GalaxyParams(n=16, power=130.0, k=8, m_per_level=3, master_seed=7, t_bar=2,
+                     max_roots=3, saturation_probes=200)
+    )
+
+
+@pytest.fixture(scope="module")
+def uneven_code():
+    code = build_code(
+        GalaxyParams(n=2, power=1e8, k=64, m_per_level=10, master_seed=0, t_bar=2,
+                     max_roots=3, saturation_probes=30, max_attempts=5)
+    )
+    planets = Counter((c.root_index, c.index_path[0]) for c in code.codewords)
+    assert code.degraded and len(set(planets.values())) > 1
+    return code
+
+
+def test_uneven_blocks_match_reference(uneven_code):
+    cws = uneven_code.codewords
+    tie = float(np.linalg.norm(cws[0].u - cws[-1].u))
+    strategies = [PairStrategy(mode=mode) for mode in MODES] + [
+        PairStrategy(mode="cross-galaxy", min_distance=md) for md in (tie, 0.0, -1.0)
+    ]
+    for strategy in strategies:
+        assert_same_selection(uneven_code, strategy, 3)
+    # one target row per distance block sends the filter through many blocks
+    with mock.patch.object(experiments, "_MASK_CELLS", 1):
+        assert_same_selection(uneven_code, strategies[-3], 3)
+
+
+def test_non_contiguous_layout_rejected(two_root_code):
+    code = two_root_code
+    assert len(code.roots) >= 2
+    moved = list(code.codewords)
+    moved[0], moved[-1] = moved[-1], moved[0]  # a root's block now recurs
+    shuffled = GalaxyCode(
+        params=code.params, roots=code.roots, trees=code.trees, codewords=moved,
+        packing_saturated=code.packing_saturated, degraded=code.degraded,
+    )
+    for mode in MODES:
+        with pytest.raises(ValueError, match="contiguous"):
+            select_pairs(shuffled, PairStrategy(mode=mode), 0)
+
+
+def test_exhaustive_sample_count_bounds(two_root_code):
+    n_cw = len(two_root_code.codewords)
+    ordered = n_cw * (n_cw - 1)
+    every = select_pairs(
+        two_root_code, PairStrategy(mode="exhaustive-sample", sample_count=ordered), 1
+    )
+    assert sorted(every) == [(i, j) for i in range(n_cw) for j in range(n_cw) if i != j]
+    for count in (ordered + 1, -5):
+        with pytest.raises(ValueError, match=rf"sample_count {count} outside \[1, {ordered}\]"):
+            select_pairs(two_root_code, PairStrategy(mode="exhaustive-sample", sample_count=count), 1)
