@@ -6,7 +6,7 @@ verifies the structural distance guarantees exhaustively, and estimates
 type I/II identification errors by seeded Monte Carlo.
 """
 
-from .channel import DecoderParams, identify, in_shell, in_slab, transmit
+from .channel import DecoderParams, decide, identify, transmit, unit_directions
 from .experiments import (
     ErrorEstimate,
     PairStrategy,

@@ -4,7 +4,8 @@ The channel adds i.i.d. N(0, sigma^2) noise per coordinate.  The decoder
 for a codeword u accepts an output y iff y lies in the noise shell around
 u (squared distance within n(sigma^2 +/- eps_n)) and, for every ancestor
 center o in u's chain, the projection of y onto the line o-u lands within
-sigma log2(n) of u.
+sigma log2(n) of u.  decide() is the one implementation of that rule:
+identify() and the Monte Carlo estimators all call it.
 """
 
 from __future__ import annotations
@@ -16,14 +17,13 @@ import numpy as np
 
 from .galaxy import Codeword, GalaxyParams
 from .gaussian import default_eps
-from .geometry import as_coords, project_point_onto_line
+from .geometry import as_coords
 
 __all__ = [
     "DecoderParams",
-    "ChannelOutput",
     "transmit",
-    "in_shell",
-    "in_slab",
+    "unit_directions",
+    "decide",
     "identify",
     "slab_separation_margin",
 ]
@@ -65,14 +65,6 @@ class DecoderParams:
         return max(0.0, lo), hi
 
 
-@dataclass(frozen=True)
-class ChannelOutput:
-    """A received vector plus the transmitted index, known only to the harness."""
-
-    y: np.ndarray
-    source_index: int
-
-
 def transmit(u, sigma: float, rng: np.random.Generator) -> np.ndarray:
     """One channel use: y = u + sigma * z with z drawn from the given stream."""
     u = as_coords(u)
@@ -81,44 +73,48 @@ def transmit(u, sigma: float, rng: np.random.Generator) -> np.ndarray:
     return u + sigma * rng.standard_normal(u.size)
 
 
-def in_shell(y, u, params: DecoderParams) -> bool:
-    """Whether ||y - u||^2 lies in the shell window.
+def unit_directions(codewords) -> np.ndarray:
+    """(N, t_bar, n) unit vectors (u - o) / ||u - o|| along each codeword's chain.
 
-    The window is on the squared norm: the shell is exactly the event that
-    the normalized noise chi-square statistic concentrates, so the squared
-    form is the one consistent with the underlying law.
+    Row j, level i belongs to codewords[j] and its height-(i+1) ancestor.
+    Raises when an ancestor coincides with its codeword (no line is defined).
     """
-    y = as_coords(y)
-    u = as_coords(u)
-    if y.size != u.size:
-        raise ValueError(f"dimension mismatch: {y.size} vs {u.size}")
+    u = np.asarray([c.u for c in codewords], dtype=np.float64)
+    dirs = u[:, None, :] - np.asarray([c.path for c in codewords], dtype=np.float64)
+    norms = np.linalg.norm(dirs, axis=2, keepdims=True)
+    if np.any(norms == 0.0):
+        raise ValueError("degenerate center chain: ancestor coincides with codeword")
+    return dirs / norms
+
+
+def decide(
+    deltas: np.ndarray, directions: np.ndarray, params: DecoderParams
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Shell mask, per-level slab masks and decision mask for rows y - u.
+
+    `directions` is one codeword's (t_bar, n) slice of unit_directions.
+    The shell window is on the squared norm, the event on which the
+    chi-square noise statistic concentrates.  The projection of y onto the
+    line o-u lies |<y - u, (u - o)/||u - o||>| from u, so each slab test is
+    one inner product per level.
+    """
+    sq = np.einsum("ij,ij->i", deltas, deltas)
     lo, hi = params.shell_bounds
-    d = y - u
-    sq = float(np.dot(d, d))
-    return lo <= sq <= hi
-
-
-def in_slab(y, o, u, params: DecoderParams) -> bool:
-    """Whether the projection of y onto the line o-u lands within the slab of u."""
-    p = project_point_onto_line(o, u, y)
-    return float(np.linalg.norm(as_coords(u) - p)) <= params.slab_halfwidth
+    shell = (lo <= sq) & (sq <= hi)
+    slabs = np.abs(deltas @ directions.T) <= params.slab_halfwidth
+    return shell, slabs, shell & slabs.all(axis=1)
 
 
 def identify(y, c: Codeword, params: DecoderParams) -> bool:
-    """Full decision: shell around u and every slab along u's center chain.
-
-    Slabs are tested top-down (outermost ancestor first), zooming in level
-    by level; the result is a pure conjunction, so the order never changes
-    the outcome.
-    """
+    """Full decision for one output: decide() on a batch of one row."""
     if not c.path:
         raise ValueError("codeword carries no center chain")
-    if not in_shell(y, c.u, params):
-        return False
-    for o in reversed(c.path):
-        if not in_slab(y, o, c.u, params):
-            return False
-    return True
+    y = as_coords(y)
+    u = as_coords(c.u)
+    if y.size != u.size:
+        raise ValueError(f"dimension mismatch: {y.size} vs {u.size}")
+    _, _, accept = decide((y - u)[None, :], unit_directions([c])[0], params)
+    return bool(accept[0])
 
 
 def slab_separation_margin(u1, u2, o_bar) -> float:

@@ -9,6 +9,7 @@ fixed separators) so identical codes produce identical bytes.
 from __future__ import annotations
 
 import json
+from dataclasses import fields
 
 import numpy as np
 
@@ -18,6 +19,7 @@ from .galaxy import (
     GalaxyParams,
     GalaxyTree,
     flatten_codewords,
+    is_degraded,
 )
 from .spherical import SphericalCode
 
@@ -64,30 +66,26 @@ def _dec_node(obj: dict, theta: float) -> GalaxyNode:
     return node
 
 
+# Derived values recorded for inspection; reconstruction recomputes them.
+_DERIVED = ("r", "r_nominal", "t_bar_overridden", "spacing", "spacing_nominal", "extent")
+
+# Declared field types (annotations are strings here) and their coercions.
+_COERCE = {"int": int, "float": float, "bool": bool}
+
+
 def _params_dict(p: GalaxyParams) -> dict:
-    return {
-        "n": p.n,
-        "power": p.power,
-        "b": p.b,
-        "k": p.k,
-        "theta": p.theta,
-        "m_per_level": p.m_per_level,
-        "sigma": p.sigma,
-        "master_seed": p.master_seed,
-        "t_bar": p.t_bar,
-        "r_min_coeff": p.r_min_coeff,
-        "enforce_cross_galaxy_margin": p.enforce_cross_galaxy_margin,
-        "max_roots": p.max_roots,
-        "saturation_probes": p.saturation_probes,
-        "max_attempts": p.max_attempts,
-        # derived values recorded for inspection; reconstruction recomputes them
-        "r": p.r,
-        "r_nominal": p.r_nominal,
-        "t_bar_overridden": p.t_bar_overridden,
-        "spacing": p.spacing,
-        "spacing_nominal": p.spacing_nominal,
-        "extent": p.extent,
-    }
+    names = [f.name for f in fields(GalaxyParams)] + list(_DERIVED)
+    return {name: getattr(p, name) for name in names}
+
+
+def _params_from_dict(pd: dict) -> GalaxyParams:
+    """GalaxyParams from a file's params record, each value coerced by its declared type."""
+    values = {}
+    for f in fields(GalaxyParams):
+        base, _, optional = f.type.partition(" | ")
+        value = pd[f.name]
+        values[f.name] = None if value is None and optional == "None" else _COERCE[base](value)
+    return GalaxyParams(**values)
 
 
 def serialize(code: GalaxyCode) -> str:
@@ -111,37 +109,12 @@ def deserialize(text: str) -> GalaxyCode:
     version = doc.get("format_version")
     if version != FORMAT_VERSION:
         raise ValueError(f"unsupported code file format_version {version!r}")
-    pd = doc["params"]
-    params = GalaxyParams(
-        n=int(pd["n"]),
-        power=float(pd["power"]),
-        b=float(pd["b"]),
-        k=int(pd["k"]),
-        theta=float(pd["theta"]),
-        m_per_level=int(pd["m_per_level"]),
-        sigma=float(pd["sigma"]),
-        master_seed=int(pd["master_seed"]),
-        t_bar=int(pd["t_bar"]),
-        r_min_coeff=None if pd["r_min_coeff"] is None else float(pd["r_min_coeff"]),
-        enforce_cross_galaxy_margin=bool(pd["enforce_cross_galaxy_margin"]),
-        max_roots=int(pd["max_roots"]),
-        saturation_probes=int(pd["saturation_probes"]),
-        max_attempts=int(pd["max_attempts"]),
-    )
+    params = _params_from_dict(doc["params"])
     roots = [_dec_point(r) for r in doc["roots"]]
     trees = []
-    degraded = False
     for i, tobj in enumerate(doc["trees"]):
-        root_node = _dec_node(tobj, params.theta)
-
-        def any_short(node) -> bool:
-            if len(node.code) < params.m_per_level:
-                return True
-            return any(any_short(c) for c in node.children)
-
-        tree = GalaxyTree(root=root_node, root_index=i, degraded=any_short(root_node))
-        degraded = degraded or tree.degraded
-        trees.append(tree)
+        root = _dec_node(tobj, params.theta)
+        trees.append(GalaxyTree(root=root, root_index=i, degraded=is_degraded(root, params)))
     codewords = []
     for tree in trees:
         codewords.extend(flatten_codewords(tree))
@@ -151,7 +124,7 @@ def deserialize(text: str) -> GalaxyCode:
         trees=trees,
         codewords=codewords,
         packing_saturated=bool(doc["achieved"]["packing_saturated"]),
-        degraded=degraded,
+        degraded=any(t.degraded for t in trees),
     )
 
 

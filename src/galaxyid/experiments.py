@@ -9,16 +9,17 @@ workers execute the units, and merging is plain summation.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from statistics import NormalDist
 
 import numpy as np
 from scipy.spatial.distance import cdist
 
 from . import galaxy
-from .channel import DecoderParams
-from .galaxy import Codeword, GalaxyCode, meet_depth
+from .channel import DecoderParams, decide, unit_directions
+from .galaxy import GalaxyCode, iter_nodes, meet_depth
 from .gaussian import ShellSpec, projection_tail, shell_prob_cross, shell_prob_same
 from .seeding import derive_seed
 from .spherical import csw_lower_bound, min_pairwise_angle
@@ -168,30 +169,8 @@ class RateReport:
 
 
 # ---------------------------------------------------------------------------
-# vectorized decoder internals
+# Monte Carlo estimation
 # ---------------------------------------------------------------------------
-
-
-class _CodewordKernel:
-    """Precomputed arrays for batch decoding against one codeword."""
-
-    def __init__(self, c: Codeword, params: DecoderParams):
-        self.u = c.u
-        dirs = np.asarray([c.u - o for o in c.path], dtype=np.float64)
-        norms = np.linalg.norm(dirs, axis=1, keepdims=True)
-        if np.any(norms == 0.0):
-            raise ValueError("degenerate center chain: ancestor coincides with codeword")
-        self.directions = dirs / norms
-        self.shell_lo, self.shell_hi = params.shell_bounds
-        self.halfwidth = params.slab_halfwidth
-
-    def decide(self, deltas: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Shell mask, per-level slab masks, full-decision mask for rows y - u."""
-        sq = np.einsum("ij,ij->i", deltas, deltas)
-        shell = (self.shell_lo <= sq) & (sq <= self.shell_hi)
-        along = np.abs(deltas @ self.directions.T)
-        slabs = along <= self.halfwidth
-        return shell, slabs, shell & slabs.all(axis=1)
 
 
 def _slab_tail(params: DecoderParams) -> float:
@@ -212,8 +191,13 @@ def _unit_plan(trials: int) -> list[tuple[int, int]]:
 
 
 def _worker_count(threads: int | None, n_units: int) -> int:
-    """Threads to start: the requested count (None means 1), at most one per unit."""
-    return max(1, min(threads or 1, n_units))
+    """Threads to start: the requested count (None means 1), at most one per
+    unit and one per CPU this process may run on."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        cpus = os.cpu_count() or 1
+    return max(1, min(threads or 1, n_units, cpus))
 
 
 def _run_units(worker, n_units: int, threads: int | None) -> list:
@@ -247,8 +231,8 @@ def estimate_type1(
     levels.
     """
     plan = _unit_plan(trials)
-    kernels = [_CodewordKernel(c, params) for c in code.codewords]
-    n_cw = len(kernels)
+    directions = unit_directions(code.codewords)
+    n_cw = len(directions)
     n, sigma = params.n, params.sigma
 
     def run_unit(unit_index: int) -> int:
@@ -258,7 +242,7 @@ def estimate_type1(
         assignment = (start + np.arange(size)) % n_cw
         hits = 0
         for j, rows in _grouped(assignment):
-            _, _, accept = kernels[j].decide(sigma * noise[rows])
+            _, _, accept = decide(sigma * noise[rows], directions[j], params)
             hits += int(rows.size - accept.sum())
         return hits
 
@@ -417,12 +401,11 @@ def estimate_type2(
     pairs = select_pairs(code, strategy, master_seed)
     plan = _unit_plan(trials)
     cws = code.codewords
-    kernels: dict[int, _CodewordKernel] = {}
+    targets, target_rows = np.unique([ti for ti, _ in pairs], return_inverse=True)
+    directions = unit_directions([cws[ti] for ti in targets])
     offsets = []
     meet_rows = []
     for ti, si in pairs:
-        if ti not in kernels:
-            kernels[ti] = _CodewordKernel(cws[ti], params)
         offsets.append(cws[si].u - cws[ti].u)
         meet = meet_depth(cws[ti], cws[si])
         meet_rows.append(-1 if meet is None else meet - 1)
@@ -435,8 +418,9 @@ def estimate_type2(
         assignment = (start + np.arange(size)) % len(pairs)
         decision = shell_ct = slab_ct = 0
         for p, rows in _grouped(assignment):
-            kern = kernels[pairs[p][0]]
-            shell, slabs, accept = kern.decide(offsets[p] + sigma * noise[rows])
+            shell, slabs, accept = decide(
+                offsets[p] + sigma * noise[rows], directions[target_rows[p]], params
+            )
             decision += int(accept.sum())
             shell_ct += int(shell.sum())
             if meet_rows[p] >= 0:
@@ -515,37 +499,33 @@ def verify_structure(code: GalaxyCode, tol: float = 1e-6) -> StructureReport:
             )
 
     # Exact node-chain radii and per-node angles.
-    def walk(node, tree_index):
-        radius = node.code.radius
-        d = np.linalg.norm(node.code.points - node.center, axis=1)
-        bad = np.nonzero(np.abs(d - radius) > 1e-9 * radius)[0]
-        for i in bad:
-            report.cond1_violations.append(
-                {
-                    "kind": "node-radius",
-                    "root": tree_index,
-                    "height": node.height,
-                    "point": int(i),
-                    "measured": float(d[i]),
-                    "bound": (radius, radius),
-                }
-            )
-        if len(node.code) >= 2:
-            ang = min_pairwise_angle(node.code)
-            if ang < p.theta - ANGLE_TOL:
-                report.angle_violations.append(
+    for tree in code.trees:
+        for node in iter_nodes(tree.root):
+            radius = node.code.radius
+            d = np.linalg.norm(node.code.points - node.center, axis=1)
+            bad = np.nonzero(np.abs(d - radius) > 1e-9 * radius)[0]
+            for i in bad:
+                report.cond1_violations.append(
                     {
-                        "root": tree_index,
+                        "kind": "node-radius",
+                        "root": tree.root_index,
                         "height": node.height,
-                        "measured": float(ang),
-                        "bound": p.theta,
+                        "point": int(i),
+                        "measured": float(d[i]),
+                        "bound": (radius, radius),
                     }
                 )
-        for child in node.children:
-            walk(child, tree_index)
-
-    for tree in code.trees:
-        walk(tree.root, tree.root_index)
+            if len(node.code) >= 2:
+                ang = min_pairwise_angle(node.code)
+                if ang < p.theta - ANGLE_TOL:
+                    report.angle_violations.append(
+                        {
+                            "root": tree.root_index,
+                            "height": node.height,
+                            "measured": float(ang),
+                            "bound": p.theta,
+                        }
+                    )
 
     # Pairwise distances: meet-height bound inside a root, floor across roots.
     dists = cdist(u_mat, u_mat)
@@ -586,19 +566,6 @@ def verify_structure(code: GalaxyCode, tol: float = 1e-6) -> StructureReport:
     return report
 
 
-def _min_m_achieved(code: GalaxyCode) -> int:
-    vals = []
-
-    def walk(node):
-        vals.append(len(node.code))
-        for child in node.children:
-            walk(child)
-
-    for tree in code.trees:
-        walk(tree.root)
-    return min(vals)
-
-
 def rate_report(code: GalaxyCode) -> RateReport:
     """Achieved size and rate next to every analytic bound, gaps flagged."""
     p = code.params
@@ -607,7 +574,7 @@ def rate_report(code: GalaxyCode) -> RateReport:
     rate = math.log2(n_cw) / (p.n * math.log2(p.n)) if n_cw >= 1 else 0.0
     lo, hi = galaxy.center_count_bounds(p.n, p.power, p.b)
     csw = csw_lower_bound(p.n, p.theta)
-    m_achieved = _min_m_achieved(code)
+    m_achieved = min(len(node.code) for tree in code.trees for node in iter_nodes(tree.root))
     claim1_upper_ok = n_roots <= hi
     claim1_consistent = None
     if lo >= 1 and code.packing_saturated:
@@ -657,12 +624,7 @@ class SweepResult:
 
 
 def _params_key(p: galaxy.GalaxyParams) -> str:
-    fields = (
-        p.n, p.power, p.b, p.k, p.theta, p.m_per_level, p.sigma, p.master_seed,
-        p.t_bar, p.r_min_coeff, p.enforce_cross_galaxy_margin, p.max_roots,
-        p.saturation_probes, p.max_attempts,
-    )
-    return "|".join(repr(f) for f in fields)
+    return "|".join(repr(getattr(p, f.name)) for f in fields(p))
 
 
 def sweep(

@@ -32,6 +32,7 @@ __all__ = [
     "pack_centers",
     "build_galaxy",
     "build_code",
+    "iter_nodes",
     "meet_depth",
     "radial_bounds",
     "pair_distance_lower_bound",
@@ -226,8 +227,8 @@ class GalaxyParams:
         if self.t_bar < 1:
             raise ValueError(f"t_bar must be >= 1, got {self.t_bar}")
         if self.m_per_level is None:
-            m = int(math.floor(spherical.csw_lower_bound(self.n, self.theta)))
-            object.__setattr__(self, "m_per_level", max(1, min(m, self._M_CAP)))
+            csw = spherical.csw_lower_bound(self.n, self.theta)  # may be inf
+            object.__setattr__(self, "m_per_level", max(1, math.floor(min(csw, self._M_CAP))))
         if self.m_per_level < 1:
             raise ValueError(f"m_per_level must be >= 1, got {self.m_per_level}")
         if self.r_min_coeff is not None and self.r_min_coeff <= 0:
@@ -365,10 +366,8 @@ def build_galaxy(center, params: GalaxyParams, root_index: int = 0) -> GalaxyTre
     center = as_coords(center)
     if center.size != params.n:
         raise ValueError(f"center has dimension {center.size}, expected {params.n}")
-    degraded = False
 
     def build_node(node_center: np.ndarray, height: int, path: tuple) -> GalaxyNode:
-        nonlocal degraded
         code = spherical.generate(
             n=params.n,
             center=node_center,
@@ -378,8 +377,6 @@ def build_galaxy(center, params: GalaxyParams, root_index: int = 0) -> GalaxyTre
             max_attempts=params.max_attempts,
             seed=derive_seed(params.master_seed, "node", root_index, *path),
         )
-        if len(code) < params.m_per_level:
-            degraded = True
         node = GalaxyNode(center=node_center, height=height, code=code)
         if height > 1:
             node.children = [
@@ -388,7 +385,19 @@ def build_galaxy(center, params: GalaxyParams, root_index: int = 0) -> GalaxyTre
         return node
 
     root = build_node(center, params.t_bar, ())
-    return GalaxyTree(root=root, root_index=root_index, degraded=degraded)
+    return GalaxyTree(root=root, root_index=root_index, degraded=is_degraded(root, params))
+
+
+def iter_nodes(node: GalaxyNode):
+    """Pre-order walk of a subtree: the node, then each child's subtree in order."""
+    yield node
+    for child in node.children:
+        yield from iter_nodes(child)
+
+
+def is_degraded(root: GalaxyNode, params: GalaxyParams) -> bool:
+    """Whether some node of the tree holds fewer than m_per_level points."""
+    return any(len(node.code) < params.m_per_level for node in iter_nodes(root))
 
 
 def flatten_codewords(tree: GalaxyTree) -> list:

@@ -1,25 +1,14 @@
-"""Exact n-dimensional Euclidean primitives.
+"""Validation of n-dimensional coordinate inputs.
 
-Points and vectors are plain 1-D float64 arrays.  Dimension is a runtime
-property of the inputs and must agree between the operands of every
-operation; all coordinates must be finite.
+Points and vectors are plain 1-D float64 arrays; all coordinates must be
+finite.
 """
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
-__all__ = [
-    "as_coords",
-    "inner_product",
-    "euclidean_norm",
-    "project_point_onto_line",
-    "project_vector_onto_vector",
-    "projection_norm",
-    "angle_at",
-]
+__all__ = ["as_coords"]
 
 
 def as_coords(x) -> np.ndarray:
@@ -30,78 +19,3 @@ def as_coords(x) -> np.ndarray:
     if not np.all(np.isfinite(arr)):
         raise ValueError("coordinates must be finite")
     return arr
-
-
-def _pair(u, v) -> tuple[np.ndarray, np.ndarray]:
-    u = as_coords(u)
-    v = as_coords(v)
-    if u.size != v.size:
-        raise ValueError(f"dimension mismatch: {u.size} vs {v.size}")
-    return u, v
-
-
-def inner_product(u, v) -> float:
-    """Standard inner product sum(u_i * v_i)."""
-    u, v = _pair(u, v)
-    return float(np.dot(u, v))
-
-
-def euclidean_norm(v) -> float:
-    """Euclidean 2-norm of a vector."""
-    return float(np.linalg.norm(as_coords(v)))
-
-
-def project_point_onto_line(o, u, y) -> np.ndarray:
-    """Foot of the perpendicular dropped from point y onto the line through o and u.
-
-    The residual y - result is orthogonal to u - o, and the operation is
-    idempotent.  Raises ValueError when o == u (no line is defined).
-    """
-    o, u = _pair(o, u)
-    y = as_coords(y)
-    if y.size != o.size:
-        raise ValueError(f"dimension mismatch: {y.size} vs {o.size}")
-    d = u - o
-    dd = float(np.dot(d, d))
-    if dd == 0.0:
-        raise ValueError("degenerate line: o and u coincide")
-    t = float(np.dot(y - o, d)) / dd
-    return o + t * d
-
-
-def project_vector_onto_vector(v, u) -> np.ndarray:
-    """Orthogonal projection of v onto the direction of u: (<u,v>/<u,u>) u."""
-    v, u = _pair(v, u)
-    uu = float(np.dot(u, u))
-    if uu == 0.0:
-        raise ValueError("degenerate direction: u is the zero vector")
-    return (float(np.dot(u, v)) / uu) * u
-
-
-def projection_norm(v, u) -> float:
-    """Length of the projection of v onto u, i.e. |<u,v>| / ||u||."""
-    v, u = _pair(v, u)
-    nu = float(np.linalg.norm(u))
-    if nu == 0.0:
-        raise ValueError("degenerate direction: u is the zero vector")
-    return abs(float(np.dot(u, v))) / nu
-
-
-def angle_at(center, a, b) -> float:
-    """Angle in [0, pi] subtended by points a and b at `center`.
-
-    The cosine is clamped to [-1, 1] so numerically collinear inputs cannot
-    produce NaN.  Raises ValueError when a or b coincides with the center.
-    """
-    center = as_coords(center)
-    a, b = _pair(a, b)
-    if a.size != center.size:
-        raise ValueError(f"dimension mismatch: {a.size} vs {center.size}")
-    va = a - center
-    vb = b - center
-    na = float(np.linalg.norm(va))
-    nb = float(np.linalg.norm(vb))
-    if na == 0.0 or nb == 0.0:
-        raise ValueError("degenerate angle: point coincides with center")
-    c = float(np.dot(va, vb)) / (na * nb)
-    return math.acos(max(-1.0, min(1.0, c)))

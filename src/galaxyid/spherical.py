@@ -21,7 +21,6 @@ __all__ = [
     "generate",
     "min_pairwise_angle",
     "csw_lower_bound",
-    "csw_lower_bound_full",
 ]
 
 # Slack on the dot-product acceptance test; keeps exact witness
@@ -47,13 +46,18 @@ class SphericalCode:
 def _simplex_directions(n: int, m: int) -> np.ndarray:
     """Unit vertices of a regular (m-1)-simplex embedded in R^n, m <= n+1.
 
-    Pairwise inner products are exactly -1/(m-1).
+    Pairwise inner products are -1/(m-1).  For m <= n the vertices are the
+    centered basis vectors of R^m; for m = n+1 those span only the
+    sum-zero hyperplane, so they are written in an orthonormal basis of it.
     """
     e = np.eye(m, dtype=np.float64)
     v = e - e.mean(axis=0)
     v /= np.linalg.norm(v, axis=1, keepdims=True)
+    if m > n:
+        q, _ = np.linalg.qr(v.T)
+        v = v @ q[:, : m - 1]
     out = np.zeros((m, n), dtype=np.float64)
-    out[:, :m] = v
+    out[:, : v.shape[1]] = v
     return out
 
 
@@ -163,20 +167,13 @@ def min_pairwise_angle(code: SphericalCode) -> float:
 def csw_lower_bound(n: int, theta: float) -> float:
     """Simplified lower bound sin(theta)^(-n) on the maximum code size M(n, theta).
 
-    This is the form the rate bounds use downstream.
+    This is the form the rate bounds use downstream.  A bound beyond float
+    range is math.inf.
     """
     if not (0 < theta < math.pi):
         raise ValueError(f"theta must lie in (0, pi), got {theta}")
-    return math.sin(theta) ** (-n)
+    try:
+        return math.sin(theta) ** (-n)
+    except OverflowError:
+        return math.inf
 
-
-def csw_lower_bound_full(n: int, theta: float) -> float:
-    """Full Chabauty/Shannon/Wyner expression with the o(1) factors dropped.
-
-    n * sqrt(2 pi n) * cos(theta) / sin(theta)^(n-1) * log2(sqrt(2) cos(theta/2));
-    only defined for theta < pi/2 where cos(theta) > 0.  Reporting only.
-    """
-    if not (0 < theta < math.pi / 2):
-        raise ValueError(f"full bound requires 0 < theta < pi/2, got {theta}")
-    s_inv = math.sqrt(2 * math.pi * n) * math.cos(theta) / math.sin(theta) ** (n - 1)
-    return n * s_inv * math.log2(math.sqrt(2.0) * math.cos(theta / 2.0))

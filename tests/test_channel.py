@@ -2,15 +2,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from galaxyid.channel import (
-    ChannelOutput,
     DecoderParams,
+    decide,
     identify,
-    in_shell,
-    in_slab,
     slab_separation_margin,
     transmit,
+    unit_directions,
 )
 from galaxyid.galaxy import Codeword
 from galaxyid.gaussian import projection_tail
@@ -61,43 +62,128 @@ def test_transmit_noise_scale():
     assert abs(mean - 1.0) <= 3 * se
 
 
+def _shell(y, u, p):
+    """decide()'s shell mask for one output (the shell ignores the directions)."""
+    return bool(decide((np.asarray(y) - u)[None, :], np.eye(u.size)[:1], p)[0][0])
+
+
+def _line_codeword(u, *path):
+    return Codeword(u=np.asarray(u, dtype=float), path=[np.asarray(o, dtype=float) for o in path],
+                    root_index=0, index_path=(0,) * len(path), leaf_index=0)
+
+
+def reference_decision(y, c, p):
+    """The README rule, one ancestor at a time, written without decide().
+
+    Shell: ||y - u||^2 in [max(0, n(sigma^2 - eps_n)), n(sigma^2 + eps_n)].
+    Slab at ancestor o: the foot of the perpendicular from y onto the line
+    o-u is p = o + t (u - o); accepted when ||u - p|| <= slab_halfwidth.
+    Returns (statistic, threshold, accepted) triples, shell bounds first.
+    """
+    d = y - c.u
+    sq = float(d @ d)
+    lo = max(0.0, p.n * (p.sigma**2 - p.eps_n))
+    hi = p.n * (p.sigma**2 + p.eps_n)
+    tests = [(sq, lo, lo <= sq), (sq, hi, sq <= hi)]
+    for o in c.path:
+        line = c.u - o
+        t = float((y - o) @ line) / float(line @ line)
+        dist = float(np.linalg.norm(c.u - (o + t * line)))
+        tests.append((dist, p.slab_halfwidth, dist <= p.slab_halfwidth))
+    return tests
+
+
+def _near_threshold(tests) -> bool:
+    return any(abs(stat - thr) <= 1e-9 * max(1.0, abs(thr)) for stat, thr, _ in tests)
+
+
+@st.composite
+def decoder_cases(draw):
+    """A decoder, a few codewords with t_bar ancestors each, and outputs near them."""
+    n = draw(st.integers(2, 16))
+    t_bar = draw(st.integers(1, 3))
+    sigma = draw(st.sampled_from([0.0, 0.5, 1.0, 2.0]))
+    if sigma == 0.0 or draw(st.booleans()):
+        # explicit thresholds, scaled so both outcomes of every test occur
+        eps_n = draw(st.floats(0.05, 2.0))
+        halfwidth = draw(st.floats(0.0, 3.0)) * max(sigma, 1.0)
+        dec = DecoderParams(n=n, sigma=sigma, eps_n=eps_n, slab_halfwidth=halfwidth)
+    else:
+        dec = DecoderParams(n=n, sigma=sigma)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    noise_scale = max(sigma, 1.0) * draw(st.floats(0.3, 1.7))
+    cws, ys = [], []
+    for _ in range(draw(st.integers(1, 3))):
+        u = rng.standard_normal(n) * 10.0
+        path = [u + rng.standard_normal(n) * 5.0 for _ in range(t_bar)]
+        cws.append(_line_codeword(u, *path))
+        ys.append(u + rng.standard_normal((4, n)) * noise_scale)
+    return dec, cws, ys
+
+
+@settings(max_examples=300, deadline=None)
+@given(decoder_cases())
+def test_identify_equals_plain_conjunction(case):
+    dec, cws, ys = case
+    for c, rows in zip(cws, ys):
+        for y in rows:
+            tests = reference_decision(y, c, dec)
+            assume(not _near_threshold(tests))
+            assert identify(y, c, dec) == all(ok for _, _, ok in tests)
+
+
+@settings(max_examples=300, deadline=None)
+@given(decoder_cases())
+def test_decide_matches_reference_decoder(case):
+    dec, cws, ys = case
+    directions = unit_directions(cws)
+    assert directions.shape == (len(cws), len(cws[0].path), dec.n)
+    for j, (c, rows) in enumerate(zip(cws, ys)):
+        expected = [reference_decision(y, c, dec) for y in rows]
+        assume(not any(_near_threshold(tests) for tests in expected))
+        shell, slabs, accept = decide(rows - c.u, directions[j], dec)
+        for r, tests in enumerate(expected):
+            oks = [ok for _, _, ok in tests]
+            assert shell[r] == (oks[0] and oks[1])
+            assert slabs[r].tolist() == oks[2:]
+            assert accept[r] == all(oks)
+
+
 def test_in_shell():
     p = params100()
     u = np.zeros(100)
     # y = u: squared distance 0 sits below the lower edge when eps < sigma^2
-    assert not in_shell(u, u, p)
+    assert not _shell(u, u, p)
     y = np.zeros(100)
     y[0] = 10.0  # squared distance exactly n sigma^2
-    assert in_shell(y, u, p)
+    assert _shell(y, u, p)
     y[0] = math.sqrt(100 * (1 + p.eps_n)) + 1e-6
-    assert not in_shell(y, u, p)
+    assert not _shell(y, u, p)
 
 
 def test_in_slab():
     p = params100()
-    o = np.zeros(100)
     u = np.zeros(100)
     u[0] = 5.0
-    assert in_slab(u, o, u, p)
-    # orthogonal displacement of any size is invisible to the slab
-    y = u.copy()
-    y[1] = 1e6
-    assert in_slab(y, o, u, p)
-    # along-line displacement beyond the half-width is rejected
-    y = u.copy()
-    y[0] += 2 * p.slab_halfwidth
-    assert not in_slab(y, o, u, p)
-    with pytest.raises(ValueError):
-        in_slab(y, u, u, p)
+    c = _line_codeword(u, np.zeros(100))
+    direction = unit_directions([c])[0]
+    # one row per case: y = u, orthogonal displacement of any size (invisible
+    # to the slab), along-line displacement beyond the half-width (rejected)
+    ys = np.tile(u, (3, 1))
+    ys[1, 1] = 1e6
+    ys[2, 0] += 2 * p.slab_halfwidth
+    _, slabs, _ = decide(ys - u, direction, p)
+    assert slabs[:, 0].tolist() == [True, True, False]
+    with pytest.raises(ValueError, match="degenerate"):
+        unit_directions([_line_codeword(u, u)])
 
 
-def _toy_codeword(n=100, t_bar=2):
+def _toy_codeword(n=100):
     u = np.zeros(n)
     u[0] = 30.0
     o1 = np.zeros(n)
     o1[0] = 20.0
-    o2 = np.zeros(n)
-    return Codeword(u=u, path=[o1, o2], root_index=0, index_path=(0, 0), leaf_index=0)
+    return _line_codeword(u, o1, np.zeros(n))
 
 
 def test_identify_cases():
@@ -106,25 +192,15 @@ def test_identify_cases():
     # shell-exact output, orthogonal to both slab lines
     y = c.u.copy()
     y[1] = 10.0
-    assert in_shell(y, c.u, p)
+    assert _shell(y, c.u, p)
     assert identify(y, c, p)
     # y = u fails via the shell alone
     assert not identify(c.u, c, p)
     # far along the first slab line, shell kept satisfied: rejected via slab
     y2 = c.u.copy()
     y2[0] += math.sqrt(100.0)
-    assert in_shell(y2, c.u, p)
+    assert _shell(y2, c.u, p)
     assert not identify(y2, c, p)
-
-
-def test_identify_equals_plain_conjunction():
-    p = params100()
-    c = _toy_codeword()
-    rng = np.random.default_rng(11)
-    for _ in range(200):
-        y = c.u + rng.standard_normal(100) * rng.uniform(0.5, 1.5)
-        expected = in_shell(y, c.u, p) and all(in_slab(y, o, c.u, p) for o in c.path)
-        assert identify(y, c, p) == expected
 
 
 def test_shell_depends_only_on_distance():
@@ -135,12 +211,23 @@ def test_shell_depends_only_on_distance():
     for _ in range(20):
         z = rng.standard_normal(16)
         q, _ = np.linalg.qr(rng.standard_normal((16, 16)))
-        assert in_shell(u + z, u, p) == in_shell(u + q @ z, u, p)
+        assert _shell(u + z, u, p) == _shell(u + q @ z, u, p)
 
 
-def test_channel_output_record():
-    out = ChannelOutput(y=np.zeros(3), source_index=7)
-    assert out.source_index == 7
+def test_identify_rejects_bad_input():
+    p = params100()
+    c = _toy_codeword()
+    y = c.u.copy()
+    y[1] = 10.0
+    with pytest.raises(ValueError, match="center chain"):
+        identify(y, _line_codeword(c.u), p)
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        identify(y[:50], c, p)
+    y[2] = math.nan
+    with pytest.raises(ValueError, match="finite"):
+        identify(y, c, p)
+    with pytest.raises(ValueError, match="degenerate"):
+        identify(c.u, _line_codeword(c.u, c.path[0], c.u), p)
 
 
 def test_empirical_slab_acceptance():
@@ -195,5 +282,5 @@ def test_degenerate_sigma_zero_type2():
     c1 = Codeword(u=u1, path=[o], root_index=0, index_path=(0,), leaf_index=0)
     y = transmit(u2, 0.0, np.random.default_rng(0))
     np.testing.assert_array_equal(y, u2)
-    assert not in_shell(y, u1, dec)
+    assert not _shell(y, u1, dec)
     assert not identify(y, c1, dec)

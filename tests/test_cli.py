@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -15,11 +16,18 @@ BUILD_ARGS = [
 ]
 
 
-def run_cli(*args, **kw):
+# the child imports the same galaxyid as this process, installed or not
+PACKAGE_ROOT = str(Path(cli.__file__).resolve().parents[1])
+
+
+def run_cli(*args, env=None, **kw):
+    env = dict(os.environ if env is None else env)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (PACKAGE_ROOT, env.get("PYTHONPATH")) if p)
     return subprocess.run(
         [sys.executable, "-m", "galaxyid.cli", *args],
         capture_output=True,
         text=True,
+        env=env,
         **kw,
     )
 
@@ -236,3 +244,23 @@ def test_rate_code_mode_out_of_float_range(tmp_path):
     assert res.returncode == 0, res.stderr
     row = dict(zip(REPORT_COLUMNS, res.stdout.splitlines()[1].split(",")))
     assert row["count_bound_claim1_hi"] == "inf"
+
+
+@pytest.mark.parametrize("n, k, points", [(2, 8, 3), (3, 8, 4), (6, 9, 7)])
+def test_build_simplex_with_more_points_than_coordinates(tmp_path, n, k, points):
+    # obtuse theta: the simplex witness has n + 1 vertices in n coordinates
+    path = tmp_path / "simplex.json"
+    build = run_cli("build", "--n", str(n), "--k", str(k), "--power", "1e6", "--m", str(points),
+                    "--max-roots", "1", "--out", str(path))
+    assert build.returncode == 0, build.stderr
+    assert f"codewords={points} " in build.stdout
+    res = run_cli("verify", "--code", str(path))
+    assert res.returncode == 0, res.stdout
+    assert "PASS" in res.stdout
+
+
+def test_rate_formula_mode_out_of_float_range():
+    res = run_cli("rate", "--n", "8192", "--power", "1", "--k", "16")
+    assert res.returncode == 0, res.stderr
+    row = dict(zip(REPORT_COLUMNS, res.stdout.splitlines()[1].split(",")))
+    assert row["m_bound_csw"] == "inf"

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from galaxyid.codefile import FORMAT_VERSION, deserialize, load, save, serialize
-from galaxyid.galaxy import GalaxyParams, build_code
+from galaxyid.experiments import _params_key
+from galaxyid.galaxy import GalaxyCode, GalaxyParams, build_code
 
 
 @pytest.fixture(scope="module")
@@ -56,3 +57,36 @@ def test_save_and_load(tmp_path, code):
     save(code, path)
     back = load(path)
     assert serialize(back) == serialize(code)
+
+
+def test_params_record_bytes_fixed():
+    # the parameter record and the sweep cell key, byte for byte as format v1 writes them
+    p = GalaxyParams(
+        n=8, power=260.0, k=8, m_per_level=4, master_seed=13, t_bar=2, r_min_coeff=0.5,
+        max_roots=3, saturation_probes=100,
+    )
+    empty = GalaxyCode(params=p, roots=[], trees=[], codewords=[], packing_saturated=False,
+                       degraded=False)
+    assert serialize(empty) == (
+        '{"achieved":{"degraded":false,"num_codewords":0,"num_roots":0,"packing_saturated":false},'
+        '"format_version":1,"params":{"b":0.0,"enforce_cross_galaxy_margin":true,"extent":13.5,'
+        '"k":8,"m_per_level":4,"master_seed":13,"max_attempts":20000,"max_roots":3,"n":8,'
+        '"power":260.0,"r":1.5,"r_min_coeff":0.5,"r_nominal":1.0,"saturation_probes":100,'
+        '"sigma":1.0,"spacing":27.840896415253713,"spacing_nominal":3.363585661014858,"t_bar":2,'
+        '"t_bar_overridden":true,"theta":1.910633236249019},"roots":[],"trees":[]}\n'
+    )
+    assert _params_key(p) == "8|260.0|0.0|8|1.910633236249019|4|1.0|13|2|0.5|True|3|100|20000"
+
+
+def test_params_coerced_by_declared_type(code):
+    doc = json.loads(serialize(code))
+    pd = doc["params"]
+    pd.update(n=8.0, power=260, k=8.0, master_seed=13.0, enforce_cross_galaxy_margin=1,
+              r_min_coeff=None)
+    back = deserialize(json.dumps(doc)).params
+    assert back == code.params
+    assert type(back.n) is int and type(back.power) is float
+    assert back.enforce_cross_galaxy_margin is True and back.r_min_coeff is None
+    pd["r_min_coeff"] = 1
+    assert deserialize(json.dumps(doc)).params.r_min_coeff == 1.0
+    assert type(deserialize(json.dumps(doc)).params.r_min_coeff) is float

@@ -1,5 +1,6 @@
 import copy
 import math
+import os
 
 import numpy as np
 import pytest
@@ -138,11 +139,19 @@ def test_analytic_bounds_follow_slab_halfwidth():
     assert type2.analytic_bound == tail
 
 
-def test_worker_count():
+def test_worker_count(monkeypatch):
+    # computed only: no pool is started with these counts
+    cpus = len(os.sched_getaffinity(0))
     assert _worker_count(None, 10) == 1
-    assert _worker_count(4, 10) == 4
-    assert _worker_count(10**9, 3) == 3  # one thread per unit at most
+    assert _worker_count(4, 10) == min(4, cpus)
+    assert _worker_count(10**9, 3) == min(3, cpus)  # one thread per unit at most
     assert _worker_count(8, 1) == 1
+    assert _worker_count(10**9, 10**6) == cpus  # one thread per usable CPU at most
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+    assert _worker_count(4, 10) == 3
+    monkeypatch.delattr(os, "sched_getaffinity")
+    monkeypatch.setattr(os, "cpu_count", lambda: 5)
+    assert _worker_count(10**9, 10**6) == 5
 
 
 def test_type2_parallel_merge(small_code, decoder):

@@ -143,6 +143,13 @@ def test_params_validation():
         GalaxyParams(n=16, power=100.0, k=8, theta=0.05)  # separation fails
 
 
+def test_default_m_per_level():
+    # min(floor(sin(theta)^-n), 16), at least 1; past float range the cap applies
+    assert GalaxyParams(n=16, power=100.0, k=8).m_per_level == 2
+    assert GalaxyParams(n=64, power=100.0, k=16).m_per_level == 16
+    assert GalaxyParams(n=8192, power=1.0, k=16).m_per_level == 16
+
+
 def test_params_r_min_override():
     plain = small_params()
     assert plain.r == plain.r_nominal == 1.0

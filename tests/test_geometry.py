@@ -1,133 +1,18 @@
-import math
-
 import numpy as np
 import pytest
 
-from galaxyid.geometry import (
-    angle_at,
-    euclidean_norm,
-    inner_product,
-    project_point_onto_line,
-    project_vector_onto_vector,
-    projection_norm,
-)
-
-
-def test_inner_product_examples():
-    assert inner_product([1, 0, 0], [2, 3, 4]) == 2.0
-    assert inner_product([1, 1], [1, -1]) == 0.0
-    assert inner_product([3, 4], [3, 4]) == 25.0
-
-
-def test_inner_product_symmetric_bilinear():
-    rng = np.random.default_rng(0)
-    u, v, w = rng.standard_normal((3, 5))
-    assert inner_product(u, v) == pytest.approx(inner_product(v, u))
-    assert inner_product(u, 2.0 * v + w) == pytest.approx(
-        2.0 * inner_product(u, v) + inner_product(u, w)
-    )
-
-
-def test_inner_product_dimension_mismatch():
-    with pytest.raises(ValueError):
-        inner_product([1, 2], [1, 2, 3])
-
-
-def test_norm_examples():
-    assert euclidean_norm([3, 4]) == 5.0
-    assert euclidean_norm([0, 0, 0]) == 0.0
-    assert euclidean_norm([1, 1, 1, 1]) == 2.0
+from galaxyid.geometry import as_coords
 
 
 def test_nonfinite_rejected():
     with pytest.raises(ValueError):
-        euclidean_norm([1.0, float("nan")])
+        as_coords([1.0, float("nan")])
     with pytest.raises(ValueError):
-        euclidean_norm([1.0, float("inf")])
-
-
-def test_project_point_examples():
-    np.testing.assert_allclose(project_point_onto_line([0, 0], [1, 0], [3, 4]), [3, 0])
-    np.testing.assert_allclose(project_point_onto_line([1, 1], [2, 2], [3, 3]), [3, 3])
-    np.testing.assert_allclose(project_point_onto_line([0, 0], [0, 2], [5, 7]), [0, 7])
-
-
-def test_project_point_degenerate_line():
+        as_coords([1.0, float("inf")])
     with pytest.raises(ValueError):
-        project_point_onto_line([1, 1], [1, 1], [2, 3])
-
-
-def test_project_point_residual_orthogonal_and_idempotent():
-    rng = np.random.default_rng(1)
-    for _ in range(20):
-        n = int(rng.integers(2, 12))
-        o, u, y = rng.standard_normal((3, n))
-        p = project_point_onto_line(o, u, y)
-        assert abs(float(np.dot(y - p, u - o))) < 1e-9 * (1 + euclidean_norm(y))
-        np.testing.assert_allclose(project_point_onto_line(o, u, p), p, atol=1e-12)
-
-
-def test_project_vector_examples():
-    np.testing.assert_allclose(project_vector_onto_vector([2, 3, 4], [1, 0, 0]), [2, 0, 0])
-    np.testing.assert_allclose(project_vector_onto_vector([0, 5], [1, 0]), [0, 0])
-    np.testing.assert_allclose(project_vector_onto_vector([2, 2], [1, 1]), [2, 2])
+        as_coords([[1.0, 2.0]])
     with pytest.raises(ValueError):
-        project_vector_onto_vector([1, 2], [0, 0])
-
-
-def test_projection_norm_examples():
-    assert projection_norm([1, 0], [3, 4]) == pytest.approx(0.6)
-    assert projection_norm([0, 1], [1, 0]) == 0.0
-    assert projection_norm([1, 1], [1, 1]) == pytest.approx(math.sqrt(2))
-    with pytest.raises(ValueError):
-        projection_norm([1, 2], [0, 0])
-
-
-def test_angle_at_examples():
-    assert angle_at([0, 0], [1, 0], [0, 1]) == pytest.approx(math.pi / 2)
-    assert angle_at([0, 0], [1, 0], [2, 0]) == pytest.approx(0.0)
-    assert angle_at([0, 0], [1, 0], [-3, 0]) == pytest.approx(math.pi)
-    with pytest.raises(ValueError):
-        angle_at([1, 0], [1, 0], [0, 1])
-
-
-def test_angle_scale_invariance():
-    rng = np.random.default_rng(2)
-    for _ in range(20):
-        n = int(rng.integers(2, 8))
-        c, a, b = rng.standard_normal((3, n))
-        base = angle_at(c, a, b)
-        s, t = rng.uniform(0.1, 10.0, size=2)
-        scaled = angle_at(c, c + s * (a - c), c + t * (b - c))
-        assert scaled == pytest.approx(base, abs=1e-9)
-
-
-def test_pythagoras_at_projection():
-    rng = np.random.default_rng(3)
-    for _ in range(50):
-        n = int(rng.integers(2, 65))
-        o, u, y = rng.standard_normal((3, n))
-        p = project_point_onto_line(o, u, y)
-        lhs = euclidean_norm(y - o) ** 2
-        rhs = euclidean_norm(p - o) ** 2 + euclidean_norm(y - p) ** 2
-        assert lhs == pytest.approx(rhs, rel=1e-9, abs=1e-12)
-
-
-def test_projection_linearity():
-    rng = np.random.default_rng(4)
-    for _ in range(50):
-        n = int(rng.integers(2, 65))
-        o, u, y1, y2 = rng.standard_normal((4, n))
-        lhs = project_point_onto_line(o, u, y1 + y2)
-        rhs = project_point_onto_line(o, u, y1) + project_vector_onto_vector(y2, u - o)
-        np.testing.assert_allclose(lhs, rhs, rtol=1e-9, atol=1e-9)
-
-
-def test_projection_norm_consistency():
-    rng = np.random.default_rng(5)
-    for _ in range(50):
-        n = int(rng.integers(2, 65))
-        v, u = rng.standard_normal((2, n))
-        direct = projection_norm(v, u)
-        via_vector = euclidean_norm(project_vector_onto_vector(v, u))
-        assert direct == pytest.approx(via_vector, abs=1e-12, rel=1e-12)
+        as_coords([])
+    out = as_coords([3, 4])
+    assert out.dtype == np.float64
+    assert out.tolist() == [3.0, 4.0]

@@ -5,8 +5,8 @@ import pytest
 
 from galaxyid.galaxy import theta_of_k
 from galaxyid.spherical import (
+    _simplex_directions,
     csw_lower_bound,
-    csw_lower_bound_full,
     generate,
     min_pairwise_angle,
 )
@@ -105,15 +105,20 @@ def test_csw_lower_bound_values():
     assert csw_lower_bound(10, math.pi / 3) == pytest.approx(1024 / 243, rel=1e-12)
     assert csw_lower_bound(1, math.pi / 3) == pytest.approx(1.1547005, abs=1e-6)
     assert csw_lower_bound(7, math.pi / 2 - 1e-9) == pytest.approx(1.0, abs=1e-6)
+    assert csw_lower_bound(8192, theta_of_k(16)) == math.inf  # beyond float range
     with pytest.raises(ValueError):
         csw_lower_bound(4, 0.0)
 
 
-def test_csw_full_formula():
-    v = csw_lower_bound_full(10, math.pi / 3)
-    assert v > 0
-    with pytest.raises(ValueError):
-        csw_lower_bound_full(10, math.pi / 2)
+@pytest.mark.parametrize("n, m", [(2, 3), (3, 4), (6, 7), (3, 3), (10, 4)])
+def test_simplex_directions_fit_any_dimension(n, m):
+    # m = n + 1 vertices need all n coordinates of R^n
+    v = _simplex_directions(n, m)
+    assert v.shape == (m, n)
+    gram = v @ v.T
+    np.testing.assert_allclose(np.diag(gram), 1.0, rtol=1e-12)
+    off = gram[~np.eye(m, dtype=bool)]
+    np.testing.assert_allclose(off, -1.0 / (m - 1), rtol=1e-12)
 
 
 def test_min_pairwise_angle_examples():
