@@ -156,24 +156,15 @@ def cmd_verify(args) -> int:
     code = codefile.load(args.code)
     report = verify_structure(code)
     counts = report.counts()
-    for name in ("cond1", "cond2", "cross_galaxy", "angle", "power"):
-        status = "ok" if counts[name] == 0 else f"{counts[name]} violation(s)"
-        print(f"{name}: {status}")
+    for name, count in counts.items():
+        print(f"{name}: {'ok' if count == 0 else f'{count} violation(s)'}")
     sep = report.separation
     print(
         f"separation: lhs={sep['lhs']!r} strict={sep['strict_holds']} weak={sep['weak_holds']}"
     )
     if args.json:
-        doc = {
-            "passed": report.passed,
-            "counts": counts,
-            "separation": sep,
-            "cond1_violations": report.cond1_violations,
-            "cond2_violations": report.cond2_violations,
-            "cross_galaxy_violations": report.cross_galaxy_violations,
-            "angle_violations": report.angle_violations,
-            "power_violations": report.power_violations,
-        }
+        doc = {"passed": report.passed, "counts": counts, "separation": sep}
+        doc.update((f"{name}_violations", found) for name, found in report.violations().items())
         with open(args.json, "w", encoding="utf-8") as fh:
             json.dump(doc, fh, sort_keys=True, indent=2, default=float)
             fh.write("\n")
@@ -208,23 +199,19 @@ def cmd_rate(args) -> int:
         if not 0 <= args.b < 0.25:
             raise ValueError(f"b must lie in [0, 1/4), got {args.b}")
         for k in ks:
-            row = {c: "" for c in reports.REPORT_COLUMNS}
-            row["schema_version"] = reports.SCHEMA_VERSION
-            row["command"] = "rate"
-            row["k"] = k
-            row["b"] = args.b
-            row["rate_asymptotic"] = asymptotic_rate(args.b, k)
             theta = theta_of_k(k)
-            row["theta"] = theta
+            row = reports.build_row("rate")
+            row.update(k=k, b=args.b, theta=theta, rate_asymptotic=asymptotic_rate(args.b, k))
             if args.n:
-                row["n"] = args.n
-                row["m_bound_csw"] = csw_lower_bound(args.n, theta)
+                row.update(n=args.n, m_bound_csw=csw_lower_bound(args.n, theta))
                 if args.power:
-                    row["power"] = args.power
-                    row["rate_bound_lemma1"] = rate_lower_bound(args.n, args.power, args.b, k, theta)
                     lo, hi = center_count_bounds(args.n, args.power, args.b)
-                    row["count_bound_claim1_lo"] = lo
-                    row["count_bound_claim1_hi"] = hi
+                    row.update(
+                        power=args.power,
+                        rate_bound_lemma1=rate_lower_bound(args.n, args.power, args.b, k, theta),
+                        count_bound_claim1_lo=lo,
+                        count_bound_claim1_hi=hi,
+                    )
             rows.append(row)
     _emit(args, rows)
     return 0
@@ -262,27 +249,16 @@ def cmd_sweep(args) -> int:
         if res.error is not None:
             rows.append(reports.build_row("sweep", res.params, error=res.error))
             continue
-        if res.type1 is not None:
-            rows.append(
-                reports.build_row(
-                    "sweep", res.params, res.rate, res.type1, structure_passed=res.structure_passed
-                )
-            )
-        if res.type2 is not None:
+        runs = [(e, m) for e, m in ((res.type1, ""), (res.type2, plan.pair_mode)) if e is not None]
+        for est, pair_mode in runs or [(None, "")]:
             rows.append(
                 reports.build_row(
                     "sweep",
                     res.params,
                     res.rate,
-                    res.type2,
-                    pair_mode=plan.pair_mode,
+                    est,
+                    pair_mode=pair_mode,
                     structure_passed=res.structure_passed,
-                )
-            )
-        if res.type1 is None and res.type2 is None:
-            rows.append(
-                reports.build_row(
-                    "sweep", res.params, res.rate, structure_passed=res.structure_passed
                 )
             )
     _emit(args, rows)

@@ -83,9 +83,25 @@ def _params_from_dict(pd: dict) -> GalaxyParams:
     values = {}
     for f in fields(GalaxyParams):
         base, _, optional = f.type.partition(" | ")
+        if f.name not in pd:
+            raise ValueError(f"code file params lack {f.name!r}")
         value = pd[f.name]
-        values[f.name] = None if value is None and optional == "None" else _COERCE[base](value)
+        try:
+            values[f.name] = None if value is None and optional == "None" else _COERCE[base](value)
+        except (TypeError, ValueError):
+            raise ValueError(f"code file param {f.name!r} is not {base}: {value!r}") from None
     return GalaxyParams(**values)
+
+
+def _section(doc: dict, name: str, kind: type, decode):
+    """decode(doc[name]); a missing, mistyped or incomplete section raises ValueError."""
+    value = doc.get(name)
+    if not isinstance(value, kind):
+        raise ValueError(f"code file needs a {name!r} {'list' if kind is list else 'object'}")
+    try:
+        return decode(value)
+    except (KeyError, TypeError, AttributeError) as exc:
+        raise ValueError(f"code file {name!r} section is malformed ({type(exc).__name__}: {exc})") from None
 
 
 def serialize(code: GalaxyCode) -> str:
@@ -105,16 +121,21 @@ def serialize(code: GalaxyCode) -> str:
 
 
 def deserialize(text: str) -> GalaxyCode:
+    """The code a file's text describes; a malformed document raises ValueError."""
     doc = json.loads(text)
+    if not isinstance(doc, dict):
+        raise ValueError(f"code file must hold a JSON object, not {type(doc).__name__}")
     version = doc.get("format_version")
     if version != FORMAT_VERSION:
         raise ValueError(f"unsupported code file format_version {version!r}")
-    params = _params_from_dict(doc["params"])
-    roots = [_dec_point(r) for r in doc["roots"]]
-    trees = []
-    for i, tobj in enumerate(doc["trees"]):
-        root = _dec_node(tobj, params.theta)
-        trees.append(GalaxyTree(root=root, root_index=i, degraded=is_degraded(root, params)))
+    params = _section(doc, "params", dict, _params_from_dict)
+    roots = _section(doc, "roots", list, lambda rs: [_dec_point(r) for r in rs])
+    nodes = _section(doc, "trees", list, lambda ts: [_dec_node(t, params.theta) for t in ts])
+    saturated = _section(doc, "achieved", dict, lambda a: bool(a["packing_saturated"]))
+    trees = [
+        GalaxyTree(root=root, root_index=i, degraded=is_degraded(root, params))
+        for i, root in enumerate(nodes)
+    ]
     codewords = []
     for tree in trees:
         codewords.extend(flatten_codewords(tree))
@@ -123,7 +144,7 @@ def deserialize(text: str) -> GalaxyCode:
         roots=roots,
         trees=trees,
         codewords=codewords,
-        packing_saturated=bool(doc["achieved"]["packing_saturated"]),
+        packing_saturated=saturated,
         degraded=any(t.degraded for t in trees),
     )
 

@@ -15,11 +15,10 @@ from dataclasses import dataclass, field, fields
 from statistics import NormalDist
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
 from . import galaxy
 from .channel import DecoderParams, decide, unit_directions
-from .galaxy import GalaxyCode, iter_nodes, meet_depth
+from .galaxy import GalaxyCode, iter_nodes
 from .gaussian import ShellSpec, projection_tail, shell_prob_cross, shell_prob_same
 from .seeding import derive_seed
 from .spherical import csw_lower_bound, min_pairwise_angle
@@ -41,7 +40,7 @@ __all__ = [
 
 UNIT_SIZE = 8192  # trials per RNG work unit; fixed so worker count never matters
 _PAIR_CAP = 20000  # strategies larger than this are subsampled deterministically
-_MASK_CELLS = 1 << 20  # distance-matrix entries per block of the min_distance filter
+_MASK_CELLS = 1 << 20  # (row, codeword) cells per block of a pairwise distance test
 ANGLE_TOL = 1e-9
 
 
@@ -124,24 +123,18 @@ class StructureReport:
     power_violations: list = field(default_factory=list)
     separation: dict = field(default_factory=dict)
 
+    _CHECKS = ("cond1", "cond2", "cross_galaxy", "angle", "power")
+
+    def violations(self) -> dict:
+        """Each check's violation list, keyed by check name."""
+        return {name: getattr(self, f"{name}_violations") for name in self._CHECKS}
+
     @property
     def passed(self) -> bool:
-        return not (
-            self.cond1_violations
-            or self.cond2_violations
-            or self.cross_galaxy_violations
-            or self.angle_violations
-            or self.power_violations
-        )
+        return not any(self.violations().values())
 
     def counts(self) -> dict:
-        return {
-            "cond1": len(self.cond1_violations),
-            "cond2": len(self.cond2_violations),
-            "cross_galaxy": len(self.cross_galaxy_violations),
-            "angle": len(self.angle_violations),
-            "power": len(self.power_violations),
-        }
+        return {name: len(found) for name, found in self.violations().items()}
 
 
 @dataclass(frozen=True)
@@ -263,45 +256,72 @@ def estimate_type1(
     )
 
 
-def _blocks(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """[start, end) of the run of equal key rows that holds each row.
+def _tree_layout(code: GalaxyCode) -> tuple[np.ndarray, np.ndarray]:
+    """[start, end) of the block holding each codeword at every tree level.
 
-    Raises when a key comes back after its run ended: pair positions are
-    then not index arithmetic on the codeword list.
+    Codewords are listed depth-first, so those sharing the first L entries
+    of the key (root_index, *index_path) form one contiguous run.  Row L of
+    the (t_bar + 2, N) results is level L: 0 is the whole code, 1 the
+    codeword's root, t_bar + 1 the codeword itself.  Raises when a key prefix
+    comes back after its run ended: positions are then not index arithmetic.
     """
-    starts = np.flatnonzero(np.r_[True, (keys[1:] != keys[:-1]).any(axis=1)])
-    if len(np.unique(keys[starts], axis=0)) != len(starts):
-        raise ValueError("codewords are not listed in contiguous tree blocks")
-    sizes = np.diff(np.r_[starts, len(keys)])
-    return np.repeat(starts, sizes), np.repeat(starts + sizes, sizes)
+    cws = code.codewords
+    n_cw, t_bar = len(cws), code.params.t_bar
+    index_paths = np.asarray([c.index_path for c in cws])
+    if index_paths.shape != (n_cw, t_bar):
+        raise ValueError(f"every codeword needs an index path of length t_bar = {t_bar}")
+    keys = np.column_stack([[c.root_index for c in cws], index_paths])
+    lo = np.zeros((t_bar + 2, n_cw), dtype=np.intp)
+    hi = np.full_like(lo, n_cw)
+    for level in range(1, t_bar + 2):
+        starts = np.flatnonzero(np.r_[True, (keys[1:, :level] != keys[:-1, :level]).any(axis=1)])
+        if len(np.unique(keys[starts, :level], axis=0)) != len(starts):
+            raise ValueError("codewords are not listed in contiguous tree blocks")
+        sizes = np.diff(np.r_[starts, n_cw])
+        lo[level] = np.repeat(starts, sizes)
+        hi[level] = lo[level] + np.repeat(sizes, sizes)
+    return lo, hi
 
 
-def _far_partners(u, sq, rows, inner_lo, inner_hi, min_distance: float) -> np.ndarray:
-    """Mask of the j outside row i's inner block with ||u_i - u_j|| >= min_distance.
+def _shared_level(lo: np.ndarray, i, j) -> np.ndarray:
+    """Levels L >= 1 whose tree block holds both i and j (broadcast); 0 across roots."""
+    level = np.zeros(np.broadcast_shapes(np.shape(i), np.shape(j)), dtype=np.int16)
+    for block in lo[1:]:
+        level += block[i] == block[j]
+    return level
 
-    Distances come from the Gram form.  Pairs within its rounding band of
-    the threshold are decided by np.linalg.norm of the difference, so a tie
-    goes the way a direct per-pair comparison sends it.
+
+def _at_least(u: np.ndarray, sq: np.ndarray, rows: np.ndarray, threshold) -> np.ndarray:
+    """Mask over (rows, every codeword) of ||u_i - u_j|| >= threshold.
+
+    threshold is a scalar or one value per cell.  Distances come from the
+    Gram form; cells within its rounding band of the threshold are decided
+    by np.linalg.norm of the difference, so a tie goes the way a direct
+    per-pair comparison sends it.
     """
-    scale = sq[rows, None] + sq[None, :]
-    d2 = scale - 2.0 * (u[rows] @ u.T)
-    md2 = max(min_distance, 0.0) ** 2
-    far = d2 >= md2
-    band = 16 * (u.shape[1] + 4) * np.finfo(np.float64).eps * (scale + md2)
-    for a, j in zip(*np.nonzero(np.abs(d2 - md2) <= band)):
-        far[a, j] = float(np.linalg.norm(u[rows[a]] - u[j])) >= min_distance
-    cols = np.arange(len(u))
-    return far & ((cols < inner_lo[rows, None]) | (cols >= inner_hi[rows, None]))
+    d2 = u[rows] @ u.T
+    d2 *= -2.0
+    band = sq[rows, None] + sq[None, :]
+    d2 += band
+    t2 = np.maximum(threshold, 0.0) ** 2
+    far = d2 >= t2
+    band += t2
+    band *= 16 * (u.shape[1] + 4) * np.finfo(np.float64).eps
+    d2 -= t2
+    limit = np.broadcast_to(threshold, far.shape)
+    for a, j in zip(*np.nonzero(np.abs(d2, out=d2) <= band)):
+        far[a, j] = float(np.linalg.norm(u[rows[a]] - u[j])) >= limit[a, j]
+    return far
 
 
 def select_pairs(code: GalaxyCode, strategy: PairStrategy, master_seed: int) -> list[tuple[int, int]]:
     """Ordered (target, sender) index pairs matching the strategy, i-major.
 
     Codewords are listed depth-first, so the senders of target i are an
-    outer block minus an inner block, both contiguous runs of codewords
-    sharing (root, index_path[:L]): i's height-1 sibling group minus i for
-    same-planet, i's root minus i's first-level subtree for
-    same-galaxy-deep, the whole code minus i's root for cross-galaxy.
+    outer tree block minus an inner one (see _tree_layout): i's height-1
+    sibling group minus i for same-planet, i's root minus i's first-level
+    subtree for same-galaxy-deep, the whole code minus i's root for
+    cross-galaxy.
     Pairs are counted per target in closed form and located by position,
     so no pair list larger than the result is built.  Deterministic: any
     subsampling uses a stream derived from the master seed.  Raises when
@@ -329,17 +349,9 @@ def select_pairs(code: GalaxyCode, strategy: PairStrategy, master_seed: int) -> 
         return pairs
 
     t_bar = code.params.t_bar
-    index_paths = np.asarray([c.index_path for c in cws])
-    if index_paths.shape != (n_cw, t_bar):
-        raise ValueError(f"every codeword needs an index path of length t_bar = {t_bar}")
-    keys = np.column_stack([[c.root_index for c in cws], index_paths])
-    outer, inner = {
-        "same-planet": (t_bar - 1, t_bar),
-        "same-galaxy-deep": (0, 1),
-        "cross-galaxy": (-1, 0),  # level -1: the whole code is one block
-    }[strategy.mode]
-    outer_lo, outer_hi = _blocks(keys[:, : outer + 1])
-    inner_lo, inner_hi = _blocks(keys[:, : inner + 1])
+    lo, hi = _tree_layout(code)
+    outer = {"same-planet": t_bar, "same-galaxy-deep": 1, "cross-galaxy": 0}[strategy.mode]
+    outer_lo, outer_hi, inner_lo, inner_hi = lo[outer], hi[outer], lo[outer + 1], hi[outer + 1]
 
     filtered = strategy.mode == "cross-galaxy" and strategy.min_distance is not None
     if filtered:
@@ -347,8 +359,8 @@ def select_pairs(code: GalaxyCode, strategy: PairStrategy, master_seed: int) -> 
         sq = np.einsum("ij,ij->i", u, u)
         step = max(1, _MASK_CELLS // n_cw)
 
-        def far(rows):
-            return _far_partners(u, sq, rows, inner_lo, inner_hi, strategy.min_distance)
+        def far(rows):  # outside the target's root
+            return _at_least(u, sq, rows, strategy.min_distance) & (lo[1, rows, None] != lo[1])
 
         counts = np.concatenate(
             [far(np.arange(s, min(s + step, n_cw))).sum(axis=1) for s in range(0, n_cw, step)]
@@ -373,14 +385,20 @@ def select_pairs(code: GalaxyCode, strategy: PairStrategy, master_seed: int) -> 
         bounds = np.r_[first, len(keep)]
         for s in range(0, len(rows), step):
             for a, row_mask in enumerate(far(rows[s : s + step]), start=s):
-                lo, hi = bounds[a], bounds[a + 1]
-                senders[lo:hi] = np.flatnonzero(row_mask)[local[lo:hi]]
+                first, last = bounds[a], bounds[a + 1]
+                senders[first:last] = np.flatnonzero(row_mask)[local[first:last]]
     else:
         before = inner_lo[targets] - outer_lo[targets]
         senders = np.where(
             local < before, outer_lo[targets] + local, inner_hi[targets] + (local - before)
         )
     return list(zip(targets.tolist(), senders.tolist()))
+
+
+def _meet_rows(code: GalaxyCode, targets: np.ndarray, senders: np.ndarray) -> np.ndarray:
+    """Slab row (meet height - 1) of each pair's meet ancestor; -1 across roots."""
+    shared = _shared_level(_tree_layout(code)[0], targets, senders)
+    return np.where(shared > 0, code.params.t_bar - shared, -1)
 
 
 def estimate_type2(
@@ -398,24 +416,21 @@ def estimate_type2(
     the separation analysis makes decisive).  Cross-galaxy pairs have no
     meet ancestor, so their decisive-slab count stays zero by construction.
     """
-    pairs = select_pairs(code, strategy, master_seed)
+    pair_targets, senders = np.asarray(select_pairs(code, strategy, master_seed)).T
     plan = _unit_plan(trials)
     cws = code.codewords
-    targets, target_rows = np.unique([ti for ti, _ in pairs], return_inverse=True)
+    targets, target_rows = np.unique(pair_targets, return_inverse=True)
     directions = unit_directions([cws[ti] for ti in targets])
-    offsets = []
-    meet_rows = []
-    for ti, si in pairs:
-        offsets.append(cws[si].u - cws[ti].u)
-        meet = meet_depth(cws[ti], cws[si])
-        meet_rows.append(-1 if meet is None else meet - 1)
+    u = np.asarray([c.u for c in cws])
+    offsets = u[senders] - u[pair_targets]
+    meet_rows = _meet_rows(code, pair_targets, senders)
     n, sigma = params.n, params.sigma
 
     def run_unit(unit_index: int) -> tuple[int, int, int]:
         start, size = plan[unit_index]
         rng = np.random.default_rng(derive_seed(master_seed, "type2", unit_index))
         noise = rng.standard_normal((size, n))
-        assignment = (start + np.arange(size)) % len(pairs)
+        assignment = (start + np.arange(size)) % len(offsets)
         decision = shell_ct = slab_ct = 0
         for p, rows in _grouped(assignment):
             shell, slabs, accept = decide(
@@ -433,8 +448,8 @@ def estimate_type2(
     slab_hits = sum(t[2] for t in totals)
 
     spec = ShellSpec(n=n, sigma=sigma, eps_n=params.eps_n) if sigma > 0 else None
-    cross_ds = [float(np.linalg.norm(offsets[p])) for p in range(len(pairs)) if meet_rows[p] < 0]
-    if strategy.mode == "cross-galaxy" or (cross_ds and len(cross_ds) == len(pairs)):
+    cross_ds = [float(np.linalg.norm(d)) for d in offsets[meet_rows < 0]]
+    if strategy.mode == "cross-galaxy" or len(cross_ds) == len(offsets):
         bound = shell_prob_cross(spec, min(cross_ds)) if spec else 0.0
         formula = "cross-shell"
     elif not cross_ds:
@@ -470,7 +485,8 @@ def verify_structure(code: GalaxyCode, tol: float = 1e-6) -> StructureReport:
     Radial windows codeword-to-ancestor, exact node-chain radii, pairwise
     meet-height distance bounds within a root, the cross-galaxy floor
     n^(b+1/4)/2, per-node minimum angles, and the power constraint.  All
-    violations are returned with their measured values.
+    violations are returned with their measured values.  Pairs are checked
+    in row blocks of at most _MASK_CELLS cells: O(N^2) time, bounded memory.
     """
     if not code.codewords:
         raise ValueError("cannot verify an empty code")
@@ -479,8 +495,6 @@ def verify_structure(code: GalaxyCode, tol: float = 1e-6) -> StructureReport:
 
     cws = code.codewords
     u_mat = np.asarray([c.u for c in cws])
-    roots_of = np.asarray([c.root_index for c in cws])
-    index_paths = np.asarray([c.index_path for c in cws])
 
     # Radial windows per ancestor height (lo = hi = r at height 1).
     for t in range(1, p.t_bar + 1):
@@ -527,34 +541,33 @@ def verify_structure(code: GalaxyCode, tol: float = 1e-6) -> StructureReport:
                         }
                     )
 
-    # Pairwise distances: meet-height bound inside a root, floor across roots.
-    dists = cdist(u_mat, u_mat)
+    # Pairwise distances, in row blocks, with the bound of the pair's shared
+    # tree level: the floor n^(b+1/4)/2 across roots (level 0), the meet
+    # bound at height t_bar + 1 - L inside one, none for the codeword itself.
     bound_at = np.asarray(
-        [0.0] + [galaxy.pair_distance_lower_bound(p.r, p.k, p.theta, t) for t in range(1, p.t_bar + 1)]
+        [p.n ** (p.b + 0.25) / 2.0]
+        + [galaxy.pair_distance_lower_bound(p.r, p.k, p.theta, t) for t in range(p.t_bar, 0, -1)]
+        + [0.0]
     )
-    for root in np.unique(roots_of):
-        grp = np.nonzero(roots_of == root)[0]
-        ip = index_paths[grp]
-        eq = ip[:, None, :] == ip[None, :, :]
-        lcp = np.cumprod(eq, axis=2).sum(axis=2)
-        meets = p.t_bar - lcp  # 0 on the diagonal (identical paths)
-        sub = dists[np.ix_(grp, grp)]
-        ii, jj = np.nonzero(np.triu(sub < bound_at[meets] - tol, k=1))
-        for a, bb in zip(ii, jj):
-            report.cond2_violations.append(
-                {
-                    "pair": (int(grp[a]), int(grp[bb])),
-                    "meet": int(meets[a, bb]),
-                    "measured": float(sub[a, bb]),
-                    "bound": float(bound_at[meets[a, bb]]),
-                }
-            )
-    cross_floor = p.n ** (p.b + 0.25) / 2.0
-    cross_bad = np.triu((roots_of[:, None] != roots_of[None, :]) & (dists < cross_floor - tol), k=1)
-    for i, j in zip(*np.nonzero(cross_bad)):
-        report.cross_galaxy_violations.append(
-            {"pair": (int(i), int(j)), "measured": float(dists[i, j]), "bound": cross_floor}
-        )
+    lo, _ = _tree_layout(code)
+    sq = np.einsum("ij,ij->i", u_mat, u_mat)
+    n_cw = len(cws)
+    step = max(1, _MASK_CELLS // n_cw)
+    for start in range(0, n_cw, step):
+        rows = np.arange(start, min(start + step, n_cw))
+        level = _shared_level(lo, rows[:, None], np.arange(n_cw)[None, :])
+        close = ~_at_least(u_mat, sq, rows, (bound_at - tol)[level])
+        for a, j in zip(*np.nonzero(np.triu(close, k=start + 1))):
+            i, j, shared = start + int(a), int(j), int(level[a, j])
+            found = {
+                "pair": (i, j),
+                "measured": float(np.linalg.norm(u_mat[i] - u_mat[j])),
+                "bound": float(bound_at[shared]),
+            }
+            if shared:
+                report.cond2_violations.append({**found, "meet": p.t_bar + 1 - shared})
+            else:
+                report.cross_galaxy_violations.append(found)
 
     # Power constraint on every codeword.
     power_cap = math.sqrt(p.n * p.power)

@@ -63,25 +63,20 @@ def depth_bar(n: int, b: float, k: int) -> int:
     return max(1, math.ceil(v - _CEIL_GUARD))
 
 
-def separation_condition(k: int, theta: float, variant: str = "strict") -> bool:
-    """Slab-separation criterion on (k, theta).
-
-    variant="strict": (sin(theta/2) - 1/(k-1))^2 > 2/(k-1), the stronger
-    form; variant="weak" replaces the right side by 1/(k-1).  Reports show
-    both because the two appear interchangeably in the analysis.
-    """
-    if k < 2:
-        raise ValueError(f"k must be >= 2, got {k}")
-    lhs = (math.sin(theta / 2.0) - 1.0 / (k - 1)) ** 2
-    if variant == "strict":
-        return lhs > 2.0 / (k - 1)
-    if variant == "weak":
-        return lhs > 1.0 / (k - 1)
-    raise ValueError(f"unknown variant {variant!r}")
+def separation_condition(k: int, theta: float) -> bool:
+    """Slab-separation criterion (sin(theta/2) - 1/(k-1))^2 > 2/(k-1)."""
+    return separation_margins(k, theta)["strict_holds"]
 
 
 def separation_margins(k: int, theta: float) -> dict:
-    """Both separation-condition evaluations with their numeric sides."""
+    """Both forms of the separation condition with their numeric sides.
+
+    strict: (sin(theta/2) - 1/(k-1))^2 > 2/(k-1); weak replaces the right
+    side by 1/(k-1).  Reports show both because the two appear
+    interchangeably in the analysis.
+    """
+    if k < 2:
+        raise ValueError(f"k must be >= 2, got {k}")
     lhs = (math.sin(theta / 2.0) - 1.0 / (k - 1)) ** 2
     return {
         "lhs": lhs,
@@ -235,8 +230,8 @@ class GalaxyParams:
             raise ValueError(f"r_min_coeff must be > 0, got {self.r_min_coeff}")
         if self.max_roots < 1 or self.saturation_probes < 1 or self.max_attempts < 1:
             raise ValueError("max_roots, saturation_probes and max_attempts must be >= 1")
-        if not separation_condition(self.k, self.theta):
-            m = separation_margins(self.k, self.theta)
+        m = separation_margins(self.k, self.theta)
+        if not m["strict_holds"]:
             raise ValueError(
                 "separation condition fails: "
                 f"(sin(theta/2) - 1/(k-1))^2 = {m['lhs']:.6g} <= 2/(k-1) = {m['strict_rhs']:.6g}"

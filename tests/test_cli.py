@@ -20,16 +20,14 @@ BUILD_ARGS = [
 PACKAGE_ROOT = str(Path(cli.__file__).resolve().parents[1])
 
 
-def run_cli(*args, env=None, **kw):
+def run_python(*args, env=None, **kw):
     env = dict(os.environ if env is None else env)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (PACKAGE_ROOT, env.get("PYTHONPATH")) if p)
-    return subprocess.run(
-        [sys.executable, "-m", "galaxyid.cli", *args],
-        capture_output=True,
-        text=True,
-        env=env,
-        **kw,
-    )
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env, **kw)
+
+
+def run_cli(*args, env=None, **kw):
+    return run_python("-m", "galaxyid.cli", *args, env=env, **kw)
 
 
 @pytest.fixture(scope="module")
@@ -121,6 +119,34 @@ def test_simulate_unparsable_code(tmp_path):
     bad.write_text("not json")
     res = run_cli("simulate", "--code", str(bad), "--type1", "--trials", "10")
     assert res.returncode == 2
+
+
+def _without(doc, key):
+    return {k: v for k, v in doc.items() if k != key}
+
+
+@pytest.mark.parametrize(
+    "edit,message",
+    [
+        (lambda doc: {**doc, "params": _without(doc["params"], "n")}, "params lack 'n'"),
+        (lambda doc: {**doc, "params": {**doc["params"], "k": None}}, "param 'k' is not int: None"),
+        (lambda doc: _without(doc, "trees"), "needs a 'trees' list"),
+        (lambda doc: [doc], "must hold a JSON object, not list"),
+    ],
+    ids=["params-without-n", "null-k", "no-trees", "top-level-list"],
+)
+def test_malformed_code_file_exits_two(tmp_path, code_file, edit, message):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(edit(json.loads(code_file.read_text()))))
+    for command in (["verify"], ["simulate", "--type1", "--trials", "10"]):
+        res = run_cli(command[0], "--code", str(bad), *command[1:])
+        assert res.returncode == 2, res.stderr
+        assert res.stderr.startswith("error: ") and message in res.stderr, res.stderr
+
+
+def test_cli_import_leaves_scipy_spatial_out():
+    res = run_python("-c", "import galaxyid.cli, sys; assert 'scipy.spatial' not in sys.modules")
+    assert res.returncode == 0, res.stderr
 
 
 def test_rate_formula_mode():

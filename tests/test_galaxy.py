@@ -61,10 +61,12 @@ def test_separation_condition():
     assert margins["lhs"] == pytest.approx(0.19463668, abs=1e-7)
     assert margins["strict_rhs"] == pytest.approx(2 / 17)
     assert margins["strict_holds"] and margins["weak_holds"]
-    # the weak variant can hold where the strict one fails
-    assert separation_condition(50, 0.62, variant="weak") != separation_condition(
-        50, 0.62, variant="strict"
-    ) or True
+    # the weak form can hold where the strict one fails
+    margins = separation_margins(18, 0.715)
+    assert margins["weak_holds"] and not margins["strict_holds"]
+    assert not separation_condition(18, 0.715)
+    with pytest.raises(ValueError, match="k must be >= 2"):
+        separation_margins(1, 0.5)
 
 
 def test_default_theta_satisfies_separation():

@@ -1,5 +1,7 @@
-"""select_pairs against the direct definition: every ordered pair, one at a time."""
+"""The tree-block paths against direct per-pair definitions, one pair at a time:
+pair selection, type-II meet rows, and the pairwise checks of verification."""
 
+import dataclasses
 import math
 from collections import Counter
 from unittest import mock
@@ -10,8 +12,14 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from galaxyid import experiments
-from galaxyid.experiments import PairStrategy, select_pairs
-from galaxyid.galaxy import GalaxyCode, GalaxyParams, build_code, meet_depth
+from galaxyid.experiments import PairStrategy, select_pairs, verify_structure
+from galaxyid.galaxy import (
+    GalaxyCode,
+    GalaxyParams,
+    build_code,
+    meet_depth,
+    pair_distance_lower_bound,
+)
 from galaxyid.seeding import derive_seed
 
 MODES = ("same-planet", "same-galaxy-deep", "cross-galaxy")
@@ -176,3 +184,78 @@ def test_exhaustive_sample_count_bounds(two_root_code):
     for count in (ordered + 1, -5):
         with pytest.raises(ValueError, match=rf"sample_count {count} outside \[1, {ordered}\]"):
             select_pairs(two_root_code, PairStrategy(mode="exhaustive-sample", sample_count=count), 1)
+
+
+@SETTINGS
+@given(code=codes(), seed=st.integers(0, 2**16))
+def test_meet_rows_match_meet_depth(code, seed):
+    n_cw = len(code.codewords)
+    if n_cw < 2:
+        return
+    cws = code.codewords
+    strategies = [PairStrategy(mode=mode) for mode in MODES] + [
+        PairStrategy(mode="exhaustive-sample", sample_count=min(40, n_cw * (n_cw - 1)))
+    ]
+    for strategy in strategies:
+        try:
+            pairs = select_pairs(code, strategy, seed)
+        except ValueError:
+            continue  # no pair of this class
+        targets, senders = np.asarray(pairs).T
+        expected = [-1 if m is None else m - 1 for m in (meet_depth(cws[i], cws[j]) for i, j in pairs)]
+        assert experiments._meet_rows(code, targets, senders).tolist() == expected
+
+
+def reference_violations(code, tol=1e-6):
+    """cond2 and cross-galaxy violations from an i < j loop over every pair."""
+    p = code.params
+    cws = code.codewords
+    floor = p.n ** (p.b + 0.25) / 2.0
+    cond2, cross = [], []
+    for i in range(len(cws)):
+        for j in range(i + 1, len(cws)):
+            d = float(np.linalg.norm(cws[i].u - cws[j].u))
+            meet = meet_depth(cws[i], cws[j])
+            if meet is None:
+                if d < floor - tol:
+                    cross.append({"pair": (i, j), "measured": d, "bound": floor})
+                continue
+            bound = pair_distance_lower_bound(p.r, p.k, p.theta, meet)
+            if d < bound - tol:
+                cond2.append({"pair": (i, j), "meet": meet, "measured": d, "bound": bound})
+    return cond2, cross
+
+
+def crowded(code, offset, leaf, pull):
+    """The code with root 1's galaxy moved next to root 0's, shifted by `offset`
+    along the first axis, and one leaf pulled toward its list neighbour."""
+    cws = code.codewords
+    u = np.asarray([c.u for c in cws])
+    roots = np.asarray([c.root_index for c in cws])
+    if roots.max() > 0:
+        moved = roots == 1
+        u[moved] += u[0] - u[np.flatnonzero(moved)[0]]
+        u[moved, 0] += offset
+    i = leaf % len(cws)
+    j = i + 1 if i + 1 < len(cws) else max(i - 1, 0)
+    u[i] += pull * (u[j] - u[i])
+    return dataclasses.replace(
+        code, codewords=[dataclasses.replace(c, u=row) for c, row in zip(cws, u)]
+    )
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    code=codes(),
+    offset=st.floats(0.0, 2.0),
+    leaf=st.integers(0, 2**16),
+    pull=st.floats(0.0, 0.99),
+    tol=st.sampled_from([1e-6, -0.01]),  # a negative tolerance demands a margin
+)
+def test_pairwise_violations_match_reference(code, offset, leaf, pull, tol):
+    code = crowded(code, offset, leaf, pull)
+    expected = reference_violations(code, tol)
+    for cells in (experiments._MASK_CELLS, 1):
+        with mock.patch.object(experiments, "_MASK_CELLS", cells):
+            report = verify_structure(code, tol)
+        assert (report.cond2_violations, report.cross_galaxy_violations) == expected
