@@ -6,7 +6,7 @@ verifies the structural distance guarantees exhaustively, and estimates
 type I/II identification errors by seeded Monte Carlo.
 """
 
-from .channel import DecoderParams, decide, identify, transmit, unit_directions
+from .channel import DecoderParams, decide, identify, unit_directions
 from .experiments import (
     ErrorEstimate,
     PairStrategy,
@@ -28,7 +28,6 @@ from .galaxy import (
     build_galaxy,
     center_count_bounds,
     depth_bar,
-    meet_depth,
     pack_centers,
     pair_distance_lower_bound,
     radial_bounds,
@@ -39,12 +38,10 @@ from .galaxy import (
 from .gaussian import (
     ShellSpec,
     chi_square_cdf,
-    mills_bound,
     projection_tail,
     shell_prob_cross,
     shell_prob_same,
     std_normal_cdf,
-    std_normal_pdf,
 )
 from .spherical import SphericalCode, csw_lower_bound, generate, min_pairwise_angle
 

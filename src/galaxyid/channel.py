@@ -21,11 +21,9 @@ from .geometry import as_coords
 
 __all__ = [
     "DecoderParams",
-    "transmit",
     "unit_directions",
     "decide",
     "identify",
-    "slab_separation_margin",
 ]
 
 
@@ -63,14 +61,6 @@ class DecoderParams:
         lo = self.n * (self.sigma**2 - self.eps_n)
         hi = self.n * (self.sigma**2 + self.eps_n)
         return max(0.0, lo), hi
-
-
-def transmit(u, sigma: float, rng: np.random.Generator) -> np.ndarray:
-    """One channel use: y = u + sigma * z with z drawn from the given stream."""
-    u = as_coords(u)
-    if sigma < 0:
-        raise ValueError(f"sigma must be >= 0, got {sigma}")
-    return u + sigma * rng.standard_normal(u.size)
 
 
 def unit_directions(codewords) -> np.ndarray:
@@ -115,22 +105,3 @@ def identify(y, c: Codeword, params: DecoderParams) -> bool:
         raise ValueError(f"dimension mismatch: {y.size} vs {u.size}")
     _, _, accept = decide((y - u)[None, :], unit_directions([c])[0], params)
     return bool(accept[0])
-
-
-def slab_separation_margin(u1, u2, o_bar) -> float:
-    """Along-line distance between u1 and the projection of u2 onto line o_bar-u1.
-
-    Equals (||u1-o||^2 + ||u1-u2||^2 - ||u2-o||^2) / (2 ||u1-o||).  When
-    this is at least 2 sigma log2 n, the slab of u1 rejects transmissions
-    of u2 except with probability 2 Phi(-log2 n).
-    """
-    u1 = as_coords(u1)
-    u2 = as_coords(u2)
-    o = as_coords(o_bar)
-    a2 = float(np.dot(u1 - o, u1 - o))
-    d2 = float(np.dot(u1 - u2, u1 - u2))
-    b2 = float(np.dot(u2 - o, u2 - o))
-    a = math.sqrt(a2)
-    if a == 0.0:
-        raise ValueError("degenerate line: u1 coincides with the ancestor center")
-    return (a2 + d2 - b2) / (2.0 * a)

@@ -242,7 +242,7 @@ def estimate_type1(
     hits = sum(_run_units(run_unit, len(plan), threads))
     spec = ShellSpec(n=n, sigma=sigma, eps_n=params.eps_n)
     t_bar = code.params.t_bar
-    bound = (1.0 - shell_prob_same(spec, "exact")) + t_bar * _slab_tail(params)
+    bound = (1.0 - shell_prob_same(spec)) + t_bar * _slab_tail(params)
     return ErrorEstimate(
         kind="type1",
         trials=trials,
@@ -295,9 +295,9 @@ def _at_least(u: np.ndarray, sq: np.ndarray, rows: np.ndarray, threshold) -> np.
     """Mask over (rows, every codeword) of ||u_i - u_j|| >= threshold.
 
     threshold is a scalar or one value per cell.  Distances come from the
-    Gram form; cells within its rounding band of the threshold are decided
-    by np.linalg.norm of the difference, so a tie goes the way a direct
-    per-pair comparison sends it.
+    Gram form; cells within its rounding band of a positive threshold are
+    decided by np.linalg.norm of the difference, so a tie goes the way a
+    direct per-pair comparison sends it.
     """
     d2 = u[rows] @ u.T
     d2 *= -2.0
@@ -310,7 +310,8 @@ def _at_least(u: np.ndarray, sq: np.ndarray, rows: np.ndarray, threshold) -> np.
     d2 -= t2
     limit = np.broadcast_to(threshold, far.shape)
     for a, j in zip(*np.nonzero(np.abs(d2, out=d2) <= band)):
-        far[a, j] = float(np.linalg.norm(u[rows[a]] - u[j])) >= limit[a, j]
+        # A distance is never negative, so a threshold <= 0 needs no recheck.
+        far[a, j] = limit[a, j] <= 0 or float(np.linalg.norm(u[rows[a]] - u[j])) >= limit[a, j]
     return far
 
 

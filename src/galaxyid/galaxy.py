@@ -33,7 +33,6 @@ __all__ = [
     "build_galaxy",
     "build_code",
     "iter_nodes",
-    "meet_depth",
     "radial_bounds",
     "pair_distance_lower_bound",
     "center_count_bounds",
@@ -438,22 +437,3 @@ def build_code(params: GalaxyParams) -> GalaxyCode:
         packing_saturated=saturated,
         degraded=any(t.degraded for t in trees),
     )
-
-
-def meet_depth(c1: Codeword, c2: Codeword):
-    """Smallest height at which the two codewords share an ancestor.
-
-    Returns None when the codewords lie under different roots; raises for
-    identical codewords.  Siblings under one height-1 center meet at 1.
-    """
-    if c1.root_index != c2.root_index:
-        return None
-    if c1.index_path == c2.index_path:
-        raise ValueError("meet depth is undefined for a codeword with itself")
-    t_bar = len(c1.index_path)
-    lcp = 0
-    for a, b in zip(c1.index_path, c2.index_path):
-        if a != b:
-            break
-        lcp += 1
-    return t_bar - lcp

@@ -2,8 +2,9 @@
 
 Normal tails are evaluated through erfc so that values far out in the tail
 keep full relative accuracy (a naive 1 - CDF cancels catastrophically).
-The chi-square CDF is the exact law behind the normal shell approximation
-and serves as the oracle the approximation is compared against.
+The shell law is exact: the chi-square CDF, through the regularized
+incomplete gamma function computed here in double precision.  The
+cross-shell law is still the central-limit approximation.
 
 Convention: code parameters spelled "log n" (the shell half-width eps_n,
 slab width, tree depth) use the binary logarithm; the analytic tail
@@ -15,22 +16,20 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from scipy.special import gammainc
-
 __all__ = [
     "ShellSpec",
     "default_eps",
-    "std_normal_pdf",
     "std_normal_cdf",
     "projection_tail",
     "chi_square_cdf",
     "shell_prob_same",
     "shell_prob_cross",
-    "mills_bound",
 ]
 
 _SQRT2 = math.sqrt(2.0)
-_INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
+_EPS = 2.0**-52
+_TINY = 1e-300  # keeps the Lentz recurrences off an exact zero
+_STIRLING_MIN_A = 16.0  # the 5-term Stirling series is exact to ~1e-16 from here
 
 
 def default_eps(n: int) -> float:
@@ -60,11 +59,6 @@ class ShellSpec:
             raise ValueError(f"eps_n must be > 0, got {self.eps_n}")
 
 
-def std_normal_pdf(z: float) -> float:
-    """Standard normal density."""
-    return _INV_SQRT_2PI * math.exp(-0.5 * z * z)
-
-
 def std_normal_cdf(x: float) -> float:
     """Standard normal CDF via erfc; keeps relative accuracy deep in the tail."""
     return 0.5 * math.erfc(-x / _SQRT2)
@@ -82,38 +76,87 @@ def projection_tail(x: float) -> float:
     return math.erfc(x / _SQRT2)
 
 
+def _log_gamma_prefactor(a: float, z: float) -> float:
+    """log(z^a e^-z / Gamma(a)) for z > 0.
+
+    Near the mode the direct form cancels large terms, so for large a it is
+    written as log(a / 2 pi) / 2 - stirlerr(a) + a (log1p(d) - d) with
+    d = (z - a) / a, where stirlerr(a) = log Gamma(a + 1) - (a + 1/2) log a
+    + a - log(2 pi) / 2 comes from its asymptotic series.
+    """
+    if a >= _STIRLING_MIN_A and 0.5 * a <= z <= 2.0 * a:
+        a2 = a * a
+        stirlerr = 1 / 12 - (1 / 360 - (1 / 1260 - (1 / 1680 - 1 / (1188 * a2)) / a2) / a2) / a2
+        stirlerr /= a
+        d = (z - a) / a
+        return 0.5 * math.log(a / (2.0 * math.pi)) - stirlerr + a * (math.log1p(d) - d)
+    return a * math.log(z) - z - math.lgamma(a)
+
+
+def _gamma_p(a: float, z: float) -> float:
+    """Regularized lower incomplete gamma function P(a, z) for a > 0, z >= 0.
+
+    The power series for z < a + 1; otherwise the Lentz continued fraction
+    for Q = 1 - P (Numerical Recipes 6.2), returned as 1 - Q.  Each stops
+    once a step changes its result by less than one ulp.  The series needs
+    about 7 sqrt(a) terms at most and the fraction fewer, so each loop is
+    cut at 100 + 10 sqrt(a) steps and raises if it gets there.
+    """
+    if z == 0:
+        return 0.0
+    if math.isinf(z):
+        return 1.0
+    log_prefactor = _log_gamma_prefactor(a, z)
+    steps = 100 + int(10 * math.sqrt(a))
+    if z < a + 1:
+        term = total = 1.0 / a
+        denom = a
+        for _ in range(steps):
+            denom += 1.0
+            term *= z / denom
+            total += term
+            if term < total * _EPS:
+                return math.exp(log_prefactor + math.log(total))
+    else:
+        b = z + 1.0 - a
+        c = 1.0 / _TINY
+        d = h = 1.0 / b
+        for i in range(1, steps + 1):
+            an = -i * (i - a)
+            b += 2.0
+            d = an * d + b
+            if abs(d) < _TINY:
+                d = _TINY
+            c = b + an / c
+            if abs(c) < _TINY:
+                c = _TINY
+            d = 1.0 / d
+            delta = d * c
+            h *= delta
+            if abs(delta - 1.0) < _EPS:
+                return -math.expm1(log_prefactor + math.log(h))
+    raise ArithmeticError(f"P({a}, {z}) did not converge in {steps} steps")
+
+
 def chi_square_cdf(n: int, x: float) -> float:
     """Chi-square CDF with n degrees of freedom: regularized gamma P(n/2, x/2)."""
     if n < 1 or int(n) != n:
         raise ValueError(f"degrees of freedom must be a positive integer, got {n}")
-    if x < 0:
+    if not x >= 0:
         raise ValueError(f"x must be >= 0, got {x}")
-    if math.isinf(x):
-        return 1.0
-    return float(gammainc(n / 2.0, x / 2.0))
+    return _gamma_p(n / 2.0, x / 2.0)
 
 
-def shell_prob_same(spec: ShellSpec, method: str = "exact") -> float:
+def shell_prob_same(spec: ShellSpec) -> float:
     """Probability that noise around the transmitted point lands in its own shell.
 
-    method="normal-approx": the central-limit approximation
-    1 - 2 Phi(-sqrt(n) eps / (sqrt(2) sigma^2)).
-    method="exact": the chi-square law
-    P(n - n eps/sigma^2 <= chi2(n) <= n + n eps/sigma^2).
-
-    At desk-scale n the two differ by more than the approximate tail itself,
-    which is why the exact value backs every empirical comparison.
+    The chi-square law P(n - n eps/sigma^2 <= chi2(n) <= n + n eps/sigma^2).
     """
     n, sigma, eps = spec.n, spec.sigma, spec.eps_n
-    if method == "normal-approx":
-        a = math.sqrt(n) * eps / (_SQRT2 * sigma * sigma)
-        return 1.0 - 2.0 * std_normal_cdf(-a)
-    if method == "exact":
-        shift = n * eps / (sigma * sigma)
-        hi = chi_square_cdf(n, n + shift)
-        lo = chi_square_cdf(n, max(0.0, n - shift))
-        return hi - lo
-    raise ValueError(f"unknown method {method!r}; expected 'normal-approx' or 'exact'")
+    shift = n * eps / (sigma * sigma)
+    hi = chi_square_cdf(n, n + shift)
+    lo = chi_square_cdf(n, max(0.0, n - shift))
+    return hi - lo
 
 
 def shell_prob_cross(spec: ShellSpec, d: float) -> float:
@@ -125,18 +168,3 @@ def shell_prob_cross(spec: ShellSpec, d: float) -> float:
         raise ValueError(f"distance must be >= 0, got {d}")
     n, sigma, eps = spec.n, spec.sigma, spec.eps_n
     return std_normal_cdf((n * eps - d * d) / (sigma * math.sqrt(2 * n * sigma**2 + 4 * d * d)))
-
-
-def mills_bound(spec: ShellSpec) -> float:
-    """Gaussian tail bound dominating the shell miss probability.
-
-    (2 sigma^2 / (sqrt(n pi) eps)) * exp(-n eps^2 / (4 sigma^4)); always at
-    least Phi(-sqrt(n) eps / (sqrt(2) sigma^2)), with slack factor 2 on top
-    of the plain phi(x)/x bound.
-    """
-    n, sigma, eps = spec.n, spec.sigma, spec.eps_n
-    if eps == 0:
-        raise ValueError("eps_n must be > 0 for the tail bound")
-    return (2 * sigma**2 / (math.sqrt(n * math.pi) * eps)) * math.exp(
-        -n * eps * eps / (4 * sigma**4)
-    )

@@ -11,7 +11,7 @@ import sys
 import numpy as np
 import pytest
 
-from galaxyid.channel import DecoderParams, slab_separation_margin
+from galaxyid.channel import DecoderParams
 from galaxyid.experiments import (
     PairStrategy,
     estimate_type1,
@@ -29,12 +29,12 @@ from galaxyid.galaxy import (
 )
 from galaxyid.gaussian import (
     ShellSpec,
-    mills_bound,
     projection_tail,
     shell_prob_cross,
     shell_prob_same,
     std_normal_cdf,
 )
+from reference import mills_bound, shell_prob_same_normal_approx, slab_separation_margin
 
 DISTANCE_TOL = 1e-6
 
@@ -112,8 +112,8 @@ def test_acceptance_3_shell_concentration():
     n, sigma, trials = 100, 1.0, 1_000_000
     spec = ShellSpec(n=n, sigma=sigma)
     assert spec.eps_n == pytest.approx(math.log2(100) / 10)
-    exact = shell_prob_same(spec, "exact")
-    approx = shell_prob_same(spec, "normal-approx")
+    exact = shell_prob_same(spec)
+    approx = shell_prob_same_normal_approx(spec)
     assert exact == pytest.approx(0.999965, abs=5e-6)
     assert approx == pytest.approx(0.9999974, abs=5e-7)
     gap = abs(approx - exact)
@@ -155,7 +155,7 @@ def test_acceptance_5_type1_end_to_end(standard_code):
     trials = 100_000
     est = estimate_type1(standard_code, dec, trials, master_seed=42)
     spec = ShellSpec(n=params.n, sigma=params.sigma)
-    bound = (1.0 - shell_prob_same(spec, "exact")) + 2 * params.t_bar * std_normal_cdf(
+    bound = (1.0 - shell_prob_same(spec)) + 2 * params.t_bar * std_normal_cdf(
         -math.log2(params.n)
     )
     assert est.analytic_bound == pytest.approx(bound, rel=1e-12)

@@ -79,7 +79,7 @@ def test_type1_bound_attached(small_code, decoder):
 def test_select_pairs_strata(small_code):
     t_bar = small_code.params.t_bar
     cws = small_code.codewords
-    from galaxyid.galaxy import meet_depth
+    from reference import meet_depth
 
     planet = select_pairs(small_code, PairStrategy(mode="same-planet"), 0)
     assert planet and all(meet_depth(cws[i], cws[j]) == 1 for i, j in planet)

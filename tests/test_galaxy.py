@@ -11,7 +11,6 @@ from galaxyid.galaxy import (
     build_galaxy,
     center_count_bounds,
     depth_bar,
-    meet_depth,
     pack_centers,
     pair_distance_lower_bound,
     radial_bounds,
@@ -20,6 +19,7 @@ from galaxyid.galaxy import (
     separation_margins,
     theta_of_k,
 )
+from reference import meet_depth
 
 
 def small_params(**kw):

@@ -7,13 +7,12 @@ from galaxyid.gaussian import (
     ShellSpec,
     chi_square_cdf,
     default_eps,
-    mills_bound,
     projection_tail,
     shell_prob_cross,
     shell_prob_same,
     std_normal_cdf,
-    std_normal_pdf,
 )
+from reference import mills_bound, shell_prob_same_normal_approx, std_normal_pdf
 
 # Frozen oracle values (erfc / regularized-incomplete-gamma evaluations).
 PHI_M2 = 0.02275013194817921
@@ -70,6 +69,25 @@ def test_chi_square_cdf():
         chi_square_cdf(0, 1.0)
     with pytest.raises(ValueError):
         chi_square_cdf(3, -1.0)
+    with pytest.raises(ValueError):
+        chi_square_cdf(3, float("nan"))
+
+
+def test_chi_square_cdf_matches_mpmath():
+    # Every grid point whose true value is a normal float, to 1e-12 relative:
+    # the tails, the bulk and the mode, where the prefactor cancels most.
+    mpmath = pytest.importorskip("mpmath")
+    mpmath.mp.dps = 50
+    worst = (0.0, None)
+    for n in [*range(1, 301), 512, 1000, 1024, 2048, 4096, 8192]:
+        factors = (0.3, 0.5, 0.7, 0.9, 0.99, 1, 1.01, 1.1, 1.5, 2, 3)
+        for x in (1e-3, 0.01, 0.5, 1, 3, *(n * f for f in factors), n + 100):
+            true = mpmath.gammainc(mpmath.mpf(n) / 2, 0, mpmath.mpf(x) / 2, regularized=True)
+            if true < 1e-300:
+                continue
+            err = float(abs(chi_square_cdf(n, x) - true) / true)
+            worst = max(worst, (err, (n, x)))
+    assert worst[0] <= 1e-12, worst
 
 
 def test_chi_square_wilson_hilferty_crosscheck():
@@ -97,24 +115,24 @@ def test_shell_spec_defaults_and_validation():
 
 def test_shell_prob_same_values():
     spec = spec100()
-    assert shell_prob_same(spec, "normal-approx") == pytest.approx(SHELL_APPROX_100, rel=1e-10)
-    assert shell_prob_same(spec, "exact") == pytest.approx(SHELL_EXACT_100, rel=1e-9)
-    with pytest.raises(ValueError):
+    assert shell_prob_same_normal_approx(spec) == pytest.approx(SHELL_APPROX_100, rel=1e-10)
+    assert shell_prob_same(spec) == pytest.approx(SHELL_EXACT_100, rel=1e-9)
+    with pytest.raises(TypeError):  # the exact law is the only one; no method option
         shell_prob_same(spec, "nonsense")
 
 
 def test_shell_prob_same_small_eps_limit():
     for eps in (1e-3, 1e-5, 1e-7):
         spec = ShellSpec(n=100, sigma=1.0, eps_n=eps)
-        assert shell_prob_same(spec, "normal-approx") <= 0.51
-        assert shell_prob_same(spec, "exact") <= shell_prob_same(spec, "normal-approx") + 0.01
+        assert shell_prob_same_normal_approx(spec) <= 0.51
+        assert shell_prob_same(spec) <= shell_prob_same_normal_approx(spec) + 0.01
     tiny = ShellSpec(n=100, sigma=1.0, eps_n=1e-12)
-    assert shell_prob_same(tiny, "exact") == pytest.approx(0.0, abs=1e-9)
+    assert shell_prob_same(tiny) == pytest.approx(0.0, abs=1e-9)
 
 
 def test_shell_prob_same_exact_monotone_in_eps():
     vals = [
-        shell_prob_same(ShellSpec(n=50, sigma=1.0, eps_n=e), "exact")
+        shell_prob_same(ShellSpec(n=50, sigma=1.0, eps_n=e))
         for e in np.linspace(0.01, 2.0, 40)
     ]
     assert all(0.0 <= v <= 1.0 for v in vals)

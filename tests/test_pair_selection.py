@@ -13,14 +13,9 @@ from hypothesis import strategies as st
 
 from galaxyid import experiments
 from galaxyid.experiments import PairStrategy, select_pairs, verify_structure
-from galaxyid.galaxy import (
-    GalaxyCode,
-    GalaxyParams,
-    build_code,
-    meet_depth,
-    pair_distance_lower_bound,
-)
+from galaxyid.galaxy import GalaxyCode, GalaxyParams, build_code, pair_distance_lower_bound
 from galaxyid.seeding import derive_seed
+from reference import meet_depth
 
 MODES = ("same-planet", "same-galaxy-deep", "cross-galaxy")
 
@@ -259,3 +254,20 @@ def test_pairwise_violations_match_reference(code, offset, leaf, pull, tol):
         with mock.patch.object(experiments, "_MASK_CELLS", cells):
             report = verify_structure(code, tol)
         assert (report.cond2_violations, report.cross_galaxy_violations) == expected
+
+
+def test_at_least_meets_nonpositive_thresholds_without_recheck():
+    # A distance is never negative, so a cell whose threshold is <= 0 (the
+    # codeword itself in every verify block) is far with no norm recheck.
+    u = np.random.default_rng(0).standard_normal((6, 4))
+    sq = np.einsum("ij,ij->i", u, u)
+    dist = np.linalg.norm(u[:, None] - u[None, :], axis=2)
+    scale = np.where(np.arange(36).reshape(6, 6) % 2, 0.5, 2.0)
+    for diagonal in (0.0, -1e-6):
+        threshold = np.where(np.eye(6, dtype=bool), diagonal, dist * scale)
+        with mock.patch.object(np.linalg, "norm", wraps=np.linalg.norm) as norm:
+            far = experiments._at_least(u, sq, np.arange(6), threshold)
+            everywhere = experiments._at_least(u, sq, np.arange(6), diagonal)
+        assert norm.call_count == 0
+        np.testing.assert_array_equal(far, dist >= threshold)
+        assert everywhere.all()
