@@ -40,6 +40,7 @@ from .gaussian import (
     chi_square_cdf,
     projection_tail,
     shell_prob_cross,
+    shell_prob_miss,
     shell_prob_same,
     std_normal_cdf,
 )

@@ -19,7 +19,7 @@ import numpy as np
 from . import galaxy
 from .channel import DecoderParams, decide, unit_directions
 from .galaxy import GalaxyCode, iter_nodes
-from .gaussian import ShellSpec, projection_tail, shell_prob_cross, shell_prob_same
+from .gaussian import ShellSpec, projection_tail, shell_prob_cross, shell_prob_miss
 from .seeding import derive_seed
 from .spherical import csw_lower_bound, min_pairwise_angle
 
@@ -242,7 +242,7 @@ def estimate_type1(
     hits = sum(_run_units(run_unit, len(plan), threads))
     spec = ShellSpec(n=n, sigma=sigma, eps_n=params.eps_n)
     t_bar = code.params.t_bar
-    bound = (1.0 - shell_prob_same(spec)) + t_bar * _slab_tail(params)
+    bound = shell_prob_miss(spec) + t_bar * _slab_tail(params)
     return ErrorEstimate(
         kind="type1",
         trials=trials,
@@ -262,21 +262,15 @@ def _tree_layout(code: GalaxyCode) -> tuple[np.ndarray, np.ndarray]:
     Codewords are listed depth-first, so those sharing the first L entries
     of the key (root_index, *index_path) form one contiguous run.  Row L of
     the (t_bar + 2, N) results is level L: 0 is the whole code, 1 the
-    codeword's root, t_bar + 1 the codeword itself.  Raises when a key prefix
-    comes back after its run ended: positions are then not index arithmetic.
+    codeword's root, t_bar + 1 the codeword itself.
     """
     cws = code.codewords
     n_cw, t_bar = len(cws), code.params.t_bar
-    index_paths = np.asarray([c.index_path for c in cws])
-    if index_paths.shape != (n_cw, t_bar):
-        raise ValueError(f"every codeword needs an index path of length t_bar = {t_bar}")
-    keys = np.column_stack([[c.root_index for c in cws], index_paths])
+    keys = np.column_stack([[c.root_index for c in cws], [c.index_path for c in cws]])
     lo = np.zeros((t_bar + 2, n_cw), dtype=np.intp)
     hi = np.full_like(lo, n_cw)
     for level in range(1, t_bar + 2):
         starts = np.flatnonzero(np.r_[True, (keys[1:, :level] != keys[:-1, :level]).any(axis=1)])
-        if len(np.unique(keys[starts, :level], axis=0)) != len(starts):
-            raise ValueError("codewords are not listed in contiguous tree blocks")
         sizes = np.diff(np.r_[starts, n_cw])
         lo[level] = np.repeat(starts, sizes)
         hi[level] = lo[level] + np.repeat(sizes, sizes)
@@ -514,16 +508,16 @@ def verify_structure(code: GalaxyCode, tol: float = 1e-6) -> StructureReport:
             )
 
     # Exact node-chain radii and per-node angles.
-    for tree in code.trees:
-        for node in iter_nodes(tree.root):
+    for root_index, root in enumerate(code.trees):
+        for node in iter_nodes(root):
             radius = node.code.radius
-            d = np.linalg.norm(node.code.points - node.center, axis=1)
+            d = np.linalg.norm(node.code.points - node.code.center, axis=1)
             bad = np.nonzero(np.abs(d - radius) > 1e-9 * radius)[0]
             for i in bad:
                 report.cond1_violations.append(
                     {
                         "kind": "node-radius",
-                        "root": tree.root_index,
+                        "root": root_index,
                         "height": node.height,
                         "point": int(i),
                         "measured": float(d[i]),
@@ -535,7 +529,7 @@ def verify_structure(code: GalaxyCode, tol: float = 1e-6) -> StructureReport:
                 if ang < p.theta - ANGLE_TOL:
                     report.angle_violations.append(
                         {
-                            "root": tree.root_index,
+                            "root": root_index,
                             "height": node.height,
                             "measured": float(ang),
                             "bound": p.theta,
@@ -588,7 +582,7 @@ def rate_report(code: GalaxyCode) -> RateReport:
     rate = math.log2(n_cw) / (p.n * math.log2(p.n)) if n_cw >= 1 else 0.0
     lo, hi = galaxy.center_count_bounds(p.n, p.power, p.b)
     csw = csw_lower_bound(p.n, p.theta)
-    m_achieved = min(len(node.code) for tree in code.trees for node in iter_nodes(tree.root))
+    m_achieved = min(len(node.code) for root in code.trees for node in iter_nodes(root))
     claim1_upper_ok = n_roots <= hi
     claim1_consistent = None
     if lo >= 1 and code.packing_saturated:

@@ -22,7 +22,6 @@ from .seeding import derive_seed
 __all__ = [
     "GalaxyParams",
     "GalaxyNode",
-    "GalaxyTree",
     "Codeword",
     "GalaxyCode",
     "theta_of_k",
@@ -276,19 +275,15 @@ class GalaxyParams:
 
 @dataclass
 class GalaxyNode:
-    """One tree node: a spherical code of radius k^(height-1)*r around center."""
+    """One tree node: a spherical code of radius k^(height-1)*r around code.center.
 
-    center: np.ndarray
+    The code's points are the centers of the children, one child per point,
+    except at height 1, where they are codewords.
+    """
+
     height: int  # 1 = leaf level (code points are codewords)
     code: spherical.SphericalCode
     children: list = field(default_factory=list)
-
-
-@dataclass
-class GalaxyTree:
-    root: GalaxyNode
-    root_index: int
-    degraded: bool  # some node saturated below m_per_level
 
 
 @dataclass
@@ -304,17 +299,33 @@ class Codeword:
     path: list
     root_index: int
     index_path: tuple
-    leaf_index: int
 
 
-@dataclass
+@dataclass(frozen=True)
 class GalaxyCode:
+    """A codebook: root nodes, one per packed center, and how the packing ended.
+
+    A root's index is its position in trees.  roots (the root centers),
+    codewords (the trees' depth-first walk) and degraded (some node holds
+    fewer than m_per_level points) are derived from the trees.
+    """
+
     params: GalaxyParams
-    roots: list
     trees: list
-    codewords: list
     packing_saturated: bool
-    degraded: bool
+    roots: list = field(init=False)
+    codewords: list = field(init=False)
+    degraded: bool = field(init=False)
+
+    def __post_init__(self):
+        codewords: list[Codeword] = []
+        for i, root in enumerate(self.trees):
+            codewords.extend(flatten_codewords(root, i))
+        object.__setattr__(self, "roots", [root.code.center for root in self.trees])
+        object.__setattr__(self, "codewords", codewords)
+        object.__setattr__(
+            self, "degraded", any(is_degraded(root, self.params) for root in self.trees)
+        )
 
     def __len__(self) -> int:
         return len(self.codewords)
@@ -355,7 +366,7 @@ def pack_centers(params: GalaxyParams) -> tuple[list, bool]:
     return centers, False
 
 
-def build_galaxy(center, params: GalaxyParams, root_index: int = 0) -> GalaxyTree:
+def build_galaxy(center, params: GalaxyParams, root_index: int = 0) -> GalaxyNode:
     """Recursively build the nested spherical codes under one root center."""
     center = as_coords(center)
     if center.size != params.n:
@@ -371,15 +382,14 @@ def build_galaxy(center, params: GalaxyParams, root_index: int = 0) -> GalaxyTre
             max_attempts=params.max_attempts,
             seed=derive_seed(params.master_seed, "node", root_index, *path),
         )
-        node = GalaxyNode(center=node_center, height=height, code=code)
+        node = GalaxyNode(height=height, code=code)
         if height > 1:
             node.children = [
                 build_node(p, height - 1, path + (i,)) for i, p in enumerate(code.points)
             ]
         return node
 
-    root = build_node(center, params.t_bar, ())
-    return GalaxyTree(root=root, root_index=root_index, degraded=is_degraded(root, params))
+    return build_node(center, params.t_bar, ())
 
 
 def iter_nodes(node: GalaxyNode):
@@ -394,7 +404,7 @@ def is_degraded(root: GalaxyNode, params: GalaxyParams) -> bool:
     return any(len(node.code) < params.m_per_level for node in iter_nodes(root))
 
 
-def flatten_codewords(tree: GalaxyTree) -> list:
+def flatten_codewords(root: GalaxyNode, root_index: int) -> list:
     """Depth-first list of the tree's codewords with their center chains.
 
     A codeword's chain starts at its height-1 parent and ends at the root,
@@ -408,32 +418,21 @@ def flatten_codewords(tree: GalaxyTree) -> list:
                 out.append(
                     Codeword(
                         u=p,
-                        path=[node.center] + above,
-                        root_index=tree.root_index,
+                        path=[node.code.center] + above,
+                        root_index=root_index,
                         index_path=path + (j,),
-                        leaf_index=j,
                     )
                 )
             return
         for i, child in enumerate(node.children):
-            walk(child, [node.center] + above, path + (i,))
+            walk(child, [node.code.center] + above, path + (i,))
 
-    walk(tree.root, [], ())
+    walk(root, [], ())
     return out
 
 
 def build_code(params: GalaxyParams) -> GalaxyCode:
-    """Pack root centers, grow one galaxy per root, and flatten the codebook."""
+    """Pack root centers and grow one galaxy per root."""
     roots, saturated = pack_centers(params)
     trees = [build_galaxy(c, params, root_index=i) for i, c in enumerate(roots)]
-    codewords: list[Codeword] = []
-    for tree in trees:
-        codewords.extend(flatten_codewords(tree))
-    return GalaxyCode(
-        params=params,
-        roots=roots,
-        trees=trees,
-        codewords=codewords,
-        packing_saturated=saturated,
-        degraded=any(t.degraded for t in trees),
-    )
+    return GalaxyCode(params=params, trees=trees, packing_saturated=saturated)

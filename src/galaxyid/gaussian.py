@@ -23,6 +23,7 @@ __all__ = [
     "projection_tail",
     "chi_square_cdf",
     "shell_prob_same",
+    "shell_prob_miss",
     "shell_prob_cross",
 ]
 
@@ -93,19 +94,26 @@ def _log_gamma_prefactor(a: float, z: float) -> float:
     return a * math.log(z) - z - math.lgamma(a)
 
 
-def _gamma_p(a: float, z: float) -> float:
-    """Regularized lower incomplete gamma function P(a, z) for a > 0, z >= 0.
+def _chi_square_tails(n: int, x: float) -> tuple[float, float]:
+    """Chi-square CDF and upper tail at x with n degrees of freedom: the
+    regularized incomplete gamma functions P(a, z), Q(a, z) at (n/2, x/2).
 
-    The power series for z < a + 1; otherwise the Lentz continued fraction
-    for Q = 1 - P (Numerical Recipes 6.2), returned as 1 - Q.  Each stops
-    once a step changes its result by less than one ulp.  The series needs
-    about 7 sqrt(a) terms at most and the fraction fewer, so each loop is
-    cut at 100 + 10 sqrt(a) steps and raises if it gets there.
+    The power series gives P for z < a + 1, else the Lentz continued
+    fraction gives Q (Numerical Recipes 6.2); the complement exceeds 0.08
+    there, so both tails keep full relative accuracy.  Each loop stops once
+    a step changes its result by less than one ulp.  The series needs about
+    7 sqrt(a) terms at most and the fraction fewer, so each loop is cut at
+    100 + 10 sqrt(a) steps and raises if it gets there.
     """
+    if n < 1 or int(n) != n:
+        raise ValueError(f"degrees of freedom must be a positive integer, got {n}")
+    if not x >= 0:
+        raise ValueError(f"x must be >= 0, got {x}")
+    a, z = n / 2.0, x / 2.0
     if z == 0:
-        return 0.0
+        return 0.0, 1.0
     if math.isinf(z):
-        return 1.0
+        return 1.0, 0.0
     log_prefactor = _log_gamma_prefactor(a, z)
     steps = 100 + int(10 * math.sqrt(a))
     if z < a + 1:
@@ -116,7 +124,8 @@ def _gamma_p(a: float, z: float) -> float:
             term *= z / denom
             total += term
             if term < total * _EPS:
-                return math.exp(log_prefactor + math.log(total))
+                p = math.exp(log_prefactor + math.log(total))
+                return p, 1.0 - p
     else:
         b = z + 1.0 - a
         c = 1.0 / _TINY
@@ -134,17 +143,14 @@ def _gamma_p(a: float, z: float) -> float:
             delta = d * c
             h *= delta
             if abs(delta - 1.0) < _EPS:
-                return -math.expm1(log_prefactor + math.log(h))
+                log_q = log_prefactor + math.log(h)
+                return -math.expm1(log_q), math.exp(log_q)
     raise ArithmeticError(f"P({a}, {z}) did not converge in {steps} steps")
 
 
 def chi_square_cdf(n: int, x: float) -> float:
     """Chi-square CDF with n degrees of freedom: regularized gamma P(n/2, x/2)."""
-    if n < 1 or int(n) != n:
-        raise ValueError(f"degrees of freedom must be a positive integer, got {n}")
-    if not x >= 0:
-        raise ValueError(f"x must be >= 0, got {x}")
-    return _gamma_p(n / 2.0, x / 2.0)
+    return _chi_square_tails(n, x)[0]
 
 
 def shell_prob_same(spec: ShellSpec) -> float:
@@ -152,11 +158,17 @@ def shell_prob_same(spec: ShellSpec) -> float:
 
     The chi-square law P(n - n eps/sigma^2 <= chi2(n) <= n + n eps/sigma^2).
     """
+    return 1.0 - shell_prob_miss(spec)
+
+
+def shell_prob_miss(spec: ShellSpec) -> float:
+    """Probability that noise around the transmitted point leaves its own shell:
+    the chi-square tails below n - n eps/sigma^2 and above n + n eps/sigma^2,
+    each computed directly, so no cancellation against 1 limits its accuracy.
+    """
     n, sigma, eps = spec.n, spec.sigma, spec.eps_n
     shift = n * eps / (sigma * sigma)
-    hi = chi_square_cdf(n, n + shift)
-    lo = chi_square_cdf(n, max(0.0, n - shift))
-    return hi - lo
+    return _chi_square_tails(n, max(0.0, n - shift))[0] + _chi_square_tails(n, n + shift)[1]
 
 
 def shell_prob_cross(spec: ShellSpec, d: float) -> float:

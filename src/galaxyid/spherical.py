@@ -34,9 +34,7 @@ class SphericalCode:
 
     center: np.ndarray
     radius: float
-    theta: float
     points: np.ndarray  # shape (m, n), rows on the sphere
-    seed: int
     saturated: bool = False
 
     def __len__(self) -> int:
@@ -144,9 +142,7 @@ def generate(
     return SphericalCode(
         center=center,
         radius=float(r),
-        theta=float(theta),
         points=center + r * dirs,
-        seed=seed,
         saturated=saturated,
     )
 

@@ -63,7 +63,7 @@ def _shell(y, u, p):
 
 def _line_codeword(u, *path):
     return Codeword(u=np.asarray(u, dtype=float), path=[np.asarray(o, dtype=float) for o in path],
-                    root_index=0, index_path=(0,) * len(path), leaf_index=0)
+                    root_index=0, index_path=(0,) * len(path))
 
 
 def reference_decision(y, c, p):
@@ -273,7 +273,7 @@ def test_degenerate_sigma_zero_type2():
     u2 = np.zeros(n)
     u2[0] = 6.0
     u2[1] = 10.0  # d^2 = 100 > n * eps_n = 16
-    c1 = Codeword(u=u1, path=[o], root_index=0, index_path=(0,), leaf_index=0)
+    c1 = Codeword(u=u1, path=[o], root_index=0, index_path=(0,))
     y = transmit(u2, 0.0, np.random.default_rng(0))
     np.testing.assert_array_equal(y, u2)
     assert not _shell(y, u1, dec)

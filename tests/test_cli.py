@@ -121,8 +121,30 @@ def test_simulate_unparsable_code(tmp_path):
     assert res.returncode == 2
 
 
+@pytest.fixture(scope="module")
+def deep_code_file(tmp_path_factory):
+    """A depth-2 code: each root's 4 points center 4 height-1 nodes."""
+    path = tmp_path_factory.mktemp("cli") / "deep.json"
+    res = run_cli("build", *BUILD_ARGS, "--depth", "2", "--out", str(path))
+    assert res.returncode == 0, res.stderr
+    return path
+
+
 def _without(doc, key):
     return {k: v for k, v in doc.items() if k != key}
+
+
+def _node_edit(path, change):
+    """An edit applying change() to the record of node (root, *child indices)."""
+
+    def edit(doc):
+        node = doc["trees"][path[0]]
+        for i in path[1:]:
+            node = node["children"][i]
+        change(node)
+        return doc
+
+    return edit
 
 
 @pytest.mark.parametrize(
@@ -132,12 +154,28 @@ def _without(doc, key):
         (lambda doc: {**doc, "params": {**doc["params"], "k": None}}, "param 'k' is not int: None"),
         (lambda doc: _without(doc, "trees"), "needs a 'trees' list"),
         (lambda doc: [doc], "must hold a JSON object, not list"),
+        (_node_edit((0,), lambda node: node["children"].pop()),
+         "node (0,) has height 2, so needs one child per point (4)"),
+        (_node_edit((0,), lambda node: node.pop("children")),
+         "node (0,) has height 2, so needs one child per point (4)"),
+        (_node_edit((0, 1), lambda node: node["points"][0].__delitem__(slice(5, None))),
+         "node (0, 1) needs n = 16 coordinates per point"),
+        (_node_edit((0, 0), lambda node: node.update(points=[])),
+         "node (0, 0) needs a list of 1 to m_per_level = 4 points"),
+        (lambda doc: {**doc, "trees": []}, "'trees' list is empty"),
+        (_node_edit((0, 0), lambda node: node["points"].append(node["points"][0])),
+         "node (0, 0) needs a list of 1 to m_per_level = 4 points"),
+        (_node_edit((0, 0), lambda node: node.update(children=[])),
+         "node (0, 0) has height 1 but lists children"),
+        (lambda doc: {**doc, "format_version": 1}, "unsupported code file format_version 1"),
     ],
-    ids=["params-without-n", "null-k", "no-trees", "top-level-list"],
+    ids=["params-without-n", "null-k", "no-trees", "top-level-list", "fewer-children",
+         "no-children", "short-point", "empty-points", "empty-trees", "too-many-points",
+         "leaf-children", "format-v1"],
 )
-def test_malformed_code_file_exits_two(tmp_path, code_file, edit, message):
+def test_malformed_code_file_exits_two(tmp_path, deep_code_file, edit, message):
     bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps(edit(json.loads(code_file.read_text()))))
+    bad.write_text(json.dumps(edit(json.loads(deep_code_file.read_text()))))
     for command in (["verify"], ["simulate", "--type1", "--trials", "10"]):
         res = run_cli(command[0], "--code", str(bad), *command[1:])
         assert res.returncode == 2, res.stderr

@@ -5,7 +5,8 @@ import pytest
 
 from galaxyid.codefile import FORMAT_VERSION, deserialize, load, save, serialize
 from galaxyid.experiments import _params_key
-from galaxyid.galaxy import GalaxyCode, GalaxyParams, build_code
+from galaxyid.galaxy import GalaxyCode, GalaxyNode, GalaxyParams, build_code
+from galaxyid.spherical import SphericalCode
 
 
 @pytest.fixture(scope="module")
@@ -40,7 +41,7 @@ def test_roundtrip_preserves_metadata(code):
 def test_coordinates_are_hex_strings(code):
     doc = json.loads(serialize(code))
     assert doc["format_version"] == FORMAT_VERSION
-    sample = doc["roots"][0][0]
+    sample = doc["trees"][0]["center"][0]
     assert isinstance(sample, str)
     assert float.fromhex(sample) is not None
 
@@ -60,21 +61,28 @@ def test_save_and_load(tmp_path, code):
 
 
 def test_params_record_bytes_fixed():
-    # the parameter record and the sweep cell key, byte for byte as format v1 writes them
+    # a one-root depth-2 code and the sweep cell key, byte for byte as format v2 writes them
     p = GalaxyParams(
         n=8, power=260.0, k=8, m_per_level=4, master_seed=13, t_bar=2, r_min_coeff=0.5,
         max_roots=3, saturation_probes=100,
     )
-    empty = GalaxyCode(params=p, roots=[], trees=[], codewords=[], packing_saturated=False,
-                       degraded=False)
-    assert serialize(empty) == (
-        '{"achieved":{"degraded":false,"num_codewords":0,"num_roots":0,"packing_saturated":false},'
-        '"format_version":1,"params":{"b":0.0,"enforce_cross_galaxy_margin":true,"extent":13.5,'
-        '"k":8,"m_per_level":4,"master_seed":13,"max_attempts":20000,"max_roots":3,"n":8,'
-        '"power":260.0,"r":1.5,"r_min_coeff":0.5,"r_nominal":1.0,"saturation_probes":100,'
-        '"sigma":1.0,"spacing":27.840896415253713,"spacing_nominal":3.363585661014858,"t_bar":2,'
-        '"t_bar_overridden":true,"theta":1.910633236249019},"roots":[],"trees":[]}\n'
+    point = np.eye(8)[0] * 12.0  # at the root radius r k = 12 from the origin
+    leaf = GalaxyNode(height=1, code=SphericalCode(
+        center=point, radius=1.5, points=(point + 1.5 * np.eye(8)[1])[None, :]))
+    root = GalaxyNode(height=2, code=SphericalCode(
+        center=np.zeros(8), radius=12.0, points=point[None, :]), children=[leaf])
+    zeros = ',"0x0.0p+0"' * 6
+    text = (
+        '{"achieved":{"packing_saturated":false},"format_version":2,"params":{"b":0.0,'
+        '"enforce_cross_galaxy_margin":true,"k":8,"m_per_level":4,"master_seed":13,'
+        '"max_attempts":20000,"max_roots":3,"n":8,"power":260.0,"r_min_coeff":0.5,'
+        '"saturation_probes":100,"sigma":1.0,"t_bar":2,"theta":1.910633236249019},'
+        '"trees":[{"center":["0x0.0p+0","0x0.0p+0"' + zeros + '],'
+        '"children":[{"points":[["0x1.8000000000000p+3","0x1.8000000000000p+0"' + zeros + ']]}],'
+        '"points":[["0x1.8000000000000p+3","0x0.0p+0"' + zeros + ']]}]}\n'
     )
+    assert serialize(GalaxyCode(p, [root], packing_saturated=False)) == text
+    assert serialize(deserialize(text)) == text
     assert _params_key(p) == "8|260.0|0.0|8|1.910633236249019|4|1.0|13|2|0.5|True|3|100|20000"
 
 

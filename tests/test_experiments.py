@@ -18,7 +18,7 @@ from galaxyid.experiments import (
     verify_structure,
     wilson_interval,
 )
-from galaxyid.galaxy import GalaxyParams, build_code, flatten_codewords
+from galaxyid.galaxy import GalaxyCode, GalaxyParams, build_code
 from galaxyid.gaussian import projection_tail
 
 
@@ -189,18 +189,16 @@ def _mutated(code):
     return c
 
 
-def _refresh_codewords(code):
-    code.codewords = []
-    for tree in code.trees:
-        code.codewords.extend(flatten_codewords(tree))
+def _rebuilt(code):
+    """The code of the (mutated) trees: its roots and codewords derived afresh."""
+    return GalaxyCode(code.params, code.trees, code.packing_saturated)
 
 
 def test_fault_displaced_leaf(small_code):
     bad = _mutated(small_code)
-    node = bad.trees[0].root.children[0]
+    node = bad.trees[0].children[0]
     node.code.points[0] = node.code.points[0] + 10.0 * bad.params.r
-    _refresh_codewords(bad)
-    report = verify_structure(bad)
+    report = verify_structure(_rebuilt(bad))
     assert not report.passed
     assert report.cond1_violations or report.cond2_violations
     flagged = {v.get("codeword") for v in report.cond1_violations}
@@ -215,45 +213,39 @@ def test_fault_translated_tree(small_code):
     shift = bad.roots[0] - bad.roots[1]
 
     def translate(node):
-        node.center = node.center + shift
         node.code.center = node.code.center + shift
         node.code.points = node.code.points + shift
         for ch in node.children:
             translate(ch)
 
-    translate(bad.trees[1].root)
-    bad.roots[1] = bad.roots[1] + shift
-    _refresh_codewords(bad)
-    report = verify_structure(bad)
+    translate(bad.trees[1])
+    report = verify_structure(_rebuilt(bad))
     assert report.cross_galaxy_violations
 
 
 def test_fault_angle_violation(small_code):
     bad = _mutated(small_code)
-    node = bad.trees[0].root
+    node = bad.trees[0]
     # drag the second point nearly onto the first, staying on the sphere
-    p0 = node.code.points[0] - node.center
-    p1 = node.code.points[1] - node.center
+    p0 = node.code.points[0] - node.code.center
+    p1 = node.code.points[1] - node.code.center
     blended = 0.99 * p0 + 0.01 * p1
     blended *= node.code.radius / np.linalg.norm(blended)
-    node.code.points[1] = node.center + blended
-    _refresh_codewords(bad)
-    report = verify_structure(bad)
+    node.code.points[1] = node.code.center + blended
+    report = verify_structure(_rebuilt(bad))
     assert report.angle_violations
 
 
 def test_fault_power_violation(small_code):
     bad = _mutated(small_code)
-    leaf = bad.trees[0].root.children[0]
+    leaf = bad.trees[0].children[0]
     leaf.code.points[0] = leaf.code.points[0] * 50.0
-    _refresh_codewords(bad)
-    report = verify_structure(bad)
+    report = verify_structure(_rebuilt(bad))
     assert report.power_violations
 
 
 def test_verify_empty_raises(small_code):
-    bad = _mutated(small_code)
-    bad.codewords = []
+    bad = GalaxyCode(small_code.params, [], small_code.packing_saturated)
     with pytest.raises(ValueError):
         verify_structure(bad)
 

@@ -12,6 +12,7 @@ from galaxyid.galaxy import (
     center_count_bounds,
     depth_bar,
     pack_centers,
+    is_degraded,
     pair_distance_lower_bound,
     radial_bounds,
     rate_lower_bound,
@@ -207,8 +208,8 @@ def test_saturated_count_within_volume_bounds():
 
 def test_build_galaxy_structure():
     p = small_params(t_bar=3, power=20000.0)
-    tree = build_galaxy(np.zeros(16), p, root_index=0)
-    assert not tree.degraded
+    root = build_galaxy(np.zeros(16), p, root_index=0)
+    assert not is_degraded(root, p)
     # 4^3 leaves, each ancestor exactly on its sphere
     leaves = []
 
@@ -217,12 +218,12 @@ def test_build_galaxy_structure():
             leaves.extend(node.code.points)
         for i, child in enumerate(node.children):
             r_expected = p.r * p.k ** (node.height - 1)
-            assert np.linalg.norm(child.center - node.center) == pytest.approx(
+            assert np.linalg.norm(child.code.center - node.code.center) == pytest.approx(
                 r_expected, rel=1e-9
             )
-            walk(child, ancestors + [node.center])
+            walk(child, ancestors + [node.code.center])
 
-    walk(tree.root, [])
+    walk(root, [])
     assert len(leaves) == 4**3
 
 

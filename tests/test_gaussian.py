@@ -9,6 +9,7 @@ from galaxyid.gaussian import (
     default_eps,
     projection_tail,
     shell_prob_cross,
+    shell_prob_miss,
     shell_prob_same,
     std_normal_cdf,
 )
@@ -76,17 +77,29 @@ def test_chi_square_cdf():
 def test_chi_square_cdf_matches_mpmath():
     # Every grid point whose true value is a normal float, to 1e-12 relative:
     # the tails, the bulk and the mode, where the prefactor cancels most.
+    # Then the shell miss, both tails summed, where it is far below 1e-13.
     mpmath = pytest.importorskip("mpmath")
     mpmath.mp.dps = 50
+
+    def law(n, lo, hi):  # P(lo <= chi2_n <= hi)
+        return mpmath.gammainc(mpmath.mpf(n) / 2, mpmath.mpf(lo) / 2, mpmath.mpf(hi) / 2,
+                               regularized=True)
+
     worst = (0.0, None)
     for n in [*range(1, 301), 512, 1000, 1024, 2048, 4096, 8192]:
         factors = (0.3, 0.5, 0.7, 0.9, 0.99, 1, 1.01, 1.1, 1.5, 2, 3)
         for x in (1e-3, 0.01, 0.5, 1, 3, *(n * f for f in factors), n + 100):
-            true = mpmath.gammainc(mpmath.mpf(n) / 2, 0, mpmath.mpf(x) / 2, regularized=True)
+            true = law(n, 0, x)
             if true < 1e-300:
                 continue
             err = float(abs(chi_square_cdf(n, x) - true) / true)
             worst = max(worst, (err, (n, x)))
+    for n, sigma in ((64, 1.0), (256, 0.7), (4096, 1.0)):
+        spec = ShellSpec(n=n, sigma=sigma)
+        shift = n * spec.eps_n / sigma**2
+        true = law(n, 0, max(0.0, n - shift)) + law(n, n + shift, mpmath.inf)
+        err = float(abs(shell_prob_miss(spec) - true) / true)
+        worst = max(worst, (err, (n, sigma)))
     assert worst[0] <= 1e-12, worst
 
 

@@ -1,7 +1,8 @@
 """The tree-block paths against direct per-pair definitions, one pair at a time:
-pair selection, type-II meet rows, and the pairwise checks of verification."""
+pair selection, type-II meet rows, and the pairwise checks of verification;
+and the code file round trip over the same random codes."""
 
-import dataclasses
+import copy
 import math
 from collections import Counter
 from unittest import mock
@@ -12,8 +13,15 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from galaxyid import experiments
+from galaxyid.codefile import deserialize, serialize
 from galaxyid.experiments import PairStrategy, select_pairs, verify_structure
-from galaxyid.galaxy import GalaxyCode, GalaxyParams, build_code, pair_distance_lower_bound
+from galaxyid.galaxy import (
+    GalaxyCode,
+    GalaxyParams,
+    build_code,
+    iter_nodes,
+    pair_distance_lower_bound,
+)
 from galaxyid.seeding import derive_seed
 from reference import meet_depth
 
@@ -155,20 +163,6 @@ def test_uneven_blocks_match_reference(uneven_code):
         assert_same_selection(uneven_code, strategies[-3], 3)
 
 
-def test_non_contiguous_layout_rejected(two_root_code):
-    code = two_root_code
-    assert len(code.roots) >= 2
-    moved = list(code.codewords)
-    moved[0], moved[-1] = moved[-1], moved[0]  # a root's block now recurs
-    shuffled = GalaxyCode(
-        params=code.params, roots=code.roots, trees=code.trees, codewords=moved,
-        packing_saturated=code.packing_saturated, degraded=code.degraded,
-    )
-    for mode in MODES:
-        with pytest.raises(ValueError, match="contiguous"):
-            select_pairs(shuffled, PairStrategy(mode=mode), 0)
-
-
 def test_exhaustive_sample_count_bounds(two_root_code):
     n_cw = len(two_root_code.codewords)
     ordered = n_cw * (n_cw - 1)
@@ -234,9 +228,12 @@ def crowded(code, offset, leaf, pull):
     i = leaf % len(cws)
     j = i + 1 if i + 1 < len(cws) else max(i - 1, 0)
     u[i] += pull * (u[j] - u[i])
-    return dataclasses.replace(
-        code, codewords=[dataclasses.replace(c, u=row) for c, row in zip(cws, u)]
-    )
+    trees = copy.deepcopy(code.trees)
+    start = 0
+    for node in (node for root in trees for node in iter_nodes(root) if node.height == 1):
+        node.code.points = u[start : start + len(node.code)]  # leaves in codeword order
+        start += len(node.code)
+    return GalaxyCode(code.params, trees, code.packing_saturated)
 
 
 @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -271,3 +268,21 @@ def test_at_least_meets_nonpositive_thresholds_without_recheck():
         assert norm.call_count == 0
         np.testing.assert_array_equal(far, dist >= threshold)
         assert everywhere.all()
+
+
+@SETTINGS
+@given(code=codes())
+def test_code_file_round_trip_is_bit_identical(code):
+    text = serialize(code)
+    back = deserialize(text)
+    assert serialize(back) == text
+    assert (back.degraded, back.packing_saturated) == (code.degraded, code.packing_saturated)
+    for a, b in zip(code.codewords, back.codewords, strict=True):
+        assert (a.root_index, a.index_path) == (b.root_index, b.index_path)
+        assert a.u.tobytes() == b.u.tobytes()
+        assert [o.tobytes() for o in a.path] == [o.tobytes() for o in b.path]
+    nodes = [node for root in code.trees for node in iter_nodes(root)]
+    back_nodes = [node for root in back.trees for node in iter_nodes(root)]
+    for a, b in zip(nodes, back_nodes, strict=True):
+        assert (a.height, a.code.radius) == (b.height, b.code.radius)
+        assert a.code.saturated == b.code.saturated
