@@ -20,7 +20,6 @@ from .experiments import (
     wilson_interval,
 )
 from .galaxy import (
-    Codeword,
     GalaxyCode,
     GalaxyParams,
     asymptotic_rate,
@@ -32,16 +31,13 @@ from .galaxy import (
     pair_distance_lower_bound,
     radial_bounds,
     rate_lower_bound,
-    separation_condition,
     theta_of_k,
 )
 from .gaussian import (
     ShellSpec,
-    chi_square_cdf,
     projection_tail,
     shell_prob_cross,
     shell_prob_miss,
-    shell_prob_same,
     std_normal_cdf,
 )
 from .spherical import SphericalCode, csw_lower_bound, generate, min_pairwise_angle

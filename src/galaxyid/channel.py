@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .galaxy import Codeword, GalaxyParams
+from .galaxy import GalaxyParams
 from .gaussian import default_eps
 from .geometry import as_coords
 
@@ -63,14 +63,14 @@ class DecoderParams:
         return max(0.0, lo), hi
 
 
-def unit_directions(codewords) -> np.ndarray:
+def unit_directions(u: np.ndarray, chains: np.ndarray) -> np.ndarray:
     """(N, t_bar, n) unit vectors (u - o) / ||u - o|| along each codeword's chain.
 
-    Row j, level i belongs to codewords[j] and its height-(i+1) ancestor.
-    Raises when an ancestor coincides with its codeword (no line is defined).
+    u is (N, n) codewords and chains (N, t_bar, n) their ancestor centers:
+    row j, level i belongs to u[j] and its height-(i+1) ancestor.  Raises
+    when an ancestor coincides with its codeword (no line is defined).
     """
-    u = np.asarray([c.u for c in codewords], dtype=np.float64)
-    dirs = u[:, None, :] - np.asarray([c.path for c in codewords], dtype=np.float64)
+    dirs = u[:, None, :] - chains
     norms = np.linalg.norm(dirs, axis=2, keepdims=True)
     if np.any(norms == 0.0):
         raise ValueError("degenerate center chain: ancestor coincides with codeword")
@@ -95,13 +95,15 @@ def decide(
     return shell, slabs, shell & slabs.all(axis=1)
 
 
-def identify(y, c: Codeword, params: DecoderParams) -> bool:
-    """Full decision for one output: decide() on a batch of one row."""
-    if not c.path:
+def identify(y, u, chain, params: DecoderParams) -> bool:
+    """Full decision for one output against codeword u and its (t_bar, n)
+    ancestor chain: decide() on a batch of one row."""
+    chain = np.asarray(chain, dtype=np.float64)
+    if chain.ndim != 2 or not len(chain):
         raise ValueError("codeword carries no center chain")
     y = as_coords(y)
-    u = as_coords(c.u)
+    u = as_coords(u)
     if y.size != u.size:
         raise ValueError(f"dimension mismatch: {y.size} vs {u.size}")
-    _, _, accept = decide((y - u)[None, :], unit_directions([c])[0], params)
+    _, _, accept = decide((y - u)[None, :], unit_directions(u[None, :], chain[None])[0], params)
     return bool(accept[0])

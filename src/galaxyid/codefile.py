@@ -31,10 +31,14 @@ def _enc_point(p: np.ndarray) -> list[str]:
 
 
 def _dec_points(coords: list, n: int, where: tuple) -> np.ndarray:
-    """(m, n) array of hex-float rows; any row of another length raises naming the node."""
+    """(m, n) array of hex-float rows; a row of another length or a non-finite
+    coordinate raises naming the node."""
     if not all(isinstance(c, list) and len(c) == n for c in coords):
         raise ValueError(f"code file node {where} needs n = {n} coordinates per point and center")
-    return np.asarray([[float.fromhex(x) for x in c] for c in coords], dtype=np.float64)
+    points = np.asarray([[float.fromhex(x) for x in c] for c in coords], dtype=np.float64)
+    if not np.isfinite(points).all():
+        raise ValueError(f"code file node {where} has a non-finite coordinate")
+    return points
 
 
 def _enc_node(node: GalaxyNode) -> dict:

@@ -224,7 +224,7 @@ def estimate_type1(
     levels.
     """
     plan = _unit_plan(trials)
-    directions = unit_directions(code.codewords)
+    directions = unit_directions(code.codewords, code.centers[code.ancestors])
     n_cw = len(directions)
     n, sigma = params.n, params.sigma
 
@@ -260,13 +260,12 @@ def _tree_layout(code: GalaxyCode) -> tuple[np.ndarray, np.ndarray]:
     """[start, end) of the block holding each codeword at every tree level.
 
     Codewords are listed depth-first, so those sharing the first L entries
-    of the key (root_index, *index_path) form one contiguous run.  Row L of
+    of their index_paths row form one contiguous run.  Row L of
     the (t_bar + 2, N) results is level L: 0 is the whole code, 1 the
     codeword's root, t_bar + 1 the codeword itself.
     """
-    cws = code.codewords
-    n_cw, t_bar = len(cws), code.params.t_bar
-    keys = np.column_stack([[c.root_index for c in cws], [c.index_path for c in cws]])
+    keys = code.index_paths
+    n_cw, t_bar = len(keys), code.params.t_bar
     lo = np.zeros((t_bar + 2, n_cw), dtype=np.intp)
     hi = np.full_like(lo, n_cw)
     for level in range(1, t_bar + 2):
@@ -322,8 +321,8 @@ def select_pairs(code: GalaxyCode, strategy: PairStrategy, master_seed: int) -> 
     subsampling uses a stream derived from the master seed.  Raises when
     the code contains no pair of the requested class.
     """
-    cws = code.codewords
-    n_cw = len(cws)
+    u = code.codewords
+    n_cw = len(u)
     if n_cw < 2:
         raise ValueError("need at least two codewords to form pairs")
     if strategy.mode == "exhaustive-sample":
@@ -350,7 +349,6 @@ def select_pairs(code: GalaxyCode, strategy: PairStrategy, master_seed: int) -> 
 
     filtered = strategy.mode == "cross-galaxy" and strategy.min_distance is not None
     if filtered:
-        u = np.asarray([c.u for c in cws])
         sq = np.einsum("ij,ij->i", u, u)
         step = max(1, _MASK_CELLS // n_cw)
 
@@ -413,10 +411,9 @@ def estimate_type2(
     """
     pair_targets, senders = np.asarray(select_pairs(code, strategy, master_seed)).T
     plan = _unit_plan(trials)
-    cws = code.codewords
+    u = code.codewords
     targets, target_rows = np.unique(pair_targets, return_inverse=True)
-    directions = unit_directions([cws[ti] for ti in targets])
-    u = np.asarray([c.u for c in cws])
+    directions = unit_directions(u[targets], code.centers[code.ancestors[targets]])
     offsets = u[senders] - u[pair_targets]
     meet_rows = _meet_rows(code, pair_targets, senders)
     n, sigma = params.n, params.sigma
@@ -483,19 +480,17 @@ def verify_structure(code: GalaxyCode, tol: float = 1e-6) -> StructureReport:
     violations are returned with their measured values.  Pairs are checked
     in row blocks of at most _MASK_CELLS cells: O(N^2) time, bounded memory.
     """
-    if not code.codewords:
+    if not len(code.codewords):
         raise ValueError("cannot verify an empty code")
     p = code.params
     report = StructureReport(separation=galaxy.separation_margins(p.k, p.theta))
 
-    cws = code.codewords
-    u_mat = np.asarray([c.u for c in cws])
+    u_mat = code.codewords
 
     # Radial windows per ancestor height (lo = hi = r at height 1).
     for t in range(1, p.t_bar + 1):
         lo, hi = galaxy.radial_bounds(p.r, p.k, t)
-        anc = np.asarray([c.path[t - 1] for c in cws])
-        dist = np.linalg.norm(u_mat - anc, axis=1)
+        dist = np.linalg.norm(u_mat - code.centers[code.ancestors[:, t - 1]], axis=1)
         for i in np.nonzero((dist < lo - tol) | (dist > hi + tol))[0]:
             report.cond1_violations.append(
                 {
@@ -546,7 +541,7 @@ def verify_structure(code: GalaxyCode, tol: float = 1e-6) -> StructureReport:
     )
     lo, _ = _tree_layout(code)
     sq = np.einsum("ij,ij->i", u_mat, u_mat)
-    n_cw = len(cws)
+    n_cw = len(u_mat)
     step = max(1, _MASK_CELLS // n_cw)
     for start in range(0, n_cw, step):
         rows = np.arange(start, min(start + step, n_cw))

@@ -4,8 +4,8 @@ A codebook is a saturated greedy packing of root centers inside the power
 ball, each root carrying a depth-t tree of nested spherical codes: a node
 at height h holds a code of radius k^(h-1) * r around its own center, the
 points of which are the centers of the height-(h-1) children (codewords at
-height 1).  Every leaf keeps its chain of ancestor centers, which is what
-the hierarchical decoder tests against.
+height 1).  The code's codeword table records, for every codeword, the rows
+of its ancestor centers, the chain the hierarchical decoder tests against.
 """
 
 from __future__ import annotations
@@ -22,11 +22,9 @@ from .seeding import derive_seed
 __all__ = [
     "GalaxyParams",
     "GalaxyNode",
-    "Codeword",
     "GalaxyCode",
     "theta_of_k",
     "depth_bar",
-    "separation_condition",
     "separation_margins",
     "pack_centers",
     "build_galaxy",
@@ -59,11 +57,6 @@ def depth_bar(n: int, b: float, k: int) -> int:
         raise ValueError(f"k must be >= 2, got {k}")
     v = (0.25 - b) * math.log2(n) / math.log2(k)
     return max(1, math.ceil(v - _CEIL_GUARD))
-
-
-def separation_condition(k: int, theta: float) -> bool:
-    """Slab-separation criterion (sin(theta/2) - 1/(k-1))^2 > 2/(k-1)."""
-    return separation_margins(k, theta)["strict_holds"]
 
 
 def separation_margins(k: int, theta: float) -> dict:
@@ -248,10 +241,6 @@ class GalaxyParams:
         return max(self.r_nominal, self.r_min_coeff * self.sigma * math.log2(self.n))
 
     @property
-    def t_bar_overridden(self) -> bool:
-        return self.t_bar != depth_bar(self.n, self.b, self.k)
-
-    @property
     def extent(self) -> float:
         """Maximum codeword distance from its root: r (k^t - 1)/(k - 1)."""
         return radial_bounds(self.r, self.k, self.t_bar)[1]
@@ -286,43 +275,32 @@ class GalaxyNode:
     children: list = field(default_factory=list)
 
 
-@dataclass
-class Codeword:
-    """A leaf point together with the ancestor-center chain the decoder tests.
-
-    path[i] is the center at height i+1 above the codeword; path[-1] is the
-    root.  index_path holds the child indices from the root down to the
-    leaf, which makes meet-depth computations exact.
-    """
-
-    u: np.ndarray
-    path: list
-    root_index: int
-    index_path: tuple
-
-
 @dataclass(frozen=True)
 class GalaxyCode:
     """A codebook: root nodes, one per packed center, and how the packing ended.
 
     A root's index is its position in trees.  roots (the root centers),
-    codewords (the trees' depth-first walk) and degraded (some node holds
-    fewer than m_per_level points) are derived from the trees.
+    degraded (some node holds fewer than m_per_level points) and the
+    codeword table of flatten_codewords (codewords, centers, ancestors,
+    index_paths; read-only arrays) are derived from the trees.
     """
 
     params: GalaxyParams
     trees: list
     packing_saturated: bool
     roots: list = field(init=False)
-    codewords: list = field(init=False)
+    codewords: np.ndarray = field(init=False)
+    centers: np.ndarray = field(init=False)
+    ancestors: np.ndarray = field(init=False)
+    index_paths: np.ndarray = field(init=False)
     degraded: bool = field(init=False)
 
     def __post_init__(self):
-        codewords: list[Codeword] = []
-        for i, root in enumerate(self.trees):
-            codewords.extend(flatten_codewords(root, i))
+        table = ("codewords", "centers", "ancestors", "index_paths")
+        for name, value in zip(table, flatten_codewords(self.trees)):
+            value.flags.writeable = False
+            object.__setattr__(self, name, value)
         object.__setattr__(self, "roots", [root.code.center for root in self.trees])
-        object.__setattr__(self, "codewords", codewords)
         object.__setattr__(
             self, "degraded", any(is_degraded(root, self.params) for root in self.trees)
         )
@@ -404,31 +382,37 @@ def is_degraded(root: GalaxyNode, params: GalaxyParams) -> bool:
     return any(len(node.code) < params.m_per_level for node in iter_nodes(root))
 
 
-def flatten_codewords(root: GalaxyNode, root_index: int) -> list:
-    """Depth-first list of the tree's codewords with their center chains.
+def flatten_codewords(trees: list) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The codeword table of a list of trees, built in one depth-first walk.
 
-    A codeword's chain starts at its height-1 parent and ends at the root,
-    so ancestor centers accumulate from the leaf upward.
+    Returns codewords (N, n), the height-1 points in walk order; centers
+    (C, n), every node's center in pre-order; ancestors (N, t_bar), where
+    ancestors[j, h-1] is the row of centers holding codeword j's height-h
+    ancestor, so the last column is the root; and index_paths
+    (N, t_bar + 1), the root index followed by the child indices from the
+    root down to the codeword.  No trees give 0-row arrays.
     """
-    out: list[Codeword] = []
+    points, centers, ancestors, index_paths = [], [], [], []
 
-    def walk(node: GalaxyNode, above: list, path: tuple):
+    def walk(node: GalaxyNode, above: tuple, path: tuple):
+        above = (len(centers),) + above  # ancestor rows accumulate from the leaf upward
+        centers.append(node.code.center)
         if node.height == 1:
-            for j, p in enumerate(node.code.points):
-                out.append(
-                    Codeword(
-                        u=p,
-                        path=[node.code.center] + above,
-                        root_index=root_index,
-                        index_path=path + (j,),
-                    )
-                )
+            points.extend(node.code.points)
+            ancestors.extend([above] * len(node.code))
+            index_paths.extend(path + (j,) for j in range(len(node.code)))
             return
         for i, child in enumerate(node.children):
-            walk(child, [node.code.center] + above, path + (i,))
+            walk(child, above, path + (i,))
 
-    walk(root, [], ())
-    return out
+    for root_index, root in enumerate(trees):
+        walk(root, (), (root_index,))
+    return (
+        np.array(points, dtype=np.float64),
+        np.array(centers, dtype=np.float64),
+        np.array(ancestors, dtype=np.intp),
+        np.array(index_paths, dtype=np.intp),
+    )
 
 
 def build_code(params: GalaxyParams) -> GalaxyCode:

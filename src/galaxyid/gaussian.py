@@ -21,8 +21,6 @@ __all__ = [
     "default_eps",
     "std_normal_cdf",
     "projection_tail",
-    "chi_square_cdf",
-    "shell_prob_same",
     "shell_prob_miss",
     "shell_prob_cross",
 ]
@@ -146,19 +144,6 @@ def _chi_square_tails(n: int, x: float) -> tuple[float, float]:
                 log_q = log_prefactor + math.log(h)
                 return -math.expm1(log_q), math.exp(log_q)
     raise ArithmeticError(f"P({a}, {z}) did not converge in {steps} steps")
-
-
-def chi_square_cdf(n: int, x: float) -> float:
-    """Chi-square CDF with n degrees of freedom: regularized gamma P(n/2, x/2)."""
-    return _chi_square_tails(n, x)[0]
-
-
-def shell_prob_same(spec: ShellSpec) -> float:
-    """Probability that noise around the transmitted point lands in its own shell.
-
-    The chi-square law P(n - n eps/sigma^2 <= chi2(n) <= n + n eps/sigma^2).
-    """
-    return 1.0 - shell_prob_miss(spec)
 
 
 def shell_prob_miss(spec: ShellSpec) -> float:

@@ -1,17 +1,19 @@
 """Scalar and approximate laws that only the tests use.
 
-The package runs the exact shell law and the batched decoder; these are
-the simpler per-vector forms and the central-limit approximations the
-tests compare it against.
+The package runs the exact shell law, the batched decoder and an array
+codeword table; these are the simpler per-vector forms, the per-codeword
+tree walk and the central-limit approximations the tests compare it
+against.
 """
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
-from galaxyid.galaxy import Codeword
+from galaxyid.galaxy import separation_margins
 from galaxyid.geometry import as_coords
-from galaxyid.gaussian import ShellSpec, std_normal_cdf
+from galaxyid.gaussian import ShellSpec, _chi_square_tails, shell_prob_miss, std_normal_cdf
 
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
@@ -19,6 +21,24 @@ _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 def std_normal_pdf(z: float) -> float:
     """Standard normal density."""
     return _INV_SQRT_2PI * math.exp(-0.5 * z * z)
+
+
+def chi_square_cdf(n: int, x: float) -> float:
+    """Chi-square CDF with n degrees of freedom: regularized gamma P(n/2, x/2)."""
+    return _chi_square_tails(n, x)[0]
+
+
+def shell_prob_same(spec: ShellSpec) -> float:
+    """Probability that noise around the transmitted point lands in its own shell.
+
+    The chi-square law P(n - n eps/sigma^2 <= chi2(n) <= n + n eps/sigma^2).
+    """
+    return 1.0 - shell_prob_miss(spec)
+
+
+def separation_condition(k: int, theta: float) -> bool:
+    """Slab-separation criterion (sin(theta/2) - 1/(k-1))^2 > 2/(k-1)."""
+    return separation_margins(k, theta)["strict_holds"]
 
 
 def shell_prob_same_normal_approx(spec: ShellSpec) -> float:
@@ -75,20 +95,55 @@ def slab_separation_margin(u1, u2, o_bar) -> float:
     return (a2 + d2 - b2) / (2.0 * a)
 
 
-def meet_depth(c1: Codeword, c2: Codeword):
-    """Smallest height at which the two codewords share an ancestor.
+@dataclass
+class Codeword:
+    """A leaf point together with the ancestor-center chain the decoder tests.
+
+    path[i] is the center at height i+1 above the codeword; path[-1] is the
+    root.  index_path holds the child indices from the root down to the leaf.
+    """
+
+    u: np.ndarray
+    path: list
+    root_index: int
+    index_path: tuple
+
+
+def walk_codewords(code) -> list:
+    """The code's codewords, one object each, built node by node in the
+    depth-first order of the package's codeword table."""
+    out = []
+
+    def walk(node, above, root_index, path):
+        if node.height == 1:
+            for j, p in enumerate(node.code.points):
+                out.append(Codeword(u=p, path=[node.code.center] + above,
+                                    root_index=root_index, index_path=path + (j,)))
+            return
+        for i, child in enumerate(node.children):
+            walk(child, [node.code.center] + above, root_index, path + (i,))
+
+    for root_index, root in enumerate(code.trees):
+        walk(root, [], root_index, ())
+    return out
+
+
+def meet_depth(row1, row2):
+    """Smallest height at which two codewords share an ancestor, from their
+    index_paths rows (root index, then the child indices down to the leaf).
 
     Returns None when the codewords lie under different roots; raises for
     identical codewords.  Siblings under one height-1 center meet at 1.
     """
-    if c1.root_index != c2.root_index:
+    root1, *path1 = (int(x) for x in row1)
+    root2, *path2 = (int(x) for x in row2)
+    if root1 != root2:
         return None
-    if c1.index_path == c2.index_path:
+    if path1 == path2:
         raise ValueError("meet depth is undefined for a codeword with itself")
-    t_bar = len(c1.index_path)
     lcp = 0
-    for a, b in zip(c1.index_path, c2.index_path):
+    for a, b in zip(path1, path2):
         if a != b:
             break
         lcp += 1
-    return t_bar - lcp
+    return len(path1) - lcp

@@ -31,10 +31,14 @@ from galaxyid.gaussian import (
     ShellSpec,
     projection_tail,
     shell_prob_cross,
-    shell_prob_same,
     std_normal_cdf,
 )
-from reference import mills_bound, shell_prob_same_normal_approx, slab_separation_margin
+from reference import (
+    mills_bound,
+    shell_prob_same,
+    shell_prob_same_normal_approx,
+    slab_separation_margin,
+)
 
 DISTANCE_TOL = 1e-6
 
@@ -188,14 +192,15 @@ def test_acceptance_7_same_galaxy_slab(standard_code):
     params = standard_code.params
     dec = DecoderParams.from_galaxy(params)
     threshold = 2 * params.sigma * math.log2(params.n)
-    cws = standard_code.codewords
+    u = standard_code.codewords
+    chains = standard_code.centers[standard_code.ancestors]
     from galaxyid.experiments import select_pairs
 
     pairs = select_pairs(standard_code, PairStrategy(mode="same-planet"), 0)
     # premise verified numerically for every pair before the run
     for i, j in pairs:
-        meet_center = cws[i].path[0]
-        margin = slab_separation_margin(cws[i].u, cws[j].u, meet_center)
+        meet_center = chains[i, 0]
+        margin = slab_separation_margin(u[i], u[j], meet_center)
         assert margin >= threshold, (i, j, margin, threshold)
     est = estimate_type2(
         standard_code, PairStrategy(mode="same-planet"), dec, 1_000_000, master_seed=44

@@ -6,7 +6,6 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from galaxyid.channel import DecoderParams, decide, identify, unit_directions
-from galaxyid.galaxy import Codeword
 from galaxyid.gaussian import projection_tail
 from reference import slab_separation_margin, transmit
 
@@ -62,8 +61,8 @@ def _shell(y, u, p):
 
 
 def _line_codeword(u, *path):
-    return Codeword(u=np.asarray(u, dtype=float), path=[np.asarray(o, dtype=float) for o in path],
-                    root_index=0, index_path=(0,) * len(path))
+    """(u, chain): a codeword and its ancestor centers, height 1 first."""
+    return np.asarray(u, dtype=float), np.asarray(path, dtype=float)
 
 
 def reference_decision(y, c, p):
@@ -74,15 +73,16 @@ def reference_decision(y, c, p):
     o-u is p = o + t (u - o); accepted when ||u - p|| <= slab_halfwidth.
     Returns (statistic, threshold, accepted) triples, shell bounds first.
     """
-    d = y - c.u
+    u, chain = c
+    d = y - u
     sq = float(d @ d)
     lo = max(0.0, p.n * (p.sigma**2 - p.eps_n))
     hi = p.n * (p.sigma**2 + p.eps_n)
     tests = [(sq, lo, lo <= sq), (sq, hi, sq <= hi)]
-    for o in c.path:
-        line = c.u - o
+    for o in chain:
+        line = u - o
         t = float((y - o) @ line) / float(line @ line)
-        dist = float(np.linalg.norm(c.u - (o + t * line)))
+        dist = float(np.linalg.norm(u - (o + t * line)))
         tests.append((dist, p.slab_halfwidth, dist <= p.slab_halfwidth))
     return tests
 
@@ -123,19 +123,20 @@ def test_identify_equals_plain_conjunction(case):
         for y in rows:
             tests = reference_decision(y, c, dec)
             assume(not _near_threshold(tests))
-            assert identify(y, c, dec) == all(ok for _, _, ok in tests)
+            assert identify(y, *c, dec) == all(ok for _, _, ok in tests)
 
 
 @settings(max_examples=300, deadline=None)
 @given(decoder_cases())
 def test_decide_matches_reference_decoder(case):
     dec, cws, ys = case
-    directions = unit_directions(cws)
-    assert directions.shape == (len(cws), len(cws[0].path), dec.n)
+    u, chains = (np.asarray(part) for part in zip(*cws))
+    directions = unit_directions(u, chains)
+    assert directions.shape == (len(cws), len(cws[0][1]), dec.n)
     for j, (c, rows) in enumerate(zip(cws, ys)):
         expected = [reference_decision(y, c, dec) for y in rows]
         assume(not any(_near_threshold(tests) for tests in expected))
-        shell, slabs, accept = decide(rows - c.u, directions[j], dec)
+        shell, slabs, accept = decide(rows - u[j], directions[j], dec)
         for r, tests in enumerate(expected):
             oks = [ok for _, _, ok in tests]
             assert shell[r] == (oks[0] and oks[1])
@@ -159,8 +160,7 @@ def test_in_slab():
     p = params100()
     u = np.zeros(100)
     u[0] = 5.0
-    c = _line_codeword(u, np.zeros(100))
-    direction = unit_directions([c])[0]
+    direction = unit_directions(u[None], np.zeros((1, 1, 100)))[0]
     # one row per case: y = u, orthogonal displacement of any size (invisible
     # to the slab), along-line displacement beyond the half-width (rejected)
     ys = np.tile(u, (3, 1))
@@ -169,7 +169,7 @@ def test_in_slab():
     _, slabs, _ = decide(ys - u, direction, p)
     assert slabs[:, 0].tolist() == [True, True, False]
     with pytest.raises(ValueError, match="degenerate"):
-        unit_directions([_line_codeword(u, u)])
+        unit_directions(u[None], u[None, None])
 
 
 def _toy_codeword(n=100):
@@ -182,19 +182,19 @@ def _toy_codeword(n=100):
 
 def test_identify_cases():
     p = params100()
-    c = _toy_codeword()
+    u, chain = _toy_codeword()
     # shell-exact output, orthogonal to both slab lines
-    y = c.u.copy()
+    y = u.copy()
     y[1] = 10.0
-    assert _shell(y, c.u, p)
-    assert identify(y, c, p)
+    assert _shell(y, u, p)
+    assert identify(y, u, chain, p)
     # y = u fails via the shell alone
-    assert not identify(c.u, c, p)
+    assert not identify(u, u, chain, p)
     # far along the first slab line, shell kept satisfied: rejected via slab
-    y2 = c.u.copy()
+    y2 = u.copy()
     y2[0] += math.sqrt(100.0)
-    assert _shell(y2, c.u, p)
-    assert not identify(y2, c, p)
+    assert _shell(y2, u, p)
+    assert not identify(y2, u, chain, p)
 
 
 def test_shell_depends_only_on_distance():
@@ -210,18 +210,18 @@ def test_shell_depends_only_on_distance():
 
 def test_identify_rejects_bad_input():
     p = params100()
-    c = _toy_codeword()
-    y = c.u.copy()
+    u, chain = _toy_codeword()
+    y = u.copy()
     y[1] = 10.0
     with pytest.raises(ValueError, match="center chain"):
-        identify(y, _line_codeword(c.u), p)
+        identify(y, *_line_codeword(u), p)
     with pytest.raises(ValueError, match="dimension mismatch"):
-        identify(y[:50], c, p)
+        identify(y[:50], u, chain, p)
     y[2] = math.nan
     with pytest.raises(ValueError, match="finite"):
-        identify(y, c, p)
+        identify(y, u, chain, p)
     with pytest.raises(ValueError, match="degenerate"):
-        identify(c.u, _line_codeword(c.u, c.path[0], c.u), p)
+        identify(u, *_line_codeword(u, chain[0], u), p)
 
 
 def test_empirical_slab_acceptance():
@@ -273,8 +273,7 @@ def test_degenerate_sigma_zero_type2():
     u2 = np.zeros(n)
     u2[0] = 6.0
     u2[1] = 10.0  # d^2 = 100 > n * eps_n = 16
-    c1 = Codeword(u=u1, path=[o], root_index=0, index_path=(0,))
     y = transmit(u2, 0.0, np.random.default_rng(0))
     np.testing.assert_array_equal(y, u2)
     assert not _shell(y, u1, dec)
-    assert not identify(y, c1, dec)
+    assert not identify(y, u1, o[None], dec)

@@ -168,15 +168,19 @@ def _node_edit(path, change):
         (_node_edit((0, 0), lambda node: node.update(children=[])),
          "node (0, 0) has height 1 but lists children"),
         (lambda doc: {**doc, "format_version": 1}, "unsupported code file format_version 1"),
+        (_node_edit((1, 2), lambda node: node["points"][0].__setitem__(3, "nan")),
+         "node (1, 2) has a non-finite coordinate"),
+        (_node_edit((0,), lambda node: node["center"].__setitem__(0, "inf")),
+         "node (0,) has a non-finite coordinate"),
     ],
     ids=["params-without-n", "null-k", "no-trees", "top-level-list", "fewer-children",
          "no-children", "short-point", "empty-points", "empty-trees", "too-many-points",
-         "leaf-children", "format-v1"],
+         "leaf-children", "format-v1", "nan-point", "inf-root-center"],
 )
 def test_malformed_code_file_exits_two(tmp_path, deep_code_file, edit, message):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(edit(json.loads(deep_code_file.read_text()))))
-    for command in (["verify"], ["simulate", "--type1", "--trials", "10"]):
+    for command in (["verify"], ["simulate", "--type1", "--trials", "10"], ["rate"]):
         res = run_cli(command[0], "--code", str(bad), *command[1:])
         assert res.returncode == 2, res.stderr
         assert res.stderr.startswith("error: ") and message in res.stderr, res.stderr

@@ -23,11 +23,9 @@ def test_roundtrip_bit_identical(code):
     text = serialize(code)
     back = deserialize(text)
     assert serialize(back) == text
-    for a, b in zip(code.codewords, back.codewords):
-        assert np.array_equal(a.u, b.u)
-        assert a.index_path == b.index_path
-        for pa, pb in zip(a.path, b.path):
-            assert np.array_equal(pa, pb)
+    for name in ("codewords", "centers", "ancestors", "index_paths"):
+        a, b = getattr(code, name), getattr(back, name)
+        assert (a.shape, a.dtype, a.tobytes()) == (b.shape, b.dtype, b.tobytes()), name
 
 
 def test_roundtrip_preserves_metadata(code):

@@ -78,15 +78,15 @@ def test_type1_bound_attached(small_code, decoder):
 
 def test_select_pairs_strata(small_code):
     t_bar = small_code.params.t_bar
-    cws = small_code.codewords
+    paths = small_code.index_paths
     from reference import meet_depth
 
     planet = select_pairs(small_code, PairStrategy(mode="same-planet"), 0)
-    assert planet and all(meet_depth(cws[i], cws[j]) == 1 for i, j in planet)
+    assert planet and all(meet_depth(paths[i], paths[j]) == 1 for i, j in planet)
     deep = select_pairs(small_code, PairStrategy(mode="same-galaxy-deep"), 0)
-    assert deep and all(meet_depth(cws[i], cws[j]) == t_bar for i, j in deep)
+    assert deep and all(meet_depth(paths[i], paths[j]) == t_bar for i, j in deep)
     cross = select_pairs(small_code, PairStrategy(mode="cross-galaxy"), 0)
-    assert cross and all(cws[i].root_index != cws[j].root_index for i, j in cross)
+    assert cross and all(paths[i, 0] != paths[j, 0] for i, j in cross)
     sample = select_pairs(small_code, PairStrategy(mode="exhaustive-sample", sample_count=50), 3)
     assert len(sample) == 50
     assert sample == select_pairs(

@@ -16,11 +16,10 @@ from galaxyid.galaxy import (
     pair_distance_lower_bound,
     radial_bounds,
     rate_lower_bound,
-    separation_condition,
     separation_margins,
     theta_of_k,
 )
-from reference import meet_depth
+from reference import meet_depth, separation_condition
 
 
 def small_params(**kw):
@@ -232,7 +231,7 @@ def test_build_code_counts_and_power():
     code = build_code(p)
     assert len(code.codewords) == len(code.roots) * p.m_per_level**p.t_bar
     cap = math.sqrt(p.n * p.power)
-    assert max(float(np.linalg.norm(c.u)) for c in code.codewords) <= cap
+    assert max(float(np.linalg.norm(u)) for u in code.codewords) <= cap
     # depth-1 code: 1 root x m codewords when the budget admits one center
     tiny = GalaxyParams(
         n=8, power=0.7, k=8, m_per_level=4, master_seed=3, max_roots=4, saturation_probes=20
@@ -249,23 +248,23 @@ def test_build_code_deterministic_bytes():
 def test_meet_depth():
     p = small_params(t_bar=2, power=2000.0, max_roots=4)
     code = build_code(p)
-    cws = code.codewords
+    paths = code.index_paths
     m = p.m_per_level
     # siblings under one height-1 center
-    assert meet_depth(cws[0], cws[1]) == 1
+    assert meet_depth(paths[0], paths[1]) == 1
     # same root, different height-1 parents
-    assert meet_depth(cws[0], cws[m]) == 2
+    assert meet_depth(paths[0], paths[m]) == 2
     # different roots
     per_root = m**2
     if len(code.roots) >= 2:
-        assert meet_depth(cws[0], cws[per_root]) is None
+        assert meet_depth(paths[0], paths[per_root]) is None
     with pytest.raises(ValueError):
-        meet_depth(cws[0], cws[0])
+        meet_depth(paths[0], paths[0])
 
 
 def test_codeword_paths_end_at_root():
     p = small_params(t_bar=2, power=2000.0, max_roots=3)
     code = build_code(p)
-    for c in code.codewords:
-        assert len(c.path) == p.t_bar
-        assert np.array_equal(c.path[-1], code.roots[c.root_index])
+    for path, row in zip(code.centers[code.ancestors], code.index_paths, strict=True):
+        assert len(path) == p.t_bar
+        assert np.array_equal(path[-1], code.roots[row[0]])

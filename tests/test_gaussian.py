@@ -5,15 +5,19 @@ import pytest
 
 from galaxyid.gaussian import (
     ShellSpec,
-    chi_square_cdf,
     default_eps,
     projection_tail,
     shell_prob_cross,
     shell_prob_miss,
-    shell_prob_same,
     std_normal_cdf,
 )
-from reference import mills_bound, shell_prob_same_normal_approx, std_normal_pdf
+from reference import (
+    chi_square_cdf,
+    mills_bound,
+    shell_prob_same,
+    shell_prob_same_normal_approx,
+    std_normal_pdf,
+)
 
 # Frozen oracle values (erfc / regularized-incomplete-gamma evaluations).
 PHI_M2 = 0.02275013194817921

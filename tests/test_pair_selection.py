@@ -1,6 +1,7 @@
 """The tree-block paths against direct per-pair definitions, one pair at a time:
 pair selection, type-II meet rows, and the pairwise checks of verification;
-and the code file round trip over the same random codes."""
+and, over the same random codes, the codeword table against a node-by-node
+walk and the code file round trip."""
 
 import copy
 import math
@@ -23,29 +24,29 @@ from galaxyid.galaxy import (
     pair_distance_lower_bound,
 )
 from galaxyid.seeding import derive_seed
-from reference import meet_depth
+from reference import meet_depth, walk_codewords
 
 MODES = ("same-planet", "same-galaxy-deep", "cross-galaxy")
 
 
 def reference_pairs(code, strategy, master_seed):
     """Walk all N(N-1) ordered pairs i-major, keep the matches, then cap them."""
-    cws = code.codewords
+    u, paths = code.codewords, code.index_paths
     t_bar = code.params.t_bar
     pairs = []
-    for i in range(len(cws)):
-        for j in range(len(cws)):
+    for i in range(len(u)):
+        for j in range(len(u)):
             if i == j:
                 continue
-            if cws[i].root_index != cws[j].root_index:
+            if paths[i, 0] != paths[j, 0]:
                 if strategy.mode != "cross-galaxy":
                     continue
                 if strategy.min_distance is not None:
-                    if float(np.linalg.norm(cws[i].u - cws[j].u)) < strategy.min_distance:
+                    if float(np.linalg.norm(u[i] - u[j])) < strategy.min_distance:
                         continue
                 pairs.append((i, j))
             else:
-                meet = meet_depth(cws[i], cws[j])
+                meet = meet_depth(paths[i], paths[j])
                 if strategy.mode == "same-planet" and meet == 1:
                     pairs.append((i, j))
                 elif strategy.mode == "same-galaxy-deep" and meet == t_bar:
@@ -107,13 +108,12 @@ def test_select_pairs_matches_reference(code, seed):
 @SETTINGS
 @given(code=codes(), pick=st.integers(0, 2**16), seed=st.integers(0, 2**16))
 def test_min_distance_tie_matches_reference(code, pick, seed):
-    cws = code.codewords
-    cross = [(i, j) for i in range(len(cws)) for j in range(len(cws))
-             if cws[i].root_index != cws[j].root_index]
+    u, roots = code.codewords, code.index_paths[:, 0]
+    cross = [(i, j) for i in range(len(u)) for j in range(len(u)) if roots[i] != roots[j]]
     if not cross:
         return
     i, j = cross[pick % len(cross)]
-    tie = float(np.linalg.norm(cws[i].u - cws[j].u))
+    tie = float(np.linalg.norm(u[i] - u[j]))
     for md in (tie, math.nextafter(tie, 0.0), math.nextafter(tie, math.inf)):
         assert_same_selection(code, PairStrategy(mode="cross-galaxy", min_distance=md), seed)
 
@@ -123,8 +123,8 @@ def test_min_distance_tie_matches_reference(code, pick, seed):
 def test_capped_selection_matches_reference(code, cap, seed):
     if len(code.codewords) < 2:
         return
-    cws = code.codewords
-    median = float(np.median([np.linalg.norm(c.u - cws[0].u) for c in cws]))
+    u = code.codewords
+    median = float(np.median(np.linalg.norm(u - u[0], axis=1)))
     with mock.patch.object(experiments, "_PAIR_CAP", cap):
         for mode in MODES:
             assert_same_selection(code, PairStrategy(mode=mode), seed)
@@ -145,14 +145,14 @@ def uneven_code():
         GalaxyParams(n=2, power=1e8, k=64, m_per_level=10, master_seed=0, t_bar=2,
                      max_roots=3, saturation_probes=30, max_attempts=5)
     )
-    planets = Counter((c.root_index, c.index_path[0]) for c in code.codewords)
+    planets = Counter((root, planet) for root, planet, _ in code.index_paths.tolist())
     assert code.degraded and len(set(planets.values())) > 1
     return code
 
 
 def test_uneven_blocks_match_reference(uneven_code):
-    cws = uneven_code.codewords
-    tie = float(np.linalg.norm(cws[0].u - cws[-1].u))
+    u = uneven_code.codewords
+    tie = float(np.linalg.norm(u[0] - u[-1]))
     strategies = [PairStrategy(mode=mode) for mode in MODES] + [
         PairStrategy(mode="cross-galaxy", min_distance=md) for md in (tie, 0.0, -1.0)
     ]
@@ -181,7 +181,7 @@ def test_meet_rows_match_meet_depth(code, seed):
     n_cw = len(code.codewords)
     if n_cw < 2:
         return
-    cws = code.codewords
+    paths = code.index_paths
     strategies = [PairStrategy(mode=mode) for mode in MODES] + [
         PairStrategy(mode="exhaustive-sample", sample_count=min(40, n_cw * (n_cw - 1)))
     ]
@@ -191,20 +191,20 @@ def test_meet_rows_match_meet_depth(code, seed):
         except ValueError:
             continue  # no pair of this class
         targets, senders = np.asarray(pairs).T
-        expected = [-1 if m is None else m - 1 for m in (meet_depth(cws[i], cws[j]) for i, j in pairs)]
+        expected = [-1 if m is None else m - 1 for m in (meet_depth(paths[i], paths[j]) for i, j in pairs)]
         assert experiments._meet_rows(code, targets, senders).tolist() == expected
 
 
 def reference_violations(code, tol=1e-6):
     """cond2 and cross-galaxy violations from an i < j loop over every pair."""
     p = code.params
-    cws = code.codewords
+    u, paths = code.codewords, code.index_paths
     floor = p.n ** (p.b + 0.25) / 2.0
     cond2, cross = [], []
-    for i in range(len(cws)):
-        for j in range(i + 1, len(cws)):
-            d = float(np.linalg.norm(cws[i].u - cws[j].u))
-            meet = meet_depth(cws[i], cws[j])
+    for i in range(len(u)):
+        for j in range(i + 1, len(u)):
+            d = float(np.linalg.norm(u[i] - u[j]))
+            meet = meet_depth(paths[i], paths[j])
             if meet is None:
                 if d < floor - tol:
                     cross.append({"pair": (i, j), "measured": d, "bound": floor})
@@ -218,15 +218,14 @@ def reference_violations(code, tol=1e-6):
 def crowded(code, offset, leaf, pull):
     """The code with root 1's galaxy moved next to root 0's, shifted by `offset`
     along the first axis, and one leaf pulled toward its list neighbour."""
-    cws = code.codewords
-    u = np.asarray([c.u for c in cws])
-    roots = np.asarray([c.root_index for c in cws])
+    u = code.codewords.copy()
+    roots = code.index_paths[:, 0]
     if roots.max() > 0:
         moved = roots == 1
         u[moved] += u[0] - u[np.flatnonzero(moved)[0]]
         u[moved, 0] += offset
-    i = leaf % len(cws)
-    j = i + 1 if i + 1 < len(cws) else max(i - 1, 0)
+    i = leaf % len(u)
+    j = i + 1 if i + 1 < len(u) else max(i - 1, 0)
     u[i] += pull * (u[j] - u[i])
     trees = copy.deepcopy(code.trees)
     start = 0
@@ -272,15 +271,30 @@ def test_at_least_meets_nonpositive_thresholds_without_recheck():
 
 @SETTINGS
 @given(code=codes())
+def test_codeword_table_matches_node_walk(code):
+    walked = walk_codewords(code)
+    expected = {
+        "codewords": (np.asarray([c.u for c in walked]), code.codewords),
+        "chains": (np.asarray([c.path for c in walked]), code.centers[code.ancestors]),
+        "index_paths": (
+            np.asarray([(c.root_index, *c.index_path) for c in walked], dtype=np.intp),
+            code.index_paths,
+        ),
+    }
+    for name, (ref, table) in expected.items():
+        assert (ref.shape, ref.dtype, ref.tobytes()) == (table.shape, table.dtype, table.tobytes()), name
+
+
+@SETTINGS
+@given(code=codes())
 def test_code_file_round_trip_is_bit_identical(code):
     text = serialize(code)
     back = deserialize(text)
     assert serialize(back) == text
     assert (back.degraded, back.packing_saturated) == (code.degraded, code.packing_saturated)
-    for a, b in zip(code.codewords, back.codewords, strict=True):
-        assert (a.root_index, a.index_path) == (b.root_index, b.index_path)
-        assert a.u.tobytes() == b.u.tobytes()
-        assert [o.tobytes() for o in a.path] == [o.tobytes() for o in b.path]
+    for name in ("codewords", "centers", "ancestors", "index_paths"):
+        a, b = getattr(code, name), getattr(back, name)
+        assert (a.shape, a.dtype, a.tobytes()) == (b.shape, b.dtype, b.tobytes()), name
     nodes = [node for root in code.trees for node in iter_nodes(root)]
     back_nodes = [node for root in back.trees for node in iter_nodes(root)]
     for a, b in zip(nodes, back_nodes, strict=True):
