@@ -97,7 +97,8 @@ def _add_build_params(sub: argparse.ArgumentParser) -> None:
     )
     sub.add_argument("--max-roots", type=int, default=256)
     sub.add_argument("--probes", type=int, default=200, help="consecutive rejections = saturation")
-    sub.add_argument("--max-attempts", type=int, default=20000)
+    sub.add_argument("--max-attempts", type=int, default=20000,
+                     help="consecutive rejections that end a node's spherical code")
 
 
 def _emit(args, rows: list[dict]) -> None:

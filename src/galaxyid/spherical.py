@@ -83,6 +83,21 @@ def _witness_candidates(n: int, theta: float) -> list[np.ndarray]:
     return [d for d in _simplex_directions(n, m)] + basis
 
 
+def _obtuse_ceiling(n: int, cos_t: float) -> float:
+    """Most points the acceptance test can ever admit at an obtuse angle, else inf.
+
+    Accepted directions have pairwise dots <= c' = cos theta plus slack for
+    _DOT_TOL and rounding.  For c' < 0, m such unit vectors satisfy
+    0 <= ||sum v||^2 <= m + m(m-1)c', so m <= 1 - 1/c' (Rankin), and at most
+    n+1 vectors of R^n have pairwise negative dots.  The slack can only round
+    the ceiling up, which stops later, never earlier.
+    """
+    c = cos_t + 1e-9
+    if c >= 0.0:
+        return math.inf
+    return min(n + 1, math.floor(1.0 - 1.0 / c))
+
+
 def generate(
     n: int,
     center,
@@ -97,9 +112,16 @@ def generate(
     Candidates are the deterministic witness prefix followed by uniform
     directions (normalized i.i.d. standard normal draws); a candidate is
     accepted iff it keeps the minimum subtended angle >= theta against
-    everything accepted so far.  Generation stops at target_m points or
-    after max_attempts consecutive rejections, in which case the result
-    is flagged saturated.  Fully deterministic given the seed.
+    everything accepted so far.  Generation stops at the first of:
+
+    * target_m points;
+    * for obtuse theta, the ceiling on how many points the acceptance test
+      can admit at all (at most n+1, and at most 1 - 1/cos theta), when it
+      lies below target_m: no further candidate could be accepted, so the
+      result is flagged saturated without drawing;
+    * max_attempts consecutive rejections, also flagged saturated.
+
+    Fully deterministic given the seed.
     """
     if not (0 < theta <= math.pi):
         raise ValueError(f"theta must lie in (0, pi], got {theta}")
@@ -113,13 +135,13 @@ def generate(
 
     rng = np.random.default_rng(seed)
     cos_t = math.cos(theta)
+    stop_m = min(target_m, _obtuse_ceiling(n, cos_t))
     accepted: list[np.ndarray] = []
     prefix = _witness_candidates(n, theta)
     prefix_pos = 0
     rejections = 0
-    saturated = False
 
-    while len(accepted) < target_m:
+    while len(accepted) < stop_m:
         if prefix_pos < len(prefix):
             cand = prefix[prefix_pos]
             prefix_pos += 1
@@ -132,7 +154,6 @@ def generate(
         if accepted and np.max(np.asarray(accepted) @ cand) > cos_t + _DOT_TOL:
             rejections += 1
             if rejections >= max_attempts:
-                saturated = True
                 break
             continue
         accepted.append(cand)
@@ -143,17 +164,23 @@ def generate(
         center=center,
         radius=float(r),
         points=center + r * dirs,
-        saturated=saturated,
+        saturated=len(accepted) < target_m,
     )
 
 
 def min_pairwise_angle(code: SphericalCode) -> float:
-    """Exact minimum over all point pairs of the angle subtended at the center."""
+    """Exact minimum over all point pairs of the angle subtended at the center.
+
+    A point on the center has no direction, so the minimum is then 0.
+    """
     m = len(code)
     if m < 2:
         raise ValueError("need at least two points for a pairwise angle")
     offs = code.points - code.center
-    offs = offs / np.linalg.norm(offs, axis=1, keepdims=True)
+    norms = np.linalg.norm(offs, axis=1, keepdims=True)
+    if not norms.all():  # some offset is zero
+        return 0.0
+    offs = offs / norms
     gram = offs @ offs.T
     iu = np.triu_indices(m, k=1)
     max_dot = float(np.max(gram[iu]))

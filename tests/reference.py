@@ -1,9 +1,10 @@
 """Scalar and approximate laws that only the tests use.
 
-The package runs the exact shell law, the batched decoder and an array
-codeword table; these are the simpler per-vector forms, the per-codeword
-tree walk and the central-limit approximations the tests compare it
-against.
+The package runs the exact shell law, the batched decoder, an array
+codeword table and a spherical-code generator that stops at the obtuse-angle
+ceiling; these are the simpler per-vector forms, the per-codeword tree walk,
+the plain greedy loop and the central-limit approximations the tests compare
+it against.
 """
 
 import math
@@ -14,6 +15,7 @@ import numpy as np
 from galaxyid.galaxy import separation_margins
 from galaxyid.geometry import as_coords
 from galaxyid.gaussian import ShellSpec, _chi_square_tails, shell_prob_miss, std_normal_cdf
+from galaxyid.spherical import _DOT_TOL, SphericalCode, _witness_candidates
 
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
@@ -147,3 +149,40 @@ def meet_depth(row1, row2):
             break
         lcp += 1
     return len(path1) - lcp
+
+
+def generate_reference(n, center, r, theta, target_m, max_attempts, seed):
+    """spherical.generate without its obtuse-angle ceiling: the greedy loop
+    draws until target_m points or max_attempts consecutive rejections,
+    the latter flagged saturated."""
+    rng = np.random.default_rng(seed)
+    cos_t = math.cos(theta)
+    center = as_coords(center)
+    accepted = []
+    prefix = _witness_candidates(n, theta)
+    prefix_pos = 0
+    rejections = 0
+    saturated = False
+
+    while len(accepted) < target_m:
+        if prefix_pos < len(prefix):
+            cand = prefix[prefix_pos]
+            prefix_pos += 1
+        else:
+            v = rng.standard_normal(n)
+            norm = np.linalg.norm(v)
+            if norm == 0.0:
+                continue
+            cand = v / norm
+        if accepted and np.max(np.asarray(accepted) @ cand) > cos_t + _DOT_TOL:
+            rejections += 1
+            if rejections >= max_attempts:
+                saturated = True
+                break
+            continue
+        accepted.append(cand)
+        rejections = 0
+
+    dirs = np.asarray(accepted, dtype=np.float64)
+    return SphericalCode(center=center, radius=float(r), points=center + r * dirs,
+                         saturated=saturated)

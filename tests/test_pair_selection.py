@@ -10,7 +10,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from galaxyid import experiments
@@ -242,6 +242,11 @@ def crowded(code, offset, leaf, pull):
     leaf=st.integers(0, 2**16),
     pull=st.floats(0.0, 0.99),
     tol=st.sampled_from([1e-6, -0.01]),  # a negative tolerance demands a margin
+)
+@example(  # pulls a leaf onto its node's center: the angle check must not divide by 0
+    code=build_code(GalaxyParams(n=2, power=1e8, k=16, m_per_level=2, t_bar=1, master_seed=0,
+                                 max_roots=1, saturation_probes=30, max_attempts=5)),
+    offset=0.0, leaf=0, pull=0.5, tol=1e-6,
 )
 def test_pairwise_violations_match_reference(code, offset, leaf, pull, tol):
     code = crowded(code, offset, leaf, pull)

@@ -1,15 +1,24 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from galaxyid import spherical
 from galaxyid.galaxy import theta_of_k
 from galaxyid.spherical import (
+    SphericalCode,
     _simplex_directions,
+    _witness_candidates,
     csw_lower_bound,
     generate,
     min_pairwise_angle,
 )
+from reference import generate_reference
+
+DESIGN_THETAS = [theta_of_k(k) for k in (7, 8, 9)]  # obtuse: cos = -3/5, -1/3, -1/7
 
 
 def unit_sphere(n, theta, m, seed=0, attempts=10_000):
@@ -29,7 +38,7 @@ def test_square_in_the_plane():
     assert min_pairwise_angle(code) >= math.pi / 2 - 1e-9
 
 
-def test_obtuse_angle_code():
+def test_acute_angle_code():
     theta = math.pi / 3
     code = unit_sphere(8, theta, 16)
     assert min_pairwise_angle(code) >= theta - 1e-9
@@ -75,6 +84,63 @@ def test_simplex_witness_for_design_angle():
     over = unit_sphere(10, theta, 5, seed=5, attempts=3000)
     assert len(over) == 4
     assert over.saturated
+
+
+class _NoDraws:
+    """A generator stream that fails the test on any draw."""
+
+    def __getattr__(self, name):
+        raise AssertionError(f"generate drew from its stream ({name})")
+
+
+@pytest.mark.parametrize(
+    "n, theta, target_m, ceiling",
+    [
+        (64, theta_of_k(8), 16, 4),  # the wide-build node
+        (16, theta_of_k(7), 16, 2),
+        (5, math.pi, 4, 2),
+        (3, theta_of_k(8), 16, 4),  # n + 1 = 4
+        (6, theta_of_k(9), 16, 7),  # n + 1 = 7 < 1 - 1/cos theta = 8
+    ],
+    ids=["k8-n64", "k7-n16", "pi-n5", "k8-n3", "k9-n6"],
+)
+def test_obtuse_ceiling_stops_without_drawing(n, theta, target_m, ceiling):
+    with mock.patch.object(spherical.np.random, "default_rng", lambda seed: _NoDraws()):
+        code = generate(n, np.zeros(n), 1.0, theta, target_m, 10**9, seed=0)
+    assert code.saturated
+    witness = np.asarray(_witness_candidates(n, theta)[:ceiling])
+    assert np.array_equal(code.points, witness)
+
+
+@st.composite
+def generate_args(draw):
+    n = draw(st.integers(2, 12))
+    theta = draw(st.one_of(
+        st.sampled_from(DESIGN_THETAS),
+        st.floats(math.pi / 2, math.pi, exclude_min=True),
+        st.just(math.pi),
+    ))
+    return dict(
+        n=n,
+        center=np.linspace(-1.0, 1.0, n),
+        r=1.5,
+        theta=theta,
+        target_m=draw(st.integers(1, 2 * n + 2)),
+        max_attempts=draw(st.integers(1, 300)),
+        seed=draw(st.integers(0, 2**63)),
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(args=generate_args())
+def test_generate_matches_greedy_reference(args):
+    # Stopping at the ceiling must leave exactly the points and flag the
+    # plain loop ends with after max_attempts futile rejections.
+    code = generate(**args)
+    ref = generate_reference(**args)
+    assert code.points.shape == ref.points.shape
+    assert code.points.tobytes() == ref.points.tobytes()
+    assert code.saturated == ref.saturated
 
 
 def test_every_generated_code_certifies():
@@ -124,3 +190,10 @@ def test_simplex_directions_fit_any_dimension(n, m):
 def test_min_pairwise_angle_examples():
     assert min_pairwise_angle(unit_sphere(3, math.pi, 2)) == pytest.approx(math.pi)
     assert min_pairwise_angle(unit_sphere(2, math.pi / 2, 4)) == pytest.approx(math.pi / 2)
+
+
+def test_min_pairwise_angle_point_on_center():
+    # No direction, so no angle: 0, deliberately and without a warning.
+    points = np.array([[1.0, 2.0], [2.0, 2.0], [1.0, 3.0]])
+    code = SphericalCode(center=points[0].copy(), radius=1.0, points=points)
+    assert min_pairwise_angle(code) == 0.0
