@@ -82,16 +82,17 @@ def decide(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Shell mask, per-level slab masks and decision mask for rows y - u.
 
-    `directions` is one codeword's (t_bar, n) slice of unit_directions.
-    The shell window is on the squared norm, the event on which the
-    chi-square noise statistic concentrates.  The projection of y onto the
-    line o-u lies |<y - u, (u - o)/||u - o||>| from u, so each slab test is
-    one inner product per level.
+    `directions` is a (rows, t_bar, n) block of unit_directions slices: row
+    r is tested against the chain of its own codeword.  The shell window is
+    on the squared norm, the event on which the chi-square noise statistic
+    concentrates.  The projection of y onto the line o-u lies
+    |<y - u, (u - o)/||u - o||>| from u, so each slab test is one inner
+    product per level.
     """
     sq = np.einsum("ij,ij->i", deltas, deltas)
     lo, hi = params.shell_bounds
     shell = (lo <= sq) & (sq <= hi)
-    slabs = np.abs(deltas @ directions.T) <= params.slab_halfwidth
+    slabs = np.abs(np.einsum("ri,rli->rl", deltas, directions)) <= params.slab_halfwidth
     return shell, slabs, shell & slabs.all(axis=1)
 
 
@@ -105,5 +106,5 @@ def identify(y, u, chain, params: DecoderParams) -> bool:
     u = as_coords(u)
     if y.size != u.size:
         raise ValueError(f"dimension mismatch: {y.size} vs {u.size}")
-    _, _, accept = decide((y - u)[None, :], unit_directions(u[None, :], chain[None])[0], params)
+    _, _, accept = decide((y - u)[None, :], unit_directions(u[None, :], chain[None]), params)
     return bool(accept[0])

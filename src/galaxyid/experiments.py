@@ -41,6 +41,10 @@ __all__ = [
 UNIT_SIZE = 8192  # trials per RNG work unit; fixed so worker count never matters
 _PAIR_CAP = 20000  # strategies larger than this are subsampled deterministically
 _MASK_CELLS = 1 << 20  # (row, codeword) cells per block of a pairwise distance test
+# Gathered (row, level, coordinate) direction cells per decide() block, 512 kB
+# per thread.  _MASK_CELLS would gather 8 MB per block and thread: more than
+# the ~5 MB (10 %) peak-RSS bound of the small-mc benchmark workload.
+_DECIDE_CELLS = 1 << 16
 ANGLE_TOL = 1e-9
 
 
@@ -108,6 +112,10 @@ class PairStrategy:
             raise ValueError(f"unknown pair mode {self.mode!r}; expected one of {self._MODES}")
         if self.mode == "exhaustive-sample" and not self.sample_count:
             raise ValueError("exhaustive-sample requires sample_count")
+        if self.sample_count is not None and self.mode != "exhaustive-sample":
+            raise ValueError(f"sample_count applies to exhaustive-sample only, not {self.mode}")
+        if self.min_distance is not None and self.mode != "cross-galaxy":
+            raise ValueError(f"min_distance applies to cross-galaxy only, not {self.mode}")
         if self.min_distance is not None and not math.isfinite(self.min_distance):
             raise ValueError(f"min_distance must be finite, got {self.min_distance}")
 
@@ -201,12 +209,49 @@ def _run_units(worker, n_units: int, threads: int | None) -> list:
         return list(pool.map(worker, range(n_units)))
 
 
-def _grouped(indices: np.ndarray):
-    """Yield (value, row positions) groups of an integer assignment vector."""
-    order = np.argsort(indices, kind="stable")
-    values, starts, counts = np.unique(indices[order], return_index=True, return_counts=True)
-    for v, s, c in zip(values, starts, counts):
-        yield int(v), order[s : s + c]
+def _pair_counts(
+    code: GalaxyCode,
+    targets: np.ndarray,
+    senders: np.ndarray,
+    tag: str,
+    params: DecoderParams,
+    trials: int,
+    master_seed: int,
+    threads: int | None,
+) -> tuple[int, int, int]:
+    """(accepted, in shell, in decisive slab) counts, summed over the units,
+    when trial t sends senders[p] to targets[p]'s decoder, p = t mod P.
+
+    The decisive slab is the one at the pair's meet ancestor; a pair with
+    none (across roots, or a codeword with itself) counts nothing there.
+    Each unit's noise comes from the stream (master_seed, tag, unit) and is
+    decided in row blocks of at most _DECIDE_CELLS gathered direction cells.
+    """
+    plan = _unit_plan(trials)
+    u = code.codewords
+    directions = unit_directions(u, code.centers[code.ancestors])
+    offsets = u[senders] - u[targets]
+    meet_rows = _meet_rows(code, targets, senders)
+    step = max(1, _DECIDE_CELLS // directions[0].size)
+
+    def run_unit(unit_index: int) -> np.ndarray:
+        start, size = plan[unit_index]
+        rng = np.random.default_rng(derive_seed(master_seed, tag, unit_index))
+        deltas = rng.standard_normal((size, params.n))
+        deltas *= params.sigma
+        counts = np.zeros(3, dtype=np.int64)
+        for s in range(0, size, step):
+            block = deltas[s : s + step]
+            p = (start + s + np.arange(len(block))) % len(offsets)
+            block += offsets[p]
+            shell, slabs, accept = decide(block, directions[targets[p]], params)
+            rows = meet_rows[p]
+            met = rows >= 0
+            counts += accept.sum(), shell.sum(), slabs[met, rows[met]].sum()
+        return counts
+
+    accepted, shell_hits, slab_hits = sum(_run_units(run_unit, len(plan), threads))
+    return int(accepted), int(shell_hits), int(slab_hits)
 
 
 def estimate_type1(
@@ -223,24 +268,10 @@ def estimate_type1(
     companion is the exact shell miss plus the union bound over the slab
     levels.
     """
-    plan = _unit_plan(trials)
-    directions = unit_directions(code.codewords, code.centers[code.ancestors])
-    n_cw = len(directions)
-    n, sigma = params.n, params.sigma
-
-    def run_unit(unit_index: int) -> int:
-        start, size = plan[unit_index]
-        rng = np.random.default_rng(derive_seed(master_seed, "type1", unit_index))
-        noise = rng.standard_normal((size, n))
-        assignment = (start + np.arange(size)) % n_cw
-        hits = 0
-        for j, rows in _grouped(assignment):
-            _, _, accept = decide(sigma * noise[rows], directions[j], params)
-            hits += int(rows.size - accept.sum())
-        return hits
-
-    hits = sum(_run_units(run_unit, len(plan), threads))
-    spec = ShellSpec(n=n, sigma=sigma, eps_n=params.eps_n)
+    every = np.arange(len(code.codewords))
+    accepted, _, _ = _pair_counts(code, every, every, "type1", params, trials, master_seed, threads)
+    hits = trials - accepted
+    spec = ShellSpec(n=params.n, sigma=params.sigma, eps_n=params.eps_n)
     t_bar = code.params.t_bar
     bound = shell_prob_miss(spec) + t_bar * _slab_tail(params)
     return ErrorEstimate(
@@ -315,39 +346,24 @@ def select_pairs(code: GalaxyCode, strategy: PairStrategy, master_seed: int) -> 
     outer tree block minus an inner one (see _tree_layout): i's height-1
     sibling group minus i for same-planet, i's root minus i's first-level
     subtree for same-galaxy-deep, the whole code minus i's root for
-    cross-galaxy.
+    cross-galaxy, the whole code minus i for exhaustive-sample.
     Pairs are counted per target in closed form and located by position,
     so no pair list larger than the result is built.  Deterministic: any
-    subsampling uses a stream derived from the master seed.  Raises when
-    the code contains no pair of the requested class.
+    subsampling, to sample_count or _PAIR_CAP pairs, uses a stream derived
+    from the master seed.  Raises when the code contains no pair of the
+    requested class.
     """
     u = code.codewords
     n_cw = len(u)
     if n_cw < 2:
         raise ValueError("need at least two codewords to form pairs")
-    if strategy.mode == "exhaustive-sample":
-        ordered = n_cw * (n_cw - 1)
-        if not 1 <= strategy.sample_count <= ordered:
-            raise ValueError(
-                f"sample_count {strategy.sample_count} outside [1, {ordered}]: "
-                f"{n_cw} codewords form {ordered} ordered pairs"
-            )
-        pairs: list[tuple[int, int]] = []
-        rng = np.random.default_rng(derive_seed(master_seed, "pair-sample"))
-        seen = set()
-        while len(pairs) < strategy.sample_count:
-            i, j = int(rng.integers(n_cw)), int(rng.integers(n_cw))
-            if i != j and (i, j) not in seen:
-                seen.add((i, j))
-                pairs.append((i, j))
-        return pairs
-
     t_bar = code.params.t_bar
     lo, hi = _tree_layout(code)
-    outer = {"same-planet": t_bar, "same-galaxy-deep": 1, "cross-galaxy": 0}[strategy.mode]
-    outer_lo, outer_hi, inner_lo, inner_hi = lo[outer], hi[outer], lo[outer + 1], hi[outer + 1]
+    outer, inner = {"same-planet": (t_bar, t_bar + 1), "same-galaxy-deep": (1, 2),
+                    "cross-galaxy": (0, 1), "exhaustive-sample": (0, t_bar + 1)}[strategy.mode]
+    outer_lo, outer_hi, inner_lo, inner_hi = lo[outer], hi[outer], lo[inner], hi[inner]
 
-    filtered = strategy.mode == "cross-galaxy" and strategy.min_distance is not None
+    filtered = strategy.min_distance is not None
     if filtered:
         sq = np.einsum("ij,ij->i", u, u)
         step = max(1, _MASK_CELLS // n_cw)
@@ -364,9 +380,15 @@ def select_pairs(code: GalaxyCode, strategy: PairStrategy, master_seed: int) -> 
     total = int(ends[-1])
     if total == 0:
         raise ValueError(f"no pairs match strategy {strategy.mode!r}")
-    if total > _PAIR_CAP:
+    if strategy.sample_count is not None and not 1 <= strategy.sample_count <= total:
+        raise ValueError(
+            f"sample_count {strategy.sample_count} outside [1, {total}]: "
+            f"{n_cw} codewords form {total} ordered pairs"
+        )
+    cap = strategy.sample_count or _PAIR_CAP
+    if total > cap:
         rng = np.random.default_rng(derive_seed(master_seed, "pair-cap"))
-        keep = np.sort(rng.choice(total, size=_PAIR_CAP, replace=False))
+        keep = np.sort(rng.choice(total, size=cap, replace=False))
     else:
         keep = np.arange(total)
     targets = np.searchsorted(ends, keep, side="right")
@@ -409,56 +431,29 @@ def estimate_type2(
     the separation analysis makes decisive).  Cross-galaxy pairs have no
     meet ancestor, so their decisive-slab count stays zero by construction.
     """
-    pair_targets, senders = np.asarray(select_pairs(code, strategy, master_seed)).T
-    plan = _unit_plan(trials)
-    u = code.codewords
-    targets, target_rows = np.unique(pair_targets, return_inverse=True)
-    directions = unit_directions(u[targets], code.centers[code.ancestors[targets]])
-    offsets = u[senders] - u[pair_targets]
-    meet_rows = _meet_rows(code, pair_targets, senders)
-    n, sigma = params.n, params.sigma
-
-    def run_unit(unit_index: int) -> tuple[int, int, int]:
-        start, size = plan[unit_index]
-        rng = np.random.default_rng(derive_seed(master_seed, "type2", unit_index))
-        noise = rng.standard_normal((size, n))
-        assignment = (start + np.arange(size)) % len(offsets)
-        decision = shell_ct = slab_ct = 0
-        for p, rows in _grouped(assignment):
-            shell, slabs, accept = decide(
-                offsets[p] + sigma * noise[rows], directions[target_rows[p]], params
-            )
-            decision += int(accept.sum())
-            shell_ct += int(shell.sum())
-            if meet_rows[p] >= 0:
-                slab_ct += int(slabs[:, meet_rows[p]].sum())
-        return decision, shell_ct, slab_ct
-
-    totals = _run_units(run_unit, len(plan), threads)
-    hits = sum(t[0] for t in totals)
-    shell_hits = sum(t[1] for t in totals)
-    slab_hits = sum(t[2] for t in totals)
-
-    spec = ShellSpec(n=n, sigma=sigma, eps_n=params.eps_n) if sigma > 0 else None
-    cross_ds = [float(np.linalg.norm(d)) for d in offsets[meet_rows < 0]]
-    if strategy.mode == "cross-galaxy" or len(cross_ds) == len(offsets):
-        bound = shell_prob_cross(spec, min(cross_ds)) if spec else 0.0
-        formula = "cross-shell"
-    elif not cross_ds:
-        bound = _slab_tail(params)
-        formula = "meet-slab-tail"
-    else:
-        slab = _slab_tail(params)
-        cross = shell_prob_cross(spec, min(cross_ds)) if spec else 0.0
-        bound = max(slab, cross)
-        formula = "max(cross-shell,meet-slab-tail)"
+    targets, senders = np.asarray(select_pairs(code, strategy, master_seed)).T
+    hits, shell_hits, slab_hits = _pair_counts(
+        code, targets, senders, "type2", params, trials, master_seed, threads
+    )
+    u, roots = code.codewords, code.index_paths[:, 0]
+    cross = roots[targets] != roots[senders]
+    terms = {}  # one bound per pair class present
+    if cross.any():
+        d_min = min(float(np.linalg.norm(d)) for d in u[senders[cross]] - u[targets[cross]])
+        terms["cross-shell"] = 0.0
+        if params.sigma > 0:
+            spec = ShellSpec(n=params.n, sigma=params.sigma, eps_n=params.eps_n)
+            terms["cross-shell"] = shell_prob_cross(spec, d_min)
+    if not cross.all():
+        terms["meet-slab-tail"] = _slab_tail(params)
+    formula = f"max({','.join(terms)})" if len(terms) > 1 else next(iter(terms))
     return ErrorEstimate(
         kind="type2",
         trials=trials,
         hits=hits,
         p_hat=hits / trials,
         wilson_95=wilson_interval(hits, trials),
-        analytic_bound=bound,
+        analytic_bound=max(terms.values()),
         bound_formula=formula,
         seed=master_seed,
         rule_of_three=3.0 / trials,

@@ -1,10 +1,11 @@
 """Scalar and approximate laws that only the tests use.
 
 The package runs the exact shell law, the batched decoder, an array
-codeword table and a spherical-code generator that stops at the obtuse-angle
-ceiling; these are the simpler per-vector forms, the per-codeword tree walk,
-the plain greedy loop and the central-limit approximations the tests compare
-it against.
+codeword table, a spherical-code generator that stops at the obtuse-angle
+ceiling and one block-batched Monte Carlo kernel; these are the simpler
+per-vector forms, the per-codeword tree walk, the plain greedy loop, the
+per-codeword and per-pair decoder loops and the central-limit
+approximations the tests compare it against.
 """
 
 import math
@@ -12,9 +13,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from galaxyid import experiments
+from galaxyid.channel import unit_directions
 from galaxyid.galaxy import separation_margins
 from galaxyid.geometry import as_coords
 from galaxyid.gaussian import ShellSpec, _chi_square_tails, shell_prob_miss, std_normal_cdf
+from galaxyid.seeding import derive_seed
 from galaxyid.spherical import _DOT_TOL, SphericalCode, _witness_candidates
 
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
@@ -186,3 +190,59 @@ def generate_reference(n, center, r, theta, target_m, max_attempts, seed):
     dirs = np.asarray(accepted, dtype=np.float64)
     return SphericalCode(center=center, radius=float(r), points=center + r * dirs,
                          saturated=saturated)
+
+
+def _grouped(indices: np.ndarray):
+    """Yield (value, row positions) groups of an integer assignment vector."""
+    order = np.argsort(indices, kind="stable")
+    values, starts, counts = np.unique(indices[order], return_index=True, return_counts=True)
+    for v, s, c in zip(values, starts, counts):
+        yield int(v), order[s : s + c]
+
+
+def _decide_one(deltas, directions, params):
+    """channel.decide for rows that all test one codeword's (t_bar, n) chain."""
+    sq = np.einsum("ij,ij->i", deltas, deltas)
+    lo, hi = params.shell_bounds
+    shell = (lo <= sq) & (sq <= hi)
+    slabs = np.abs(deltas @ directions.T) <= params.slab_halfwidth
+    return shell, slabs, shell & slabs.all(axis=1)
+
+
+def type1_hits(code, params, trials, master_seed):
+    """estimate_type1's hits from one decoder call per codeword and unit."""
+    directions = unit_directions(code.codewords, code.centers[code.ancestors])
+    hits = 0
+    for unit_index, (start, size) in enumerate(experiments._unit_plan(trials)):
+        rng = np.random.default_rng(derive_seed(master_seed, "type1", unit_index))
+        noise = rng.standard_normal((size, params.n))
+        assignment = (start + np.arange(size)) % len(directions)
+        for j, rows in _grouped(assignment):
+            _, _, accept = _decide_one(params.sigma * noise[rows], directions[j], params)
+            hits += int(rows.size - accept.sum())
+    return hits
+
+
+def type2_counts(code, strategy, params, trials, master_seed):
+    """estimate_type2's (hits, shell hits, decisive slab hits) from one
+    decoder call per pair and unit."""
+    pair_targets, senders = np.asarray(experiments.select_pairs(code, strategy, master_seed)).T
+    u = code.codewords
+    targets, target_rows = np.unique(pair_targets, return_inverse=True)
+    directions = unit_directions(u[targets], code.centers[code.ancestors[targets]])
+    offsets = u[senders] - u[pair_targets]
+    meet_rows = experiments._meet_rows(code, pair_targets, senders)
+    decision = shell_ct = slab_ct = 0
+    for unit_index, (start, size) in enumerate(experiments._unit_plan(trials)):
+        rng = np.random.default_rng(derive_seed(master_seed, "type2", unit_index))
+        noise = rng.standard_normal((size, params.n))
+        assignment = (start + np.arange(size)) % len(offsets)
+        for p, rows in _grouped(assignment):
+            shell, slabs, accept = _decide_one(
+                offsets[p] + params.sigma * noise[rows], directions[target_rows[p]], params
+            )
+            decision += int(accept.sum())
+            shell_ct += int(shell.sum())
+            if meet_rows[p] >= 0:
+                slab_ct += int(slabs[:, meet_rows[p]].sum())
+    return decision, shell_ct, slab_ct

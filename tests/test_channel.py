@@ -57,7 +57,7 @@ def test_transmit_noise_scale():
 
 def _shell(y, u, p):
     """decide()'s shell mask for one output (the shell ignores the directions)."""
-    return bool(decide((np.asarray(y) - u)[None, :], np.eye(u.size)[:1], p)[0][0])
+    return bool(decide((np.asarray(y) - u)[None, :], np.eye(u.size)[None, :1], p)[0][0])
 
 
 def _line_codeword(u, *path):
@@ -136,7 +136,8 @@ def test_decide_matches_reference_decoder(case):
     for j, (c, rows) in enumerate(zip(cws, ys)):
         expected = [reference_decision(y, c, dec) for y in rows]
         assume(not any(_near_threshold(tests) for tests in expected))
-        shell, slabs, accept = decide(rows - u[j], directions[j], dec)
+        block = np.broadcast_to(directions[j], (len(rows),) + directions[j].shape)
+        shell, slabs, accept = decide(rows - u[j], block, dec)
         for r, tests in enumerate(expected):
             oks = [ok for _, _, ok in tests]
             assert shell[r] == (oks[0] and oks[1])
@@ -166,7 +167,7 @@ def test_in_slab():
     ys = np.tile(u, (3, 1))
     ys[1, 1] = 1e6
     ys[2, 0] += 2 * p.slab_halfwidth
-    _, slabs, _ = decide(ys - u, direction, p)
+    _, slabs, _ = decide(ys - u, np.broadcast_to(direction, (3, 1, 100)), p)
     assert slabs[:, 0].tolist() == [True, True, False]
     with pytest.raises(ValueError, match="degenerate"):
         unit_directions(u[None], u[None, None])

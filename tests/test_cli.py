@@ -309,6 +309,20 @@ def test_pair_sample_out_of_range_rejected(code_file, count):
     assert f"sample_count {count} outside [1, 552]" in res.stderr
 
 
+@pytest.mark.parametrize("flags, message", [
+    (["--pairs", "same-planet", "--min-distance", "1e9"],
+     "min_distance applies to cross-galaxy only, not same-planet"),
+    (["--pairs", "cross-galaxy", "--pair-sample", "5"],
+     "sample_count applies to exhaustive-sample only, not cross-galaxy"),
+])
+def test_pair_flag_the_mode_ignores_rejected(code_file, flags, message):
+    res = run_cli("simulate", "--code", str(code_file), "--type2", *flags, "--trials", "100",
+                  timeout=60)
+    assert res.returncode == 2
+    assert message in res.stderr
+    assert not res.stdout
+
+
 def test_rate_code_mode_out_of_float_range(tmp_path):
     path = tmp_path / "deep.json"
     build = run_cli("build", "--n", "256", "--k", "16", "--power", "1e7", "--m", "2",

@@ -102,6 +102,10 @@ def test_pair_strategy_validation():
     for bad in (math.nan, math.inf):
         with pytest.raises(ValueError, match="min_distance must be finite"):
             PairStrategy(mode="cross-galaxy", min_distance=bad)
+    with pytest.raises(ValueError, match="min_distance applies to cross-galaxy only, not same-planet"):
+        PairStrategy(mode="same-planet", min_distance=1e9)
+    with pytest.raises(ValueError, match="sample_count applies to exhaustive-sample only, not cross-galaxy"):
+        PairStrategy(mode="cross-galaxy", sample_count=5)
 
 
 def test_type2_cross_galaxy(small_code, decoder):

@@ -1,7 +1,8 @@
 """The tree-block paths against direct per-pair definitions, one pair at a time:
 pair selection, type-II meet rows, and the pairwise checks of verification;
-and, over the same random codes, the codeword table against a node-by-node
-walk and the code file round trip."""
+and, over the same random codes, the block-batched Monte Carlo kernel against
+per-codeword and per-pair decoder loops, the codeword table against a
+node-by-node walk and the code file round trip."""
 
 import copy
 import math
@@ -14,8 +15,15 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from galaxyid import experiments
+from galaxyid.channel import DecoderParams
 from galaxyid.codefile import deserialize, serialize
-from galaxyid.experiments import PairStrategy, select_pairs, verify_structure
+from galaxyid.experiments import (
+    PairStrategy,
+    estimate_type1,
+    estimate_type2,
+    select_pairs,
+    verify_structure,
+)
 from galaxyid.galaxy import (
     GalaxyCode,
     GalaxyParams,
@@ -24,7 +32,7 @@ from galaxyid.galaxy import (
     pair_distance_lower_bound,
 )
 from galaxyid.seeding import derive_seed
-from reference import meet_depth, walk_codewords
+from reference import meet_depth, type1_hits, type2_counts, walk_codewords
 
 MODES = ("same-planet", "same-galaxy-deep", "cross-galaxy")
 
@@ -193,6 +201,61 @@ def test_meet_rows_match_meet_depth(code, seed):
         targets, senders = np.asarray(pairs).T
         expected = [-1 if m is None else m - 1 for m in (meet_depth(paths[i], paths[j]) for i, j in pairs)]
         assert experiments._meet_rows(code, targets, senders).tolist() == expected
+
+
+def straddling_decoder(code, pairs, spread, width, scale):
+    """Decoder thresholds at the scale of the pairs' offsets D (0 for a
+    codeword with itself), so both outcomes of the shell and slab tests occur."""
+    u, n = code.codewords, code.params.n
+    d = float(np.median([np.linalg.norm(u[j] - u[i]) for i, j in pairs]))
+    sigma = scale * max(d, 1.0) / math.sqrt(n)
+    return DecoderParams(n=n, sigma=sigma, eps_n=spread * (d * d / n + sigma**2),
+                         slab_halfwidth=width * (d + sigma))
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    code=codes(),
+    trials=st.integers(1, 230),
+    seed=st.integers(0, 2**16),
+    spread=st.floats(0.2, 2.0),
+    width=st.floats(0.1, 1.5),
+    scale=st.floats(0.3, 3.0),
+)
+def test_pair_kernel_matches_per_group_loops(code, trials, seed, spread, width, scale):
+    """Hits and components of both estimators equal one decoder call per
+    codeword or pair and unit, with blocks of one row and of three rows
+    straddling unit starts (50-trial units) and pair wrap-around."""
+    n_cw, t_bar, n = len(code.codewords), code.params.t_bar, code.params.n
+    runs = [(None, [(i, i) for i in range(n_cw)])]
+    if n_cw >= 2:
+        median = float(np.median(np.linalg.norm(code.codewords - code.codewords[0], axis=1)))
+        for strategy in [PairStrategy(mode=mode) for mode in MODES] + [
+            PairStrategy(mode="exhaustive-sample", sample_count=min(40, n_cw * (n_cw - 1))),
+            PairStrategy(mode="cross-galaxy", min_distance=median),
+        ]:
+            try:
+                runs.append((strategy, select_pairs(code, strategy, seed)))
+            except ValueError:
+                continue  # no pair of this class
+    with mock.patch.object(experiments, "UNIT_SIZE", 50):
+        for strategy, pairs in runs:
+            dec = straddling_decoder(code, pairs, spread, width, scale)
+            if strategy is None:
+                expected = type1_hits(code, dec, trials, seed)
+            else:
+                expected = type2_counts(code, strategy, dec, trials, seed)
+            for cells in (1, 3 * t_bar * n, experiments._DECIDE_CELLS):
+                for threads in (1, 2):
+                    with mock.patch.object(experiments, "_DECIDE_CELLS", cells):
+                        if strategy is None:
+                            est = estimate_type1(code, dec, trials, seed, threads)
+                            assert est.hits == expected
+                            assert est.components == {}
+                        else:
+                            est = estimate_type2(code, strategy, dec, trials, seed, threads)
+                            assert (est.hits, est.components) == (expected[0], {
+                                "shell_hits": expected[1], "decisive_slab_hits": expected[2]})
 
 
 def reference_violations(code, tol=1e-6):
