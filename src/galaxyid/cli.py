@@ -28,6 +28,7 @@ from .experiments import (
 from .galaxy import (
     GalaxyParams,
     asymptotic_rate,
+    build_code,
     center_count_bounds,
     rate_lower_bound,
     theta_of_k,
@@ -113,8 +114,6 @@ def _emit(args, rows: list[dict]) -> None:
 def cmd_build(args) -> int:
     t0 = time.perf_counter()
     params = _params_from_args(args)
-    from .galaxy import build_code
-
     code = build_code(params)
     codefile.save(code, args.out)
     print(f"wrote {args.out}")

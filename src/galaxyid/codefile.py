@@ -1,89 +1,48 @@
 """Lossless JSON serialization of codebooks.
 
-Coordinates are written as hex-float strings (float.hex round-trips every
-finite double exactly), scalar parameters as plain JSON numbers, which
-Python also round-trips exactly.  Serialization is canonical (sorted keys,
-fixed separators) so identical codes produce identical bytes.
-
-A tree is stored as its nodes' points alone, nested {"points", "children"}
-records, plus the root's center.  Loading derives the rest: height from
-depth, radius r k^(height-1) and saturation from the parameters, and each
-child's center from its parent's point.
+A code file holds the params record, whether the center packing saturated,
+every node's point count in pre-order (`counts`), and two base64 blocks of
+little-endian float64 coordinates: `centers`, every node's center in
+pre-order, and `codewords`, the height-1 nodes' points.  A node's points
+above height 1 are its children's centers, so each coordinate is stored
+once, bit for bit.  Scalar parameters are plain JSON numbers, which Python
+also round-trips exactly.  Serialization is canonical (sorted keys, fixed
+separators) so identical codes produce identical bytes.  Loading hands the
+arrays to GalaxyCode, which derives the rest and rejects counts that do not
+form complete trees.
 """
 
 from __future__ import annotations
 
+import base64
 import json
 from dataclasses import asdict, fields
 
 import numpy as np
 
-from .galaxy import GalaxyCode, GalaxyNode, GalaxyParams
-from .spherical import SphericalCode
+from .galaxy import GalaxyCode, GalaxyParams
 
 __all__ = ["FORMAT_VERSION", "serialize", "deserialize", "save", "load"]
 
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 
 
-def _enc_point(p: np.ndarray) -> list[str]:
-    return [float(x).hex() for x in p]
+def _enc_block(table: np.ndarray) -> str:
+    return base64.b64encode(table.astype("<f8", copy=False).tobytes()).decode("ascii")
 
 
-def _dec_points(coords: list, n: int, where: tuple) -> np.ndarray:
-    """(m, n) array of hex-float rows; a row of another length or a non-finite
-    coordinate raises naming the node."""
-    if not all(isinstance(c, list) and len(c) == n for c in coords):
-        raise ValueError(f"code file node {where} needs n = {n} coordinates per point and center")
-    points = np.asarray([[float.fromhex(x) for x in c] for c in coords], dtype=np.float64)
-    if not np.isfinite(points).all():
-        raise ValueError(f"code file node {where} has a non-finite coordinate")
-    return points
-
-
-def _enc_node(node: GalaxyNode) -> dict:
-    out = {"points": [_enc_point(p) for p in node.code.points]}
-    if node.children:
-        out["children"] = [_enc_node(c) for c in node.children]
-    return out
-
-
-def _dec_node(obj, center, height: int, params: GalaxyParams, where: tuple) -> GalaxyNode:
-    """The node a record describes; where = (root, *path) names it in errors."""
-    points = obj.get("points") if isinstance(obj, dict) else None
-    if not isinstance(points, list) or not 1 <= len(points) <= params.m_per_level:
+def _dec_block(text: str, n: int, name: str) -> np.ndarray:
+    """The (rows, n) table a block encodes; raises unless it is base64 of whole rows."""
+    try:
+        raw = base64.b64decode(text, validate=True)
+    except ValueError as exc:  # binascii.Error, or a non-ASCII character
+        raise ValueError(f"code file {name!r} block is not base64 ({exc})") from None
+    if len(raw) % (8 * n):
         raise ValueError(
-            f"code file node {where} needs a list of 1 to m_per_level = "
-            f"{params.m_per_level} points"
+            f"code file {name!r} block holds {len(raw)} bytes, not whole rows of "
+            f"n = {n} float64 coordinates"
         )
-    code = SphericalCode(
-        center=center,
-        radius=params.r * params.k ** (height - 1),
-        points=_dec_points(points, params.n, where),
-        saturated=len(points) < params.m_per_level,
-    )
-    node = GalaxyNode(height=height, code=code)
-    children = obj.get("children")
-    if height == 1:
-        if children is not None:
-            raise ValueError(f"code file node {where} has height 1 but lists children")
-    elif not isinstance(children, list) or len(children) != len(points):
-        raise ValueError(
-            f"code file node {where} has height {height}, so needs one child per point "
-            f"({len(points)})"
-        )
-    else:
-        node.children = [
-            _dec_node(c, p, height - 1, params, where + (i,))
-            for i, (c, p) in enumerate(zip(children, code.points))
-        ]
-    return node
-
-
-def _dec_root(obj, params: GalaxyParams, i: int) -> GalaxyNode:
-    """Root i's node; a root record alone stores its center."""
-    center = _dec_points([obj.get("center") if isinstance(obj, dict) else None], params.n, (i,))
-    return _dec_node(obj, center[0], params.t_bar, params, (i,))
+    return np.frombuffer(raw, dtype="<f8").reshape(-1, n)
 
 
 # Declared field types (annotations are strings here) and their coercions.
@@ -109,7 +68,8 @@ def _section(doc: dict, name: str, kind: type, decode):
     """decode(doc[name]); a missing, mistyped or incomplete section raises ValueError."""
     value = doc.get(name)
     if not isinstance(value, kind):
-        raise ValueError(f"code file needs a {name!r} {'list' if kind is list else 'object'}")
+        kind_name = {dict: "object", list: "list", str: "string"}[kind]
+        raise ValueError(f"code file needs a {name!r} {kind_name}")
     try:
         return decode(value)
     except (KeyError, TypeError, AttributeError) as exc:
@@ -120,7 +80,9 @@ def serialize(code: GalaxyCode) -> str:
     doc = {
         "format_version": FORMAT_VERSION,
         "params": asdict(code.params),
-        "trees": [{**_enc_node(t), "center": _enc_point(t.code.center)} for t in code.trees],
+        "counts": code.counts.tolist(),
+        "centers": _enc_block(code.centers),
+        "codewords": _enc_block(code.codewords),
         "achieved": {"packing_saturated": code.packing_saturated},
     }
     return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
@@ -138,13 +100,16 @@ def deserialize(text: str) -> GalaxyCode:
             "rebuild the code with `galaxyid build` from its params record"
         )
     params = _section(doc, "params", dict, _params_from_dict)
-    trees = _section(
-        doc, "trees", list, lambda ts: [_dec_root(t, params, i) for i, t in enumerate(ts)]
-    )
-    if not trees:
-        raise ValueError("code file 'trees' list is empty")
+    counts = _section(doc, "counts", list, list)
+    if not counts:
+        raise ValueError("code file 'counts' list is empty")
+    centers = _section(doc, "centers", str, lambda s: _dec_block(s, params.n, "centers"))
+    codewords = _section(doc, "codewords", str, lambda s: _dec_block(s, params.n, "codewords"))
     saturated = _section(doc, "achieved", dict, lambda a: bool(a["packing_saturated"]))
-    return GalaxyCode(params=params, trees=trees, packing_saturated=saturated)
+    try:
+        return GalaxyCode(params, centers, counts, codewords, packing_saturated=saturated)
+    except ValueError as exc:
+        raise ValueError(f"code file {exc}") from None
 
 
 def save(code: GalaxyCode, path) -> None:

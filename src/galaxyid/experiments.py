@@ -18,10 +18,10 @@ import numpy as np
 
 from . import galaxy
 from .channel import DecoderParams, decide, unit_directions
-from .galaxy import GalaxyCode, iter_nodes
+from .galaxy import GalaxyCode
 from .gaussian import ShellSpec, projection_tail, shell_prob_cross, shell_prob_miss
 from .seeding import derive_seed
-from .spherical import csw_lower_bound, min_pairwise_angle
+from .spherical import SphericalCode, csw_lower_bound, min_pairwise_angle
 
 __all__ = [
     "ErrorEstimate",
@@ -497,34 +497,29 @@ def verify_structure(code: GalaxyCode, tol: float = 1e-6) -> StructureReport:
                 }
             )
 
-    # Exact node-chain radii and per-node angles.
-    for root_index, root in enumerate(code.trees):
-        for node in iter_nodes(root):
-            radius = node.code.radius
-            d = np.linalg.norm(node.code.points - node.code.center, axis=1)
-            bad = np.nonzero(np.abs(d - radius) > 1e-9 * radius)[0]
-            for i in bad:
-                report.cond1_violations.append(
-                    {
-                        "kind": "node-radius",
-                        "root": root_index,
-                        "height": node.height,
-                        "point": int(i),
-                        "measured": float(d[i]),
-                        "bound": (radius, radius),
-                    }
+    # Exact node-chain radii and per-node angles.  A node's points are its
+    # children's centers, or its codewords at height 1; sorting every point
+    # by the node holding it lists each node's points in a run, in pre-order.
+    order = np.argsort(np.concatenate([code.parents, code.ancestors[:, 0]]), kind="stable")
+    points = np.concatenate([code.centers, code.codewords])[order[len(code.roots) :]]
+    root_of = (np.cumsum(code.parents < 0) - 1).tolist()
+    bounds = np.cumsum(np.r_[0, code.counts]).tolist()
+    for row, height in enumerate(code.heights.tolist()):
+        radius = p.r * p.k ** (height - 1)
+        node = SphericalCode(code.centers[row], radius, points[bounds[row] : bounds[row + 1]])
+        d = np.linalg.norm(node.points - node.center, axis=1)
+        for i in np.nonzero(np.abs(d - radius) > 1e-9 * radius)[0]:
+            report.cond1_violations.append(
+                {"kind": "node-radius", "root": root_of[row], "height": height, "point": int(i),
+                 "measured": float(d[i]), "bound": (radius, radius)}
+            )
+        if len(node) >= 2:
+            ang = min_pairwise_angle(node)
+            if ang < p.theta - ANGLE_TOL:
+                report.angle_violations.append(
+                    {"root": root_of[row], "height": height, "measured": float(ang),
+                     "bound": p.theta}
                 )
-            if len(node.code) >= 2:
-                ang = min_pairwise_angle(node.code)
-                if ang < p.theta - ANGLE_TOL:
-                    report.angle_violations.append(
-                        {
-                            "root": root_index,
-                            "height": node.height,
-                            "measured": float(ang),
-                            "bound": p.theta,
-                        }
-                    )
 
     # Pairwise distances, in row blocks, with the bound of the pair's shared
     # tree level: the floor n^(b+1/4)/2 across roots (level 0), the meet
@@ -572,7 +567,7 @@ def rate_report(code: GalaxyCode) -> RateReport:
     rate = math.log2(n_cw) / (p.n * math.log2(p.n)) if n_cw >= 1 else 0.0
     lo, hi = galaxy.center_count_bounds(p.n, p.power, p.b)
     csw = csw_lower_bound(p.n, p.theta)
-    m_achieved = min(len(node.code) for root in code.trees for node in iter_nodes(root))
+    m_achieved = int(code.counts.min())
     claim1_upper_ok = n_roots <= hi
     claim1_consistent = None
     if lo >= 1 and code.packing_saturated:

@@ -4,8 +4,10 @@ A codebook is a saturated greedy packing of root centers inside the power
 ball, each root carrying a depth-t tree of nested spherical codes: a node
 at height h holds a code of radius k^(h-1) * r around its own center, the
 points of which are the centers of the height-(h-1) children (codewords at
-height 1).  The code's codeword table records, for every codeword, the rows
-of its ancestor centers, the chain the hierarchical decoder tests against.
+height 1).  A GalaxyCode holds this as arrays: the nodes' centers and point
+counts in pre-order and the codewords; it derives, for every codeword, the
+rows of its ancestor centers, the chain the hierarchical decoder tests
+against.
 """
 
 from __future__ import annotations
@@ -21,7 +23,6 @@ from .seeding import derive_seed
 
 __all__ = [
     "GalaxyParams",
-    "GalaxyNode",
     "GalaxyCode",
     "theta_of_k",
     "depth_bar",
@@ -29,7 +30,6 @@ __all__ = [
     "pack_centers",
     "build_galaxy",
     "build_code",
-    "iter_nodes",
     "radial_bounds",
     "pair_distance_lower_bound",
     "center_count_bounds",
@@ -206,8 +206,8 @@ class GalaxyParams:
             raise ValueError(f"sigma must be > 0, got {self.sigma}")
         if self.theta is None:
             object.__setattr__(self, "theta", theta_of_k(self.k))
-        if not (0 < self.theta <= math.pi):
-            raise ValueError(f"theta must lie in (0, pi], got {self.theta}")
+        if not (0 < self.theta < math.pi):
+            raise ValueError(f"theta must lie in (0, pi), got {self.theta}")
         if self.t_bar is None:
             object.__setattr__(self, "t_bar", depth_bar(self.n, self.b, self.k))
         if self.t_bar < 1:
@@ -262,48 +262,113 @@ class GalaxyParams:
         return math.sqrt(self.n * self.power) - self.extent
 
 
-@dataclass
-class GalaxyNode:
-    """One tree node: a spherical code of radius k^(height-1)*r around code.center.
-
-    The code's points are the centers of the children, one child per point,
-    except at height 1, where they are codewords.
-    """
-
-    height: int  # 1 = leaf level (code points are codewords)
-    code: spherical.SphericalCode
-    children: list = field(default_factory=list)
-
-
 @dataclass(frozen=True)
 class GalaxyCode:
-    """A codebook: root nodes, one per packed center, and how the packing ended.
+    """A codebook as arrays: every node's center and point count, and the codewords.
 
-    A root's index is its position in trees.  roots (the root centers),
-    degraded (some node holds fewer than m_per_level points) and the
-    codeword table of flatten_codewords (codewords, centers, ancestors,
-    index_paths; read-only arrays) are derived from the trees.
+    centers (C, n) and counts (C,) list the nodes in pre-order, root after
+    root.  A node above height 1 has one child per point, centered on it;
+    the height-1 nodes' points are the codewords (N, n), in the same order.
+    Derived here, and only here: heights and parents (C,), -1 for a root;
+    roots, the root centers, whose rank is the root index; ancestors
+    (N, t_bar), where ancestors[j, h-1] is the row of centers holding
+    codeword j's height-h ancestor; index_paths (N, t_bar + 1), the root
+    index, then the child indices down to the codeword; and degraded (some
+    node holds fewer than m_per_level points).  All arrays are read-only.
+    Counts that are not complete depth-t_bar trees of 1 to m_per_level
+    points per node, tables of another shape and non-finite coordinates
+    raise ValueError naming the node as (root, *child indices).
     """
 
     params: GalaxyParams
-    trees: list
+    centers: np.ndarray
+    counts: np.ndarray
+    codewords: np.ndarray
     packing_saturated: bool
-    roots: list = field(init=False)
-    codewords: np.ndarray = field(init=False)
-    centers: np.ndarray = field(init=False)
+    heights: np.ndarray = field(init=False)
+    parents: np.ndarray = field(init=False)
+    roots: np.ndarray = field(init=False)
     ancestors: np.ndarray = field(init=False)
     index_paths: np.ndarray = field(init=False)
     degraded: bool = field(init=False)
 
     def __post_init__(self):
-        table = ("codewords", "centers", "ancestors", "index_paths")
-        for name, value in zip(table, flatten_codewords(self.trees)):
+        p = self.params
+        counts = np.asarray(self.counts)
+        if counts.ndim != 1 or (counts.size and counts.dtype.kind not in "iu"):
+            raise ValueError("counts must be a list of integers")
+        values = counts.tolist()
+        heights, parents, slots = [], [], []  # slot: root index, or rank among siblings
+        open_nodes = []  # [row, children placed] of each node still missing children
+        n_roots = 0
+
+        def where(row: int) -> tuple:
+            path = []
+            while row >= 0:
+                path.append(slots[row])
+                row = parents[row]
+            return tuple(int(slot) for slot in reversed(path))
+
+        for row, count in enumerate(values):
+            if open_nodes:
+                parent, slot = top = open_nodes[-1]
+                top[1] += 1
+                if top[1] == values[parent]:
+                    open_nodes.pop()
+                height = heights[parent] - 1
+            else:
+                parent, slot, height = -1, n_roots, p.t_bar
+                n_roots += 1
+            heights.append(height)
+            parents.append(parent)
+            slots.append(slot)
+            if not 1 <= count <= p.m_per_level:
+                raise ValueError(
+                    f"node {where(row)} holds {count} points, not 1 to "
+                    f"m_per_level = {p.m_per_level}"
+                )
+            if height > 1:
+                open_nodes.append([row, 0])
+        if open_nodes:
+            row, placed = open_nodes[-1]
+            raise ValueError(
+                f"node {where(row)} holds {values[row]} points, but the counts end "
+                f"after {placed} of its children"
+            )
+
+        counts, slots = counts.astype(np.intp), np.asarray(slots, dtype=np.intp)
+        heights, parents = np.asarray(heights, dtype=np.intp), np.asarray(parents, dtype=np.intp)
+        rows = np.arange(len(counts))
+        sizes = counts[heights == 1]
+        owner = np.repeat(rows[heights == 1], sizes)  # the height-1 node of each codeword
+        tables = {}
+        # A root's center is its own; any other center is a point of its parent.
+        for name, node_of in (("centers", np.where(parents < 0, rows, parents)),
+                              ("codewords", owner)):
+            table = tables[name] = np.asarray(getattr(self, name), dtype=np.float64)
+            if table.shape != (len(node_of), p.n):
+                raise ValueError(
+                    f"{name} have shape {table.shape}, the counts need {(len(node_of), p.n)}"
+                )
+            bad = ~np.isfinite(table).all(axis=1)
+            if bad.any():
+                raise ValueError(
+                    f"node {where(int(node_of[bad.argmax()]))} has a non-finite coordinate"
+                )
+        chain = [owner]
+        for _ in range(1, p.t_bar):
+            chain.append(parents[chain[-1]])
+        ancestors = np.stack(chain, axis=1)
+        ranks = np.arange(len(owner)) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+        derived = dict(
+            tables, counts=counts, heights=heights, parents=parents,
+            roots=tables["centers"][parents < 0], ancestors=ancestors,
+            index_paths=np.column_stack([slots[ancestors[:, ::-1]], ranks]),
+        )
+        for name, value in derived.items():
             value.flags.writeable = False
             object.__setattr__(self, name, value)
-        object.__setattr__(self, "roots", [root.code.center for root in self.trees])
-        object.__setattr__(
-            self, "degraded", any(is_degraded(root, self.params) for root in self.trees)
-        )
+        object.__setattr__(self, "degraded", bool((counts < p.m_per_level).any()))
 
     def __len__(self) -> int:
         return len(self.codewords)
@@ -344,13 +409,18 @@ def pack_centers(params: GalaxyParams) -> tuple[list, bool]:
     return centers, False
 
 
-def build_galaxy(center, params: GalaxyParams, root_index: int = 0) -> GalaxyNode:
-    """Recursively build the nested spherical codes under one root center."""
+def build_galaxy(center, params: GalaxyParams, root_index: int = 0):
+    """Grow the nested spherical codes under one root center, in pre-order.
+
+    Returns the nodes' centers (C, n) and point counts (C,), and the
+    height-1 nodes' points, the root's codewords, in the same order.
+    """
     center = as_coords(center)
     if center.size != params.n:
         raise ValueError(f"center has dimension {center.size}, expected {params.n}")
+    centers, counts, leaves = [], [], []
 
-    def build_node(node_center: np.ndarray, height: int, path: tuple) -> GalaxyNode:
+    def grow(node_center: np.ndarray, height: int, path: tuple) -> None:
         code = spherical.generate(
             n=params.n,
             center=node_center,
@@ -360,63 +430,21 @@ def build_galaxy(center, params: GalaxyParams, root_index: int = 0) -> GalaxyNod
             max_attempts=params.max_attempts,
             seed=derive_seed(params.master_seed, "node", root_index, *path),
         )
-        node = GalaxyNode(height=height, code=code)
-        if height > 1:
-            node.children = [
-                build_node(p, height - 1, path + (i,)) for i, p in enumerate(code.points)
-            ]
-        return node
-
-    return build_node(center, params.t_bar, ())
-
-
-def iter_nodes(node: GalaxyNode):
-    """Pre-order walk of a subtree: the node, then each child's subtree in order."""
-    yield node
-    for child in node.children:
-        yield from iter_nodes(child)
-
-
-def is_degraded(root: GalaxyNode, params: GalaxyParams) -> bool:
-    """Whether some node of the tree holds fewer than m_per_level points."""
-    return any(len(node.code) < params.m_per_level for node in iter_nodes(root))
-
-
-def flatten_codewords(trees: list) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The codeword table of a list of trees, built in one depth-first walk.
-
-    Returns codewords (N, n), the height-1 points in walk order; centers
-    (C, n), every node's center in pre-order; ancestors (N, t_bar), where
-    ancestors[j, h-1] is the row of centers holding codeword j's height-h
-    ancestor, so the last column is the root; and index_paths
-    (N, t_bar + 1), the root index followed by the child indices from the
-    root down to the codeword.  No trees give 0-row arrays.
-    """
-    points, centers, ancestors, index_paths = [], [], [], []
-
-    def walk(node: GalaxyNode, above: tuple, path: tuple):
-        above = (len(centers),) + above  # ancestor rows accumulate from the leaf upward
-        centers.append(node.code.center)
-        if node.height == 1:
-            points.extend(node.code.points)
-            ancestors.extend([above] * len(node.code))
-            index_paths.extend(path + (j,) for j in range(len(node.code)))
+        centers.append(code.center)
+        counts.append(len(code))
+        if height == 1:
+            leaves.append(code.points)
             return
-        for i, child in enumerate(node.children):
-            walk(child, above, path + (i,))
+        for i, point in enumerate(code.points):
+            grow(point, height - 1, path + (i,))
 
-    for root_index, root in enumerate(trees):
-        walk(root, (), (root_index,))
-    return (
-        np.array(points, dtype=np.float64),
-        np.array(centers, dtype=np.float64),
-        np.array(ancestors, dtype=np.intp),
-        np.array(index_paths, dtype=np.intp),
-    )
+    grow(center, params.t_bar, ())
+    return np.array(centers), np.array(counts, dtype=np.intp), np.concatenate(leaves)
 
 
 def build_code(params: GalaxyParams) -> GalaxyCode:
     """Pack root centers and grow one galaxy per root."""
     roots, saturated = pack_centers(params)
-    trees = [build_galaxy(c, params, root_index=i) for i, c in enumerate(roots)]
-    return GalaxyCode(params=params, trees=trees, packing_saturated=saturated)
+    grown = [build_galaxy(c, params, root_index=i) for i, c in enumerate(roots)]
+    centers, counts, codewords = (np.concatenate(parts) for parts in zip(*grown))
+    return GalaxyCode(params, centers, counts, codewords, packing_saturated=saturated)

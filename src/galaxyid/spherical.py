@@ -171,7 +171,10 @@ def generate(
 def min_pairwise_angle(code: SphericalCode) -> float:
     """Exact minimum over all point pairs of the angle subtended at the center.
 
-    A point on the center has no direction, so the minimum is then 0.
+    The pair of unit offsets a, b with the largest dot product is measured as
+    2 atan2(||a - b||, ||a + b||), which keeps the digits that the arccosine
+    of the dot loses near 0 and pi.  A point on the center has no direction,
+    so the minimum is then 0.
     """
     m = len(code)
     if m < 2:
@@ -182,9 +185,10 @@ def min_pairwise_angle(code: SphericalCode) -> float:
         return 0.0
     offs = offs / norms
     gram = offs @ offs.T
-    iu = np.triu_indices(m, k=1)
-    max_dot = float(np.max(gram[iu]))
-    return math.acos(max(-1.0, min(1.0, max_dot)))
+    i, j = np.triu_indices(m, k=1)
+    pair = np.argmax(gram[i, j])
+    a, b = offs[i[pair]], offs[j[pair]]
+    return 2.0 * math.atan2(np.linalg.norm(a - b), np.linalg.norm(a + b))
 
 
 def csw_lower_bound(n: int, theta: float) -> float:

@@ -3,7 +3,7 @@
 The package runs the exact shell law, the batched decoder, an array
 codeword table, a spherical-code generator that stops at the obtuse-angle
 ceiling and one block-batched Monte Carlo kernel; these are the simpler
-per-vector forms, the per-codeword tree walk, the plain greedy loop, the
+per-vector forms, the per-codeword node walk, the plain greedy loop, the
 per-codeword and per-pair decoder loops and the central-limit
 approximations the tests compare it against.
 """
@@ -116,21 +116,28 @@ class Codeword:
 
 
 def walk_codewords(code) -> list:
-    """The code's codewords, one object each, built node by node in the
-    depth-first order of the package's codeword table."""
+    """The code's codewords, one object each, from a recursive walk over its
+    pre-order node counts, centers and codewords."""
+    counts, centers, codewords = code.counts.tolist(), code.centers, code.codewords
     out = []
+    row = 0  # next node, in pre-order
 
-    def walk(node, above, root_index, path):
-        if node.height == 1:
-            for j, p in enumerate(node.code.points):
-                out.append(Codeword(u=p, path=[node.code.center] + above,
-                                    root_index=root_index, index_path=path + (j,)))
+    def walk(height, above, root_index, path):
+        nonlocal row
+        center, count = centers[row], counts[row]
+        row += 1
+        if height > 1:
+            for i in range(count):
+                walk(height - 1, [center] + above, root_index, path + (i,))
             return
-        for i, child in enumerate(node.children):
-            walk(child, [node.code.center] + above, root_index, path + (i,))
+        for j in range(count):
+            out.append(Codeword(u=codewords[len(out)], path=[center] + above,
+                                root_index=root_index, index_path=path + (j,)))
 
-    for root_index, root in enumerate(code.trees):
-        walk(root, [], root_index, ())
+    root_index = 0
+    while row < len(counts):
+        walk(code.params.t_bar, [], root_index, ())
+        root_index += 1
     return out
 
 

@@ -1,10 +1,12 @@
 import argparse
+import base64
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from galaxyid import cli
@@ -14,6 +16,16 @@ BUILD_ARGS = [
     "--n", "16", "--k", "8", "--b", "0", "--power", "100", "--sigma", "1",
     "--m", "4", "--seed", "7", "--max-roots", "6",
 ]
+
+
+def _block(doc, name):
+    """A code file's coordinate block as a writable (rows, n) array."""
+    raw = base64.b64decode(doc[name])
+    return np.frombuffer(raw, dtype="<f8").reshape(-1, doc["params"]["n"]).copy()
+
+
+def _encoded(table) -> str:
+    return base64.b64encode(np.asarray(table, dtype="<f8").tobytes()).decode("ascii")
 
 
 # the child imports the same galaxyid as this process, installed or not
@@ -53,6 +65,28 @@ def test_build_rejects_small_k(tmp_path):
     assert "k must be >= 7" in res.stderr
 
 
+def test_build_rejects_theta_pi(tmp_path):
+    # the rate bounds take theta in (0, pi) only, so build must not write such a code
+    out = tmp_path / "x.json"
+    res = run_cli("build", "--n", "16", "--k", "8", "--power", "400",
+                  "--theta", "3.141592653589793", "--m", "2", "--out", str(out))
+    assert res.returncode == 2
+    assert "theta must lie in (0, pi), got 3.141592653589793" in res.stderr
+    assert not out.exists()
+
+
+def test_verify_passes_antipodal_pairs_below_pi(tmp_path):
+    # theta a nanoradian below pi: each node holds an antipodal pair, whose
+    # angle acos of a dot product put 2e-8 below pi
+    out = tmp_path / "pi.json"
+    res = run_cli("build", "--n", "16", "--k", "8", "--power", "400", "--theta", "3.1415926525",
+                  "--m", "2", "--max-roots", "4", "--out", str(out))
+    assert res.returncode == 0, res.stderr
+    res = run_cli("verify", "--code", str(out))
+    assert res.returncode == 0, res.stdout
+    assert "angle: ok" in res.stdout and res.stdout.splitlines()[-1] == "PASS"
+
+
 def test_verify_pass_exit_zero(code_file):
     res = run_cli("verify", "--code", str(code_file))
     assert res.returncode == 0
@@ -61,8 +95,9 @@ def test_verify_pass_exit_zero(code_file):
 
 def test_verify_displaced_leaf_exits_one(tmp_path, code_file):
     doc = json.loads(code_file.read_text())
-    pt = doc["trees"][0]["points"][0]
-    pt[0] = (float.fromhex(pt[0]) + 50.0).hex()
+    u = _block(doc, "codewords")
+    u[0, 0] += 50.0
+    doc["codewords"] = _encoded(u)
     broken = tmp_path / "broken.json"
     broken.write_text(json.dumps(doc))
     res = run_cli("verify", "--code", str(broken), "--json", str(tmp_path / "report.json"))
@@ -134,48 +169,71 @@ def _without(doc, key):
     return {k: v for k, v in doc.items() if k != key}
 
 
-def _node_edit(path, change):
-    """An edit applying change() to the record of node (root, *child indices)."""
+def _counts_edit(change):
+    """An edit applying change() to a copy of the counts list."""
 
     def edit(doc):
-        node = doc["trees"][path[0]]
-        for i in path[1:]:
-            node = node["children"][i]
-        change(node)
-        return doc
+        counts = list(doc["counts"])
+        change(counts)
+        return {**doc, "counts": counts}
 
     return edit
 
 
+def _block_edit(name, change):
+    """An edit replacing a coordinate block by change() of its (rows, n) array."""
+    return lambda doc: {**doc, name: _encoded(change(_block(doc, name)))}
+
+
+def _set(row, column, value):
+    def change(table):
+        table[row, column] = value
+        return table
+
+    return change
+
+
+# The depth-2 code has 6 roots of 4 height-1 nodes of 4 codewords: 30 centers,
+# counts [4] * 30, 96 codewords; node (1, 2) holds codewords 24-27.
 @pytest.mark.parametrize(
     "edit,message",
     [
         (lambda doc: {**doc, "params": _without(doc["params"], "n")}, "params lack 'n'"),
         (lambda doc: {**doc, "params": {**doc["params"], "k": None}}, "param 'k' is not int: None"),
-        (lambda doc: _without(doc, "trees"), "needs a 'trees' list"),
+        (lambda doc: _without(doc, "counts"), "needs a 'counts' list"),
         (lambda doc: [doc], "must hold a JSON object, not list"),
-        (_node_edit((0,), lambda node: node["children"].pop()),
-         "node (0,) has height 2, so needs one child per point (4)"),
-        (_node_edit((0,), lambda node: node.pop("children")),
-         "node (0,) has height 2, so needs one child per point (4)"),
-        (_node_edit((0, 1), lambda node: node["points"][0].__delitem__(slice(5, None))),
-         "node (0, 1) needs n = 16 coordinates per point"),
-        (_node_edit((0, 0), lambda node: node.update(points=[])),
-         "node (0, 0) needs a list of 1 to m_per_level = 4 points"),
-        (lambda doc: {**doc, "trees": []}, "'trees' list is empty"),
-        (_node_edit((0, 0), lambda node: node["points"].append(node["points"][0])),
-         "node (0, 0) needs a list of 1 to m_per_level = 4 points"),
-        (_node_edit((0, 0), lambda node: node.update(children=[])),
-         "node (0, 0) has height 1 but lists children"),
+        (_counts_edit(lambda c: c.pop()),
+         "node (5,) holds 4 points, but the counts end after 3 of its children"),
+        (_counts_edit(lambda c: c.__delitem__(slice(1, None))),
+         "node (0,) holds 4 points, but the counts end after 0 of its children"),
+        (lambda doc: {**doc, "centers": _encoded(_block(doc, "centers").ravel()[:-5])},
+         "'centers' block holds 3800 bytes, not whole rows of n = 16 float64 coordinates"),
+        (_counts_edit(lambda c: c.__setitem__(1, 0)),
+         "node (0, 0) holds 0 points, not 1 to m_per_level = 4"),
+        (lambda doc: {**doc, "counts": []}, "'counts' list is empty"),
+        (_counts_edit(lambda c: c.__setitem__(1, 5)),
+         "node (0, 0) holds 5 points, not 1 to m_per_level = 4"),
+        (_block_edit("codewords", lambda u: np.vstack([u, u[:1]])),
+         "codewords have shape (97, 16), the counts need (96, 16)"),
         (lambda doc: {**doc, "format_version": 1}, "unsupported code file format_version 1"),
-        (_node_edit((1, 2), lambda node: node["points"][0].__setitem__(3, "nan")),
-         "node (1, 2) has a non-finite coordinate"),
-        (_node_edit((0,), lambda node: node["center"].__setitem__(0, "inf")),
-         "node (0,) has a non-finite coordinate"),
+        (_block_edit("codewords", _set(24, 3, np.nan)), "node (1, 2) has a non-finite coordinate"),
+        (_block_edit("centers", _set(0, 0, np.inf)), "node (0,) has a non-finite coordinate"),
+        (lambda doc: {"format_version": 2, "params": doc["params"], "trees": [],
+                      "achieved": doc["achieved"]},
+         "unsupported code file format_version 2, expected 3; rebuild the code with "
+         "`galaxyid build`"),
+        (lambda doc: {**doc, "centers": "!" + doc["centers"][1:]}, "'centers' block is not base64"),
+        (_block_edit("centers", lambda c: c[:-1]),
+         "centers have shape (29, 16), the counts need (30, 16)"),
+        (_counts_edit(lambda c: c.append(4)),
+         "node (6,) holds 4 points, but the counts end after 0 of its children"),
+        (_counts_edit(lambda c: c.__setitem__(0, 4.0)), "counts must be a list of integers"),
+        (_block_edit("centers", _set(2, 5, -np.inf)), "node (0,) has a non-finite coordinate"),
     ],
     ids=["params-without-n", "null-k", "no-trees", "top-level-list", "fewer-children",
          "no-children", "short-point", "empty-points", "empty-trees", "too-many-points",
-         "leaf-children", "format-v1", "nan-point", "inf-root-center"],
+         "leaf-children", "format-v1", "nan-point", "inf-root-center", "format-v2",
+         "bad-base64", "missing-center-row", "extra-root", "float-count", "inf-inner-center"],
 )
 def test_malformed_code_file_exits_two(tmp_path, deep_code_file, edit, message):
     bad = tmp_path / "bad.json"

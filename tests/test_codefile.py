@@ -1,3 +1,4 @@
+import base64
 import json
 
 import numpy as np
@@ -5,8 +6,7 @@ import pytest
 
 from galaxyid.codefile import FORMAT_VERSION, deserialize, load, save, serialize
 from galaxyid.experiments import _params_key
-from galaxyid.galaxy import GalaxyCode, GalaxyNode, GalaxyParams, build_code
-from galaxyid.spherical import SphericalCode
+from galaxyid.galaxy import GalaxyCode, GalaxyParams, build_code
 
 
 @pytest.fixture(scope="module")
@@ -23,7 +23,7 @@ def test_roundtrip_bit_identical(code):
     text = serialize(code)
     back = deserialize(text)
     assert serialize(back) == text
-    for name in ("codewords", "centers", "ancestors", "index_paths"):
+    for name in ("codewords", "centers", "counts", "ancestors", "index_paths"):
         a, b = getattr(code, name), getattr(back, name)
         assert (a.shape, a.dtype, a.tobytes()) == (b.shape, b.dtype, b.tobytes()), name
 
@@ -36,12 +36,13 @@ def test_roundtrip_preserves_metadata(code):
     assert len(back.roots) == len(code.roots)
 
 
-def test_coordinates_are_hex_strings(code):
+def test_coordinates_are_base64_blocks(code):
     doc = json.loads(serialize(code))
-    assert doc["format_version"] == FORMAT_VERSION
-    sample = doc["trees"][0]["center"][0]
-    assert isinstance(sample, str)
-    assert float.fromhex(sample) is not None
+    assert doc["format_version"] == FORMAT_VERSION == 3
+    assert doc["counts"] == code.counts.tolist()
+    for name in ("centers", "codewords"):
+        raw = base64.b64decode(doc[name], validate=True)
+        assert raw == getattr(code, name).astype("<f8").tobytes(), name
 
 
 def test_unknown_version_rejected(code):
@@ -59,27 +60,25 @@ def test_save_and_load(tmp_path, code):
 
 
 def test_params_record_bytes_fixed():
-    # a one-root depth-2 code and the sweep cell key, byte for byte as format v2 writes them
+    # a one-root depth-2 code and the sweep cell key, byte for byte as format v3 writes them
     p = GalaxyParams(
         n=8, power=260.0, k=8, m_per_level=4, master_seed=13, t_bar=2, r_min_coeff=0.5,
         max_roots=3, saturation_probes=100,
     )
     point = np.eye(8)[0] * 12.0  # at the root radius r k = 12 from the origin
-    leaf = GalaxyNode(height=1, code=SphericalCode(
-        center=point, radius=1.5, points=(point + 1.5 * np.eye(8)[1])[None, :]))
-    root = GalaxyNode(height=2, code=SphericalCode(
-        center=np.zeros(8), radius=12.0, points=point[None, :]), children=[leaf])
-    zeros = ',"0x0.0p+0"' * 6
+    code = GalaxyCode(p, np.array([np.zeros(8), point]), [1, 1],
+                      (point + 1.5 * np.eye(8)[1])[None, :], packing_saturated=False)
+    # little-endian doubles: 12.0 is 00..00 28 40, 1.5 is 00..00 f8 3f
     text = (
-        '{"achieved":{"packing_saturated":false},"format_version":2,"params":{"b":0.0,'
+        '{"achieved":{"packing_saturated":false},'
+        '"centers":"' + "A" * 93 + "ChA" + "A" * 75 + '=",'
+        '"codewords":"AAAAAAAAKEAAAAAAAAD4P' + "w" + "A" * 64 + '==",'
+        '"counts":[1,1],"format_version":3,"params":{"b":0.0,'
         '"enforce_cross_galaxy_margin":true,"k":8,"m_per_level":4,"master_seed":13,'
         '"max_attempts":20000,"max_roots":3,"n":8,"power":260.0,"r_min_coeff":0.5,'
-        '"saturation_probes":100,"sigma":1.0,"t_bar":2,"theta":1.910633236249019},'
-        '"trees":[{"center":["0x0.0p+0","0x0.0p+0"' + zeros + '],'
-        '"children":[{"points":[["0x1.8000000000000p+3","0x1.8000000000000p+0"' + zeros + ']]}],'
-        '"points":[["0x1.8000000000000p+3","0x0.0p+0"' + zeros + ']]}]}\n'
+        '"saturation_probes":100,"sigma":1.0,"t_bar":2,"theta":1.910633236249019}}\n'
     )
-    assert serialize(GalaxyCode(p, [root], packing_saturated=False)) == text
+    assert serialize(code) == text
     assert serialize(deserialize(text)) == text
     assert _params_key(p) == "8|260.0|0.0|8|1.910633236249019|4|1.0|13|2|0.5|True|3|100|20000"
 

@@ -1,4 +1,3 @@
-import copy
 import math
 import os
 
@@ -188,68 +187,115 @@ def test_verify_structure_passes_fresh(small_code):
     assert report.separation["strict_holds"]
 
 
-def _mutated(code):
-    c = copy.deepcopy(code)
-    return c
+def _with(code, centers=None, codewords=None):
+    """The code with replaced coordinate tables, everything else derived afresh."""
+    return GalaxyCode(
+        code.params,
+        code.centers if centers is None else centers,
+        code.counts,
+        code.codewords if codewords is None else codewords,
+        code.packing_saturated,
+    )
 
 
-def _rebuilt(code):
-    """The code of the (mutated) trees: its roots and codewords derived afresh."""
-    return GalaxyCode(code.params, code.trees, code.packing_saturated)
+R_WINDOW = {1: (1.0, 1.0), 2: (7.0, 9.0)}  # radial_bounds(r = 1, k = 8, t)
+THETA = 1.910633236249019  # theta_of_k(8)
+POWER_CAP = 45.60701700396552  # sqrt(n P) = sqrt(16 * 130)
+
+
+def _radial(codeword, height, measured):
+    return {"kind": "codeword-radial", "codeword": codeword, "height": height,
+            "measured": measured, "bound": R_WINDOW[height]}
+
+
+def _node_radius(point, measured):
+    return {"kind": "node-radius", "root": 0, "height": 1, "point": point,
+            "measured": measured, "bound": (1.0, 1.0)}
+
+
+def _angle(height, measured):
+    return {"root": 0, "height": height, "measured": measured, "bound": THETA}
+
+
+def assert_violations(report, **expected):
+    """Every check's violation list equals expected[check] (default: none).
+
+    The records were measured on the same arrays before the codebook lost
+    its node trees.  Angles were then the acos of a dot product and are now
+    2 atan2(||a - b||, ||a + b||), so they agree to rounding only.
+    """
+    for check, found in report.violations().items():
+        want = expected.get(check, [])
+        if check == "angle":
+            want = [{**v, "measured": pytest.approx(v["measured"], rel=1e-9)} for v in want]
+        assert found == want, check
 
 
 def test_fault_displaced_leaf(small_code):
-    bad = _mutated(small_code)
-    node = bad.trees[0].children[0]
-    node.code.points[0] = node.code.points[0] + 10.0 * bad.params.r
-    report = verify_structure(_rebuilt(bad))
-    assert not report.passed
-    assert report.cond1_violations or report.cond2_violations
-    flagged = {v.get("codeword") for v in report.cond1_violations}
-    assert 0 in flagged
+    u = small_code.codewords.copy()
+    u[0] += 10.0 * small_code.params.r
+    assert_violations(
+        verify_structure(_with(small_code, codewords=u)),
+        cond1=[_radial(0, 1, 40.01249804748511), _radial(0, 2, 41.0),
+               _node_radius(0, 40.01249804748511)],
+        angle=[_angle(1, 1.579127153544906)],
+        power=[{"codeword": 0, "measured": 45.92891551572386, "bound": POWER_CAP}],
+    )
 
 
 def test_fault_translated_tree(small_code):
-    if len(small_code.roots) < 2:
-        pytest.skip("needs two roots")
-    bad = _mutated(small_code)
-    # slide galaxy 1 on top of galaxy 0: cross-galaxy floor must break
-    shift = bad.roots[0] - bad.roots[1]
-
-    def translate(node):
-        node.code.center = node.code.center + shift
-        node.code.points = node.code.points + shift
-        for ch in node.children:
-            translate(ch)
-
-    translate(bad.trees[1])
-    report = verify_structure(_rebuilt(bad))
-    assert report.cross_galaxy_violations
+    # slide galaxy 1 onto galaxy 0: the cross-galaxy floor must break, pair by pair
+    shift = small_code.roots[0] - small_code.roots[1]
+    centers, u = small_code.centers.copy(), small_code.codewords.copy()
+    centers[np.cumsum(small_code.parents < 0) == 2] += shift
+    u[small_code.index_paths[:, 0] == 1] += shift
+    measured = [
+        2.7858859700533853e-15, 3.1512740483014287e-15, 2.9240419872774234e-15,
+        3.0660254739324506e-15, 3.0235190130503666e-15, 2.4466760311477726e-15,
+        3.1512740483014287e-15, 3.283446176038139e-15, 3.3705101272969287e-15,
+        3.678274868408959e-15, 3.9808271648811464e-15, 3.605508297989837e-15,
+        3.691654591199124e-15, 3.974629682131324e-15, 3.79699546035317e-15,
+        3.2361813916771603e-15,
+    ]
+    assert_violations(
+        verify_structure(_with(small_code, centers, u)),
+        cross_galaxy=[{"pair": (i, i + 16), "measured": d, "bound": 1.0}
+                      for i, d in enumerate(measured)],
+    )
 
 
 def test_fault_angle_violation(small_code):
-    bad = _mutated(small_code)
-    node = bad.trees[0]
-    # drag the second point nearly onto the first, staying on the sphere
-    p0 = node.code.points[0] - node.code.center
-    p1 = node.code.points[1] - node.code.center
+    # drag root 0's second point, the center of node (0, 1), nearly onto its
+    # first, staying on the root's sphere; node (0, 1)'s codewords stay put
+    centers = small_code.centers.copy()
+    p0, p1 = centers[1] - centers[0], centers[2] - centers[0]
     blended = 0.99 * p0 + 0.01 * p1
-    blended *= node.code.radius / np.linalg.norm(blended)
-    node.code.points[1] = node.code.center + blended
-    report = verify_structure(_rebuilt(bad))
-    assert report.angle_violations
+    blended *= small_code.params.r * small_code.params.k / np.linalg.norm(blended)
+    centers[2] = centers[0] + blended
+    far = [12.21388617402623, 13.845597520317966, 13.06075969104057, 13.06075969104057]
+    assert_violations(
+        verify_structure(_with(small_code, centers=centers)),
+        cond1=[_radial(4 + i, 1, d) for i, d in enumerate(far)]
+        + [_node_radius(i, d) for i, d in enumerate(far)],
+        angle=[_angle(2, 0.00955520622938453), _angle(1, 0.004974533637534246)],
+    )
 
 
 def test_fault_power_violation(small_code):
-    bad = _mutated(small_code)
-    leaf = bad.trees[0].children[0]
-    leaf.code.points[0] = leaf.code.points[0] * 50.0
-    report = verify_structure(_rebuilt(bad))
-    assert report.power_violations
+    u = small_code.codewords.copy()
+    u[0] *= 50.0
+    assert_violations(
+        verify_structure(_with(small_code, codewords=u)),
+        cond1=[_radial(0, 1, 1412.225584546334), _radial(0, 2, 1411.976602034271),
+               _node_radius(0, 1412.225584546334)],
+        angle=[_angle(1, 1.385747070868412)],
+        power=[{"codeword": 0, "measured": 1441.0815210814928, "bound": POWER_CAP}],
+    )
 
 
 def test_verify_empty_raises(small_code):
-    bad = GalaxyCode(small_code.params, [], small_code.packing_saturated)
+    empty = np.empty((0, small_code.params.n))
+    bad = GalaxyCode(small_code.params, empty, [], empty, small_code.packing_saturated)
     with pytest.raises(ValueError):
         verify_structure(bad)
 

@@ -5,6 +5,7 @@ import pytest
 
 from galaxyid.codefile import serialize
 from galaxyid.galaxy import (
+    GalaxyCode,
     GalaxyParams,
     asymptotic_rate,
     build_code,
@@ -12,7 +13,6 @@ from galaxyid.galaxy import (
     center_count_bounds,
     depth_bar,
     pack_centers,
-    is_degraded,
     pair_distance_lower_bound,
     radial_bounds,
     rate_lower_bound,
@@ -207,23 +207,20 @@ def test_saturated_count_within_volume_bounds():
 
 def test_build_galaxy_structure():
     p = small_params(t_bar=3, power=20000.0)
-    root = build_galaxy(np.zeros(16), p, root_index=0)
-    assert not is_degraded(root, p)
-    # 4^3 leaves, each ancestor exactly on its sphere
-    leaves = []
-
-    def walk(node, ancestors):
-        if node.height == 1:
-            leaves.extend(node.code.points)
-        for i, child in enumerate(node.children):
-            r_expected = p.r * p.k ** (node.height - 1)
-            assert np.linalg.norm(child.code.center - node.code.center) == pytest.approx(
-                r_expected, rel=1e-9
-            )
-            walk(child, ancestors + [node.code.center])
-
-    walk(root, [])
-    assert len(leaves) == 4**3
+    centers, counts, leaves = build_galaxy(np.zeros(16), p, root_index=0)
+    # 1 + 4 + 16 nodes of 4 points each, 4^3 leaves
+    assert centers.shape == (21, 16) and leaves.shape == (4**3, 16)
+    assert counts.tolist() == [4] * 21
+    code = GalaxyCode(p, centers, counts, leaves, packing_saturated=False)
+    assert not code.degraded
+    # every child center and leaf exactly on its parent's sphere
+    for row in np.flatnonzero(code.parents >= 0):
+        parent = code.parents[row]
+        r_expected = p.r * p.k ** (code.heights[parent] - 1)
+        dist = np.linalg.norm(centers[row] - centers[parent])
+        assert dist == pytest.approx(r_expected, rel=1e-9)
+    dist = np.linalg.norm(leaves - centers[code.ancestors[:, 0]], axis=1)
+    np.testing.assert_allclose(dist, p.r, rtol=1e-9)
 
 
 def test_build_code_counts_and_power():

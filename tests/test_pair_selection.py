@@ -4,7 +4,6 @@ and, over the same random codes, the block-batched Monte Carlo kernel against
 per-codeword and per-pair decoder loops, the codeword table against a
 node-by-node walk and the code file round trip."""
 
-import copy
 import math
 from collections import Counter
 from unittest import mock
@@ -28,7 +27,6 @@ from galaxyid.galaxy import (
     GalaxyCode,
     GalaxyParams,
     build_code,
-    iter_nodes,
     pair_distance_lower_bound,
 )
 from galaxyid.seeding import derive_seed
@@ -290,12 +288,7 @@ def crowded(code, offset, leaf, pull):
     i = leaf % len(u)
     j = i + 1 if i + 1 < len(u) else max(i - 1, 0)
     u[i] += pull * (u[j] - u[i])
-    trees = copy.deepcopy(code.trees)
-    start = 0
-    for node in (node for root in trees for node in iter_nodes(root) if node.height == 1):
-        node.code.points = u[start : start + len(node.code)]  # leaves in codeword order
-        start += len(node.code)
-    return GalaxyCode(code.params, trees, code.packing_saturated)
+    return GalaxyCode(code.params, code.centers, code.counts, u, code.packing_saturated)
 
 
 @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -360,11 +353,7 @@ def test_code_file_round_trip_is_bit_identical(code):
     back = deserialize(text)
     assert serialize(back) == text
     assert (back.degraded, back.packing_saturated) == (code.degraded, code.packing_saturated)
-    for name in ("codewords", "centers", "ancestors", "index_paths"):
+    for name in ("codewords", "centers", "counts", "heights", "parents", "roots", "ancestors",
+                 "index_paths"):
         a, b = getattr(code, name), getattr(back, name)
         assert (a.shape, a.dtype, a.tobytes()) == (b.shape, b.dtype, b.tobytes()), name
-    nodes = [node for root in code.trees for node in iter_nodes(root)]
-    back_nodes = [node for root in back.trees for node in iter_nodes(root)]
-    for a, b in zip(nodes, back_nodes, strict=True):
-        assert (a.height, a.code.radius) == (b.height, b.code.radius)
-        assert a.code.saturated == b.code.saturated
