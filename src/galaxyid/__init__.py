@@ -34,7 +34,6 @@ from .galaxy import (
     theta_of_k,
 )
 from .gaussian import (
-    ShellSpec,
     projection_tail,
     shell_prob_cross,
     shell_prob_miss,

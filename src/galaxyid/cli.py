@@ -13,6 +13,7 @@ import json
 import os
 import sys
 import time
+from dataclasses import fields
 
 from . import codefile, reports
 from .channel import DecoderParams
@@ -56,50 +57,31 @@ def _threads(args) -> int:
     return threads
 
 
-def _params_from_args(args) -> GalaxyParams:
-    return GalaxyParams(
-        n=args.n,
-        power=args.power,
-        b=args.b,
-        k=args.k,
-        theta=args.theta,
-        m_per_level=args.m,
-        sigma=args.sigma,
-        master_seed=args.seed,
-        t_bar=args.depth,
-        r_min_coeff=args.r_min_coeff,
-        enforce_cross_galaxy_margin=not args.no_cross_margin,
-        max_roots=args.max_roots,
-        saturation_probes=args.probes,
-        max_attempts=args.max_attempts,
-    )
+def _params_from_args(args, **fixed) -> GalaxyParams:
+    """GalaxyParams from every parsed flag named after one of its fields, plus `fixed`."""
+    given = {f.name: getattr(args, f.name) for f in fields(GalaxyParams) if hasattr(args, f.name)}
+    return GalaxyParams(**given, **fixed)
 
 
-def _add_build_params(sub: argparse.ArgumentParser) -> None:
+def _add_code_params(sub: argparse.ArgumentParser, max_roots: int) -> None:
+    """The GalaxyParams flags that build and sweep share; each stores its field."""
     sub.add_argument("--n", type=int, required=True, help="block length / dimension")
-    sub.add_argument("--k", type=int, required=True, help="radius scale factor (>= 7)")
     sub.add_argument("--b", type=float, default=0.0, help="leaf radius exponent in [0, 1/4)")
     sub.add_argument("--power", type=float, required=True, help="per-symbol power budget P")
     sub.add_argument("--sigma", type=float, default=1.0, help="noise standard deviation")
-    sub.add_argument("--m", type=int, default=None, help="points per spherical code")
-    sub.add_argument("--seed", type=int, default=0, help="master seed")
-    sub.add_argument("--theta", type=float, default=None, help="minimum angle (default from k)")
-    sub.add_argument("--depth", type=int, default=None, help="tree depth override")
+    sub.add_argument("--m", type=int, default=None, dest="m_per_level", metavar="M",
+                     help="points per spherical code")
+    sub.add_argument("--seed", type=int, default=0, dest="master_seed", metavar="SEED",
+                     help="master seed")
     sub.add_argument(
         "--r-min-coeff",
         type=float,
         default=None,
         help="raise leaf radius to max(n^b, COEFF*sigma*log2 n); finite-n slab margin",
     )
-    sub.add_argument(
-        "--no-cross-margin",
-        action="store_true",
-        help="do not widen center spacing for the cross-galaxy distance floor",
-    )
-    sub.add_argument("--max-roots", type=int, default=256)
-    sub.add_argument("--probes", type=int, default=200, help="consecutive rejections = saturation")
-    sub.add_argument("--max-attempts", type=int, default=20000,
-                     help="consecutive rejections that end a node's spherical code")
+    sub.add_argument("--max-roots", type=int, default=max_roots)
+    sub.add_argument("--probes", type=int, default=200, dest="saturation_probes",
+                     metavar="PROBES", help="consecutive rejections = saturation")
 
 
 def _emit(args, rows: list[dict]) -> None:
@@ -198,11 +180,13 @@ def cmd_rate(args) -> int:
             raise ValueError("rate needs --code, or --k / --k-pow2 for formula mode")
         if not 0 <= args.b < 0.25:
             raise ValueError(f"b must lie in [0, 1/4), got {args.b}")
+        if args.n is not None and args.n < 2:
+            raise ValueError(f"n must be >= 2, got {args.n}")
         for k in ks:
             theta = theta_of_k(k)
             row = reports.build_row("rate")
             row.update(k=k, b=args.b, theta=theta, rate_asymptotic=asymptotic_rate(args.b, k))
-            if args.n:
+            if args.n is not None:
                 row.update(n=args.n, m_bound_csw=csw_lower_bound(args.n, theta))
                 if args.power:
                     lo, hi = center_count_bounds(args.n, args.power, args.b)
@@ -222,28 +206,13 @@ def cmd_sweep(args) -> int:
     ks = [int(s) for s in args.k_list.split(",") if s]
     if not ks:
         raise ValueError("--k-list is empty")
-    grid = []
-    for k in ks:
-        grid.append(
-            GalaxyParams(
-                n=args.n,
-                power=args.power,
-                b=args.b,
-                k=k,
-                m_per_level=args.m,
-                sigma=args.sigma,
-                master_seed=args.seed,
-                r_min_coeff=args.r_min_coeff,
-                max_roots=args.max_roots,
-                saturation_probes=args.probes,
-            )
-        )
+    grid = [_params_from_args(args, k=k) for k in ks]
     plan = TrialPlan(
         type1_trials=args.trials_type1,
         type2_trials=args.trials_type2,
         pair_mode=args.pairs,
     )
-    results = sweep(grid, plan, args.seed, threads=_threads(args))
+    results = sweep(grid, plan, args.master_seed, threads=_threads(args))
     rows = []
     for res in results:
         if res.error is not None:
@@ -274,7 +243,20 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_build = sub.add_parser("build", help="construct a codebook and write it to disk")
-    _add_build_params(p_build)
+    _add_code_params(p_build, max_roots=256)
+    p_build.add_argument("--k", type=int, required=True, help="radius scale factor (>= 7)")
+    p_build.add_argument("--theta", type=float, default=None,
+                         help="minimum angle (default from k)")
+    p_build.add_argument("--depth", type=int, default=None, dest="t_bar", metavar="DEPTH",
+                         help="tree depth override")
+    p_build.add_argument(
+        "--no-cross-margin",
+        action="store_false",
+        dest="enforce_cross_galaxy_margin",
+        help="do not widen center spacing for the cross-galaxy distance floor",
+    )
+    p_build.add_argument("--max-attempts", type=int, default=20000,
+                         help="consecutive rejections that end a node's spherical code")
     p_build.add_argument("--out", required=True, help="output code file (JSON)")
     p_build.set_defaults(func=cmd_build)
 
@@ -313,16 +295,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_rate.set_defaults(func=cmd_rate)
 
     p_sweep = sub.add_parser("sweep", help="build+verify+estimate over a grid of k values")
-    p_sweep.add_argument("--n", type=int, required=True)
-    p_sweep.add_argument("--power", type=float, required=True)
-    p_sweep.add_argument("--b", type=float, default=0.0)
+    _add_code_params(p_sweep, max_roots=64)
     p_sweep.add_argument("--k-list", required=True, help="comma-separated k values")
-    p_sweep.add_argument("--m", type=int, default=None)
-    p_sweep.add_argument("--sigma", type=float, default=1.0)
-    p_sweep.add_argument("--seed", type=int, default=0)
-    p_sweep.add_argument("--r-min-coeff", type=float, default=None)
-    p_sweep.add_argument("--max-roots", type=int, default=64)
-    p_sweep.add_argument("--probes", type=int, default=200)
     p_sweep.add_argument("--trials-type1", type=int, default=0)
     p_sweep.add_argument("--trials-type2", type=int, default=0)
     p_sweep.add_argument(

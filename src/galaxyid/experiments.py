@@ -19,7 +19,7 @@ import numpy as np
 from . import galaxy
 from .channel import DecoderParams, decide, unit_directions
 from .galaxy import GalaxyCode
-from .gaussian import ShellSpec, projection_tail, shell_prob_cross, shell_prob_miss
+from .gaussian import projection_tail, shell_prob_cross, shell_prob_miss
 from .seeding import derive_seed
 from .spherical import SphericalCode, csw_lower_bound, min_pairwise_angle
 
@@ -147,13 +147,7 @@ class StructureReport:
 
 @dataclass(frozen=True)
 class RateReport:
-    """Achieved codebook size against every bound the analysis provides.
-
-    `lemma1_met` is None (no claim either way) whenever the per-level code
-    size falls short of the simplified spherical-code bound or the packing
-    stopped for a reason other than saturation; the gap is data, not a
-    failure.
-    """
+    """Achieved codebook size against every bound the analysis provides."""
 
     num_codewords: int
     num_roots: int
@@ -164,9 +158,6 @@ class RateReport:
     csw_bound: float
     m_achieved: int
     packing_saturated: bool
-    claim1_upper_ok: bool
-    claim1_consistent: bool | None
-    lemma1_met: bool | None
 
 
 # ---------------------------------------------------------------------------
@@ -177,12 +168,12 @@ class RateReport:
 def _slab_tail(params: DecoderParams) -> float:
     """Probability 2 Phi(-w/sigma) that noise leaves one slab of half-width w.
 
-    With sigma = 0 the ratio is undefined; log2 n, the default w/sigma,
-    stands in.
+    The estimators call it before drawing any trial: their bounds need
+    sigma > 0, which the decoder itself does not.
     """
-    if params.sigma > 0:
-        return projection_tail(params.slab_halfwidth / params.sigma)
-    return projection_tail(math.log2(params.n))
+    if params.sigma <= 0:
+        raise ValueError(f"sigma must be > 0, got {params.sigma}")
+    return projection_tail(params.slab_halfwidth / params.sigma)
 
 
 def _unit_plan(trials: int) -> list[tuple[int, int]]:
@@ -268,12 +259,10 @@ def estimate_type1(
     companion is the exact shell miss plus the union bound over the slab
     levels.
     """
+    bound = shell_prob_miss(params) + code.params.t_bar * _slab_tail(params)
     every = np.arange(len(code.codewords))
     accepted, _, _ = _pair_counts(code, every, every, "type1", params, trials, master_seed, threads)
     hits = trials - accepted
-    spec = ShellSpec(n=params.n, sigma=params.sigma, eps_n=params.eps_n)
-    t_bar = code.params.t_bar
-    bound = shell_prob_miss(spec) + t_bar * _slab_tail(params)
     return ErrorEstimate(
         kind="type1",
         trials=trials,
@@ -431,6 +420,7 @@ def estimate_type2(
     the separation analysis makes decisive).  Cross-galaxy pairs have no
     meet ancestor, so their decisive-slab count stays zero by construction.
     """
+    slab_tail = _slab_tail(params)
     targets, senders = np.asarray(select_pairs(code, strategy, master_seed)).T
     hits, shell_hits, slab_hits = _pair_counts(
         code, targets, senders, "type2", params, trials, master_seed, threads
@@ -440,12 +430,9 @@ def estimate_type2(
     terms = {}  # one bound per pair class present
     if cross.any():
         d_min = min(float(np.linalg.norm(d)) for d in u[senders[cross]] - u[targets[cross]])
-        terms["cross-shell"] = 0.0
-        if params.sigma > 0:
-            spec = ShellSpec(n=params.n, sigma=params.sigma, eps_n=params.eps_n)
-            terms["cross-shell"] = shell_prob_cross(spec, d_min)
+        terms["cross-shell"] = shell_prob_cross(params, d_min)
     if not cross.all():
-        terms["meet-slab-tail"] = _slab_tail(params)
+        terms["meet-slab-tail"] = slab_tail
     formula = f"max({','.join(terms)})" if len(terms) > 1 else next(iter(terms))
     return ErrorEstimate(
         kind="type2",
@@ -560,35 +547,19 @@ def verify_structure(code: GalaxyCode, tol: float = 1e-6) -> StructureReport:
 
 
 def rate_report(code: GalaxyCode) -> RateReport:
-    """Achieved size and rate next to every analytic bound, gaps flagged."""
+    """Achieved size and rate next to every analytic bound."""
     p = code.params
     n_cw = len(code.codewords)
-    n_roots = len(code.roots)
-    rate = math.log2(n_cw) / (p.n * math.log2(p.n)) if n_cw >= 1 else 0.0
-    lo, hi = galaxy.center_count_bounds(p.n, p.power, p.b)
-    csw = csw_lower_bound(p.n, p.theta)
-    m_achieved = int(code.counts.min())
-    claim1_upper_ok = n_roots <= hi
-    claim1_consistent = None
-    if lo >= 1 and code.packing_saturated:
-        claim1_consistent = bool(lo <= n_roots <= hi)
-    lemma1_bound = galaxy.rate_lower_bound(p.n, p.power, p.b, p.k, p.theta)
-    lemma1_met = None
-    if m_achieved >= csw and code.packing_saturated:
-        lemma1_met = bool(rate >= lemma1_bound - 1e-12)
     return RateReport(
         num_codewords=n_cw,
-        num_roots=n_roots,
-        rate_achieved=rate,
-        lemma1_bound=lemma1_bound,
-        claim1_bounds=(lo, hi),
+        num_roots=len(code.roots),
+        rate_achieved=math.log2(n_cw) / (p.n * math.log2(p.n)) if n_cw >= 1 else 0.0,
+        lemma1_bound=galaxy.rate_lower_bound(p.n, p.power, p.b, p.k, p.theta),
+        claim1_bounds=galaxy.center_count_bounds(p.n, p.power, p.b),
         asymptotic=galaxy.asymptotic_rate(p.b, p.k),
-        csw_bound=csw,
-        m_achieved=m_achieved,
+        csw_bound=csw_lower_bound(p.n, p.theta),
+        m_achieved=int(code.counts.min()),
         packing_saturated=code.packing_saturated,
-        claim1_upper_ok=claim1_upper_ok,
-        claim1_consistent=claim1_consistent,
-        lemma1_met=lemma1_met,
     )
 
 

@@ -14,10 +14,12 @@ formulas keep their natural-exponential form exactly as they stand.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:  # channel imports default_eps from here
+    from .channel import DecoderParams
 
 __all__ = [
-    "ShellSpec",
     "default_eps",
     "std_normal_cdf",
     "projection_tail",
@@ -34,28 +36,6 @@ _STIRLING_MIN_A = 16.0  # the 5-term Stirling series is exact to ~1e-16 from her
 def default_eps(n: int) -> float:
     """Default shell half-width parameter, log2(n) / sqrt(n)."""
     return math.log2(n) / math.sqrt(n)
-
-
-@dataclass(frozen=True)
-class ShellSpec:
-    """Dimension, noise level and shell half-width of a decoding shell.
-
-    eps_n defaults to log2(n)/sqrt(n) when not given.
-    """
-
-    n: int
-    sigma: float
-    eps_n: float | None = None
-
-    def __post_init__(self):
-        if self.n < 1:
-            raise ValueError(f"n must be >= 1, got {self.n}")
-        if self.sigma <= 0:
-            raise ValueError(f"sigma must be > 0, got {self.sigma}")
-        if self.eps_n is None:
-            object.__setattr__(self, "eps_n", default_eps(self.n))
-        if self.eps_n <= 0:
-            raise ValueError(f"eps_n must be > 0, got {self.eps_n}")
 
 
 def std_normal_cdf(x: float) -> float:
@@ -146,22 +126,29 @@ def _chi_square_tails(n: int, x: float) -> tuple[float, float]:
     raise ArithmeticError(f"P({a}, {z}) did not converge in {steps} steps")
 
 
-def shell_prob_miss(spec: ShellSpec) -> float:
+def _shell(params: DecoderParams) -> tuple[int, float, float]:
+    """(n, sigma, eps_n) of the decoding shell; the laws need sigma > 0."""
+    if params.sigma <= 0:
+        raise ValueError(f"sigma must be > 0, got {params.sigma}")
+    return params.n, params.sigma, params.eps_n
+
+
+def shell_prob_miss(params: DecoderParams) -> float:
     """Probability that noise around the transmitted point leaves its own shell:
     the chi-square tails below n - n eps/sigma^2 and above n + n eps/sigma^2,
     each computed directly, so no cancellation against 1 limits its accuracy.
     """
-    n, sigma, eps = spec.n, spec.sigma, spec.eps_n
+    n, sigma, eps = _shell(params)
     shift = n * eps / (sigma * sigma)
     return _chi_square_tails(n, max(0.0, n - shift))[0] + _chi_square_tails(n, n + shift)[1]
 
 
-def shell_prob_cross(spec: ShellSpec, d: float) -> float:
+def shell_prob_cross(params: DecoderParams, d: float) -> float:
     """Normal approximation of landing in the shell of a codeword at distance d.
 
     Phi((n eps - d^2) / (sigma sqrt(2 n sigma^2 + 4 d^2))).
     """
     if d < 0:
         raise ValueError(f"distance must be >= 0, got {d}")
-    n, sigma, eps = spec.n, spec.sigma, spec.eps_n
+    n, sigma, eps = _shell(params)
     return std_normal_cdf((n * eps - d * d) / (sigma * math.sqrt(2 * n * sigma**2 + 4 * d * d)))

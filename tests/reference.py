@@ -14,10 +14,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from galaxyid import experiments
-from galaxyid.channel import unit_directions
+from galaxyid.channel import DecoderParams, unit_directions
 from galaxyid.galaxy import separation_margins
 from galaxyid.geometry import as_coords
-from galaxyid.gaussian import ShellSpec, _chi_square_tails, shell_prob_miss, std_normal_cdf
+from galaxyid.gaussian import _chi_square_tails, shell_prob_miss, std_normal_cdf
 from galaxyid.seeding import derive_seed
 from galaxyid.spherical import _DOT_TOL, SphericalCode, _witness_candidates
 
@@ -34,7 +34,7 @@ def chi_square_cdf(n: int, x: float) -> float:
     return _chi_square_tails(n, x)[0]
 
 
-def shell_prob_same(spec: ShellSpec) -> float:
+def shell_prob_same(spec: DecoderParams) -> float:
     """Probability that noise around the transmitted point lands in its own shell.
 
     The chi-square law P(n - n eps/sigma^2 <= chi2(n) <= n + n eps/sigma^2).
@@ -47,7 +47,7 @@ def separation_condition(k: int, theta: float) -> bool:
     return separation_margins(k, theta)["strict_holds"]
 
 
-def shell_prob_same_normal_approx(spec: ShellSpec) -> float:
+def shell_prob_same_normal_approx(spec: DecoderParams) -> float:
     """Central-limit approximation of shell_prob_same:
     1 - 2 Phi(-sqrt(n) eps / (sqrt(2) sigma^2)).
 
@@ -59,7 +59,7 @@ def shell_prob_same_normal_approx(spec: ShellSpec) -> float:
     return 1.0 - 2.0 * std_normal_cdf(-a)
 
 
-def mills_bound(spec: ShellSpec) -> float:
+def mills_bound(spec: DecoderParams) -> float:
     """Gaussian tail bound dominating the shell miss probability.
 
     (2 sigma^2 / (sqrt(n pi) eps)) * exp(-n eps^2 / (4 sigma^4)); always at

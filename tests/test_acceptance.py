@@ -28,7 +28,6 @@ from galaxyid.galaxy import (
     theta_of_k,
 )
 from galaxyid.gaussian import (
-    ShellSpec,
     projection_tail,
     shell_prob_cross,
     std_normal_cdf,
@@ -114,7 +113,7 @@ def test_acceptance_2_projection_law():
 
 def test_acceptance_3_shell_concentration():
     n, sigma, trials = 100, 1.0, 1_000_000
-    spec = ShellSpec(n=n, sigma=sigma)
+    spec = DecoderParams(n=n, sigma=sigma)
     assert spec.eps_n == pytest.approx(math.log2(100) / 10)
     exact = shell_prob_same(spec)
     approx = shell_prob_same_normal_approx(spec)
@@ -145,7 +144,7 @@ def test_acceptance_4_mills_dominance():
     for j in range(4, 13):  # n = 16 .. 4096
         n = 2**j
         for sigma in (0.5, 1.0, 2.0):
-            spec = ShellSpec(n=n, sigma=sigma)
+            spec = DecoderParams(n=n, sigma=sigma)
             tail = std_normal_cdf(-math.sqrt(n) * spec.eps_n / (math.sqrt(2) * sigma**2))
             bound = mills_bound(spec)
             assert bound > tail, f"n={n} sigma={sigma}"
@@ -158,7 +157,7 @@ def test_acceptance_5_type1_end_to_end(standard_code):
     dec = DecoderParams.from_galaxy(params)
     trials = 100_000
     est = estimate_type1(standard_code, dec, trials, master_seed=42)
-    spec = ShellSpec(n=params.n, sigma=params.sigma)
+    spec = DecoderParams(n=params.n, sigma=params.sigma)
     bound = (1.0 - shell_prob_same(spec)) + 2 * params.t_bar * std_normal_cdf(
         -math.log2(params.n)
     )
@@ -179,7 +178,7 @@ def test_acceptance_6_type2_cross_galaxy(standard_code):
     est = estimate_type2(standard_code, strategy, dec, 100_000, master_seed=43)
     assert est.hits == 0
     assert est.rule_of_three == pytest.approx(3e-5)
-    reference = shell_prob_cross(ShellSpec(n=params.n, sigma=params.sigma), d_min)
+    reference = shell_prob_cross(DecoderParams(n=params.n, sigma=params.sigma), d_min)
     assert reference == pytest.approx(1.4e-17, abs=1e-17)
     assert est.analytic_bound <= reference  # actual pairs sit even farther out
     print(

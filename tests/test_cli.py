@@ -4,12 +4,17 @@ import json
 import os
 import subprocess
 import sys
+from collections import Counter
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from galaxyid import cli
+from galaxyid.galaxy import GalaxyParams, theta_of_k
 from galaxyid.reports import REPORT_COLUMNS
 
 BUILD_ARGS = [
@@ -268,6 +273,14 @@ def test_rate_formula_mode():
     assert all(a < b for a, b in zip(vals, vals[1:]))
 
 
+@pytest.mark.parametrize("n, power", [("1", "1"), ("0", "2"), ("-3", "2")])
+def test_rate_formula_mode_rejects_n_below_two(n, power):
+    res = run_cli("rate", "--n", n, "--power", power, "--k", "8")
+    assert res.returncode == 2, res.stderr
+    assert f"error: n must be >= 2, got {n}" in res.stderr
+    assert not res.stdout
+
+
 def test_rate_code_mode(code_file):
     res = run_cli("rate", "--code", str(code_file))
     assert res.returncode == 0
@@ -410,3 +423,93 @@ def test_rate_formula_mode_out_of_float_range():
     assert res.returncode == 0, res.stderr
     row = dict(zip(REPORT_COLUMNS, res.stdout.splitlines()[1].split(",")))
     assert row["m_bound_csw"] == "inf"
+
+
+# The one build flag that sets each GalaxyParams field.
+FIELD_FLAGS = {
+    "n": "--n", "power": "--power", "b": "--b", "k": "--k", "theta": "--theta",
+    "m_per_level": "--m", "sigma": "--sigma", "master_seed": "--seed", "t_bar": "--depth",
+    "r_min_coeff": "--r-min-coeff", "enforce_cross_galaxy_margin": "--no-cross-margin",
+    "max_roots": "--max-roots", "saturation_probes": "--probes",
+    "max_attempts": "--max-attempts",
+}
+
+
+def _subparser(name: str) -> argparse.ArgumentParser:
+    (commands,) = [a for a in cli.build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction)]
+    return commands.choices[name]
+
+
+def test_each_galaxy_field_is_set_by_one_build_flag():
+    names = [f.name for f in fields(GalaxyParams)]
+    assert sorted(FIELD_FLAGS) == sorted(names)
+    dests = Counter(a.dest for a in _subparser("build")._actions)
+    assert {name: dests[name] for name in names} == dict.fromkeys(names, 1)
+    by_flag = {flag: a.dest for a in _subparser("build")._actions for flag in a.option_strings}
+    assert all(by_flag[flag] == name for name, flag in FIELD_FLAGS.items())
+
+
+@st.composite
+def galaxy_fields(draw):
+    k = draw(st.integers(7, 64))
+    return {
+        "n": draw(st.integers(2, 512)),
+        "power": draw(st.floats(1e-3, 1e9)),
+        "b": draw(st.floats(0.0, 0.249)),
+        "k": k,
+        "theta": draw(st.none() | st.floats(theta_of_k(k), 3.1)),
+        "m_per_level": draw(st.none() | st.integers(1, 64)),
+        "sigma": draw(st.floats(1e-3, 1e3)),
+        "master_seed": draw(st.integers(0, 2**64 - 1)),
+        "t_bar": draw(st.none() | st.integers(1, 8)),
+        "r_min_coeff": draw(st.none() | st.floats(1e-3, 10.0)),
+        "enforce_cross_galaxy_margin": draw(st.booleans()),
+        "max_roots": draw(st.integers(1, 10**4)),
+        "saturation_probes": draw(st.integers(1, 10**4)),
+        "max_attempts": draw(st.integers(1, 10**6)),
+    }
+
+
+@settings(max_examples=200, deadline=None)
+@given(galaxy_fields())
+def test_build_flags_give_the_drawn_params(values):
+    argv = ["build", "--out", "-"]
+    for name, value in values.items():
+        if name == "enforce_cross_galaxy_margin":
+            argv += [] if value else [FIELD_FLAGS[name]]
+        elif value is not None:
+            argv += [FIELD_FLAGS[name], repr(value)]
+    args = cli.build_parser().parse_args(argv)
+    assert cli._params_from_args(args) == GalaxyParams(**values)
+
+
+def test_sweep_cells_match_build_params(monkeypatch):
+    shared = ["--n", "64", "--b", "0.1", "--power", "4000", "--sigma", "1.5", "--m", "3",
+              "--seed", "9", "--r-min-coeff", "2", "--probes", "50"]
+    calls = []
+    monkeypatch.setattr(cli, "sweep",
+                        lambda grid, plan, seed, threads: calls.append((grid, seed)) or [])
+    assert cli.main(["sweep", *shared, "--k-list", "8,16,32"]) == 0
+    ((grid, seed),) = calls
+    assert seed == 9
+    parser = cli.build_parser()
+    assert [cell.k for cell in grid] == [8, 16, 32]
+    for cell in grid:
+        build = ["build", *shared, "--k", str(cell.k), "--max-roots", "64", "--out", "-"]
+        assert cell == cli._params_from_args(parser.parse_args(build))
+    # the one shared default that differs
+    assert parser.parse_args(["build", *shared, "--k", "8", "--out", "-"]).max_roots == 256
+
+
+@pytest.mark.parametrize("command, options", [
+    ("build", ["--m M", "--seed SEED", "--depth DEPTH", "--probes PROBES"]),
+    ("sweep", ["--m M", "--seed SEED", "--probes PROBES"]),
+])
+def test_help_shows_flag_metavars(capsys, command, options):
+    with pytest.raises(SystemExit) as exc:
+        cli.main([command, "--help"])
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    for option in options:
+        assert option in out

@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
+from galaxyid.channel import DecoderParams
 from galaxyid.gaussian import (
-    ShellSpec,
     default_eps,
     projection_tail,
     shell_prob_cross,
@@ -29,8 +29,8 @@ MILLS_100 = 2.7384552433249617e-06
 CROSS_100_AT_D = 1.3651828899514554e-17
 
 
-def spec100() -> ShellSpec:
-    return ShellSpec(n=100, sigma=1.0)
+def spec100() -> DecoderParams:
+    return DecoderParams(n=100, sigma=1.0)
 
 
 def test_pdf_examples():
@@ -99,7 +99,7 @@ def test_chi_square_cdf_matches_mpmath():
             err = float(abs(chi_square_cdf(n, x) - true) / true)
             worst = max(worst, (err, (n, x)))
     for n, sigma in ((64, 1.0), (256, 0.7), (4096, 1.0)):
-        spec = ShellSpec(n=n, sigma=sigma)
+        spec = DecoderParams(n=n, sigma=sigma)
         shift = n * spec.eps_n / sigma**2
         true = law(n, 0, max(0.0, n - shift)) + law(n, n + shift, mpmath.inf)
         err = float(abs(shell_prob_miss(spec) - true) / true)
@@ -118,16 +118,22 @@ def test_chi_square_wilson_hilferty_crosscheck():
     assert wh_tail == pytest.approx(exact_tail, rel=0.05)
 
 
-def test_shell_spec_defaults_and_validation():
+def test_decoder_params_defaults_and_shell_law_validation():
     spec = spec100()
     assert spec.eps_n == pytest.approx(0.6643856189774724)
     assert default_eps(100) == spec.eps_n
     with pytest.raises(ValueError):
-        ShellSpec(n=0, sigma=1.0)
+        DecoderParams(n=0, sigma=1.0)
     with pytest.raises(ValueError):
-        ShellSpec(n=10, sigma=0.0)
+        DecoderParams(n=10, sigma=-1.0)
     with pytest.raises(ValueError):
-        ShellSpec(n=10, sigma=1.0, eps_n=-0.1)
+        DecoderParams(n=10, sigma=1.0, eps_n=-0.1)
+    # the decoder accepts sigma = 0; the shell laws do not
+    noiseless = DecoderParams(n=10, sigma=0.0)
+    with pytest.raises(ValueError, match="sigma"):
+        shell_prob_miss(noiseless)
+    with pytest.raises(ValueError, match="sigma"):
+        shell_prob_cross(noiseless, 1.0)
 
 
 def test_shell_prob_same_values():
@@ -140,16 +146,16 @@ def test_shell_prob_same_values():
 
 def test_shell_prob_same_small_eps_limit():
     for eps in (1e-3, 1e-5, 1e-7):
-        spec = ShellSpec(n=100, sigma=1.0, eps_n=eps)
+        spec = DecoderParams(n=100, sigma=1.0, eps_n=eps)
         assert shell_prob_same_normal_approx(spec) <= 0.51
         assert shell_prob_same(spec) <= shell_prob_same_normal_approx(spec) + 0.01
-    tiny = ShellSpec(n=100, sigma=1.0, eps_n=1e-12)
+    tiny = DecoderParams(n=100, sigma=1.0, eps_n=1e-12)
     assert shell_prob_same(tiny) == pytest.approx(0.0, abs=1e-9)
 
 
 def test_shell_prob_same_exact_monotone_in_eps():
     vals = [
-        shell_prob_same(ShellSpec(n=50, sigma=1.0, eps_n=e))
+        shell_prob_same(DecoderParams(n=50, sigma=1.0, eps_n=e))
         for e in np.linspace(0.01, 2.0, 40)
     ]
     assert all(0.0 <= v <= 1.0 for v in vals)
@@ -183,13 +189,13 @@ def test_mills_dominance_grid():
     for j in range(4, 13):
         n = 2**j
         for sigma in (0.5, 1.0, 2.0):
-            spec = ShellSpec(n=n, sigma=sigma)
+            spec = DecoderParams(n=n, sigma=sigma)
             tail = std_normal_cdf(-math.sqrt(n) * spec.eps_n / (math.sqrt(2) * sigma**2))
             assert mills_bound(spec) > tail
 
 
 def test_mills_bound_vanishes():
-    vals = [mills_bound(ShellSpec(n=2**j, sigma=1.0)) for j in range(4, 13)]
+    vals = [mills_bound(DecoderParams(n=2**j, sigma=1.0)) for j in range(4, 13)]
     assert all(a > b for a, b in zip(vals, vals[1:]))
     assert vals[-1] < 1e-15
 
