@@ -26,15 +26,7 @@ from .experiments import (
     sweep,
     verify_structure,
 )
-from .galaxy import (
-    GalaxyParams,
-    asymptotic_rate,
-    build_code,
-    center_count_bounds,
-    rate_lower_bound,
-    theta_of_k,
-)
-from .spherical import csw_lower_bound
+from .galaxy import GalaxyParams, build_code, theta_of_k
 
 THREADS_ENV = "GALAXYID_THREADS"
 
@@ -163,6 +155,8 @@ def _parse_pow2_range(text: str) -> list[int]:
         raise ValueError(f"expected --k-pow2 like 3..20, got {text!r}") from exc
     if lo > hi:
         raise ValueError(f"empty --k-pow2 range {text!r}")
+    if hi > 1023:  # 2^1024 is past float range
+        raise ValueError(f"--k-pow2 exponents must be <= 1023, got {text!r}")
     return [2**j for j in range(lo, hi + 1)]
 
 
@@ -182,20 +176,13 @@ def cmd_rate(args) -> int:
             raise ValueError(f"b must lie in [0, 1/4), got {args.b}")
         if args.n is not None and args.n < 2:
             raise ValueError(f"n must be >= 2, got {args.n}")
+        if args.power is not None and args.n is None:
+            raise ValueError("--power needs --n")
+        if args.power is not None and not args.power > 0:
+            raise ValueError(f"power must be > 0, got {args.power}")
         for k in ks:
-            theta = theta_of_k(k)
             row = reports.build_row("rate")
-            row.update(k=k, b=args.b, theta=theta, rate_asymptotic=asymptotic_rate(args.b, k))
-            if args.n is not None:
-                row.update(n=args.n, m_bound_csw=csw_lower_bound(args.n, theta))
-                if args.power:
-                    lo, hi = center_count_bounds(args.n, args.power, args.b)
-                    row.update(
-                        power=args.power,
-                        rate_bound_lemma1=rate_lower_bound(args.n, args.power, args.b, k, theta),
-                        count_bound_claim1_lo=lo,
-                        count_bound_claim1_hi=hi,
-                    )
+            row.update(reports.rate_columns(k, args.b, theta_of_k(k), args.n, args.power))
             rows.append(row)
     _emit(args, rows)
     return 0
@@ -316,7 +303,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OverflowError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -21,7 +21,7 @@ from .channel import DecoderParams, decide, unit_directions
 from .galaxy import GalaxyCode
 from .gaussian import projection_tail, shell_prob_cross, shell_prob_miss
 from .seeding import derive_seed
-from .spherical import SphericalCode, csw_lower_bound, min_pairwise_angle
+from .spherical import SphericalCode, min_pairwise_angle
 
 __all__ = [
     "ErrorEstimate",
@@ -147,15 +147,11 @@ class StructureReport:
 
 @dataclass(frozen=True)
 class RateReport:
-    """Achieved codebook size against every bound the analysis provides."""
+    """Achieved codebook size and rate; reports.rate_columns gives the bounds."""
 
     num_codewords: int
     num_roots: int
     rate_achieved: float
-    lemma1_bound: float
-    claim1_bounds: tuple[float, float]
-    asymptotic: float
-    csw_bound: float
     m_achieved: int
     packing_saturated: bool
 
@@ -204,6 +200,7 @@ def _pair_counts(
     code: GalaxyCode,
     targets: np.ndarray,
     senders: np.ndarray,
+    meet_rows: np.ndarray,
     tag: str,
     params: DecoderParams,
     trials: int,
@@ -213,8 +210,9 @@ def _pair_counts(
     """(accepted, in shell, in decisive slab) counts, summed over the units,
     when trial t sends senders[p] to targets[p]'s decoder, p = t mod P.
 
-    The decisive slab is the one at the pair's meet ancestor; a pair with
-    none (across roots, or a codeword with itself) counts nothing there.
+    The decisive slab is the one at the pair's meet ancestor, row
+    meet_rows[p] of the chain; a pair with none (-1: across roots, or a
+    codeword with itself) counts nothing there.
     Each unit's noise comes from the stream (master_seed, tag, unit) and is
     decided in row blocks of at most _DECIDE_CELLS gathered direction cells.
     """
@@ -222,7 +220,6 @@ def _pair_counts(
     u = code.codewords
     directions = unit_directions(u, code.centers[code.ancestors])
     offsets = u[senders] - u[targets]
-    meet_rows = _meet_rows(code, targets, senders)
     step = max(1, _DECIDE_CELLS // directions[0].size)
 
     def run_unit(unit_index: int) -> np.ndarray:
@@ -245,6 +242,16 @@ def _pair_counts(
     return int(accepted), int(shell_hits), int(slab_hits)
 
 
+def _estimate(kind, trials, hits, bound, formula, seed, **components) -> ErrorEstimate:
+    """An ErrorEstimate with p_hat, the Wilson interval and the rule of three
+    derived from hits and trials."""
+    return ErrorEstimate(
+        kind=kind, trials=trials, hits=hits, p_hat=hits / trials,
+        wilson_95=wilson_interval(hits, trials), analytic_bound=bound, bound_formula=formula,
+        seed=seed, rule_of_three=3.0 / trials, components=components,
+    )
+
+
 def estimate_type1(
     code: GalaxyCode,
     params: DecoderParams,
@@ -261,38 +268,26 @@ def estimate_type1(
     """
     bound = shell_prob_miss(params) + code.params.t_bar * _slab_tail(params)
     every = np.arange(len(code.codewords))
-    accepted, _, _ = _pair_counts(code, every, every, "type1", params, trials, master_seed, threads)
-    hits = trials - accepted
-    return ErrorEstimate(
-        kind="type1",
-        trials=trials,
-        hits=hits,
-        p_hat=hits / trials,
-        wilson_95=wilson_interval(hits, trials),
-        analytic_bound=bound,
-        bound_formula="shell-exact+slab-union",
-        seed=master_seed,
-        rule_of_three=3.0 / trials,
+    accepted, _, _ = _pair_counts(
+        code, every, every, np.full_like(every, -1), "type1", params, trials, master_seed, threads
     )
+    return _estimate("type1", trials, trials - accepted, bound, "shell-exact+slab-union",
+                     master_seed)
 
 
 def _tree_layout(code: GalaxyCode) -> tuple[np.ndarray, np.ndarray]:
     """[start, end) of the block holding each codeword at every tree level.
 
-    Codewords are listed depth-first, so those sharing the first L entries
-    of their index_paths row form one contiguous run.  Row L of
-    the (t_bar + 2, N) results is level L: 0 is the whole code, 1 the
-    codeword's root, t_bar + 1 the codeword itself.
+    Row L of the (t_bar + 2, N) results is level L: 0 is the whole code,
+    L in 1..t_bar the codeword's ancestor at height t_bar + 1 - L (1 is its
+    root), t_bar + 1 the codeword itself.  Codewords are listed depth-first,
+    so each level's key (one value, an ancestors column, the codeword's own
+    index) is sorted and a block is the run of one key value.
     """
-    keys = code.index_paths
-    n_cw, t_bar = len(keys), code.params.t_bar
-    lo = np.zeros((t_bar + 2, n_cw), dtype=np.intp)
-    hi = np.full_like(lo, n_cw)
-    for level in range(1, t_bar + 2):
-        starts = np.flatnonzero(np.r_[True, (keys[1:, :level] != keys[:-1, :level]).any(axis=1)])
-        sizes = np.diff(np.r_[starts, n_cw])
-        lo[level] = np.repeat(starts, sizes)
-        hi[level] = lo[level] + np.repeat(sizes, sizes)
+    n_cw = len(code.codewords)
+    keys = [np.zeros(n_cw, dtype=np.intp), *code.ancestors.T[::-1], np.arange(n_cw)]
+    lo = np.stack([np.searchsorted(key, key, side="left") for key in keys])
+    hi = np.stack([np.searchsorted(key, key, side="right") for key in keys])
     return lo, hi
 
 
@@ -328,8 +323,8 @@ def _at_least(u: np.ndarray, sq: np.ndarray, rows: np.ndarray, threshold) -> np.
     return far
 
 
-def select_pairs(code: GalaxyCode, strategy: PairStrategy, master_seed: int) -> list[tuple[int, int]]:
-    """Ordered (target, sender) index pairs matching the strategy, i-major.
+def select_pairs(code: GalaxyCode, strategy: PairStrategy, master_seed: int) -> np.ndarray:
+    """Ordered (target, sender) index pairs matching the strategy, i-major, as (P, 2) rows.
 
     Codewords are listed depth-first, so the senders of target i are an
     outer tree block minus an inner one (see _tree_layout): i's height-1
@@ -396,7 +391,16 @@ def select_pairs(code: GalaxyCode, strategy: PairStrategy, master_seed: int) -> 
         senders = np.where(
             local < before, outer_lo[targets] + local, inner_hi[targets] + (local - before)
         )
-    return list(zip(targets.tolist(), senders.tolist()))
+    return np.column_stack([targets, senders])
+
+
+def _min_norm(rows: np.ndarray) -> float:
+    """min(np.linalg.norm(row) for row in rows) bit for bit: squared norms from one
+    einsum pick the rows within its rounding band of the smallest, and only those
+    get the per-row norm."""
+    sq = np.einsum("ij,ij->i", rows, rows)
+    near = sq <= sq.min() * (1.0 + 16 * (rows.shape[1] + 4) * np.finfo(np.float64).eps)
+    return min(float(np.linalg.norm(row)) for row in rows[near])
 
 
 def _meet_rows(code: GalaxyCode, targets: np.ndarray, senders: np.ndarray) -> np.ndarray:
@@ -421,31 +425,21 @@ def estimate_type2(
     meet ancestor, so their decisive-slab count stays zero by construction.
     """
     slab_tail = _slab_tail(params)
-    targets, senders = np.asarray(select_pairs(code, strategy, master_seed)).T
+    targets, senders = select_pairs(code, strategy, master_seed).T
+    meet_rows = _meet_rows(code, targets, senders)
     hits, shell_hits, slab_hits = _pair_counts(
-        code, targets, senders, "type2", params, trials, master_seed, threads
+        code, targets, senders, meet_rows, "type2", params, trials, master_seed, threads
     )
-    u, roots = code.codewords, code.index_paths[:, 0]
-    cross = roots[targets] != roots[senders]
+    u, cross = code.codewords, meet_rows < 0  # two distinct codewords: across roots
     terms = {}  # one bound per pair class present
     if cross.any():
-        d_min = min(float(np.linalg.norm(d)) for d in u[senders[cross]] - u[targets[cross]])
+        d_min = _min_norm(u[senders[cross]] - u[targets[cross]])
         terms["cross-shell"] = shell_prob_cross(params, d_min)
     if not cross.all():
         terms["meet-slab-tail"] = slab_tail
     formula = f"max({','.join(terms)})" if len(terms) > 1 else next(iter(terms))
-    return ErrorEstimate(
-        kind="type2",
-        trials=trials,
-        hits=hits,
-        p_hat=hits / trials,
-        wilson_95=wilson_interval(hits, trials),
-        analytic_bound=max(terms.values()),
-        bound_formula=formula,
-        seed=master_seed,
-        rule_of_three=3.0 / trials,
-        components={"shell_hits": shell_hits, "decisive_slab_hits": slab_hits},
-    )
+    return _estimate("type2", trials, hits, max(terms.values()), formula, master_seed,
+                     shell_hits=shell_hits, decisive_slab_hits=slab_hits)
 
 
 # ---------------------------------------------------------------------------
@@ -547,17 +541,13 @@ def verify_structure(code: GalaxyCode, tol: float = 1e-6) -> StructureReport:
 
 
 def rate_report(code: GalaxyCode) -> RateReport:
-    """Achieved size and rate next to every analytic bound."""
+    """Achieved size and rate of the code."""
     p = code.params
     n_cw = len(code.codewords)
     return RateReport(
         num_codewords=n_cw,
         num_roots=len(code.roots),
         rate_achieved=math.log2(n_cw) / (p.n * math.log2(p.n)) if n_cw >= 1 else 0.0,
-        lemma1_bound=galaxy.rate_lower_bound(p.n, p.power, p.b, p.k, p.theta),
-        claim1_bounds=galaxy.center_count_bounds(p.n, p.power, p.b),
-        asymptotic=galaxy.asymptotic_rate(p.b, p.k),
-        csw_bound=csw_lower_bound(p.n, p.theta),
         m_achieved=int(code.counts.min()),
         packing_saturated=code.packing_saturated,
     )

@@ -272,9 +272,9 @@ class GalaxyCode:
     Derived here, and only here: heights and parents (C,), -1 for a root;
     roots, the root centers, whose rank is the root index; ancestors
     (N, t_bar), where ancestors[j, h-1] is the row of centers holding
-    codeword j's height-h ancestor; index_paths (N, t_bar + 1), the root
-    index, then the child indices down to the codeword; and degraded (some
-    node holds fewer than m_per_level points).  All arrays are read-only.
+    codeword j's height-h ancestor (pre-order makes every column sorted, so
+    a node's codewords form one run); and degraded (some node holds fewer
+    than m_per_level points).  All arrays are read-only.
     Counts that are not complete depth-t_bar trees of 1 to m_per_level
     points per node, tables of another shape and non-finite coordinates
     raise ValueError naming the node as (root, *child indices).
@@ -289,7 +289,6 @@ class GalaxyCode:
     parents: np.ndarray = field(init=False)
     roots: np.ndarray = field(init=False)
     ancestors: np.ndarray = field(init=False)
-    index_paths: np.ndarray = field(init=False)
     degraded: bool = field(init=False)
 
     def __post_init__(self):
@@ -307,7 +306,7 @@ class GalaxyCode:
             while row >= 0:
                 path.append(slots[row])
                 row = parents[row]
-            return tuple(int(slot) for slot in reversed(path))
+            return tuple(reversed(path))
 
         for row, count in enumerate(values):
             if open_nodes:
@@ -336,7 +335,7 @@ class GalaxyCode:
                 f"after {placed} of its children"
             )
 
-        counts, slots = counts.astype(np.intp), np.asarray(slots, dtype=np.intp)
+        counts = counts.astype(np.intp)
         heights, parents = np.asarray(heights, dtype=np.intp), np.asarray(parents, dtype=np.intp)
         rows = np.arange(len(counts))
         sizes = counts[heights == 1]
@@ -358,12 +357,9 @@ class GalaxyCode:
         chain = [owner]
         for _ in range(1, p.t_bar):
             chain.append(parents[chain[-1]])
-        ancestors = np.stack(chain, axis=1)
-        ranks = np.arange(len(owner)) - np.repeat(np.cumsum(sizes) - sizes, sizes)
         derived = dict(
             tables, counts=counts, heights=heights, parents=parents,
-            roots=tables["centers"][parents < 0], ancestors=ancestors,
-            index_paths=np.column_stack([slots[ancestors[:, ::-1]], ranks]),
+            roots=tables["centers"][parents < 0], ancestors=np.stack(chain, axis=1),
         )
         for name, value in derived.items():
             value.flags.writeable = False

@@ -11,11 +11,14 @@ from __future__ import annotations
 import csv
 import io
 import json
+from dataclasses import asdict
 
 from .experiments import ErrorEstimate, RateReport
-from .galaxy import GalaxyParams
+from .galaxy import GalaxyParams, asymptotic_rate, center_count_bounds, rate_lower_bound
+from .spherical import csw_lower_bound
 
-__all__ = ["SCHEMA_VERSION", "REPORT_COLUMNS", "build_row", "render_csv", "render_jsonl"]
+__all__ = ["SCHEMA_VERSION", "REPORT_COLUMNS", "rate_columns", "build_row", "render_csv",
+           "render_jsonl"]
 
 SCHEMA_VERSION = 1
 
@@ -62,6 +65,23 @@ REPORT_COLUMNS = [
 ]
 
 
+def rate_columns(k: int, b: float, theta: float, n: int | None = None,
+                 power: float | None = None) -> dict:
+    """The analytic rate columns of a row, with the parameters they follow.
+
+    Always k, b, theta and rate_asymptotic; with n also n and m_bound_csw;
+    with n and power also power, rate_bound_lemma1 and the claim-1 bounds.
+    """
+    cols = dict(k=k, b=b, theta=theta, rate_asymptotic=asymptotic_rate(b, k))
+    if n is not None:
+        cols.update(n=n, m_bound_csw=csw_lower_bound(n, theta))
+        if power is not None:
+            lo, hi = center_count_bounds(n, power, b)
+            cols.update(power=power, rate_bound_lemma1=rate_lower_bound(n, power, b, k, theta),
+                        count_bound_claim1_lo=lo, count_bound_claim1_hi=hi)
+    return cols
+
+
 def build_row(
     command: str,
     params: GalaxyParams | None = None,
@@ -71,7 +91,8 @@ def build_row(
     structure_passed: bool | None = None,
     error: str | None = None,
 ) -> dict:
-    """Assemble one schema-v1 row; absent pieces leave their columns blank."""
+    """Assemble one schema-v1 row; absent pieces leave their columns blank.
+    A rate report brings the rate_columns of params with it."""
     row = {c: "" for c in REPORT_COLUMNS}
     row["schema_version"] = SCHEMA_VERSION
     row["command"] = command
@@ -89,19 +110,9 @@ def build_row(
             spacing=params.spacing,
             build_seed=params.master_seed,
         )
-    if rate is not None:
-        row.update(
-            num_roots=rate.num_roots,
-            num_codewords=rate.num_codewords,
-            m_achieved=rate.m_achieved,
-            packing_saturated=rate.packing_saturated,
-            rate_achieved=rate.rate_achieved,
-            rate_bound_lemma1=rate.lemma1_bound,
-            rate_asymptotic=rate.asymptotic,
-            count_bound_claim1_lo=rate.claim1_bounds[0],
-            count_bound_claim1_hi=rate.claim1_bounds[1],
-            m_bound_csw=rate.csw_bound,
-        )
+    if rate is not None:  # each RateReport field is the column of its name
+        row.update(asdict(rate))
+        row.update(rate_columns(params.k, params.b, params.theta, params.n, params.power))
     if structure_passed is not None:
         row["structure_passed"] = structure_passed
     if estimate is not None:

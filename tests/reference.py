@@ -141,6 +141,13 @@ def walk_codewords(code) -> list:
     return out
 
 
+def index_paths(code) -> np.ndarray:
+    """(N, t_bar + 1) table of each codeword's root index, then the child
+    indices down to it, from walk_codewords."""
+    return np.asarray([(c.root_index, *c.index_path) for c in walk_codewords(code)],
+                      dtype=np.intp)
+
+
 def meet_depth(row1, row2):
     """Smallest height at which two codewords share an ancestor, from their
     index_paths rows (root index, then the child indices down to the leaf).
@@ -233,7 +240,7 @@ def type1_hits(code, params, trials, master_seed):
 def type2_counts(code, strategy, params, trials, master_seed):
     """estimate_type2's (hits, shell hits, decisive slab hits) from one
     decoder call per pair and unit."""
-    pair_targets, senders = np.asarray(experiments.select_pairs(code, strategy, master_seed)).T
+    pair_targets, senders = experiments.select_pairs(code, strategy, master_seed).T
     u = code.codewords
     targets, target_rows = np.unique(pair_targets, return_inverse=True)
     directions = unit_directions(u[targets], code.centers[code.ancestors[targets]])

@@ -425,6 +425,53 @@ def test_rate_formula_mode_out_of_float_range():
     assert row["m_bound_csw"] == "inf"
 
 
+@pytest.mark.parametrize("args, message", [
+    (["--n", "16", "--power", "0"], "power must be > 0, got 0.0"),
+    (["--n", "16", "--power", "-2"], "power must be > 0, got -2.0"),
+    (["--n", "16", "--power", "nan"], "power must be > 0, got nan"),
+    (["--power", "5"], "--power needs --n"),
+])
+def test_rate_formula_mode_rejects_power(args, message):
+    res = run_cli("rate", "--k", "16", *args)
+    assert res.returncode == 2, res.stderr
+    assert f"error: {message}" in res.stderr
+    assert not res.stdout
+
+
+ANALYTIC_COLUMNS = ["n", "k", "b", "power", "theta", "rate_bound_lemma1", "rate_asymptotic",
+                    "count_bound_claim1_lo", "count_bound_claim1_hi", "m_bound_csw"]
+
+
+@pytest.mark.parametrize("n, power, b, k", [("16", "100", "0", "8"), ("64", "1e7", "0.1", "16")])
+def test_rate_formula_mode_matches_code_mode(tmp_path, n, power, b, k):
+    path = tmp_path / "code.json"
+    build = run_cli("build", "--n", n, "--power", power, "--b", b, "--k", k, "--m", "2",
+                    "--max-roots", "2", "--out", str(path))
+    assert build.returncode == 0, build.stderr
+    coded = run_cli("rate", "--code", str(path))
+    formula = run_cli("rate", "--n", n, "--power", power, "--b", b, "--k", k)
+    assert coded.returncode == formula.returncode == 0, coded.stderr + formula.stderr
+    rows = [dict(zip(REPORT_COLUMNS, res.stdout.splitlines()[1].split(",")))
+            for res in (coded, formula)]
+    assert all(rows[0][c] for c in ANALYTIC_COLUMNS)
+    assert [rows[0][c] for c in ANALYTIC_COLUMNS] == [rows[1][c] for c in ANALYTIC_COLUMNS]
+
+
+@pytest.mark.parametrize("args, message", [
+    (["rate", "--k-pow2", "3..1100"], "--k-pow2 exponents must be <= 1023"),
+    (["rate", "--k-pow2", "3..100000000"], "--k-pow2 exponents must be <= 1023"),
+    (["rate", "--k", str(2**1030)], "error: "),
+    (["build", "--n", "16", "--k", str(2**600), "--depth", "2", "--power", "100"], "error: "),
+])
+def test_k_past_float_range_exits_2(tmp_path, args, message):
+    out = tmp_path / "code.json"
+    res = run_cli(*args, *(["--out", str(out)] if args[0] == "build" else []), timeout=60)
+    assert res.returncode == 2, res.stderr
+    assert message in res.stderr
+    assert "Traceback" not in res.stderr
+    assert not res.stdout and not out.exists()
+
+
 # The one build flag that sets each GalaxyParams field.
 FIELD_FLAGS = {
     "n": "--n", "power": "--power", "b": "--b", "k": "--k", "theta": "--theta",

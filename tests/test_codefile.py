@@ -23,7 +23,7 @@ def test_roundtrip_bit_identical(code):
     text = serialize(code)
     back = deserialize(text)
     assert serialize(back) == text
-    for name in ("codewords", "centers", "counts", "ancestors", "index_paths"):
+    for name in ("codewords", "centers", "counts", "ancestors"):
         a, b = getattr(code, name), getattr(back, name)
         assert (a.shape, a.dtype, a.tobytes()) == (b.shape, b.dtype, b.tobytes()), name
 

@@ -20,6 +20,8 @@ from galaxyid.experiments import (
 )
 from galaxyid.galaxy import GalaxyCode, GalaxyParams, build_code
 from galaxyid.gaussian import projection_tail
+from galaxyid.reports import rate_columns
+from reference import index_paths, meet_depth
 
 
 @pytest.fixture(scope="module")
@@ -78,20 +80,19 @@ def test_type1_bound_attached(small_code, decoder):
 
 def test_select_pairs_strata(small_code):
     t_bar = small_code.params.t_bar
-    paths = small_code.index_paths
-    from reference import meet_depth
+    paths = index_paths(small_code)
 
-    planet = select_pairs(small_code, PairStrategy(mode="same-planet"), 0)
+    planet = select_pairs(small_code, PairStrategy(mode="same-planet"), 0).tolist()
     assert planet and all(meet_depth(paths[i], paths[j]) == 1 for i, j in planet)
-    deep = select_pairs(small_code, PairStrategy(mode="same-galaxy-deep"), 0)
+    deep = select_pairs(small_code, PairStrategy(mode="same-galaxy-deep"), 0).tolist()
     assert deep and all(meet_depth(paths[i], paths[j]) == t_bar for i, j in deep)
-    cross = select_pairs(small_code, PairStrategy(mode="cross-galaxy"), 0)
+    cross = select_pairs(small_code, PairStrategy(mode="cross-galaxy"), 0).tolist()
     assert cross and all(paths[i, 0] != paths[j, 0] for i, j in cross)
     sample = select_pairs(small_code, PairStrategy(mode="exhaustive-sample", sample_count=50), 3)
-    assert len(sample) == 50
-    assert sample == select_pairs(
+    assert sample.shape == (50, 2)
+    assert sample.tolist() == select_pairs(
         small_code, PairStrategy(mode="exhaustive-sample", sample_count=50), 3
-    )
+    ).tolist()
 
 
 def test_pair_strategy_validation():
@@ -247,7 +248,7 @@ def test_fault_translated_tree(small_code):
     shift = small_code.roots[0] - small_code.roots[1]
     centers, u = small_code.centers.copy(), small_code.codewords.copy()
     centers[np.cumsum(small_code.parents < 0) == 2] += shift
-    u[small_code.index_paths[:, 0] == 1] += shift
+    u[index_paths(small_code)[:, 0] == 1] += shift
     measured = [
         2.7858859700533853e-15, 3.1512740483014287e-15, 2.9240419872774234e-15,
         3.0660254739324506e-15, 3.0235190130503666e-15, 2.4466760311477726e-15,
@@ -305,20 +306,21 @@ def test_rate_report(small_code):
     n_exp = len(small_code.roots) * p.m_per_level**p.t_bar
     assert rep.num_codewords == n_exp
     assert rep.rate_achieved == pytest.approx(math.log2(n_exp) / (p.n * math.log2(p.n)))
-    assert rep.num_roots <= rep.claim1_bounds[1]
     assert rep.m_achieved == 4
-    assert rep.asymptotic == pytest.approx(0.375 - 1 / 6)
+    cols = rate_columns(p.k, p.b, p.theta, p.n, p.power)
+    assert rep.num_roots <= cols["count_bound_claim1_hi"]
+    assert cols["rate_asymptotic"] == pytest.approx(0.375 - 1 / 6)
 
 
 def test_rate_report_out_of_float_range():
     # (s / rho)^n leaves float range for every n = 256 depth-3 code
-    code = build_code(
+    p = build_code(
         GalaxyParams(n=256, power=1e7, k=16, m_per_level=2, t_bar=3, r_min_coeff=2.0,
                      master_seed=7, max_roots=1)
-    )
-    lo, hi = rate_report(code).claim1_bounds
-    assert hi == math.inf
-    assert lo == math.inf
+    ).params
+    cols = rate_columns(p.k, p.b, p.theta, p.n, p.power)
+    assert cols["count_bound_claim1_hi"] == math.inf
+    assert cols["count_bound_claim1_lo"] == math.inf
 
 
 def test_rate_report_single_codeword():

@@ -19,7 +19,7 @@ from galaxyid.galaxy import (
     separation_margins,
     theta_of_k,
 )
-from reference import meet_depth, separation_condition
+from reference import index_paths, meet_depth, separation_condition
 
 
 def small_params(**kw):
@@ -245,7 +245,7 @@ def test_build_code_deterministic_bytes():
 def test_meet_depth():
     p = small_params(t_bar=2, power=2000.0, max_roots=4)
     code = build_code(p)
-    paths = code.index_paths
+    paths = index_paths(code)
     m = p.m_per_level
     # siblings under one height-1 center
     assert meet_depth(paths[0], paths[1]) == 1
@@ -262,6 +262,6 @@ def test_meet_depth():
 def test_codeword_paths_end_at_root():
     p = small_params(t_bar=2, power=2000.0, max_roots=3)
     code = build_code(p)
-    for path, row in zip(code.centers[code.ancestors], code.index_paths, strict=True):
+    for path, row in zip(code.centers[code.ancestors], index_paths(code), strict=True):
         assert len(path) == p.t_bar
         assert np.array_equal(path[-1], code.roots[row[0]])

@@ -30,14 +30,14 @@ from galaxyid.galaxy import (
     pair_distance_lower_bound,
 )
 from galaxyid.seeding import derive_seed
-from reference import meet_depth, type1_hits, type2_counts, walk_codewords
+from reference import index_paths, meet_depth, type1_hits, type2_counts, walk_codewords
 
 MODES = ("same-planet", "same-galaxy-deep", "cross-galaxy")
 
 
 def reference_pairs(code, strategy, master_seed):
-    """Walk all N(N-1) ordered pairs i-major, keep the matches, then cap them."""
-    u, paths = code.codewords, code.index_paths
+    """Walk all N(N-1) ordered pairs i-major, keep the [i, j] matches, then cap them."""
+    u, paths = code.codewords, index_paths(code)
     t_bar = code.params.t_bar
     pairs = []
     for i in range(len(u)):
@@ -50,13 +50,13 @@ def reference_pairs(code, strategy, master_seed):
                 if strategy.min_distance is not None:
                     if float(np.linalg.norm(u[i] - u[j])) < strategy.min_distance:
                         continue
-                pairs.append((i, j))
+                pairs.append([i, j])
             else:
                 meet = meet_depth(paths[i], paths[j])
                 if strategy.mode == "same-planet" and meet == 1:
-                    pairs.append((i, j))
+                    pairs.append([i, j])
                 elif strategy.mode == "same-galaxy-deep" and meet == t_bar:
-                    pairs.append((i, j))
+                    pairs.append([i, j])
     if not pairs:
         raise ValueError(f"no pairs match strategy {strategy.mode!r}")
     if len(pairs) > experiments._PAIR_CAP:
@@ -73,7 +73,7 @@ def assert_same_selection(code, strategy, seed):
         with pytest.raises(ValueError, match="no pairs match"):
             select_pairs(code, strategy, seed)
         return
-    assert select_pairs(code, strategy, seed) == expected
+    assert select_pairs(code, strategy, seed).tolist() == expected
 
 
 @st.composite
@@ -114,7 +114,7 @@ def test_select_pairs_matches_reference(code, seed):
 @SETTINGS
 @given(code=codes(), pick=st.integers(0, 2**16), seed=st.integers(0, 2**16))
 def test_min_distance_tie_matches_reference(code, pick, seed):
-    u, roots = code.codewords, code.index_paths[:, 0]
+    u, roots = code.codewords, index_paths(code)[:, 0]
     cross = [(i, j) for i in range(len(u)) for j in range(len(u)) if roots[i] != roots[j]]
     if not cross:
         return
@@ -151,7 +151,7 @@ def uneven_code():
         GalaxyParams(n=2, power=1e8, k=64, m_per_level=10, master_seed=0, t_bar=2,
                      max_roots=3, saturation_probes=30, max_attempts=5)
     )
-    planets = Counter((root, planet) for root, planet, _ in code.index_paths.tolist())
+    planets = Counter((root, planet) for root, planet, _ in index_paths(code).tolist())
     assert code.degraded and len(set(planets.values())) > 1
     return code
 
@@ -175,7 +175,7 @@ def test_exhaustive_sample_count_bounds(two_root_code):
     every = select_pairs(
         two_root_code, PairStrategy(mode="exhaustive-sample", sample_count=ordered), 1
     )
-    assert sorted(every) == [(i, j) for i in range(n_cw) for j in range(n_cw) if i != j]
+    assert sorted(every.tolist()) == [[i, j] for i in range(n_cw) for j in range(n_cw) if i != j]
     for count in (ordered + 1, -5):
         with pytest.raises(ValueError, match=rf"sample_count {count} outside \[1, {ordered}\]"):
             select_pairs(two_root_code, PairStrategy(mode="exhaustive-sample", sample_count=count), 1)
@@ -187,7 +187,7 @@ def test_meet_rows_match_meet_depth(code, seed):
     n_cw = len(code.codewords)
     if n_cw < 2:
         return
-    paths = code.index_paths
+    paths = index_paths(code)
     strategies = [PairStrategy(mode=mode) for mode in MODES] + [
         PairStrategy(mode="exhaustive-sample", sample_count=min(40, n_cw * (n_cw - 1)))
     ]
@@ -196,9 +196,50 @@ def test_meet_rows_match_meet_depth(code, seed):
             pairs = select_pairs(code, strategy, seed)
         except ValueError:
             continue  # no pair of this class
-        targets, senders = np.asarray(pairs).T
+        targets, senders = pairs.T
         expected = [-1 if m is None else m - 1 for m in (meet_depth(paths[i], paths[j]) for i, j in pairs)]
         assert experiments._meet_rows(code, targets, senders).tolist() == expected
+
+
+def reference_layout(code):
+    """Each codeword's [start, end) block at every tree level L: the codewords
+    whose index_paths rows share its first L entries, checked to be one run."""
+    paths, n_cw = index_paths(code), len(code.codewords)
+    lo, hi = [], []
+    for level in range(code.params.t_bar + 2):
+        same = (paths[:, None, :level] == paths[None, :, :level]).all(axis=2)
+        first, last = same.argmax(axis=1), n_cw - same[:, ::-1].argmax(axis=1)
+        assert (same.sum(axis=1) == last - first).all()
+        lo.append(first)
+        hi.append(last)
+    return np.asarray(lo, dtype=np.intp), np.asarray(hi, dtype=np.intp)
+
+
+@SETTINGS
+@given(code=codes())
+@example(  # three roots, uneven sibling blocks at depth 3
+    code=build_code(GalaxyParams(n=2, power=1e8, k=64, m_per_level=6, master_seed=0, t_bar=3,
+                                 max_roots=3, saturation_probes=30, max_attempts=5)),
+)
+def test_tree_layout_matches_reference_paths(code):
+    for ref, table in zip(reference_layout(code), experiments._tree_layout(code), strict=True):
+        assert (ref.shape, ref.dtype, ref.tobytes()) == (table.shape, table.dtype, table.tobytes())
+
+
+def test_min_norm_rechecks_near_ties():
+    # Permutations of one vector have one exact norm but round differently, so
+    # the row with the smallest einsum need not have the smallest per-row norm.
+    shortcuts = 0
+    for seed in range(20):
+        rng = np.random.default_rng(seed)
+        v = rng.standard_normal(64)
+        rows = np.stack([rng.permutation(v) for _ in range(50)] + [2.0 * v])
+        expected = min(float(np.linalg.norm(row)) for row in rows)
+        assert experiments._min_norm(rows) == expected
+        sq = np.einsum("ij,ij->i", rows, rows)
+        shortcuts += float(np.linalg.norm(rows[sq.argmin()])) != expected
+        shortcuts += math.sqrt(sq.min()) != expected
+    assert shortcuts  # without the recheck the result would differ
 
 
 def straddling_decoder(code, pairs, spread, width, scale):
@@ -259,7 +300,7 @@ def test_pair_kernel_matches_per_group_loops(code, trials, seed, spread, width, 
 def reference_violations(code, tol=1e-6):
     """cond2 and cross-galaxy violations from an i < j loop over every pair."""
     p = code.params
-    u, paths = code.codewords, code.index_paths
+    u, paths = code.codewords, index_paths(code)
     floor = p.n ** (p.b + 0.25) / 2.0
     cond2, cross = [], []
     for i in range(len(u)):
@@ -280,7 +321,7 @@ def crowded(code, offset, leaf, pull):
     """The code with root 1's galaxy moved next to root 0's, shifted by `offset`
     along the first axis, and one leaf pulled toward its list neighbour."""
     u = code.codewords.copy()
-    roots = code.index_paths[:, 0]
+    roots = index_paths(code)[:, 0]
     if roots.max() > 0:
         moved = roots == 1
         u[moved] += u[0] - u[np.flatnonzero(moved)[0]]
@@ -337,10 +378,6 @@ def test_codeword_table_matches_node_walk(code):
     expected = {
         "codewords": (np.asarray([c.u for c in walked]), code.codewords),
         "chains": (np.asarray([c.path for c in walked]), code.centers[code.ancestors]),
-        "index_paths": (
-            np.asarray([(c.root_index, *c.index_path) for c in walked], dtype=np.intp),
-            code.index_paths,
-        ),
     }
     for name, (ref, table) in expected.items():
         assert (ref.shape, ref.dtype, ref.tobytes()) == (table.shape, table.dtype, table.tobytes()), name
@@ -353,7 +390,6 @@ def test_code_file_round_trip_is_bit_identical(code):
     back = deserialize(text)
     assert serialize(back) == text
     assert (back.degraded, back.packing_saturated) == (code.degraded, code.packing_saturated)
-    for name in ("codewords", "centers", "counts", "heights", "parents", "roots", "ancestors",
-                 "index_paths"):
+    for name in ("codewords", "centers", "counts", "heights", "parents", "roots", "ancestors"):
         a, b = getattr(code, name), getattr(back, name)
         assert (a.shape, a.dtype, a.tobytes()) == (b.shape, b.dtype, b.tobytes()), name
