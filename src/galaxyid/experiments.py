@@ -291,35 +291,33 @@ def _tree_layout(code: GalaxyCode) -> tuple[np.ndarray, np.ndarray]:
     return lo, hi
 
 
-def _shared_level(lo: np.ndarray, i, j) -> np.ndarray:
-    """Levels L >= 1 whose tree block holds both i and j (broadcast); 0 across roots."""
-    level = np.zeros(np.broadcast_shapes(np.shape(i), np.shape(j)), dtype=np.int16)
-    for block in lo[1:]:
-        level += block[i] == block[j]
-    return level
+def _band(n: int) -> float:
+    """Relative rounding band 16 (n + 4) eps of float64 sums of n squares."""
+    return 16 * (n + 4) * np.finfo(np.float64).eps
 
 
-def _at_least(u: np.ndarray, sq: np.ndarray, rows: np.ndarray, threshold) -> np.ndarray:
-    """Mask over (rows, every codeword) of ||u_i - u_j|| >= threshold.
+def _at_least(u: np.ndarray, sq: np.ndarray, rows, threshold, cols=slice(None)) -> np.ndarray:
+    """Mask over (rows, cols) of ||u_i - u_j|| >= threshold; rows and cols index u.
 
-    threshold is a scalar or one value per cell.  Distances come from the
-    Gram form; cells within its rounding band of a positive threshold are
+    Distances come from the Gram form; cells within its rounding band are
     decided by np.linalg.norm of the difference, so a tie goes the way a
-    direct per-pair comparison sends it.
+    direct per-pair comparison sends it.  A distance is never negative, so a
+    threshold <= 0 is met everywhere with no recheck.
     """
-    d2 = u[rows] @ u.T
+    a, b = u[rows], u[cols]
+    if threshold <= 0:
+        return np.ones((len(a), len(b)), dtype=bool)
+    d2 = a @ b.T
     d2 *= -2.0
-    band = sq[rows, None] + sq[None, :]
+    band = sq[rows, None] + sq[None, cols]
     d2 += band
-    t2 = np.maximum(threshold, 0.0) ** 2
+    t2 = threshold * threshold
     far = d2 >= t2
     band += t2
-    band *= 16 * (u.shape[1] + 4) * np.finfo(np.float64).eps
+    band *= _band(u.shape[1])
     d2 -= t2
-    limit = np.broadcast_to(threshold, far.shape)
-    for a, j in zip(*np.nonzero(np.abs(d2, out=d2) <= band)):
-        # A distance is never negative, so a threshold <= 0 needs no recheck.
-        far[a, j] = limit[a, j] <= 0 or float(np.linalg.norm(u[rows[a]] - u[j])) >= limit[a, j]
+    for x, y in zip(*np.nonzero(np.abs(d2, out=d2) <= band)):
+        far[x, y] = float(np.linalg.norm(a[x] - b[y])) >= threshold
     return far
 
 
@@ -399,14 +397,15 @@ def _min_norm(rows: np.ndarray) -> float:
     einsum pick the rows within its rounding band of the smallest, and only those
     get the per-row norm."""
     sq = np.einsum("ij,ij->i", rows, rows)
-    near = sq <= sq.min() * (1.0 + 16 * (rows.shape[1] + 4) * np.finfo(np.float64).eps)
+    near = sq <= sq.min() * (1.0 + _band(rows.shape[1]))
     return min(float(np.linalg.norm(row)) for row in rows[near])
 
 
 def _meet_rows(code: GalaxyCode, targets: np.ndarray, senders: np.ndarray) -> np.ndarray:
-    """Slab row (meet height - 1) of each pair's meet ancestor; -1 across roots."""
-    shared = _shared_level(_tree_layout(code)[0], targets, senders)
-    return np.where(shared > 0, code.params.t_bar - shared, -1)
+    """Slab row (meet height - 1) of each pair's meet ancestor; -1 across roots
+    and for a codeword with itself."""
+    shared = (code.ancestors[targets] == code.ancestors[senders]).sum(axis=1)
+    return np.where((shared > 0) & (targets != senders), code.params.t_bar - shared, -1)
 
 
 def estimate_type2(
@@ -447,14 +446,91 @@ def estimate_type2(
 # ---------------------------------------------------------------------------
 
 
+def _block_pairs(a0, an, b0, bn) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every (a0[p] + x, b0[p] + y, p) with x < an[p] and y < bn[p], p-major."""
+    sizes = an * bn
+    p = np.repeat(np.arange(len(sizes)), sizes)
+    cell = np.arange(len(p)) - (np.cumsum(sizes) - sizes)[p]
+    return a0[p] + cell // bn[p], b0[p] + cell % bn[p], p
+
+
+def _close_pairs(code: GalaxyCode, rho: np.ndarray, limit: np.ndarray) -> np.ndarray:
+    """(i, j, class) columns of every codeword pair i < j closer than
+    limit[class], (i, j)-sorted; the class is 0 across roots, else the meet height.
+
+    A dual-tree check (Gray & Moore, NIPS 2000).  Node pairs start as
+    siblings: roots in class 0, a height-t node's children in class t.  No
+    codeword below node A lies farther than rho[A] from its center, so a
+    pair is cleared when ||c_A - c_B|| - rho[A] - rho[B] beats its limit by
+    the rounding band; the rest give way to their children's pairs, down to
+    height 1, where they and each height-1 node with itself go to _at_least.
+    """
+    p, u, c = code.params, code.codewords, code.centers
+    kids = np.argsort(code.parents, kind="stable")  # roots, then each node's children
+    n_kids = np.bincount(code.parents[code.parents >= 0], minlength=len(c))
+    first = np.cumsum(n_kids) - n_kids + len(code.roots)
+    inner = np.flatnonzero(code.heights > 1)
+    g_first, g_size = np.r_[0, first[inner]], np.r_[len(code.roots), n_kids[inner]]
+    g_class, g_height = np.r_[0, code.heights[inner]], np.r_[p.t_bar, code.heights[inner] - 1]
+    kept = [np.empty((3, 0), dtype=np.intp)]
+    step = max(1, _MASK_CELLS // p.n)  # node pairs per block of gathered center differences
+    for height in range(p.t_bar, 0, -1):
+        # Children pairs of the uncleared pairs one level up, and sibling pairs.
+        a, b, cls = np.concatenate(kept, axis=1)
+        g = np.flatnonzero(g_height == height)
+        x0, xn = np.r_[first[a], g_first[g]], np.r_[n_kids[a], g_size[g]]
+        y0, yn = np.r_[first[b], g_first[g]], np.r_[n_kids[b], g_size[g]]
+        parent_cls = np.r_[cls, g_class[g]]
+        per = max(1, step // int((xn * yn).max()))
+        kept = []
+        for s in range(0, len(x0), per):
+            part = slice(s, s + per)
+            x, y, q = _block_pairs(x0[part], xn[part], y0[part], yn[part])
+            up = x < y  # a sibling group pairs with itself: keep each pair once
+            pa, pb, k = kids[x[up]], kids[y[up]], parent_cls[part][q[up]]
+            d = np.linalg.norm(c[pa] - c[pb], axis=1)
+            reach, t = rho[pa] + rho[pb], limit[k]
+            near = d - reach - t < _band(p.n) * (d + reach + np.abs(t))
+            kept.append(np.stack([pa[near], pb[near], k[near]]))
+
+    # Codeword rectangles, one per row node and run of adjacent column nodes of one class.
+    leaf = np.flatnonzero(code.heights == 1)
+    hi = np.zeros(len(c), dtype=np.intp)
+    hi[leaf] = np.cumsum(code.counts[leaf])
+    lo = hi - code.counts
+    pairs = np.concatenate(kept + [np.stack([leaf, leaf, np.ones_like(leaf)])], axis=1)
+    del kept  # with nothing cleared, each copy holds one entry per pair of height-1 nodes
+    a, b, cls = pairs[:, np.lexsort((lo[pairs[1]], lo[pairs[0]]))]
+    del pairs
+    runs = np.flatnonzero(np.r_[True, (a[1:] != a[:-1]) | (cls[1:] != cls[:-1])
+                                | (lo[b[1:]] != hi[b[:-1]])])
+    ends = np.r_[runs[1:], len(a)] - 1
+    sq = np.einsum("ij,ij->i", u, u)
+    found = []
+    for r0, r1, c0, c1, k in zip(*(v.tolist() for v in (
+            lo[a[runs]], hi[a[runs]], lo[b[runs]], hi[b[ends]], cls[runs]))):
+        width = min(c1 - c0, _MASK_CELLS)
+        rows = max(1, _MASK_CELLS // width)
+        for i0 in range(r0, r1, rows):
+            for j0 in range(c0, c1, width):
+                i, j = np.nonzero(~_at_least(u, sq, slice(i0, min(i0 + rows, r1)),
+                                             limit[k], slice(j0, min(j0 + width, c1))))
+                i, j = i + i0, j + j0
+                found.append(np.stack([i, j, np.full_like(i, k)])[:, j > i])
+    found = np.concatenate(found, axis=1)
+    return found[:, np.lexsort(found[1::-1])]
+
+
 def verify_structure(code: GalaxyCode, tol: float = 1e-6) -> StructureReport:
     """Exhaustive check of every structural guarantee of the construction.
 
     Radial windows codeword-to-ancestor, exact node-chain radii, pairwise
     meet-height distance bounds within a root, the cross-galaxy floor
     n^(b+1/4)/2, per-node minimum angles, and the power constraint.  All
-    violations are returned with their measured values.  Pairs are checked
-    in row blocks of at most _MASK_CELLS cells: O(N^2) time, bounded memory.
+    violations are returned with their measured values.  Pairs are skipped
+    by node pairs whose measured radii clear the bound (_close_pairs), the
+    rest tested in blocks of at most _MASK_CELLS cells: when nothing clears,
+    each pair i < j once in O(N^2) time, plus one entry per node pair on a level.
     """
     if not len(code.codewords):
         raise ValueError("cannot verify an empty code")
@@ -463,10 +539,14 @@ def verify_structure(code: GalaxyCode, tol: float = 1e-6) -> StructureReport:
 
     u_mat = code.codewords
 
-    # Radial windows per ancestor height (lo = hi = r at height 1).
+    # Radial windows per ancestor height (lo = hi = r at height 1), and each
+    # node's measured radius: the largest distance to a codeword below it.
+    rho = np.zeros(len(code.centers))
     for t in range(1, p.t_bar + 1):
         lo, hi = galaxy.radial_bounds(p.r, p.k, t)
-        dist = np.linalg.norm(u_mat - code.centers[code.ancestors[:, t - 1]], axis=1)
+        anc = code.ancestors[:, t - 1]
+        dist = np.linalg.norm(u_mat - code.centers[anc], axis=1)
+        np.maximum.at(rho, anc, dist)
         for i in np.nonzero((dist < lo - tol) | (dist > hi + tol))[0]:
             report.cond1_violations.append(
                 {
@@ -502,33 +582,21 @@ def verify_structure(code: GalaxyCode, tol: float = 1e-6) -> StructureReport:
                      "bound": p.theta}
                 )
 
-    # Pairwise distances, in row blocks, with the bound of the pair's shared
-    # tree level: the floor n^(b+1/4)/2 across roots (level 0), the meet
-    # bound at height t_bar + 1 - L inside one, none for the codeword itself.
-    bound_at = np.asarray(
-        [p.n ** (p.b + 0.25) / 2.0]
-        + [galaxy.pair_distance_lower_bound(p.r, p.k, p.theta, t) for t in range(p.t_bar, 0, -1)]
-        + [0.0]
-    )
-    lo, _ = _tree_layout(code)
-    sq = np.einsum("ij,ij->i", u_mat, u_mat)
-    n_cw = len(u_mat)
-    step = max(1, _MASK_CELLS // n_cw)
-    for start in range(0, n_cw, step):
-        rows = np.arange(start, min(start + step, n_cw))
-        level = _shared_level(lo, rows[:, None], np.arange(n_cw)[None, :])
-        close = ~_at_least(u_mat, sq, rows, (bound_at - tol)[level])
-        for a, j in zip(*np.nonzero(np.triu(close, k=start + 1))):
-            i, j, shared = start + int(a), int(j), int(level[a, j])
-            found = {
-                "pair": (i, j),
-                "measured": float(np.linalg.norm(u_mat[i] - u_mat[j])),
-                "bound": float(bound_at[shared]),
-            }
-            if shared:
-                report.cond2_violations.append({**found, "meet": p.t_bar + 1 - shared})
-            else:
-                report.cross_galaxy_violations.append(found)
+    # Pairwise distances, with the bound of the pair's class: the floor
+    # n^(b+1/4)/2 across roots (class 0), the meet bound at height t inside one.
+    bound_at = [p.n ** (p.b + 0.25) / 2.0] + [
+        galaxy.pair_distance_lower_bound(p.r, p.k, p.theta, t) for t in range(1, p.t_bar + 1)
+    ]
+    for i, j, meet in _close_pairs(code, rho, np.asarray(bound_at) - tol).T.tolist():
+        found = {
+            "pair": (i, j),
+            "measured": float(np.linalg.norm(u_mat[i] - u_mat[j])),
+            "bound": float(bound_at[meet]),
+        }
+        if meet:
+            report.cond2_violations.append({**found, "meet": meet})
+        else:
+            report.cross_galaxy_violations.append(found)
 
     # Power constraint on every codeword.
     power_cap = math.sqrt(p.n * p.power)

@@ -15,7 +15,7 @@ import numpy as np
 
 from galaxyid import experiments
 from galaxyid.channel import DecoderParams, unit_directions
-from galaxyid.galaxy import separation_margins
+from galaxyid.galaxy import GalaxyCode, pair_distance_lower_bound, separation_margins
 from galaxyid.geometry import as_coords
 from galaxyid.gaussian import _chi_square_tails, shell_prob_miss, std_normal_cdf
 from galaxyid.seeding import derive_seed
@@ -167,6 +167,40 @@ def meet_depth(row1, row2):
             break
         lcp += 1
     return len(path1) - lcp
+
+
+def reference_violations(code, tol=1e-6):
+    """cond2 and cross-galaxy violations from an i < j loop over every pair."""
+    p = code.params
+    u, paths = code.codewords, index_paths(code)
+    floor = p.n ** (p.b + 0.25) / 2.0
+    cond2, cross = [], []
+    for i in range(len(u)):
+        for j in range(i + 1, len(u)):
+            d = float(np.linalg.norm(u[i] - u[j]))
+            meet = meet_depth(paths[i], paths[j])
+            if meet is None:
+                if d < floor - tol:
+                    cross.append({"pair": (i, j), "measured": d, "bound": floor})
+                continue
+            bound = pair_distance_lower_bound(p.r, p.k, p.theta, meet)
+            if d < bound - tol:
+                cond2.append({"pair": (i, j), "meet": meet, "measured": d, "bound": bound})
+    return cond2, cross
+
+
+def stack_galaxies(code, offset):
+    """The code with every root's codewords moved onto root 0's, root q's
+    shifted by q * offset along the first axis; node centers stay.  Each moved
+    node's measured radius then spans the distance between two roots, so
+    verification can clear few node pairs."""
+    u = code.codewords.copy()
+    roots = index_paths(code)[:, 0]
+    for q in range(1, roots.max() + 1):
+        moved = roots == q
+        u[moved] += u[0] - u[np.flatnonzero(moved)[0]]
+        u[moved, 0] += q * offset
+    return GalaxyCode(code.params, code.centers, code.counts, u, code.packing_saturated)
 
 
 def generate_reference(n, center, r, theta, target_m, max_attempts, seed):

@@ -13,9 +13,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from galaxyid import cli
-from galaxyid.galaxy import GalaxyParams, theta_of_k
+from galaxyid import cli, codefile
+from galaxyid.galaxy import GalaxyCode, GalaxyParams, theta_of_k
 from galaxyid.reports import REPORT_COLUMNS
+from reference import reference_violations, stack_galaxies
 
 BUILD_ARGS = [
     "--n", "16", "--k", "8", "--b", "0", "--power", "100", "--sigma", "1",
@@ -111,6 +112,25 @@ def test_verify_displaced_leaf_exits_one(tmp_path, code_file):
     report = json.loads((tmp_path / "report.json").read_text())
     assert not report["passed"]
     assert report["counts"]["cond1"] > 0 or report["counts"]["cond2"] > 0
+
+
+def test_verify_json_lists_crowded_violations(tmp_path, code_file):
+    # galaxies stacked together, and one leaf pulled toward its neighbour
+    code = codefile.load(code_file)
+    u = code.codewords.copy()
+    u[1] += 0.9 * (u[2] - u[1])
+    code = stack_galaxies(
+        GalaxyCode(code.params, code.centers, code.counts, u, code.packing_saturated), 0.3
+    )
+    crowded = tmp_path / "crowded.json"
+    codefile.save(code, crowded)
+    res = run_cli("verify", "--code", str(crowded), "--json", str(tmp_path / "report.json"))
+    assert res.returncode == 1
+    report = json.loads((tmp_path / "report.json").read_text())
+    cond2, cross = reference_violations(code)
+    assert cond2 and cross
+    assert report["cond2_violations"] == [{**v, "pair": list(v["pair"])} for v in cond2]
+    assert report["cross_galaxy_violations"] == [{**v, "pair": list(v["pair"])} for v in cross]
 
 
 def test_verify_missing_file_exits_two():

@@ -23,14 +23,17 @@ from galaxyid.experiments import (
     select_pairs,
     verify_structure,
 )
-from galaxyid.galaxy import (
-    GalaxyCode,
-    GalaxyParams,
-    build_code,
-    pair_distance_lower_bound,
-)
+from galaxyid.galaxy import GalaxyCode, GalaxyParams, build_code, pair_distance_lower_bound
 from galaxyid.seeding import derive_seed
-from reference import index_paths, meet_depth, type1_hits, type2_counts, walk_codewords
+from reference import (
+    index_paths,
+    meet_depth,
+    reference_violations,
+    stack_galaxies,
+    type1_hits,
+    type2_counts,
+    walk_codewords,
+)
 
 MODES = ("same-planet", "same-galaxy-deep", "cross-galaxy")
 
@@ -77,7 +80,7 @@ def assert_same_selection(code, strategy, seed):
 
 
 @st.composite
-def codes(draw):
+def codes(draw, max_roots=st.integers(1, 4)):
     """Small codes at depths 1-3.  In the plane, k >= 32 leaves room for a
     random number of points past the axis witnesses, so a few attempts make
     sibling blocks of uneven size."""
@@ -90,7 +93,7 @@ def codes(draw):
         m_per_level=draw(st.integers(2, 7 if t_bar < 3 else 4)),
         t_bar=t_bar,
         master_seed=draw(st.integers(0, 2**16)),
-        max_roots=draw(st.integers(1, 4)),
+        max_roots=draw(max_roots),
         saturation_probes=30,
         max_attempts=draw(st.sampled_from([5, 40])),
     )
@@ -297,26 +300,6 @@ def test_pair_kernel_matches_per_group_loops(code, trials, seed, spread, width, 
                                 "shell_hits": expected[1], "decisive_slab_hits": expected[2]})
 
 
-def reference_violations(code, tol=1e-6):
-    """cond2 and cross-galaxy violations from an i < j loop over every pair."""
-    p = code.params
-    u, paths = code.codewords, index_paths(code)
-    floor = p.n ** (p.b + 0.25) / 2.0
-    cond2, cross = [], []
-    for i in range(len(u)):
-        for j in range(i + 1, len(u)):
-            d = float(np.linalg.norm(u[i] - u[j]))
-            meet = meet_depth(paths[i], paths[j])
-            if meet is None:
-                if d < floor - tol:
-                    cross.append({"pair": (i, j), "measured": d, "bound": floor})
-                continue
-            bound = pair_distance_lower_bound(p.r, p.k, p.theta, meet)
-            if d < bound - tol:
-                cond2.append({"pair": (i, j), "meet": meet, "measured": d, "bound": bound})
-    return cond2, cross
-
-
 def crowded(code, offset, leaf, pull):
     """The code with root 1's galaxy moved next to root 0's, shifted by `offset`
     along the first axis, and one leaf pulled toward its list neighbour."""
@@ -354,21 +337,127 @@ def test_pairwise_violations_match_reference(code, offset, leaf, pull, tol):
         assert (report.cond2_violations, report.cross_galaxy_violations) == expected
 
 
+def sibling_pairs(code):
+    """Every pair of distinct nodes with one parent, roots included."""
+    parents = code.parents.tolist()
+    return [(a, b) for b in range(len(parents)) for a in range(b) if parents[a] == parents[b]]
+
+
+def measured_gap(code, a, b):
+    """||c_a - c_b|| - (rho_a + rho_b), with rho a node's largest distance to a
+    codeword below it, in the operations verification uses."""
+    c, u = code.centers, code.codewords
+    rho = [max(np.linalg.norm(u[code.ancestors[:, code.heights[x] - 1] == x] - c[x], axis=1))
+           for x in (a, b)]
+    return float(np.linalg.norm((c[a] - c[b])[None], axis=1)[0] - (rho[0] + rho[1]))
+
+
+def tol_for(bound, threshold):
+    """A tol with bound - tol == threshold, or the nearest this search finds."""
+    tol = bound - threshold
+    for _ in range(8):
+        got = bound - tol
+        if got == threshold:
+            break
+        tol = math.nextafter(tol, math.inf if got > threshold else -math.inf)
+    return tol
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(code=codes(max_roots=st.integers(2, 4)), pick=st.integers(0, 2**16))
+def test_prune_boundary_matches_reference(code, pick):
+    """Thresholds at a sibling node pair's measured gap, and one float step
+    either side, with a codeword pair placed on the gap: each of the two
+    nodes gets a codeword on the segment between their centers, at the
+    node's measured radius.  The codeword pair's distance then equals the
+    gap up to rounding, so only the margin stands between clearing the
+    node pair and missing a violation.  The same is checked at the
+    codeword pair's own distance, where the exact test breaks the tie."""
+    pairs = sibling_pairs(code)
+    if not pairs:
+        return
+    a, b = pairs[pick % len(pairs)]
+    c, u = code.centers, code.codewords.copy()
+    below = [np.flatnonzero(code.ancestors[:, code.heights[x] - 1] == x) for x in (a, b)]
+    unit = (c[b] - c[a]) / np.linalg.norm(c[b] - c[a])
+    rho = [max(np.linalg.norm(u[rows] - c[x], axis=1)) for x, rows in zip((a, b), below)]
+    i, j = below[0][pick % len(below[0])], below[1][pick % len(below[1])]
+    u[i], u[j] = c[a] + rho[0] * unit, c[b] - rho[1] * unit
+    code = GalaxyCode(code.params, code.centers, code.counts, u, code.packing_saturated)
+    p = code.params
+    meet = code.heights[code.parents[a]] if code.parents[a] >= 0 else None
+    bound = (p.n ** (p.b + 0.25) / 2.0 if meet is None
+             else pair_distance_lower_bound(p.r, p.k, p.theta, int(meet)))
+    for tie in (measured_gap(code, a, b), float(np.linalg.norm(u[i] - u[j]))):
+        for threshold in (math.nextafter(tie, -math.inf), tie, math.nextafter(tie, math.inf)):
+            tol = tol_for(bound, threshold)
+            report = verify_structure(code, tol)
+            assert (report.cond2_violations, report.cross_galaxy_violations) == \
+                reference_violations(code, tol)
+
+
+def test_gap_meeting_its_threshold_exactly_is_cleared():
+    """With every center and codeword at the origin, each node pair's gap is
+    0 with nothing to round.  At tol = the cross-galaxy floor the root pairs'
+    threshold is 0 too, so they are cleared and no exact test spans two roots."""
+    built = build_code(GalaxyParams(n=8, power=1e8, k=16, m_per_level=3, t_bar=2,
+                                    master_seed=1, max_roots=3, saturation_probes=30))
+    assert len(built.roots) == 3
+    code = GalaxyCode(built.params, np.zeros_like(built.centers), built.counts,
+                      np.zeros_like(built.codewords), built.packing_saturated)
+    floor = code.params.n ** (code.params.b + 0.25) / 2.0
+    roots, at_least, blocks = code.ancestors[:, -1], experiments._at_least, []
+
+    def spy(u, sq, rows, threshold, cols):
+        blocks.append((rows, cols))
+        return at_least(u, sq, rows, threshold, cols)
+
+    with mock.patch.object(experiments, "_at_least", side_effect=spy):
+        report = verify_structure(code, tol=floor)
+    assert (report.cond2_violations, report.cross_galaxy_violations) == \
+        reference_violations(code, floor)
+    assert blocks
+    assert all(roots[rows.start] == roots[cols.stop - 1] for rows, cols in blocks)
+
+
+@settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(code=codes(max_roots=st.integers(2, 4)), offset=st.floats(0.0, 2.0))
+def test_stacked_galaxies_match_reference_in_bounded_blocks(code, offset):
+    """Every galaxy moved onto root 0's leaves few node pairs cleared; the
+    lists still match the reference, and no exact-test call exceeds
+    _MASK_CELLS cells."""
+    code = stack_galaxies(code, offset)
+    expected = reference_violations(code)
+    at_least = experiments._at_least
+    for cells in (1, 7, experiments._MASK_CELLS):
+        sizes = []
+
+        def spy(*args):
+            far = at_least(*args)
+            sizes.append(far.size)
+            return far
+
+        with mock.patch.object(experiments, "_MASK_CELLS", cells), \
+                mock.patch.object(experiments, "_at_least", side_effect=spy):
+            report = verify_structure(code)
+        assert (report.cond2_violations, report.cross_galaxy_violations) == expected
+        assert sizes and max(sizes) <= cells
+
+
 def test_at_least_meets_nonpositive_thresholds_without_recheck():
-    # A distance is never negative, so a cell whose threshold is <= 0 (the
-    # codeword itself in every verify block) is far with no norm recheck.
+    # A distance is never negative, so a threshold <= 0 is met by every
+    # cell, the codeword itself included, with no norm recheck.
     u = np.random.default_rng(0).standard_normal((6, 4))
     sq = np.einsum("ij,ij->i", u, u)
     dist = np.linalg.norm(u[:, None] - u[None, :], axis=2)
-    scale = np.where(np.arange(36).reshape(6, 6) % 2, 0.5, 2.0)
-    for diagonal in (0.0, -1e-6):
-        threshold = np.where(np.eye(6, dtype=bool), diagonal, dist * scale)
+    for threshold in (0.0, -1e-6):
         with mock.patch.object(np.linalg, "norm", wraps=np.linalg.norm) as norm:
             far = experiments._at_least(u, sq, np.arange(6), threshold)
-            everywhere = experiments._at_least(u, sq, np.arange(6), diagonal)
         assert norm.call_count == 0
-        np.testing.assert_array_equal(far, dist >= threshold)
-        assert everywhere.all()
+        assert far.all()
+    for rows, cols in ((np.arange(6), slice(None)), (slice(1, 4), slice(2, 6))):
+        far = experiments._at_least(u, sq, rows, float(np.median(dist)), cols)
+        np.testing.assert_array_equal(far, dist[rows][:, cols] >= np.median(dist))
 
 
 @SETTINGS
