@@ -15,7 +15,6 @@ from .experiments import (
     estimate_type1,
     estimate_type2,
     rate_report,
-    sweep,
     verify_structure,
     wilson_interval,
 )

@@ -17,7 +17,7 @@ import numpy as np
 
 from .galaxy import GalaxyParams
 from .gaussian import default_eps
-from .geometry import as_coords
+from .spherical import as_coords
 
 __all__ = [
     "DecoderParams",
@@ -40,16 +40,16 @@ class DecoderParams:
     def __post_init__(self):
         if self.n < 1:
             raise ValueError(f"n must be >= 1, got {self.n}")
-        if self.sigma < 0:
-            raise ValueError(f"sigma must be >= 0, got {self.sigma}")
+        if not 0 <= self.sigma < math.inf:
+            raise ValueError(f"sigma must be finite and >= 0, got {self.sigma}")
         if self.eps_n is None:
             object.__setattr__(self, "eps_n", default_eps(self.n))
-        if self.eps_n <= 0:
-            raise ValueError(f"eps_n must be > 0, got {self.eps_n}")
+        if not 0 < self.eps_n < math.inf:
+            raise ValueError(f"eps_n must be finite and > 0, got {self.eps_n}")
         if self.slab_halfwidth is None:
             object.__setattr__(self, "slab_halfwidth", self.sigma * math.log2(self.n))
-        if self.slab_halfwidth < 0:
-            raise ValueError(f"slab_halfwidth must be >= 0, got {self.slab_halfwidth}")
+        if not 0 <= self.slab_halfwidth < math.inf:
+            raise ValueError(f"slab_halfwidth must be finite and >= 0, got {self.slab_halfwidth}")
 
     @classmethod
     def from_galaxy(cls, params: GalaxyParams) -> "DecoderParams":

@@ -19,14 +19,14 @@ from . import codefile, reports
 from .channel import DecoderParams
 from .experiments import (
     PairStrategy,
-    TrialPlan,
     estimate_type1,
     estimate_type2,
     rate_report,
-    sweep,
+    run_units,
     verify_structure,
 )
 from .galaxy import GalaxyParams, build_code, theta_of_k
+from .seeding import derive_seed
 
 THREADS_ENV = "GALAXYID_THREADS"
 
@@ -98,6 +98,21 @@ def cmd_build(args) -> int:
     return 0
 
 
+def _rows(command, code, type1_trials, type2_trials, strategy, seed, threads=None, **extra):
+    """Report rows of a code: one per estimate run, type I then type II, or one
+    row with no estimate when neither runs.  `extra` goes to every row."""
+    dec = DecoderParams.from_galaxy(code.params)
+    runs = []
+    if type1_trials > 0:
+        runs.append((estimate_type1(code, dec, type1_trials, seed, threads=threads), ""))
+    if type2_trials > 0:
+        est = estimate_type2(code, strategy, dec, type2_trials, seed, threads=threads)
+        runs.append((est, strategy.mode))
+    rate = rate_report(code)
+    return [reports.build_row(command, code.params, rate, est, pair_mode=mode, **extra)
+            for est, mode in runs or [(None, "")]]
+
+
 def cmd_simulate(args) -> int:
     t0 = time.perf_counter()
     if args.trials < 1:
@@ -105,21 +120,11 @@ def cmd_simulate(args) -> int:
     if not (args.type1 or args.type2):
         raise ValueError("nothing to do: pass --type1 and/or --type2")
     code = codefile.load(args.code)
-    dec = DecoderParams.from_galaxy(code.params)
     threads = _threads(args)
-    rows = []
-    rate = rate_report(code)
-    if args.type1:
-        est = estimate_type1(code, dec, args.trials, args.seed, threads=threads)
-        rows.append(reports.build_row("simulate", code.params, rate, est))
-    if args.type2:
-        strategy = PairStrategy(
-            mode=args.pairs,
-            sample_count=args.pair_sample,
-            min_distance=args.min_distance,
-        )
-        est = estimate_type2(code, strategy, dec, args.trials, args.seed, threads=threads)
-        rows.append(reports.build_row("simulate", code.params, rate, est, pair_mode=args.pairs))
+    strategy = PairStrategy(mode=args.pairs, sample_count=args.pair_sample,
+                            min_distance=args.min_distance) if args.type2 else None
+    rows = _rows("simulate", code, args.trials if args.type1 else 0,
+                 args.trials if args.type2 else 0, strategy, args.seed, threads)
     _emit(args, rows)
     print(f"[time] simulate {time.perf_counter() - t0:.2f}s", file=sys.stderr)
     return 0
@@ -161,10 +166,8 @@ def _parse_pow2_range(text: str) -> list[int]:
 
 
 def cmd_rate(args) -> int:
-    rows = []
     if args.code:
-        code = codefile.load(args.code)
-        rows.append(reports.build_row("rate", code.params, rate_report(code)))
+        rows = _rows("rate", codefile.load(args.code), 0, 0, None, None)
     else:
         if args.k_pow2:
             ks = _parse_pow2_range(args.k_pow2)
@@ -180,6 +183,7 @@ def cmd_rate(args) -> int:
             raise ValueError("--power needs --n")
         if args.power is not None and not args.power > 0:
             raise ValueError(f"power must be > 0, got {args.power}")
+        rows = []
         for k in ks:
             row = reports.build_row("rate")
             row.update(reports.rate_columns(k, args.b, theta_of_k(k), args.n, args.power))
@@ -188,36 +192,42 @@ def cmd_rate(args) -> int:
     return 0
 
 
+def _params_key(p: GalaxyParams) -> str:
+    """Every field's repr: the key a sweep cell's estimator seed derives from."""
+    return "|".join(repr(getattr(p, f.name)) for f in fields(p))
+
+
 def cmd_sweep(args) -> int:
+    """Build + verify + estimate per k; rows come back in --k-list order.
+
+    Cells are independent: a cell's estimator seed derives from its own
+    parameters, so duplicate cells give identical rows whatever the thread
+    count.  A failure to build, verify or estimate a cell becomes its error
+    row, and the sweep goes on.
+    """
     t0 = time.perf_counter()
     ks = [int(s) for s in args.k_list.split(",") if s]
     if not ks:
         raise ValueError("--k-list is empty")
+    for flag, trials in (("--trials-type1", args.trials_type1),
+                         ("--trials-type2", args.trials_type2)):
+        if trials < 0:
+            raise ValueError(f"{flag} must be >= 0, got {trials}")
     grid = [_params_from_args(args, k=k) for k in ks]
-    plan = TrialPlan(
-        type1_trials=args.trials_type1,
-        type2_trials=args.trials_type2,
-        pair_mode=args.pairs,
-    )
-    results = sweep(grid, plan, args.master_seed, threads=_threads(args))
-    rows = []
-    for res in results:
-        if res.error is not None:
-            rows.append(reports.build_row("sweep", res.params, error=res.error))
-            continue
-        runs = [(e, m) for e, m in ((res.type1, ""), (res.type2, plan.pair_mode)) if e is not None]
-        for est, pair_mode in runs or [(None, "")]:
-            rows.append(
-                reports.build_row(
-                    "sweep",
-                    res.params,
-                    res.rate,
-                    est,
-                    pair_mode=pair_mode,
-                    structure_passed=res.structure_passed,
-                )
-            )
-    _emit(args, rows)
+    strategy = PairStrategy(mode=args.pairs)
+
+    def cell(index: int) -> list[dict]:
+        params = grid[index]
+        try:
+            code = build_code(params)
+            passed = verify_structure(code).passed
+            seed = derive_seed(args.master_seed, "cell", _params_key(params))
+            return _rows("sweep", code, args.trials_type1, args.trials_type2, strategy, seed,
+                         structure_passed=passed)
+        except (ValueError, ArithmeticError) as exc:
+            return [reports.build_row("sweep", params, error=str(exc))]
+
+    _emit(args, [row for rows in run_units(cell, len(grid), _threads(args)) for row in rows])
     print(f"[time] sweep {time.perf_counter() - t0:.2f}s", file=sys.stderr)
     return 0
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from statistics import NormalDist
 
 import numpy as np
@@ -28,14 +28,12 @@ __all__ = [
     "PairStrategy",
     "StructureReport",
     "RateReport",
-    "TrialPlan",
-    "SweepResult",
     "wilson_interval",
     "estimate_type1",
     "estimate_type2",
     "verify_structure",
     "rate_report",
-    "sweep",
+    "run_units",
 ]
 
 UNIT_SIZE = 8192  # trials per RNG work unit; fixed so worker count never matters
@@ -188,7 +186,8 @@ def _worker_count(threads: int | None, n_units: int) -> int:
     return max(1, min(threads or 1, n_units, cpus))
 
 
-def _run_units(worker, n_units: int, threads: int | None) -> list:
+def run_units(worker, n_units: int, threads: int | None) -> list:
+    """[worker(i) for i in range(n_units)], run on up to `threads` threads."""
     workers = _worker_count(threads, n_units)
     if workers == 1:
         return [worker(i) for i in range(n_units)]
@@ -238,7 +237,7 @@ def _pair_counts(
             counts += accept.sum(), shell.sum(), slabs[met, rows[met]].sum()
         return counts
 
-    accepted, shell_hits, slab_hits = sum(_run_units(run_unit, len(plan), threads))
+    accepted, shell_hits, slab_hits = sum(run_units(run_unit, len(plan), threads))
     return int(accepted), int(shell_hits), int(slab_hits)
 
 
@@ -619,69 +618,3 @@ def rate_report(code: GalaxyCode) -> RateReport:
         m_achieved=int(code.counts.min()),
         packing_saturated=code.packing_saturated,
     )
-
-
-# ---------------------------------------------------------------------------
-# parameter sweeps
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class TrialPlan:
-    """Per-cell Monte Carlo plan for a sweep."""
-
-    type1_trials: int = 0
-    type2_trials: int = 0
-    pair_mode: str = "cross-galaxy"
-
-
-@dataclass
-class SweepResult:
-    params: galaxy.GalaxyParams
-    rate: RateReport | None = None
-    structure_passed: bool | None = None
-    type1: ErrorEstimate | None = None
-    type2: ErrorEstimate | None = None
-    error: str | None = None
-
-
-def _params_key(p: galaxy.GalaxyParams) -> str:
-    return "|".join(repr(getattr(p, f.name)) for f in fields(p))
-
-
-def sweep(
-    grid: list,
-    plan: TrialPlan,
-    master_seed: int,
-    threads: int | None = None,
-) -> list[SweepResult]:
-    """Build + verify + estimate per grid cell; rows come back in grid order.
-
-    Cells are independent; estimator seeds derive from the cell's own
-    parameters, so duplicate cells produce identical rows and execution
-    order is irrelevant.  Per-cell failures are recorded in the row and
-    the sweep continues.
-    """
-    if not grid:
-        raise ValueError("sweep grid is empty")
-
-    def run_cell(index: int) -> SweepResult:
-        params = grid[index]
-        result = SweepResult(params=params)
-        try:
-            code = galaxy.build_code(params)
-            result.rate = rate_report(code)
-            result.structure_passed = verify_structure(code).passed
-            dec = DecoderParams.from_galaxy(params)
-            cell_seed = derive_seed(master_seed, "cell", _params_key(params))
-            if plan.type1_trials:
-                result.type1 = estimate_type1(code, dec, plan.type1_trials, cell_seed)
-            if plan.type2_trials:
-                result.type2 = estimate_type2(
-                    code, PairStrategy(mode=plan.pair_mode), dec, plan.type2_trials, cell_seed
-                )
-        except (ValueError, ArithmeticError) as exc:
-            result.error = str(exc)
-        return result
-
-    return _run_units(run_cell, len(grid), threads)

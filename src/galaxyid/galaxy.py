@@ -18,7 +18,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import spherical
-from .geometry import as_coords
 from .seeding import derive_seed
 
 __all__ = [
@@ -196,14 +195,14 @@ class GalaxyParams:
     def __post_init__(self):
         if self.n < 2:
             raise ValueError(f"n must be >= 2, got {self.n}")
-        if self.power <= 0:
-            raise ValueError(f"power must be > 0, got {self.power}")
+        if not 0 < self.power < math.inf:
+            raise ValueError(f"power must be finite and > 0, got {self.power}")
         if not 0 <= self.b < 0.25:
             raise ValueError(f"b must lie in [0, 1/4), got {self.b}")
         if self.k < 7:
             raise ValueError(f"k must be >= 7, got {self.k}")
-        if self.sigma <= 0:
-            raise ValueError(f"sigma must be > 0, got {self.sigma}")
+        if not 0 < self.sigma < math.inf:
+            raise ValueError(f"sigma must be finite and > 0, got {self.sigma}")
         if self.theta is None:
             object.__setattr__(self, "theta", theta_of_k(self.k))
         if not (0 < self.theta < math.pi):
@@ -217,8 +216,8 @@ class GalaxyParams:
             object.__setattr__(self, "m_per_level", max(1, math.floor(min(csw, self._M_CAP))))
         if self.m_per_level < 1:
             raise ValueError(f"m_per_level must be >= 1, got {self.m_per_level}")
-        if self.r_min_coeff is not None and self.r_min_coeff <= 0:
-            raise ValueError(f"r_min_coeff must be > 0, got {self.r_min_coeff}")
+        if self.r_min_coeff is not None and not 0 < self.r_min_coeff < math.inf:
+            raise ValueError(f"r_min_coeff must be finite and > 0, got {self.r_min_coeff}")
         if self.max_roots < 1 or self.saturation_probes < 1 or self.max_attempts < 1:
             raise ValueError("max_roots, saturation_probes and max_attempts must be >= 1")
         m = separation_margins(self.k, self.theta)
@@ -411,7 +410,7 @@ def build_galaxy(center, params: GalaxyParams, root_index: int = 0):
     Returns the nodes' centers (C, n) and point counts (C,), and the
     height-1 nodes' points, the root's codewords, in the same order.
     """
-    center = as_coords(center)
+    center = spherical.as_coords(center)
     if center.size != params.n:
         raise ValueError(f"center has dimension {center.size}, expected {params.n}")
     centers, counts, leaves = [], [], []

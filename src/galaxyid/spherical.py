@@ -14,9 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import as_coords
-
 __all__ = [
+    "as_coords",
     "SphericalCode",
     "generate",
     "min_pairwise_angle",
@@ -26,6 +25,16 @@ __all__ = [
 # Slack on the dot-product acceptance test; keeps exact witness
 # configurations (dot == cos theta) acceptable under rounding.
 _DOT_TOL = 1e-12
+
+
+def as_coords(x) -> np.ndarray:
+    """Convert an array-like to a finite 1-D float64 array, validating it."""
+    arr = np.asarray(x, dtype=np.float64)
+    if arr.ndim != 1 or arr.size < 1:
+        raise ValueError(f"expected a 1-D coordinate tuple, got shape {arr.shape}")
+    if not np.all(np.isfinite(arr)):
+        raise ValueError("coordinates must be finite")
+    return arr
 
 
 @dataclass
@@ -76,8 +85,7 @@ def _witness_candidates(n: int, theta: float) -> list[np.ndarray]:
         basis.extend((e, -e))
     if cos_t >= -_DOT_TOL:
         return basis
-    # Largest m with pairwise dot <= cos theta achievable: (m-1) cos >= -1.
-    m = min(n + 1, int(math.floor(1.0 - 1.0 / cos_t + 1e-9)))
+    m = min(n + 1, _obtuse_ceiling(n, cos_t))
     if m < 2:
         return basis
     return [d for d in _simplex_directions(n, m)] + basis

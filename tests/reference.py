@@ -16,10 +16,9 @@ import numpy as np
 from galaxyid import experiments
 from galaxyid.channel import DecoderParams, unit_directions
 from galaxyid.galaxy import GalaxyCode, pair_distance_lower_bound, separation_margins
-from galaxyid.geometry import as_coords
 from galaxyid.gaussian import _chi_square_tails, shell_prob_miss, std_normal_cdf
 from galaxyid.seeding import derive_seed
-from galaxyid.spherical import _DOT_TOL, SphericalCode, _witness_candidates
+from galaxyid.spherical import _DOT_TOL, SphericalCode, _witness_candidates, as_coords
 
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 

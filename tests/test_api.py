@@ -1,0 +1,24 @@
+import importlib
+import pkgutil
+import types
+
+import galaxyid
+
+MODULES = [importlib.import_module(f"galaxyid.{m.name}")
+           for m in pkgutil.iter_modules(galaxyid.__path__)]
+
+
+def test_every_all_name_exists():
+    for module in (m for m in MODULES if hasattr(m, "__all__")):  # cli has none
+        missing = [name for name in module.__all__ if not hasattr(module, name)]
+        assert not missing, f"{module.__name__}.__all__ names what it lacks: {missing}"
+
+
+def test_package_reexports_are_in_their_modules_all():
+    exported = {name: obj for name, obj in vars(galaxyid).items()
+                if not name.startswith("_") and not isinstance(obj, types.ModuleType)}
+    assert exported
+    for name, obj in exported.items():
+        module = importlib.import_module(obj.__module__)
+        assert name in module.__all__, f"galaxyid.{name} is not in {module.__name__}.__all__"
+        assert getattr(module, name) is obj

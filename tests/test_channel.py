@@ -23,6 +23,13 @@ def test_decoder_params_defaults():
     assert hi == pytest.approx(100 * (1 + p.eps_n))
 
 
+@pytest.mark.parametrize("field", ["sigma", "eps_n", "slab_halfwidth"])
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_decoder_params_reject_nonfinite(field, value):
+    with pytest.raises(ValueError, match=f"^{field} must be finite"):
+        DecoderParams(**{"n": 16, "sigma": 1.0, field: value})
+
+
 def test_shell_lower_bound_clamps():
     p = DecoderParams(n=4, sigma=0.5)  # eps_n = 1 > sigma^2
     lo, hi = p.shell_bounds

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from galaxyid import cli, codefile
 from galaxyid.galaxy import GalaxyCode, GalaxyParams, theta_of_k
 from galaxyid.reports import REPORT_COLUMNS
+from galaxyid.seeding import derive_seed
 from reference import reference_violations, stack_galaxies
 
 BUILD_ARGS = [
@@ -332,6 +333,93 @@ def test_sweep_csv(code_file):
     assert ks == ["8", "16"]
 
 
+def _jsonl(capsys, *argv):
+    """Exit code and JSON-lines rows of one in-process CLI run."""
+    code = cli.main([*argv, "--format", "jsonl"])
+    return code, [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+
+
+SWEEP_ARGS = ["sweep", "--n", "16", "--power", "100", "--m", "4", "--seed", "3",
+              "--max-roots", "3", "--probes", "50"]
+
+
+def test_sweep_rows_in_order_and_reproducible(capsys):
+    trials = ["--trials-type1", "2000", "--trials-type2", "2000", "--pairs", "same-planet"]
+    code, rows = _jsonl(capsys, *SWEEP_ARGS, "--k-list", "8,16,8", *trials)
+    assert code == 0
+    assert [(r["k"], r["mc_kind"]) for r in rows] == [
+        (8, "type1"), (8, "type2"), (16, "type1"), (16, "type2"), (8, "type1"), (8, "type2")]
+    assert not any(r["error"] for r in rows)
+    assert rows[:2] == rows[4:]  # duplicate cells give identical rows
+    # the cells run on a thread pool: same rows in the same order
+    assert _jsonl(capsys, *SWEEP_ARGS, "--k-list", "8,16,8", *trials, "--threads", "4") == (0, rows)
+
+
+def test_sweep_records_cell_failures(capsys):
+    # n = 2: the default m is 4 at k = 64 but 1 at k = 8, which leaves no same-planet pair
+    code, rows = _jsonl(capsys, "sweep", "--n", "2", "--power", "100", "--k-list", "64,8",
+                        "--max-roots", "2", "--trials-type2", "100", "--pairs", "same-planet")
+    assert code == 0
+    assert [(r["k"], r["structure_passed"], r["mc_trials"], r["error"]) for r in rows] == [
+        (64, True, 100, ""), (8, "", "", "no pairs match strategy 'same-planet'")]
+    code, rows = _jsonl(capsys, "sweep", "--n", "8", "--power", "0.1", "--k-list", "8,16",
+                        "--m", "2", "--max-roots", "2", "--trials-type1", "100")
+    assert code == 0
+    assert [r["k"] for r in rows] == [8, 16]
+    assert all(r["error"].startswith("power budget too small") for r in rows)
+
+
+def test_sweep_cell_rows_are_simulate_rows(tmp_path, capsys):
+    shared = ["--n", "16", "--b", "0.1", "--power", "100", "--sigma", "1.5", "--m", "3",
+              "--seed", "9", "--r-min-coeff", "0.5", "--max-roots", "3", "--probes", "50"]
+    code, swept = _jsonl(capsys, "sweep", *shared, "--k-list", "8,16", "--trials-type1", "3000",
+                         "--trials-type2", "3000", "--pairs", "same-planet")
+    assert code == 0 and len(swept) == 4
+    parser = cli.build_parser()
+    for k, cell in zip(("8", "16"), (swept[:2], swept[2:])):
+        path = tmp_path / f"k{k}.json"
+        build = ["build", *shared, "--k", k, "--out", str(path)]
+        assert cli.main(build) == 0
+        params = cli._params_from_args(parser.parse_args(build))
+        seed = derive_seed(9, "cell", cli._params_key(params))
+        capsys.readouterr()
+        code, simulated = _jsonl(capsys, "simulate", "--code", str(path), "--type1", "--type2",
+                                 "--pairs", "same-planet", "--trials", "3000", "--seed", str(seed))
+        assert code == 0
+        assert [(r["command"], r["structure_passed"]) for r in cell] == [("sweep", True)] * 2
+        assert [(r["command"], r["structure_passed"]) for r in simulated] == [("simulate", "")] * 2
+        drop = ("command", "structure_passed")
+        assert [{c: v for c, v in r.items() if c not in drop} for r in cell] == [
+            {c: v for c, v in r.items() if c not in drop} for r in simulated]
+
+
+@pytest.mark.parametrize("flag", ["--trials-type1", "--trials-type2"])
+def test_sweep_rejects_negative_trials_before_building(monkeypatch, capsys, flag):
+    monkeypatch.setattr(cli, "build_code", lambda params: pytest.fail("a cell was built"))
+    assert cli.main([*SWEEP_ARGS, "--k-list", "8,16", flag, "-5"]) == 2
+    out, err = capsys.readouterr()
+    assert not out
+    assert f"error: {flag} must be >= 0, got -5" in err
+
+
+def test_sweep_rejects_empty_k_list(capsys):
+    assert cli.main([*SWEEP_ARGS, "--k-list", ","]) == 2
+    out, err = capsys.readouterr()
+    assert not out
+    assert "error: --k-list is empty" in err
+
+
+@pytest.mark.parametrize("flag, field", [
+    ("--power", "power"), ("--sigma", "sigma"), ("--r-min-coeff", "r_min_coeff")])
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_build_rejects_nonfinite_params(tmp_path, capsys, flag, field, value):
+    out = tmp_path / "code.json"
+    argv = ["build", "--n", "16", "--k", "8", "--power", "100", "--m", "2", "--out", str(out)]
+    assert cli.main([*argv, flag, value]) == 2
+    assert f"error: {field} must be finite and > 0, got {value}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_jsonl_format(code_file):
     res = run_cli(
         "simulate", "--code", str(code_file), "--type1", "--trials", "1000",
@@ -551,20 +639,21 @@ def test_build_flags_give_the_drawn_params(values):
     assert cli._params_from_args(args) == GalaxyParams(**values)
 
 
-def test_sweep_cells_match_build_params(monkeypatch):
+def test_sweep_cells_match_build_params(monkeypatch, capsys):
     shared = ["--n", "64", "--b", "0.1", "--power", "4000", "--sigma", "1.5", "--m", "3",
               "--seed", "9", "--r-min-coeff", "2", "--probes", "50"]
-    calls = []
-    monkeypatch.setattr(cli, "sweep",
-                        lambda grid, plan, seed, threads: calls.append((grid, seed)) or [])
-    assert cli.main(["sweep", *shared, "--k-list", "8,16,32"]) == 0
-    ((grid, seed),) = calls
-    assert seed == 9
+    grid = []
+    real_build = cli.build_code
+    monkeypatch.setattr(cli, "build_code", lambda params: grid.append(params) or real_build(params))
+    monkeypatch.delenv("GALAXYID_THREADS", raising=False)
+    code, rows = _jsonl(capsys, "sweep", *shared, "--k-list", "8,16,32", "--trials-type1", "10")
+    assert code == 0
     parser = cli.build_parser()
     assert [cell.k for cell in grid] == [8, 16, 32]
-    for cell in grid:
+    for cell, row in zip(grid, rows):
         build = ["build", *shared, "--k", str(cell.k), "--max-roots", "64", "--out", "-"]
         assert cell == cli._params_from_args(parser.parse_args(build))
+        assert row["mc_seed"] == derive_seed(9, "cell", cli._params_key(cell))
     # the one shared default that differs
     assert parser.parse_args(["build", *shared, "--k", "8", "--out", "-"]).max_roots == 256
 

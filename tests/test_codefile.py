@@ -4,8 +4,8 @@ import json
 import numpy as np
 import pytest
 
+from galaxyid.cli import _params_key
 from galaxyid.codefile import FORMAT_VERSION, deserialize, load, save, serialize
-from galaxyid.experiments import _params_key
 from galaxyid.galaxy import GalaxyCode, GalaxyParams, build_code
 
 

@@ -9,12 +9,10 @@ from galaxyid.channel import DecoderParams
 from galaxyid.experiments import (
     PairStrategy,
     _worker_count,
-    TrialPlan,
     estimate_type1,
     estimate_type2,
     rate_report,
     select_pairs,
-    sweep,
     verify_structure,
     wilson_interval,
 )
@@ -337,38 +335,3 @@ def test_rate_report_single_codeword():
 def test_example_rate_arithmetic():
     # two roots, m=4, depth 2, n=16 -> N=32, R = 5/64
     assert math.log2(2 * 4**2) / (16 * math.log2(16)) == pytest.approx(0.078125)
-
-
-def test_sweep_rows_in_order_and_reproducible():
-    grid = [
-        GalaxyParams(
-            n=16, power=100.0, k=k, m_per_level=4, master_seed=3, max_roots=3,
-            saturation_probes=50,
-        )
-        for k in (8, 16, 8)
-    ]
-    plan = TrialPlan(type1_trials=2000, type2_trials=2000, pair_mode="same-planet")
-    rows = sweep(grid, plan, master_seed=77)
-    assert [r.params.k for r in rows] == [8, 16, 8]
-    assert all(r.error is None for r in rows)
-    # duplicate cells (indices 0 and 2) produce identical estimates
-    assert rows[0].type1.hits == rows[2].type1.hits
-    assert rows[0].type2.hits == rows[2].type2.hits
-    # parallel execution preserves ordering and values
-    rows4 = sweep(grid, plan, master_seed=77, threads=4)
-    assert [r.type1.hits for r in rows4] == [r.type1.hits for r in rows]
-
-
-def test_sweep_records_cell_failures():
-    good = GalaxyParams(n=16, power=100.0, k=8, m_per_level=2, master_seed=3, max_roots=2,
-                        saturation_probes=20)
-    bad = GalaxyParams(n=8, power=0.1, k=8, m_per_level=2, t_bar=2, max_roots=2,
-                       saturation_probes=20)  # power too small to build
-    rows = sweep([good, bad], TrialPlan(), master_seed=1)
-    assert rows[0].error is None
-    assert rows[1].error is not None and "power budget" in rows[1].error
-
-
-def test_sweep_empty_grid():
-    with pytest.raises(ValueError):
-        sweep([], TrialPlan(), master_seed=0)

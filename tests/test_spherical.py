@@ -10,8 +10,10 @@ from galaxyid import spherical
 from galaxyid.galaxy import theta_of_k
 from galaxyid.spherical import (
     SphericalCode,
+    _obtuse_ceiling,
     _simplex_directions,
     _witness_candidates,
+    as_coords,
     csw_lower_bound,
     generate,
     min_pairwise_angle,
@@ -112,6 +114,21 @@ def test_obtuse_ceiling_stops_without_drawing(n, theta, target_m, ceiling):
     assert np.array_equal(code.points, witness)
 
 
+@pytest.mark.parametrize("n", [2, 3, 4, 8, 16, 64])
+def test_capped_node_takes_the_ceiling_from_the_witness_prefix(n):
+    # At every obtuse theta of the grid the first ceiling witness candidates
+    # are all accepted, so a node whose target lies above the ceiling stops
+    # there without a draw.  (Within ~1e-9 below cos theta = -1/(m-1) the
+    # ceiling's slack rounds it up to m, and such a node draws instead.)
+    grid = [*np.linspace(math.pi / 2, math.pi, 401)[1:], *DESIGN_THETAS]
+    with mock.patch.object(spherical.np.random, "default_rng", lambda seed: _NoDraws()):
+        for theta in grid:
+            ceiling = _obtuse_ceiling(n, math.cos(theta))
+            code = generate(n, np.zeros(n), 1.0, theta, ceiling + 1, 10**9, seed=0)
+            assert code.saturated
+            assert np.array_equal(code.points, _witness_candidates(n, theta)[:ceiling])
+
+
 @st.composite
 def generate_args(draw):
     n = draw(st.integers(2, 12))
@@ -197,3 +214,17 @@ def test_min_pairwise_angle_point_on_center():
     points = np.array([[1.0, 2.0], [2.0, 2.0], [1.0, 3.0]])
     code = SphericalCode(center=points[0].copy(), radius=1.0, points=points)
     assert min_pairwise_angle(code) == 0.0
+
+
+def test_nonfinite_rejected():
+    with pytest.raises(ValueError):
+        as_coords([1.0, float("nan")])
+    with pytest.raises(ValueError):
+        as_coords([1.0, float("inf")])
+    with pytest.raises(ValueError):
+        as_coords([[1.0, 2.0]])
+    with pytest.raises(ValueError):
+        as_coords([])
+    out = as_coords([3, 4])
+    assert out.dtype == np.float64
+    assert out.tolist() == [3.0, 4.0]
