@@ -39,10 +39,14 @@ __all__ = [
 UNIT_SIZE = 8192  # trials per RNG work unit; fixed so worker count never matters
 _PAIR_CAP = 20000  # strategies larger than this are subsampled deterministically
 _MASK_CELLS = 1 << 20  # (row, codeword) cells per block of a pairwise distance test
-# Gathered (row, level, coordinate) direction cells per decide() block, 512 kB
-# per thread.  _MASK_CELLS would gather 8 MB per block and thread: more than
-# the ~5 MB (10 %) peak-RSS bound of the small-mc benchmark workload.
+# An estimator holds one (N, t_bar, n) direction table plus, per thread,
+# buffers of at most UNIT_SIZE rows.  Its blocks: gathered (row, level,
+# coordinate) direction cells per decide() call, 512 kB per thread, and the
+# cells of each direction-table fill and cross-galaxy distance block.
+# _MASK_CELLS would gather 8 MB per block and thread: more than the ~5 MB
+# (10 %) peak-RSS bound of the small-mc benchmark workload.
 _DECIDE_CELLS = 1 << 16
+_DRAW_CELLS = 1 << 18  # normals per draw chunk, 2 MB per thread at any thread count
 ANGLE_TOL = 1e-9
 
 
@@ -195,46 +199,78 @@ def run_units(worker, n_units: int, threads: int | None) -> list:
         return list(pool.map(worker, range(n_units)))
 
 
+def _direction_table(code: GalaxyCode) -> np.ndarray:
+    """unit_directions of every codeword's chain as one (N, t_bar, n) array,
+    filled in row blocks of at most _DECIDE_CELLS cells, so no temporary
+    outgrows a block.  Raises on a degenerate chain, as unit_directions does."""
+    u = code.codewords
+    table = np.empty((len(u), code.ancestors.shape[1], u.shape[1]))
+    step = max(1, _DECIDE_CELLS // table[0].size)
+    for s in range(0, len(u), step):
+        rows = slice(s, s + step)
+        table[rows] = unit_directions(u[rows], code.centers[code.ancestors[rows]])
+    return table
+
+
 def _pair_counts(
     code: GalaxyCode,
-    targets: np.ndarray,
-    senders: np.ndarray,
-    meet_rows: np.ndarray,
     tag: str,
     params: DecoderParams,
     trials: int,
     master_seed: int,
     threads: int | None,
+    targets: np.ndarray,
+    senders: np.ndarray | None = None,
+    meet_rows: np.ndarray | None = None,
 ) -> tuple[int, int, int]:
     """(accepted, in shell, in decisive slab) counts, summed over the units,
-    when trial t sends senders[p] to targets[p]'s decoder, p = t mod P.
+    when trial t sends senders[p] to targets[p]'s decoder, p = t mod P; with
+    no senders, each target sends itself.
 
     The decisive slab is the one at the pair's meet ancestor, row
-    meet_rows[p] of the chain; a pair with none (-1: across roots, or a
-    codeword with itself) counts nothing there.
-    Each unit's noise comes from the stream (master_seed, tag, unit) and is
-    decided in row blocks of at most _DECIDE_CELLS gathered direction cells.
+    meet_rows[p] of the chain; a pair with none (-1: across roots) counts
+    nothing there, and neither does a codeword sent to itself.
+    Each unit's noise comes from the stream (master_seed, tag, unit).  The
+    run holds one (N, t_bar, n) direction table, and each thread at most
+    UNIT_SIZE rows of its unit's pair offsets (row i sends visited pair
+    i mod P), a reused buffer of normals drawn in chunks of _DRAW_CELLS
+    cells (a stream fills the same values in chunks as in one call), and
+    decide() blocks of at most _DECIDE_CELLS gathered direction cells.
     """
     plan = _unit_plan(trials)
     u = code.codewords
-    directions = unit_directions(u, code.centers[code.ancestors])
-    offsets = u[senders] - u[targets]
+    directions = _direction_table(code)
     step = max(1, _DECIDE_CELLS // directions[0].size)
+    chunk = step * max(1, _DRAW_CELLS // (step * params.n))
 
     def run_unit(unit_index: int) -> np.ndarray:
         start, size = plan[unit_index]
+        visited = (start + np.arange(min(len(targets), size))) % len(targets)
+        unit_targets = targets[visited]
+        if senders is not None:
+            offsets = np.empty((len(visited), params.n))
+            for s in range(0, len(visited), step):
+                p = visited[s : s + step]
+                np.subtract(u[senders[p]], u[targets[p]], out=offsets[s : s + step])
+            unit_meet_rows = meet_rows[visited]
         rng = np.random.default_rng(derive_seed(master_seed, tag, unit_index))
-        deltas = rng.standard_normal((size, params.n))
-        deltas *= params.sigma
+        noise = np.empty((min(chunk, size), params.n))
         counts = np.zeros(3, dtype=np.int64)
-        for s in range(0, size, step):
-            block = deltas[s : s + step]
-            p = (start + s + np.arange(len(block))) % len(offsets)
-            block += offsets[p]
-            shell, slabs, accept = decide(block, directions[targets[p]], params)
-            rows = meet_rows[p]
-            met = rows >= 0
-            counts += accept.sum(), shell.sum(), slabs[met, rows[met]].sum()
+        for c in range(0, size, chunk):
+            deltas = noise[: size - c]
+            rng.standard_normal(out=deltas)
+            deltas *= params.sigma
+            for s in range(0, len(deltas), step):
+                block = deltas[s : s + step]
+                i = (c + s + np.arange(len(block))) % len(visited)
+                if senders is not None:
+                    block += offsets[i]
+                shell, slabs, accept = decide(block, directions[unit_targets[i]], params)
+                counts[:2] += accept.sum(), shell.sum()
+                if senders is not None:
+                    rows = unit_meet_rows[i]
+                    met = rows >= 0
+                    counts[2] += slabs[met, rows[met]].sum()
         return counts
 
     accepted, shell_hits, slab_hits = sum(run_units(run_unit, len(plan), threads))
@@ -267,9 +303,7 @@ def estimate_type1(
     """
     bound = shell_prob_miss(params) + code.params.t_bar * _slab_tail(params)
     every = np.arange(len(code.codewords))
-    accepted, _, _ = _pair_counts(
-        code, every, every, np.full_like(every, -1), "type1", params, trials, master_seed, threads
-    )
+    accepted, _, _ = _pair_counts(code, "type1", params, trials, master_seed, threads, every)
     return _estimate("type1", trials, trials - accepted, bound, "shell-exact+slab-union",
                      master_seed)
 
@@ -426,12 +460,15 @@ def estimate_type2(
     targets, senders = select_pairs(code, strategy, master_seed).T
     meet_rows = _meet_rows(code, targets, senders)
     hits, shell_hits, slab_hits = _pair_counts(
-        code, targets, senders, meet_rows, "type2", params, trials, master_seed, threads
+        code, "type2", params, trials, master_seed, threads, targets, senders, meet_rows
     )
     u, cross = code.codewords, meet_rows < 0  # two distinct codewords: across roots
     terms = {}  # one bound per pair class present
     if cross.any():
-        d_min = _min_norm(u[senders[cross]] - u[targets[cross]])
+        cross_t, cross_s = targets[cross], senders[cross]
+        step = max(1, _DECIDE_CELLS // u.shape[1])
+        d_min = min(_min_norm(u[cross_s[s : s + step]] - u[cross_t[s : s + step]])
+                    for s in range(0, len(cross_t), step))
         terms["cross-shell"] = shell_prob_cross(params, d_min)
     if not cross.all():
         terms["meet-slab-tail"] = slab_tail

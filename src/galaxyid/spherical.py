@@ -94,16 +94,19 @@ def _witness_candidates(n: int, theta: float) -> list[np.ndarray]:
 def _obtuse_ceiling(n: int, cos_t: float) -> float:
     """Most points the acceptance test can ever admit at an obtuse angle, else inf.
 
-    Accepted directions have pairwise dots <= c' = cos theta plus slack for
-    _DOT_TOL and rounding.  For c' < 0, m such unit vectors satisfy
-    0 <= ||sum v||^2 <= m + m(m-1)c', so m <= 1 - 1/c' (Rankin), and at most
-    n+1 vectors of R^n have pairwise negative dots.  The slack can only round
-    the ceiling up, which stops later, never earlier.
+    Accepted directions have computed pairwise dots <= cos theta + _DOT_TOL;
+    their exact dots, and squared norms less one, stay within a rounding
+    band b = 4 (n + 4) eps of that.  For exact dots <= c' < 0 and squared
+    norms <= 1 + b, m vectors satisfy 0 <= ||sum v||^2 <= m(1 + b) + m(m-1)c',
+    so m <= (1 - 1/c')(1 + b) (Rankin), and at most n+1 vectors of R^n have
+    pairwise negative dots.  The band can only round the ceiling up, which
+    stops later, never earlier.
     """
-    c = cos_t + 1e-9
+    band = 4 * (n + 4) * np.finfo(np.float64).eps
+    c = cos_t + _DOT_TOL + band
     if c >= 0.0:
         return math.inf
-    return min(n + 1, math.floor(1.0 - 1.0 / c))
+    return min(n + 1, math.floor((1.0 - 1.0 / c) * (1.0 + band)))
 
 
 def generate(

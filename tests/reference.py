@@ -5,7 +5,8 @@ codeword table, a spherical-code generator that stops at the obtuse-angle
 ceiling and one block-batched Monte Carlo kernel; these are the simpler
 per-vector forms, the per-codeword node walk, the plain greedy loop, the
 per-codeword and per-pair decoder loops and the central-limit
-approximations the tests compare it against.
+approximations the tests compare it against, and a random stream that
+fails on any draw.
 """
 
 import math
@@ -237,6 +238,13 @@ def generate_reference(n, center, r, theta, target_m, max_attempts, seed):
     dirs = np.asarray(accepted, dtype=np.float64)
     return SphericalCode(center=center, radius=float(r), points=center + r * dirs,
                          saturated=saturated)
+
+
+class NoDraws:
+    """A generator stream that fails the test on any draw."""
+
+    def __getattr__(self, name):
+        raise AssertionError(f"drew from a random stream ({name})")
 
 
 def _grouped(indices: np.ndarray):

@@ -1,5 +1,6 @@
 import math
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -176,6 +177,36 @@ def test_estimators_reject_sigma_zero_before_any_trial(small_code, monkeypatch):
     for mode in ("same-planet", "cross-galaxy"):
         with pytest.raises(ValueError, match="sigma"):
             estimate_type2(small_code, PairStrategy(mode=mode), dec, 5_000, master_seed=1)
+
+
+@pytest.fixture(scope="module")
+def table_code():
+    """4096 codewords in the shape of the large-n benchmark code: n = 64, depth 3."""
+    return build_code(GalaxyParams(n=64, power=1e7, k=16, m_per_level=8, t_bar=3,
+                                   max_roots=8, master_seed=3))
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_estimators_hold_one_direction_table_plus_unit_buffers(table_code, threads):
+    """The traced peak of each estimator stays within the (N, t_bar, n)
+    direction table plus two (UNIT_SIZE, n) float64 buffers per worker."""
+    code, trials = table_code, 2 * experiments.UNIT_SIZE
+    n, t_bar = code.params.n, code.params.t_bar
+    bound = 8 * (len(code.codewords) * t_bar * n
+                 + 2 * experiments.UNIT_SIZE * n * _worker_count(threads, 2))
+    dec = DecoderParams.from_galaxy(code.params)
+    runs = [lambda: estimate_type1(code, dec, trials, 1, threads)] + [
+        lambda mode=mode: estimate_type2(code, PairStrategy(mode=mode), dec, trials, 1, threads)
+        for mode in ("same-planet", "cross-galaxy")
+    ]
+    for run in runs:
+        tracemalloc.start()
+        try:
+            run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound
 
 
 def test_verify_structure_passes_fresh(small_code):

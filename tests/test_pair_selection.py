@@ -26,6 +26,7 @@ from galaxyid.experiments import (
 from galaxyid.galaxy import GalaxyCode, GalaxyParams, build_code, pair_distance_lower_bound
 from galaxyid.seeding import derive_seed
 from reference import (
+    NoDraws,
     index_paths,
     meet_depth,
     reference_violations,
@@ -255,6 +256,30 @@ def straddling_decoder(code, pairs, spread, width, scale):
                          slab_halfwidth=width * (d + sigma))
 
 
+def assert_kernel_matches_reference(code, strategy, dec, trials, seed):
+    """Hits and components of the estimator (type 1 for strategy None) equal
+    one decoder call per codeword or pair and unit, in 50-trial units, at 1
+    and 2 threads: in decide() blocks of one row with draw chunks of 7 rows,
+    so a unit ends in a short chunk; of three rows with 6-row chunks; and of
+    the default sizes."""
+    t_bar, n = code.params.t_bar, code.params.n
+    with mock.patch.object(experiments, "UNIT_SIZE", 50):
+        if strategy is None:
+            expected = type1_hits(code, dec, trials, seed), {}
+        else:
+            hits, shell_hits, slab_hits = type2_counts(code, strategy, dec, trials, seed)
+            expected = hits, {"shell_hits": shell_hits, "decisive_slab_hits": slab_hits}
+        for cells, draw in ((1, 7 * n), (3 * t_bar * n, 7 * n),
+                            (experiments._DECIDE_CELLS, experiments._DRAW_CELLS)):
+            with mock.patch.multiple(experiments, _DECIDE_CELLS=cells, _DRAW_CELLS=draw):
+                for threads in (1, 2):
+                    if strategy is None:
+                        est = estimate_type1(code, dec, trials, seed, threads)
+                    else:
+                        est = estimate_type2(code, strategy, dec, trials, seed, threads)
+                    assert (est.hits, est.components) == expected
+
+
 @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(
     code=codes(),
@@ -265,10 +290,9 @@ def straddling_decoder(code, pairs, spread, width, scale):
     scale=st.floats(0.3, 3.0),
 )
 def test_pair_kernel_matches_per_group_loops(code, trials, seed, spread, width, scale):
-    """Hits and components of both estimators equal one decoder call per
-    codeword or pair and unit, with blocks of one row and of three rows
-    straddling unit starts (50-trial units) and pair wrap-around."""
-    n_cw, t_bar, n = len(code.codewords), code.params.t_bar, code.params.n
+    """The kernel against per-group decoder loops on random codes, with
+    blocks straddling unit starts and pair wrap-around."""
+    n_cw = len(code.codewords)
     runs = [(None, [(i, i) for i in range(n_cw)])]
     if n_cw >= 2:
         median = float(np.median(np.linalg.norm(code.codewords - code.codewords[0], axis=1)))
@@ -280,24 +304,50 @@ def test_pair_kernel_matches_per_group_loops(code, trials, seed, spread, width, 
                 runs.append((strategy, select_pairs(code, strategy, seed)))
             except ValueError:
                 continue  # no pair of this class
-    with mock.patch.object(experiments, "UNIT_SIZE", 50):
-        for strategy, pairs in runs:
-            dec = straddling_decoder(code, pairs, spread, width, scale)
-            if strategy is None:
-                expected = type1_hits(code, dec, trials, seed)
-            else:
-                expected = type2_counts(code, strategy, dec, trials, seed)
-            for cells in (1, 3 * t_bar * n, experiments._DECIDE_CELLS):
-                for threads in (1, 2):
-                    with mock.patch.object(experiments, "_DECIDE_CELLS", cells):
-                        if strategy is None:
-                            est = estimate_type1(code, dec, trials, seed, threads)
-                            assert est.hits == expected
-                            assert est.components == {}
-                        else:
-                            est = estimate_type2(code, strategy, dec, trials, seed, threads)
-                            assert (est.hits, est.components) == (expected[0], {
-                                "shell_hits": expected[1], "decisive_slab_hits": expected[2]})
+    for strategy, pairs in runs:
+        dec = straddling_decoder(code, pairs, spread, width, scale)
+        assert_kernel_matches_reference(code, strategy, dec, trials, seed)
+
+
+@pytest.fixture(scope="module")
+def wide_code():
+    """64 codewords, more than one 50-trial unit."""
+    return build_code(GalaxyParams(n=8, power=1e8, k=16, m_per_level=4, master_seed=2, t_bar=2,
+                                   max_roots=4, saturation_probes=30))
+
+
+@pytest.mark.parametrize("pair_count", [None, 7, 25, 50, 73, 150],
+                         ids=["type1", "P7", "P25", "P50", "P73", "P150"])
+@pytest.mark.parametrize("code_name", ["two_root_code", "wide_code"])
+def test_pair_kernel_matches_reference_across_unit_edges(code_name, pair_count, request):
+    """The kernel against per-group decoder loops for P pairs below,
+    dividing, equal to and above the 50-trial unit, P = 73 wrapping in the
+    middle of the second unit, and type 1 on 27 and on 64 codewords."""
+    code = request.getfixturevalue(code_name)
+    if pair_count is None:
+        strategy, pairs = None, [(i, i) for i in range(len(code.codewords))]
+    else:
+        strategy = PairStrategy(mode="exhaustive-sample", sample_count=pair_count)
+        pairs = select_pairs(code, strategy, 11)
+    dec = straddling_decoder(code, pairs, 1.0, 0.5, 1.0)
+    assert_kernel_matches_reference(code, strategy, dec, 230, 11)
+
+
+def test_degenerate_chain_raises_before_any_draw(wide_code):
+    """A codeword on its planet's center has no slab line: both estimators
+    raise while filling the direction table, one row per block, before
+    their first draw."""
+    code = wide_code
+    words = code.codewords.copy()
+    words[-1] = code.centers[code.ancestors[-1, 0]]
+    bad = GalaxyCode(code.params, code.centers, code.counts, words, code.packing_saturated)
+    dec = DecoderParams.from_galaxy(code.params)
+    with mock.patch.object(experiments.np.random, "default_rng", lambda seed: NoDraws()), \
+            mock.patch.object(experiments, "_DECIDE_CELLS", 1):
+        with pytest.raises(ValueError, match="degenerate"):
+            estimate_type1(bad, dec, 1000, 1)
+        with pytest.raises(ValueError, match="degenerate"):
+            estimate_type2(bad, PairStrategy(mode="same-planet"), dec, 1000, 1)
 
 
 def crowded(code, offset, leaf, pull):

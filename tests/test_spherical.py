@@ -18,7 +18,7 @@ from galaxyid.spherical import (
     generate,
     min_pairwise_angle,
 )
-from reference import generate_reference
+from reference import NoDraws, generate_reference
 
 DESIGN_THETAS = [theta_of_k(k) for k in (7, 8, 9)]  # obtuse: cos = -3/5, -1/3, -1/7
 
@@ -88,13 +88,6 @@ def test_simplex_witness_for_design_angle():
     assert over.saturated
 
 
-class _NoDraws:
-    """A generator stream that fails the test on any draw."""
-
-    def __getattr__(self, name):
-        raise AssertionError(f"generate drew from its stream ({name})")
-
-
 @pytest.mark.parametrize(
     "n, theta, target_m, ceiling",
     [
@@ -107,26 +100,52 @@ class _NoDraws:
     ids=["k8-n64", "k7-n16", "pi-n5", "k8-n3", "k9-n6"],
 )
 def test_obtuse_ceiling_stops_without_drawing(n, theta, target_m, ceiling):
-    with mock.patch.object(spherical.np.random, "default_rng", lambda seed: _NoDraws()):
+    with mock.patch.object(spherical.np.random, "default_rng", lambda seed: NoDraws()):
         code = generate(n, np.zeros(n), 1.0, theta, target_m, 10**9, seed=0)
     assert code.saturated
     witness = np.asarray(_witness_candidates(n, theta)[:ceiling])
     assert np.array_equal(code.points, witness)
 
 
+def _simplex_fits(n, m, cos_t):
+    """Whether the acceptance test admits the m-point witness simplex, vertex by vertex."""
+    dirs = _simplex_directions(n, m)
+    return all(np.max(dirs[:i] @ dirs[i]) <= cos_t + spherical._DOT_TOL for i in range(1, m))
+
+
+def _near_simplex_cosines():
+    """cos theta 1 to 3 float steps and 1e-10 either side of each simplex dot -1/(m-1)."""
+    cosines = []
+    for m in range(3, 10):
+        dot = -1.0 / (m - 1)
+        cosines += [dot - 1e-10, dot + 1e-10]
+        for side in (-math.inf, math.inf):
+            near = dot
+            for _ in range(3):
+                near = float(np.nextafter(near, side))
+                cosines.append(near)
+    return cosines
+
+
 @pytest.mark.parametrize("n", [2, 3, 4, 8, 16, 64])
 def test_capped_node_takes_the_ceiling_from_the_witness_prefix(n):
-    # At every obtuse theta of the grid the first ceiling witness candidates
-    # are all accepted, so a node whose target lies above the ceiling stops
-    # there without a draw.  (Within ~1e-9 below cos theta = -1/(m-1) the
-    # ceiling's slack rounds it up to m, and such a node draws instead.)
-    grid = [*np.linspace(math.pi / 2, math.pi, 401)[1:], *DESIGN_THETAS]
-    with mock.patch.object(spherical.np.random, "default_rng", lambda seed: _NoDraws()):
+    # At every obtuse theta of the grid the ceiling is the largest witness
+    # simplex the acceptance test admits, and a node whose target lies above
+    # it takes that simplex without a draw.  (Within the ceiling's rounding
+    # band, about 4 (n + 4) eps, below cos theta = -1/(m-1) - _DOT_TOL the
+    # ceiling rounds up to m, and such a node draws instead.)
+    grid = [*np.linspace(math.pi / 2, math.pi, 401)[1:], *DESIGN_THETAS,
+            *map(math.acos, _near_simplex_cosines())]
+    with mock.patch.object(spherical.np.random, "default_rng", lambda seed: NoDraws()):
         for theta in grid:
-            ceiling = _obtuse_ceiling(n, math.cos(theta))
-            code = generate(n, np.zeros(n), 1.0, theta, ceiling + 1, 10**9, seed=0)
+            cos_t = math.cos(theta)
+            fits = 2  # the antipodal pair fits at every obtuse theta
+            while fits <= n and _simplex_fits(n, fits + 1, cos_t):
+                fits += 1
+            assert _obtuse_ceiling(n, cos_t) == fits, (n, cos_t)
+            code = generate(n, np.zeros(n), 1.0, theta, fits + 1, 10**9, seed=0)
             assert code.saturated
-            assert np.array_equal(code.points, _witness_candidates(n, theta)[:ceiling])
+            assert np.array_equal(code.points, _witness_candidates(n, theta)[:fits])
 
 
 @st.composite
