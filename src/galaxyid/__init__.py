@@ -23,7 +23,6 @@ from .galaxy import (
     GalaxyParams,
     asymptotic_rate,
     build_code,
-    build_galaxy,
     center_count_bounds,
     depth_bar,
     pack_centers,

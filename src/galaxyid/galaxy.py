@@ -27,7 +27,6 @@ __all__ = [
     "depth_bar",
     "separation_margins",
     "pack_centers",
-    "build_galaxy",
     "build_code",
     "radial_bounds",
     "pair_distance_lower_bound",
@@ -37,6 +36,11 @@ __all__ = [
 ]
 
 _CEIL_GUARD = 1e-9  # absorbs float noise at exact integer depth ratios
+
+# The most bytes of codeword coordinates a build may hold, 1 GiB: packing
+# refuses the root whose subtree could take the table past it.
+_TABLE_CAP = 1 << 30
+_INITIAL_ROOTS = 64  # pack_centers' first capacity; it doubles as roots are accepted
 
 
 def theta_of_k(k: int) -> float:
@@ -369,13 +373,16 @@ class GalaxyCode:
         return len(self.codewords)
 
 
-def pack_centers(params: GalaxyParams) -> tuple[list, bool]:
+def pack_centers(params: GalaxyParams) -> tuple[np.ndarray, bool]:
     """Greedy packing of root centers in the shrunken power ball.
 
     Draws uniform points in the ball of radius pack_radius, accepts one iff
     it keeps the pairwise spacing, and stops after saturation_probes
     consecutive rejections (reported as saturated=True) or at max_roots
     (saturated=False: the cap, not the geometry, ended the packing).
+    Returns the accepted centers as the rows of one array.  Each root adds
+    at most max_points^t_bar codewords; a root that would take that bound
+    on the codeword table past _TABLE_CAP bytes raises ValueError.
     """
     radius = params.pack_radius
     if radius <= 0:
@@ -383,63 +390,82 @@ def pack_centers(params: GalaxyParams) -> tuple[list, bool]:
             f"power budget too small for galaxy extent: sqrt(nP) = "
             f"{math.sqrt(params.n * params.power):.6g} <= extent = {params.extent:.6g}"
         )
+    n = params.n
+    leaves = spherical.max_points(n, params.theta, params.m_per_level) ** params.t_bar
     rng = np.random.default_rng(derive_seed(params.master_seed, "centers"))
     spacing = params.spacing
-    centers: list[np.ndarray] = []
-    rejections = 0
-    while len(centers) < params.max_roots:
-        v = rng.standard_normal(params.n)
+    centers = np.empty((min(params.max_roots, _INITIAL_ROOTS), n))
+    count = rejections = 0
+    while count < params.max_roots:
+        v = rng.standard_normal(n)
         norm = np.linalg.norm(v)
         if norm == 0.0:
             continue
         u = rng.random()
-        cand = v * (radius * u ** (1.0 / params.n) / norm)
-        if centers and np.min(np.linalg.norm(np.asarray(centers) - cand, axis=1)) < spacing:
+        cand = v * (radius * u ** (1.0 / n) / norm)
+        if count and np.min(np.linalg.norm(centers[:count] - cand, axis=1)) < spacing:
             rejections += 1
             if rejections >= params.saturation_probes:
-                return centers, True
+                return centers[:count], True
             continue
-        centers.append(cand)
+        if (count + 1) * leaves * n * 8 > _TABLE_CAP:
+            raise ValueError(
+                f"refusing root {count + 1}: N = {(count + 1) * leaves} codewords of "
+                f"n = {n} coordinates would pass the {_TABLE_CAP}-byte table cap"
+            )
+        if count == len(centers):
+            centers = np.concatenate([centers, np.empty_like(centers)])
+        centers[count] = cand
+        count += 1
         rejections = 0
-    return centers, False
-
-
-def build_galaxy(center, params: GalaxyParams, root_index: int = 0):
-    """Grow the nested spherical codes under one root center, in pre-order.
-
-    Returns the nodes' centers (C, n) and point counts (C,), and the
-    height-1 nodes' points, the root's codewords, in the same order.
-    """
-    center = spherical.as_coords(center)
-    if center.size != params.n:
-        raise ValueError(f"center has dimension {center.size}, expected {params.n}")
-    centers, counts, leaves = [], [], []
-
-    def grow(node_center: np.ndarray, height: int, path: tuple) -> None:
-        code = spherical.generate(
-            n=params.n,
-            center=node_center,
-            r=params.r * params.k ** (height - 1),
-            theta=params.theta,
-            target_m=params.m_per_level,
-            max_attempts=params.max_attempts,
-            seed=derive_seed(params.master_seed, "node", root_index, *path),
-        )
-        centers.append(code.center)
-        counts.append(len(code))
-        if height == 1:
-            leaves.append(code.points)
-            return
-        for i, point in enumerate(code.points):
-            grow(point, height - 1, path + (i,))
-
-    grow(center, params.t_bar, ())
-    return np.array(centers), np.array(counts, dtype=np.intp), np.concatenate(leaves)
+    return centers[:count], False
 
 
 def build_code(params: GalaxyParams) -> GalaxyCode:
-    """Pack root centers and grow one galaxy per root."""
+    """Pack root centers and grow every galaxy one tree level at a time.
+
+    The greedy's witness-prefix run is the same at every node, so it runs
+    once.  When it stops, a level's points are its centers plus the run's
+    directions scaled to the level's radius, for all nodes at once.  Only
+    when it falls short does each node resume it on its own stream,
+    derive_seed(master_seed, "node", root, *child indices).  Paths padded
+    with -1 sort the nodes into pre-order; within one level, the level
+    order already is pre-order, so the last level's points are the codewords.
+    """
     roots, saturated = pack_centers(params)
-    grown = [build_galaxy(c, params, root_index=i) for i, c in enumerate(roots)]
-    centers, counts, codewords = (np.concatenate(parts) for parts in zip(*grown))
-    return GalaxyCode(params, centers, counts, codewords, packing_saturated=saturated)
+    run = spherical.greedy_prefix(params.n, params.theta, params.m_per_level, params.max_attempts)
+    level = roots
+    paths = np.full((len(roots), params.t_bar), -1, dtype=np.intp)
+    paths[:, 0] = np.arange(len(roots))
+    centers, counts, node_paths = [], [], []
+    for depth, height in enumerate(range(params.t_bar, 0, -1)):
+        r = params.r * params.k ** (height - 1)
+        if run.stopped:
+            sizes = np.full(len(level), len(run.accepted), dtype=np.intp)
+            points = (level[:, None, :] + r * run.accepted).reshape(-1, params.n)
+        else:
+            grown = [
+                center + r * spherical.greedy_tail(
+                    run, derive_seed(params.master_seed, "node", *path[: depth + 1].tolist())
+                )
+                for center, path in zip(level, paths)
+            ]
+            sizes = np.array([len(g) for g in grown], dtype=np.intp)
+            points = np.concatenate(grown)
+        centers.append(level)
+        counts.append(sizes)
+        node_paths.append(paths)
+        if height > 1:  # each point centers a child; its path adds the point's rank
+            parent = np.repeat(np.arange(len(level)), sizes)
+            rank = np.arange(len(parent)) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+            paths = paths[parent]
+            paths[:, depth + 1] = rank
+        level = points
+    order = np.lexsort(np.concatenate(node_paths).T[::-1])
+    return GalaxyCode(
+        params,
+        np.concatenate(centers)[order],
+        np.concatenate(counts)[order],
+        level,
+        packing_saturated=saturated,
+    )

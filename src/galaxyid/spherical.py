@@ -17,6 +17,10 @@ import numpy as np
 __all__ = [
     "as_coords",
     "SphericalCode",
+    "GreedyRun",
+    "max_points",
+    "greedy_prefix",
+    "greedy_tail",
     "generate",
     "min_pairwise_angle",
     "csw_lower_bound",
@@ -68,27 +72,26 @@ def _simplex_directions(n: int, m: int) -> np.ndarray:
     return out
 
 
-def _witness_candidates(n: int, theta: float) -> list[np.ndarray]:
+def _witness_candidates(n: int, theta: float) -> np.ndarray:
     """Deterministic candidate prefix that realizes known-feasible configurations.
 
     Uniform proposals alone have probability zero of hitting the tight
     configurations (the antipodal pair at theta = pi, the orthoplex at
     theta = pi/2, the regular simplex for obtuse theta), so those are
-    offered first.  For obtuse theta the simplex must come before the
-    signed basis: an accepted antipodal pair blocks every further point.
+    offered first, as the rows of one array.  For obtuse theta the simplex
+    must come before the signed basis (e_1, -e_1, e_2, ...): an accepted
+    antipodal pair blocks every further point.
     """
     cos_t = math.cos(theta)
-    basis: list[np.ndarray] = []
-    for i in range(n):
-        e = np.zeros(n, dtype=np.float64)
-        e[i] = 1.0
-        basis.extend((e, -e))
+    basis = np.zeros((2 * n, n), dtype=np.float64)
+    basis[0::2] = np.eye(n)
+    basis[1::2] = -np.eye(n)
     if cos_t >= -_DOT_TOL:
         return basis
     m = min(n + 1, _obtuse_ceiling(n, cos_t))
     if m < 2:
         return basis
-    return [d for d in _simplex_directions(n, m)] + basis
+    return np.concatenate([_simplex_directions(n, m), basis])
 
 
 def _obtuse_ceiling(n: int, cos_t: float) -> float:
@@ -107,6 +110,86 @@ def _obtuse_ceiling(n: int, cos_t: float) -> float:
     if c >= 0.0:
         return math.inf
     return min(n + 1, math.floor((1.0 - 1.0 / c) * (1.0 + band)))
+
+
+def max_points(n: int, theta: float, target_m: int) -> int:
+    """Most points a greedy code can hold: target_m, or the obtuse ceiling when lower."""
+    return min(target_m, _obtuse_ceiling(n, math.cos(theta)))
+
+
+@dataclass(frozen=True)
+class GreedyRun:
+    """The greedy's state after the witness prefix, the same for every node of a build.
+
+    accepted holds the unit directions taken so far (one per row),
+    rejections the consecutive rejections since the last of them, and
+    stopped whether the run already ended (at stop_m points or after
+    max_attempts rejections); if not, each node resumes it with its own draws.
+    """
+
+    cos_t: float
+    stop_m: int
+    max_attempts: int
+    accepted: np.ndarray
+    rejections: int
+    stopped: bool
+
+
+def _greedy(
+    accepted: list, rejections: int, candidates, cos_t: float, stop_m: int, max_attempts: int
+) -> tuple[int, bool]:
+    """The acceptance loop: take candidates while fewer than stop_m are accepted.
+
+    A candidate is accepted iff its dot with every accepted direction is at
+    most cos theta (+ _DOT_TOL), which resets the rejection count.  Appends
+    to accepted; returns the rejection count and whether the run stopped,
+    at stop_m points or at max_attempts consecutive rejections, rather than
+    running out of candidates.
+    """
+    while len(accepted) < stop_m:
+        cand = next(candidates, None)
+        if cand is None:
+            return rejections, False
+        if accepted and np.max(np.asarray(accepted) @ cand) > cos_t + _DOT_TOL:
+            rejections += 1
+            if rejections >= max_attempts:
+                return rejections, True
+            continue
+        accepted.append(cand)
+        rejections = 0
+    return rejections, True
+
+
+def _uniform_directions(rng: np.random.Generator, n: int):
+    """Normalized i.i.d. standard normal draws, skipping a zero vector."""
+    while True:
+        v = rng.standard_normal(n)
+        norm = np.linalg.norm(v)
+        if norm != 0.0:
+            yield v / norm
+
+
+def greedy_prefix(n: int, theta: float, target_m: int, max_attempts: int) -> GreedyRun:
+    """Run the greedy over the witness prefix alone; it draws nothing."""
+    cos_t, stop_m = math.cos(theta), max_points(n, theta, target_m)
+    accepted: list[np.ndarray] = []
+    rejections, stopped = _greedy(
+        accepted, 0, iter(_witness_candidates(n, theta)), cos_t, stop_m, max_attempts
+    )
+    dirs = np.array(accepted, dtype=np.float64).reshape(-1, n)
+    dirs.flags.writeable = False  # every node shares it
+    return GreedyRun(cos_t, stop_m, max_attempts, dirs, rejections, stopped)
+
+
+def greedy_tail(run: GreedyRun, seed: int) -> np.ndarray:
+    """A node's directions: the prefix run, resumed on default_rng(seed) unless it stopped."""
+    if run.stopped:
+        return run.accepted
+    accepted = list(run.accepted)
+    rng = np.random.default_rng(seed)
+    draws = _uniform_directions(rng, run.accepted.shape[1])
+    _greedy(accepted, run.rejections, draws, run.cos_t, run.stop_m, run.max_attempts)
+    return np.asarray(accepted, dtype=np.float64)
 
 
 def generate(
@@ -132,7 +215,7 @@ def generate(
       result is flagged saturated without drawing;
     * max_attempts consecutive rejections, also flagged saturated.
 
-    Fully deterministic given the seed.
+    Fully deterministic given the seed: greedy_prefix, then greedy_tail.
     """
     if not (0 < theta <= math.pi):
         raise ValueError(f"theta must lie in (0, pi], got {theta}")
@@ -144,38 +227,12 @@ def generate(
     if center.size != n:
         raise ValueError(f"center has dimension {center.size}, expected {n}")
 
-    rng = np.random.default_rng(seed)
-    cos_t = math.cos(theta)
-    stop_m = min(target_m, _obtuse_ceiling(n, cos_t))
-    accepted: list[np.ndarray] = []
-    prefix = _witness_candidates(n, theta)
-    prefix_pos = 0
-    rejections = 0
-
-    while len(accepted) < stop_m:
-        if prefix_pos < len(prefix):
-            cand = prefix[prefix_pos]
-            prefix_pos += 1
-        else:
-            v = rng.standard_normal(n)
-            norm = np.linalg.norm(v)
-            if norm == 0.0:
-                continue
-            cand = v / norm
-        if accepted and np.max(np.asarray(accepted) @ cand) > cos_t + _DOT_TOL:
-            rejections += 1
-            if rejections >= max_attempts:
-                break
-            continue
-        accepted.append(cand)
-        rejections = 0
-
-    dirs = np.asarray(accepted, dtype=np.float64)
+    dirs = greedy_tail(greedy_prefix(n, theta, target_m, max_attempts), seed)
     return SphericalCode(
         center=center,
         radius=float(r),
         points=center + r * dirs,
-        saturated=len(accepted) < target_m,
+        saturated=len(dirs) < target_m,
     )
 
 

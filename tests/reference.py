@@ -2,11 +2,12 @@
 
 The package runs the exact shell law, the batched decoder, an array
 codeword table, a spherical-code generator that stops at the obtuse-angle
-ceiling and one block-batched Monte Carlo kernel; these are the simpler
-per-vector forms, the per-codeword node walk, the plain greedy loop, the
-per-codeword and per-pair decoder loops and the central-limit
-approximations the tests compare it against, and a random stream that
-fails on any draw.
+ceiling, a level-by-level codebook build and one block-batched Monte
+Carlo kernel; these are the simpler per-vector forms, the per-codeword
+node walk, the plain greedy loop with its own witness prefix, the
+list-based center packing and per-node recursive build, the per-codeword
+and per-pair decoder loops and the central-limit approximations the tests
+compare it against, and a random stream that fails on any draw.
 """
 
 import math
@@ -16,10 +17,16 @@ import numpy as np
 
 from galaxyid import experiments
 from galaxyid.channel import DecoderParams, unit_directions
-from galaxyid.galaxy import GalaxyCode, pair_distance_lower_bound, separation_margins
+from galaxyid.galaxy import GalaxyCode, GalaxyParams, pair_distance_lower_bound, separation_margins
 from galaxyid.gaussian import _chi_square_tails, shell_prob_miss, std_normal_cdf
 from galaxyid.seeding import derive_seed
-from galaxyid.spherical import _DOT_TOL, SphericalCode, _witness_candidates, as_coords
+from galaxyid.spherical import (
+    _DOT_TOL,
+    SphericalCode,
+    _obtuse_ceiling,
+    _simplex_directions,
+    as_coords,
+)
 
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
@@ -203,6 +210,23 @@ def stack_galaxies(code, offset):
     return GalaxyCode(code.params, code.centers, code.counts, u, code.packing_saturated)
 
 
+def witness_candidates(n, theta):
+    """The witness prefix as a list of vectors: the simplex at obtuse theta,
+    then e_1, -e_1, e_2, -e_2, ..."""
+    cos_t = math.cos(theta)
+    basis = []
+    for i in range(n):
+        e = np.zeros(n, dtype=np.float64)
+        e[i] = 1.0
+        basis.extend((e, -e))
+    if cos_t >= -_DOT_TOL:
+        return basis
+    m = min(n + 1, _obtuse_ceiling(n, cos_t))
+    if m < 2:
+        return basis
+    return list(_simplex_directions(n, m)) + basis
+
+
 def generate_reference(n, center, r, theta, target_m, max_attempts, seed):
     """spherical.generate without its obtuse-angle ceiling: the greedy loop
     draws until target_m points or max_attempts consecutive rejections,
@@ -211,7 +235,7 @@ def generate_reference(n, center, r, theta, target_m, max_attempts, seed):
     cos_t = math.cos(theta)
     center = as_coords(center)
     accepted = []
-    prefix = _witness_candidates(n, theta)
+    prefix = witness_candidates(n, theta)
     prefix_pos = 0
     rejections = 0
     saturated = False
@@ -238,6 +262,54 @@ def generate_reference(n, center, r, theta, target_m, max_attempts, seed):
     dirs = np.asarray(accepted, dtype=np.float64)
     return SphericalCode(center=center, radius=float(r), points=center + r * dirs,
                          saturated=saturated)
+
+
+def pack_centers_reference(params: GalaxyParams) -> tuple[list, bool]:
+    """galaxy.pack_centers as a list of accepted centers, with no table cap."""
+    rng = np.random.default_rng(derive_seed(params.master_seed, "centers"))
+    centers = []
+    rejections = 0
+    while len(centers) < params.max_roots:
+        v = rng.standard_normal(params.n)
+        norm = np.linalg.norm(v)
+        if norm == 0.0:
+            continue
+        u = rng.random()
+        cand = v * (params.pack_radius * u ** (1.0 / params.n) / norm)
+        if centers and np.min(np.linalg.norm(np.asarray(centers) - cand, axis=1)) < params.spacing:
+            rejections += 1
+            if rejections >= params.saturation_probes:
+                return centers, True
+            continue
+        centers.append(cand)
+        rejections = 0
+    return centers, False
+
+
+def build_code_reference(params: GalaxyParams) -> GalaxyCode:
+    """galaxy.build_code as a recursion over nodes, each running the whole
+    greedy loop itself, up to the obtuse ceiling."""
+    stop_m = min(params.m_per_level, _obtuse_ceiling(params.n, math.cos(params.theta)))
+    roots, saturated = pack_centers_reference(params)
+    centers, counts, leaves = [], [], []
+
+    def grow(node_center, height, path):
+        code = generate_reference(
+            params.n, node_center, params.r * params.k ** (height - 1), params.theta,
+            stop_m, params.max_attempts, derive_seed(params.master_seed, "node", *path),
+        )
+        centers.append(code.center)
+        counts.append(len(code.points))
+        if height == 1:
+            leaves.append(code.points)
+            return
+        for i, point in enumerate(code.points):
+            grow(point, height - 1, path + (i,))
+
+    for root_index, center in enumerate(roots):
+        grow(center, params.t_bar, (root_index,))
+    return GalaxyCode(params, np.array(centers), np.array(counts), np.concatenate(leaves),
+                      packing_saturated=saturated)
 
 
 class NoDraws:

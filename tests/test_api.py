@@ -22,3 +22,12 @@ def test_package_reexports_are_in_their_modules_all():
         module = importlib.import_module(obj.__module__)
         assert name in module.__all__, f"galaxyid.{name} is not in {module.__name__}.__all__"
         assert getattr(module, name) is obj
+
+
+def test_per_node_builder_is_retired():
+    # build_code grows every galaxy a level at a time; the recursive
+    # per-node builder lives on only as the tests' reference.
+    galaxy = importlib.import_module("galaxyid.galaxy")
+    for owner in (galaxy, galaxyid):
+        assert not hasattr(owner, "build_galaxy")
+    assert "build_galaxy" not in galaxy.__all__

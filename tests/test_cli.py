@@ -2,6 +2,7 @@ import argparse
 import base64
 import json
 import os
+import resource
 import subprocess
 import sys
 from collections import Counter
@@ -79,6 +80,25 @@ def test_build_rejects_theta_pi(tmp_path):
                   "--theta", "3.141592653589793", "--m", "2", "--out", str(out))
     assert res.returncode == 2
     assert "theta must lie in (0, pi), got 3.141592653589793" in res.stderr
+    assert not out.exists()
+
+
+def _address_space_3gb():
+    # runs in the child between fork and exec, so the limit is the child's alone
+    resource.setrlimit(resource.RLIMIT_AS, (3 << 30, 3 << 30))
+
+
+def test_build_past_the_table_cap_exits_2(tmp_path):
+    # n = 100000 at k = 8: each root adds 4^2 codewords of 800 kB, so the
+    # 84th root would take the table past 1 GiB; the build stops there.
+    out = tmp_path / "x.json"
+    res = run_cli("build", "--n", "100000", "--power", "4000", "--k", "8", "--out", str(out),
+                  env={**os.environ, "OPENBLAS_NUM_THREADS": "1"},
+                  preexec_fn=_address_space_3gb, timeout=60)
+    assert res.returncode == 2, res.stderr
+    assert "Traceback" not in res.stderr
+    assert "N = 1344 codewords of n = 100000 coordinates" in res.stderr
+    assert f"{1 << 30}-byte table cap" in res.stderr
     assert not out.exists()
 
 

@@ -1,15 +1,16 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from galaxyid import cli, galaxy
 from galaxyid.codefile import serialize
 from galaxyid.galaxy import (
     GalaxyCode,
     GalaxyParams,
     asymptotic_rate,
     build_code,
-    build_galaxy,
     center_count_bounds,
     depth_bar,
     pack_centers,
@@ -19,7 +20,7 @@ from galaxyid.galaxy import (
     separation_margins,
     theta_of_k,
 )
-from reference import index_paths, meet_depth, separation_condition
+from reference import build_code_reference, index_paths, meet_depth, separation_condition
 
 
 def small_params(**kw):
@@ -205,22 +206,112 @@ def test_saturated_count_within_volume_bounds():
         assert lo <= len(centers) <= hi
 
 
-def test_build_galaxy_structure():
-    p = small_params(t_bar=3, power=20000.0)
-    centers, counts, leaves = build_galaxy(np.zeros(16), p, root_index=0)
-    # 1 + 4 + 16 nodes of 4 points each, 4^3 leaves
-    assert centers.shape == (21, 16) and leaves.shape == (4**3, 16)
-    assert counts.tolist() == [4] * 21
-    code = GalaxyCode(p, centers, counts, leaves, packing_saturated=False)
+def test_build_code_structure():
+    p = small_params(t_bar=3, power=20000.0, max_roots=1)
+    code = build_code(p)
+    # 1 + 4 + 16 nodes of 4 points each, 4^3 codewords
+    assert code.centers.shape == (21, 16) and code.codewords.shape == (4**3, 16)
+    assert code.counts.tolist() == [4] * 21
     assert not code.degraded
-    # every child center and leaf exactly on its parent's sphere
+    # every child center and codeword exactly on its parent's sphere
     for row in np.flatnonzero(code.parents >= 0):
         parent = code.parents[row]
         r_expected = p.r * p.k ** (code.heights[parent] - 1)
-        dist = np.linalg.norm(centers[row] - centers[parent])
+        dist = np.linalg.norm(code.centers[row] - code.centers[parent])
         assert dist == pytest.approx(r_expected, rel=1e-9)
-    dist = np.linalg.norm(leaves - centers[code.ancestors[:, 0]], axis=1)
+    dist = np.linalg.norm(code.codewords - code.centers[code.ancestors[:, 0]], axis=1)
     np.testing.assert_allclose(dist, p.r, rtol=1e-9)
+
+
+def _cli_params(*flags):
+    args = cli.build_parser().parse_args(["build", *flags, "--out", "-"])
+    return cli._params_from_args(args)
+
+
+BENCHMARK_BUILDS = {
+    "wide-build": ("--n", "64", "--k", "8", "--power", "4000", "--max-roots", "32"),
+    "large-n": ("--n", "64", "--k", "16", "--power", "1e7", "--m", "8", "--depth", "3",
+                "--r-min-coeff", "2", "--max-roots", "8"),
+    "small-mc": ("--n", "100", "--k", "8", "--power", "400", "--m", "4", "--r-min-coeff", "2",
+                 "--max-roots", "8"),
+}
+
+EQUIVALENCE_GRID = {
+    # acute, m <= 2n: the signed basis fills every node
+    **{f"k16-depth{t}-seed{s}": dict(n=16, k=16, m_per_level=8, t_bar=t, power=1e6,
+                                     master_seed=s, max_roots=3)
+       for t in (1, 2, 3) for s in (1, 2)},
+    # acute, m > 2n: every node draws past the prefix, and saturates fast
+    **{f"tail-n{n}-seed{s}": dict(n=n, k=16, m_per_level=2 * n + 3, t_bar=2, max_attempts=20,
+                                  power=1e6, master_seed=s, max_roots=3)
+       for n in (4, 5, 6) for s in (1, 2)},
+    # tails that accept draws, so node sizes differ within a level
+    **{f"tail-uneven-seed{s}": dict(n=4, k=64, theta=0.9, m_per_level=16, t_bar=3,
+                                    max_attempts=3, power=1e7, master_seed=s, max_roots=2)
+       for s in (3, 4)},
+    # obtuse: the ceiling (2, 4, 8 points at k = 7, 8, 9) stops every node
+    **{f"k{k}-depth{t}": dict(n=12, k=k, m_per_level=10, t_bar=t, power=1e6, master_seed=5,
+                              max_roots=3)
+       for k in (7, 8, 9) for t in (1, 2)},
+    "k8-depth3": dict(n=9, k=8, m_per_level=3, t_bar=3, power=1e6, master_seed=6, max_roots=2),
+    # the first rejection stops a node
+    "acute-max-attempts-1": dict(n=6, k=16, m_per_level=16, t_bar=2, max_attempts=1,
+                                 power=1e6, master_seed=8, max_roots=3),
+    "obtuse-max-attempts-1": dict(n=6, k=8, m_per_level=8, t_bar=2, max_attempts=1,
+                                  power=1e6, master_seed=8, max_roots=3),
+    # more roots than pack_centers' first capacity
+    "many-roots": dict(n=3, k=16, m_per_level=2, t_bar=1, power=1e6, master_seed=9,
+                       max_roots=3 * galaxy._INITIAL_ROOTS, saturation_probes=50),
+}
+
+
+@pytest.mark.parametrize(
+    "params",
+    [pytest.param(GalaxyParams(**kw), id=name) for name, kw in EQUIVALENCE_GRID.items()]
+    + [pytest.param(_cli_params(*flags, "--seed", str(seed)), id=f"{name}-{seed}")
+       for name, flags in BENCHMARK_BUILDS.items() for seed in (100, 107)],
+)
+def test_build_code_matches_per_node_reference(params):
+    # The level-at-a-time build, with its one prefix run, writes the same
+    # code file as every node running the whole greedy loop itself.
+    assert serialize(build_code(params)) == serialize(build_code_reference(params))
+
+
+def test_build_peak_memory_is_about_the_tables():
+    params = _cli_params(*BENCHMARK_BUILDS["large-n"], "--seed", "103")
+    build_code(params)  # leave one-time import and cache allocations out of the peak
+    tracemalloc.start()
+    try:
+        code = build_code(params)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * (code.centers.nbytes + code.codewords.nbytes)
+
+
+def test_pack_centers_refuses_the_root_that_passes_the_table_cap(monkeypatch):
+    p = small_params(t_bar=2, power=1e4, max_roots=5)
+    roots, saturated = pack_centers(p)
+    assert len(roots) == 5
+    leaves = p.m_per_level**p.t_bar
+    per_root = leaves * p.n * 8
+    for held in range(1, len(roots) + 1):
+        for cap in (held * per_root, (held + 1) * per_root - 1):
+            monkeypatch.setattr(galaxy, "_TABLE_CAP", cap)
+            if held == len(roots):
+                capped, capped_saturated = pack_centers(p)
+                assert capped.tobytes() == roots.tobytes() and capped_saturated == saturated
+                continue
+            with pytest.raises(ValueError) as err:
+                pack_centers(p)
+            message = str(err.value)
+            assert f"N = {(held + 1) * leaves} codewords" in message
+            assert f"n = {p.n}" in message and str(cap) in message
+
+
+def test_table_cap_admits_the_largest_baseline_build():
+    # R = 512 roots of 8^3 codewords at n = 256: 537 MB of coordinates
+    assert 512 * 8**3 * 256 * 8 <= galaxy._TABLE_CAP
 
 
 def test_build_code_counts_and_power():

@@ -12,13 +12,12 @@ from galaxyid.spherical import (
     SphericalCode,
     _obtuse_ceiling,
     _simplex_directions,
-    _witness_candidates,
     as_coords,
     csw_lower_bound,
     generate,
     min_pairwise_angle,
 )
-from reference import NoDraws, generate_reference
+from reference import NoDraws, generate_reference, witness_candidates
 
 DESIGN_THETAS = [theta_of_k(k) for k in (7, 8, 9)]  # obtuse: cos = -3/5, -1/3, -1/7
 
@@ -103,8 +102,15 @@ def test_obtuse_ceiling_stops_without_drawing(n, theta, target_m, ceiling):
     with mock.patch.object(spherical.np.random, "default_rng", lambda seed: NoDraws()):
         code = generate(n, np.zeros(n), 1.0, theta, target_m, 10**9, seed=0)
     assert code.saturated
-    witness = np.asarray(_witness_candidates(n, theta)[:ceiling])
+    witness = np.asarray(witness_candidates(n, theta)[:ceiling])
     assert np.array_equal(code.points, witness)
+
+
+@pytest.mark.parametrize("n", [2, 3, 6, 17])
+def test_witness_prefix_matches_the_reference_list(n):
+    for theta in (*DESIGN_THETAS, theta_of_k(16), math.pi / 2, math.pi):
+        prefix = spherical._witness_candidates(n, theta)
+        assert prefix.tobytes() == np.asarray(witness_candidates(n, theta)).tobytes()
 
 
 def _simplex_fits(n, m, cos_t):
@@ -145,7 +151,7 @@ def test_capped_node_takes_the_ceiling_from_the_witness_prefix(n):
             assert _obtuse_ceiling(n, cos_t) == fits, (n, cos_t)
             code = generate(n, np.zeros(n), 1.0, theta, fits + 1, 10**9, seed=0)
             assert code.saturated
-            assert np.array_equal(code.points, _witness_candidates(n, theta)[:fits])
+            assert np.array_equal(code.points, witness_candidates(n, theta)[:fits])
 
 
 @st.composite
