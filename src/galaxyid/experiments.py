@@ -21,7 +21,7 @@ from .channel import DecoderParams, decide, unit_directions
 from .galaxy import GalaxyCode
 from .gaussian import projection_tail, shell_prob_cross, shell_prob_miss
 from .seeding import derive_seed
-from .spherical import SphericalCode, min_pairwise_angle
+from .spherical import min_pairwise_angle
 
 __all__ = [
     "ErrorEstimate",
@@ -42,7 +42,8 @@ _MASK_CELLS = 1 << 20  # (row, codeword) cells per block of a pairwise distance 
 # An estimator holds one (N, t_bar, n) direction table plus, per thread,
 # buffers of at most UNIT_SIZE rows.  Its blocks: gathered (row, level,
 # coordinate) direction cells per decide() call, 512 kB per thread, and the
-# cells of each direction-table fill and cross-galaxy distance block.
+# cells of each direction-table fill and cross-galaxy distance block; verify
+# gathers its codeword, node and tile blocks within the same bound.
 # _MASK_CELLS would gather 8 MB per block and thread: more than the ~5 MB
 # (10 %) peak-RSS bound of the small-mc benchmark workload.
 _DECIDE_CELLS = 1 << 16
@@ -332,25 +333,26 @@ def _band(n: int) -> float:
 def _at_least(u: np.ndarray, sq: np.ndarray, rows, threshold, cols=slice(None)) -> np.ndarray:
     """Mask over (rows, cols) of ||u_i - u_j|| >= threshold; rows and cols index u.
 
-    Distances come from the Gram form; cells within its rounding band are
-    decided by np.linalg.norm of the difference, so a tie goes the way a
-    direct per-pair comparison sends it.  A distance is never negative, so a
-    threshold <= 0 is met everywhere with no recheck.
+    (T, h) and (T, w) index arrays make a (T, h, w) stack of tiles, with a
+    threshold per row.  Distances come from the Gram form; cells within its
+    rounding band are decided by np.linalg.norm of the difference, so a tie
+    goes the way a direct per-pair comparison sends it.  A distance is never
+    negative, so a threshold <= 0 is met everywhere with no recheck.
     """
-    a, b = u[rows], u[cols]
-    if threshold <= 0:
-        return np.ones((len(a), len(b)), dtype=bool)
-    d2 = a @ b.T
+    a, b, t = u[rows], u[cols], np.asarray(threshold)[..., None]
+    d2 = a @ np.swapaxes(b, -1, -2)
     d2 *= -2.0
-    band = sq[rows, None] + sq[None, cols]
+    band = sq[rows][..., :, None] + sq[cols][..., None, :]
     d2 += band
-    t2 = threshold * threshold
-    far = d2 >= t2
+    t2 = t * t
+    far = (d2 >= t2) | (t <= 0)
     band += t2
     band *= _band(u.shape[1])
     d2 -= t2
-    for x, y in zip(*np.nonzero(np.abs(d2, out=d2) <= band)):
-        far[x, y] = float(np.linalg.norm(a[x] - b[y])) >= threshold
+    t = np.broadcast_to(t, far.shape)
+    for cell in zip(*np.nonzero((np.abs(d2, out=d2) <= band) & (t > 0))):
+        *tile, x, y = cell
+        far[cell] = float(np.linalg.norm(a[(*tile, x)] - b[(*tile, y)])) >= t[cell]
     return far
 
 
@@ -490,7 +492,7 @@ def _block_pairs(a0, an, b0, bn) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return a0[p] + cell // bn[p], b0[p] + cell % bn[p], p
 
 
-def _close_pairs(code: GalaxyCode, rho: np.ndarray, limit: np.ndarray) -> np.ndarray:
+def _close_pairs(code: GalaxyCode, kids, start, rho: np.ndarray, limit: np.ndarray) -> np.ndarray:
     """(i, j, class) columns of every codeword pair i < j closer than
     limit[class], (i, j)-sorted; the class is 0 across roots, else the meet height.
 
@@ -499,14 +501,12 @@ def _close_pairs(code: GalaxyCode, rho: np.ndarray, limit: np.ndarray) -> np.nda
     codeword below node A lies farther than rho[A] from its center, so a
     pair is cleared when ||c_A - c_B|| - rho[A] - rho[B] beats its limit by
     the rounding band; the rest give way to their children's pairs, down to
-    height 1, where they and each height-1 node with itself go to _at_least.
-    """
-    p, u, c = code.params, code.codewords, code.centers
-    kids = np.argsort(code.parents, kind="stable")  # roots, then each node's children
-    n_kids = np.bincount(code.parents[code.parents >= 0], minlength=len(c))
-    first = np.cumsum(n_kids) - n_kids + len(code.roots)
+    height 1.  There they and each height-1 node with itself make codeword
+    rectangles, cut into tiles that go to _at_least in stacks of one shape.
+    kids and start locate node points as in verify_structure."""
+    p, u, c, counts = code.params, code.codewords, code.centers, code.counts
     inner = np.flatnonzero(code.heights > 1)
-    g_first, g_size = np.r_[0, first[inner]], np.r_[len(code.roots), n_kids[inner]]
+    g_first, g_size = np.r_[0, start[inner]], np.r_[len(code.roots), counts[inner]]
     g_class, g_height = np.r_[0, code.heights[inner]], np.r_[p.t_bar, code.heights[inner] - 1]
     kept = [np.empty((3, 0), dtype=np.intp)]
     step = max(1, _MASK_CELLS // p.n)  # node pairs per block of gathered center differences
@@ -514,8 +514,8 @@ def _close_pairs(code: GalaxyCode, rho: np.ndarray, limit: np.ndarray) -> np.nda
         # Children pairs of the uncleared pairs one level up, and sibling pairs.
         a, b, cls = np.concatenate(kept, axis=1)
         g = np.flatnonzero(g_height == height)
-        x0, xn = np.r_[first[a], g_first[g]], np.r_[n_kids[a], g_size[g]]
-        y0, yn = np.r_[first[b], g_first[g]], np.r_[n_kids[b], g_size[g]]
+        x0, xn = np.r_[start[a], g_first[g]], np.r_[counts[a], g_size[g]]
+        y0, yn = np.r_[start[b], g_first[g]], np.r_[counts[b], g_size[g]]
         parent_cls = np.r_[cls, g_class[g]]
         per = max(1, step // int((xn * yn).max()))
         kept = []
@@ -529,30 +529,44 @@ def _close_pairs(code: GalaxyCode, rho: np.ndarray, limit: np.ndarray) -> np.nda
             near = d - reach - t < _band(p.n) * (d + reach + np.abs(t))
             kept.append(np.stack([pa[near], pb[near], k[near]]))
 
-    # Codeword rectangles, one per row node and run of adjacent column nodes of one class.
+    # Codeword rectangles: a row node against a run of adjacent column nodes of
+    # one class.  Rectangles over one column range list their rows in one.
     leaf = np.flatnonzero(code.heights == 1)
-    hi = np.zeros(len(c), dtype=np.intp)
-    hi[leaf] = np.cumsum(code.counts[leaf])
-    lo = hi - code.counts
     pairs = np.concatenate(kept + [np.stack([leaf, leaf, np.ones_like(leaf)])], axis=1)
     del kept  # with nothing cleared, each copy holds one entry per pair of height-1 nodes
-    a, b, cls = pairs[:, np.lexsort((lo[pairs[1]], lo[pairs[0]]))]
+    a, b, cls = pairs[:, np.lexsort((start[pairs[1]], start[pairs[0]]))]
     del pairs
     runs = np.flatnonzero(np.r_[True, (a[1:] != a[:-1]) | (cls[1:] != cls[:-1])
-                                | (lo[b[1:]] != hi[b[:-1]])])
+                                | (start[b[1:]] != start[b[:-1]] + counts[b[:-1]])])
     ends = np.r_[runs[1:], len(a)] - 1
+    c0, c1 = start[b[runs]], start[b[ends]] + counts[b[ends]]
+    order = np.lexsort((c1, c0))
+    a, c0, c1, h = a[runs][order], c0[order], c1[order], counts[a[runs][order]]
+    row_k = np.repeat(cls[runs][order], h)  # the codeword rows listed, and their classes
+    row = np.repeat(start[a] - np.cumsum(h) + h, h) + np.arange(len(row_k))
+    lists = np.flatnonzero(np.r_[True, (c0[1:] != c0[:-1]) | (c1[1:] != c1[:-1])])
+    first = np.r_[np.cumsum(h) - h, len(row)]
+    f0, f1, c0, c1 = first[lists], first[np.r_[lists[1:], len(h)]], c0[lists], c1[lists]
+    # Tiles of at most _MASK_CELLS cells and _DECIDE_CELLS gathered coordinates.
+    gather = _DECIDE_CELLS // p.n  # rows of u
+    tw = np.minimum(c1 - c0, max(1, min(_MASK_CELLS, gather // 2)))
+    th = np.minimum(f1 - f0, np.maximum(1, np.minimum(_MASK_CELLS // tw, gather - tw)))
+    x, y, q = _block_pairs(0 * th, -(-(f1 - f0) // th), 0 * tw, -(-(c1 - c0) // tw))
+    i0, j0 = f0[q] + x * th[q], c0[q] + y * tw[q]
+    th, tw = np.minimum(th[q], f1[q] - i0), np.minimum(tw[q], c1[q] - j0)
+    order = np.lexsort((tw, th))  # tiles of one shape go in stacks within the same bounds
+    i0, j0, th, tw = i0[order], j0[order], th[order], tw[order]
+    shapes = np.flatnonzero(np.r_[True, (th[1:] != th[:-1]) | (tw[1:] != tw[:-1]), True])
     sq = np.einsum("ij,ij->i", u, u)
-    found = []
-    for r0, r1, c0, c1, k in zip(*(v.tolist() for v in (
-            lo[a[runs]], hi[a[runs]], lo[b[runs]], hi[b[ends]], cls[runs]))):
-        width = min(c1 - c0, _MASK_CELLS)
-        rows = max(1, _MASK_CELLS // width)
-        for i0 in range(r0, r1, rows):
-            for j0 in range(c0, c1, width):
-                i, j = np.nonzero(~_at_least(u, sq, slice(i0, min(i0 + rows, r1)),
-                                             limit[k], slice(j0, min(j0 + width, c1))))
-                i, j = i + i0, j + j0
-                found.append(np.stack([i, j, np.full_like(i, k)])[:, j > i])
+    found = [np.empty((3, 0), dtype=np.intp)]
+    for s0, s1 in zip(shapes[:-1].tolist(), shapes[1:].tolist()):
+        x, y = np.arange(th[s0]), np.arange(tw[s0])
+        per = max(1, min(_MASK_CELLS // (len(x) * len(y)), gather // (len(x) + len(y))))
+        for s in range(s0, s1, per):
+            pos, cols = i0[s : min(s + per, s1), None] + x, j0[s : min(s + per, s1), None] + y
+            t, x_t, y_t = np.nonzero(~_at_least(u, sq, row[pos], limit[row_k[pos]], cols))
+            i, j = row[pos[t, x_t]], cols[t, y_t]
+            found.append(np.stack([i, j, row_k[pos[t, x_t]]])[:, j > i])
     found = np.concatenate(found, axis=1)
     return found[:, np.lexsort(found[1::-1])]
 
@@ -563,87 +577,97 @@ def verify_structure(code: GalaxyCode, tol: float = 1e-6) -> StructureReport:
     Radial windows codeword-to-ancestor, exact node-chain radii, pairwise
     meet-height distance bounds within a root, the cross-galaxy floor
     n^(b+1/4)/2, per-node minimum angles, and the power constraint.  All
-    violations are returned with their measured values.  Pairs are skipped
-    by node pairs whose measured radii clear the bound (_close_pairs), the
-    rest tested in blocks of at most _MASK_CELLS cells: when nothing clears,
-    each pair i < j once in O(N^2) time, plus one entry per node pair on a level.
+    violations are returned with their measured values.  Codewords go in
+    row blocks, nodes in (nodes, m, n) blocks of one point count; the scalar
+    min_pairwise_angle sees only a node whose largest cosine comes within
+    rounding of the angle bound, or with a point on its center.  Pairs are
+    skipped by node pairs whose radii clear the bound (_close_pairs), the
+    rest tested in stacks of equal-shape tiles: when nothing clears, each
+    pair i < j once in O(N^2) time, plus one entry per node pair on a level.
     """
     if not len(code.codewords):
         raise ValueError("cannot verify an empty code")
-    p = code.params
+    p, u, c = code.params, code.codewords, code.centers
     report = StructureReport(separation=galaxy.separation_margins(p.k, p.theta))
 
-    u_mat = code.codewords
-
-    # Radial windows per ancestor height (lo = hi = r at height 1), and each
-    # node's measured radius: the largest distance to a codeword below it.
-    rho = np.zeros(len(code.centers))
-    for t in range(1, p.t_bar + 1):
-        lo, hi = galaxy.radial_bounds(p.r, p.k, t)
-        anc = code.ancestors[:, t - 1]
-        dist = np.linalg.norm(u_mat - code.centers[anc], axis=1)
+    # Each codeword's distance to its ancestor at every height, against that
+    # height's radial window (lo = hi = r at height 1), and its norm, against
+    # the power cap; rho is each node's measured radius, the largest distance
+    # to a codeword below it.
+    windows = [galaxy.radial_bounds(p.r, p.k, t) for t in range(1, p.t_bar + 1)]
+    lo, hi = np.array(windows).T
+    power_cap = math.sqrt(p.n * p.power)
+    rho = np.zeros(len(c))
+    radial = []
+    step = max(1, _DECIDE_CELLS // (p.t_bar * p.n))
+    for s in range(0, len(u), step):
+        anc = code.ancestors[s : s + step]
+        dist = np.linalg.norm(u[s : s + step, None] - c[anc], axis=2)
         np.maximum.at(rho, anc, dist)
-        for i in np.nonzero((dist < lo - tol) | (dist > hi + tol))[0]:
-            report.cond1_violations.append(
-                {
-                    "kind": "codeword-radial",
-                    "codeword": int(i),
-                    "height": t,
-                    "measured": float(dist[i]),
-                    "bound": (lo, hi),
-                }
-            )
+        i, t = np.nonzero((dist < lo - tol) | (dist > hi + tol))
+        radial += zip(t.tolist(), (i + s).tolist(), dist[i, t].tolist())
+        norms = np.linalg.norm(u[s : s + step], axis=1)
+        i = np.flatnonzero(norms > power_cap + tol)
+        report.power_violations += [{"codeword": j, "measured": x, "bound": power_cap}
+                                    for j, x in zip((i + s).tolist(), norms[i].tolist())]
+    report.cond1_violations += [{"kind": "codeword-radial", "codeword": i, "height": t + 1,
+                                 "measured": x, "bound": windows[t]} for t, i, x in sorted(radial)]
 
-    # Exact node-chain radii and per-node angles.  A node's points are its
-    # children's centers, or its codewords at height 1; sorting every point
-    # by the node holding it lists each node's points in a run, in pre-order.
-    order = np.argsort(np.concatenate([code.parents, code.ancestors[:, 0]]), kind="stable")
-    points = np.concatenate([code.centers, code.codewords])[order[len(code.roots) :]]
+    # Exact node-chain radii and per-node angles.  Node v's x-th point is
+    # centers[kids[start[v] + x]] above height 1 (kids: the roots, then each
+    # node's children), codewords[start[v] + x] at height 1.
+    inner = code.heights > 1
+    start = np.where(inner, np.cumsum(code.counts * inner) + len(code.roots),
+                     np.cumsum(code.counts * ~inner)) - code.counts
+    kids = np.argsort(code.parents, kind="stable")
+    radii = np.array([p.r * p.k**h for h in range(p.t_bar)])[code.heights - 1]
+    cos_floor = math.cos(p.theta - ANGLE_TOL) - _band(p.n)  # cosines below it clear theta
+    bad_radius, bad_angle = [], []
+    for m in np.flatnonzero(np.bincount(code.counts)).tolist():
+        per = max(1, _DECIDE_CELLS // (m * max(m, p.n)))
+        for leaf in (False, True):
+            nodes = np.flatnonzero((code.counts == m) & (inner != leaf))
+            for s in range(0, len(nodes), per):
+                v = nodes[s : s + per]
+                rows = start[v, None] + np.arange(m)
+                pts = u[rows] if leaf else c[kids[rows]]
+                offs = pts - c[v, None]
+                d = np.linalg.norm(offs, axis=2)
+                x, i = np.nonzero(np.abs(d - radii[v, None]) > 1e-9 * radii[v, None])
+                bad_radius += zip(v[x].tolist(), i.tolist(), d[x, i].tolist())
+                if m < 2:
+                    continue
+                offs /= np.where(d > 0, d, 1.0)[..., None]
+                gram = offs @ offs.transpose(0, 2, 1)
+                gram[:, range(m), range(m)] = -1.0
+                recheck = (gram.max(axis=(1, 2)) >= cos_floor) | (d == 0).any(axis=1)
+                for x in np.flatnonzero(recheck):
+                    ang = min_pairwise_angle(pts[x], c[v[x]])
+                    if ang < p.theta - ANGLE_TOL:
+                        bad_angle.append((int(v[x]), float(ang)))
     root_of = (np.cumsum(code.parents < 0) - 1).tolist()
-    bounds = np.cumsum(np.r_[0, code.counts]).tolist()
-    for row, height in enumerate(code.heights.tolist()):
-        radius = p.r * p.k ** (height - 1)
-        node = SphericalCode(code.centers[row], radius, points[bounds[row] : bounds[row + 1]])
-        d = np.linalg.norm(node.points - node.center, axis=1)
-        for i in np.nonzero(np.abs(d - radius) > 1e-9 * radius)[0]:
-            report.cond1_violations.append(
-                {"kind": "node-radius", "root": root_of[row], "height": height, "point": int(i),
-                 "measured": float(d[i]), "bound": (radius, radius)}
-            )
-        if len(node) >= 2:
-            ang = min_pairwise_angle(node)
-            if ang < p.theta - ANGLE_TOL:
-                report.angle_violations.append(
-                    {"root": root_of[row], "height": height, "measured": float(ang),
-                     "bound": p.theta}
-                )
+    report.cond1_violations += [
+        {"kind": "node-radius", "root": root_of[v], "height": int(code.heights[v]), "point": i,
+         "measured": x, "bound": (float(radii[v]),) * 2} for v, i, x in sorted(bad_radius)]
+    report.angle_violations += [{"root": root_of[v], "height": int(code.heights[v]),
+                                 "measured": x, "bound": p.theta} for v, x in sorted(bad_angle)]
 
     # Pairwise distances, with the bound of the pair's class: the floor
     # n^(b+1/4)/2 across roots (class 0), the meet bound at height t inside one.
     bound_at = [p.n ** (p.b + 0.25) / 2.0] + [
         galaxy.pair_distance_lower_bound(p.r, p.k, p.theta, t) for t in range(1, p.t_bar + 1)
     ]
-    for i, j, meet in _close_pairs(code, rho, np.asarray(bound_at) - tol).T.tolist():
+    for i, j, meet in _close_pairs(code, kids, start, rho, np.asarray(bound_at) - tol).T.tolist():
         found = {
             "pair": (i, j),
-            "measured": float(np.linalg.norm(u_mat[i] - u_mat[j])),
+            "measured": float(np.linalg.norm(u[i] - u[j])),
             "bound": float(bound_at[meet]),
         }
         if meet:
             report.cond2_violations.append({**found, "meet": meet})
         else:
             report.cross_galaxy_violations.append(found)
-
-    # Power constraint on every codeword.
-    power_cap = math.sqrt(p.n * p.power)
-    norms = np.linalg.norm(u_mat, axis=1)
-    for i in np.nonzero(norms > power_cap + tol)[0]:
-        report.power_violations.append(
-            {"codeword": int(i), "measured": float(norms[i]), "bound": power_cap}
-        )
     return report
-
-
 def rate_report(code: GalaxyCode) -> RateReport:
     """Achieved size and rate of the code."""
     p = code.params

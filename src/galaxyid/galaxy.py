@@ -380,6 +380,8 @@ def pack_centers(params: GalaxyParams) -> tuple[np.ndarray, bool]:
     it keeps the pairwise spacing, and stops after saturation_probes
     consecutive rejections (reported as saturated=True) or at max_roots
     (saturated=False: the cap, not the geometry, ended the packing).
+    Gram-form squared distances pick the centers within rounding of spacing
+    or nearer, and only their norms decide, as if all were measured.
     Returns the accepted centers as the rows of one array.  Each root adds
     at most max_points^t_bar codewords; a root that would take that bound
     on the codeword table past _TABLE_CAP bytes raises ValueError.
@@ -395,6 +397,8 @@ def pack_centers(params: GalaxyParams) -> tuple[np.ndarray, bool]:
     rng = np.random.default_rng(derive_seed(params.master_seed, "centers"))
     spacing = params.spacing
     centers = np.empty((min(params.max_roots, _INITIAL_ROOTS), n))
+    sq = np.empty(len(centers))  # the accepted centers' squared norms
+    band = 16 * (n + 4) * np.finfo(np.float64).eps  # relative rounding of n-term sums
     count = rejections = 0
     while count < params.max_roots:
         v = rng.standard_normal(n)
@@ -403,7 +407,10 @@ def pack_centers(params: GalaxyParams) -> tuple[np.ndarray, bool]:
             continue
         u = rng.random()
         cand = v * (radius * u ** (1.0 / n) / norm)
-        if count and np.min(np.linalg.norm(centers[:count] - cand, axis=1)) < spacing:
+        cand_sq = cand @ cand
+        d2 = sq[:count] - 2.0 * (centers[:count] @ cand) + cand_sq
+        near = centers[:count][~(d2 >= spacing**2 + band * (sq[:count] + cand_sq + spacing**2))]
+        if len(near) and np.min(np.linalg.norm(near - cand, axis=1)) < spacing:
             rejections += 1
             if rejections >= params.saturation_probes:
                 return centers[:count], True
@@ -414,8 +421,8 @@ def pack_centers(params: GalaxyParams) -> tuple[np.ndarray, bool]:
                 f"n = {n} coordinates would pass the {_TABLE_CAP}-byte table cap"
             )
         if count == len(centers):
-            centers = np.concatenate([centers, np.empty_like(centers)])
-        centers[count] = cand
+            centers, sq = np.concatenate([centers, centers]), np.concatenate([sq, sq])
+        centers[count], sq[count] = cand, cand_sq
         count += 1
         rejections = 0
     return centers[:count], False

@@ -236,18 +236,18 @@ def generate(
     )
 
 
-def min_pairwise_angle(code: SphericalCode) -> float:
-    """Exact minimum over all point pairs of the angle subtended at the center.
+def min_pairwise_angle(points: np.ndarray, center: np.ndarray) -> float:
+    """Exact minimum over all pairs of the (m, n) points of the angle subtended at center.
 
     The pair of unit offsets a, b with the largest dot product is measured as
     2 atan2(||a - b||, ||a + b||), which keeps the digits that the arccosine
     of the dot loses near 0 and pi.  A point on the center has no direction,
     so the minimum is then 0.
     """
-    m = len(code)
+    m = len(points)
     if m < 2:
         raise ValueError("need at least two points for a pairwise angle")
-    offs = code.points - code.center
+    offs = points - center
     norms = np.linalg.norm(offs, axis=1, keepdims=True)
     if not norms.all():  # some offset is zero
         return 0.0

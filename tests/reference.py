@@ -2,12 +2,14 @@
 
 The package runs the exact shell law, the batched decoder, an array
 codeword table, a spherical-code generator that stops at the obtuse-angle
-ceiling, a level-by-level codebook build and one block-batched Monte
-Carlo kernel; these are the simpler per-vector forms, the per-codeword
-node walk, the plain greedy loop with its own witness prefix, the
-list-based center packing and per-node recursive build, the per-codeword
-and per-pair decoder loops and the central-limit approximations the tests
-compare it against, and a random stream that fails on any draw.
+ceiling, a level-by-level codebook build, verification batched by shape
+and one block-batched Monte Carlo kernel; these are the simpler
+per-vector forms, the per-codeword node walk, the plain greedy loop with
+its own witness prefix, the list-based center packing and per-node
+recursive build, the per-node verification loop and all-pairs scan, the
+per-codeword and per-pair decoder loops and the central-limit
+approximations the tests compare it against, and a random stream that
+fails on any draw.
 """
 
 import math
@@ -17,7 +19,14 @@ import numpy as np
 
 from galaxyid import experiments
 from galaxyid.channel import DecoderParams, unit_directions
-from galaxyid.galaxy import GalaxyCode, GalaxyParams, pair_distance_lower_bound, separation_margins
+from galaxyid.experiments import StructureReport
+from galaxyid.galaxy import (
+    GalaxyCode,
+    GalaxyParams,
+    pair_distance_lower_bound,
+    radial_bounds,
+    separation_margins,
+)
 from galaxyid.gaussian import _chi_square_tails, shell_prob_miss, std_normal_cdf
 from galaxyid.seeding import derive_seed
 from galaxyid.spherical import (
@@ -310,6 +319,103 @@ def build_code_reference(params: GalaxyParams) -> GalaxyCode:
         grow(center, params.t_bar, (root_index,))
     return GalaxyCode(params, np.array(centers), np.array(counts), np.concatenate(leaves),
                       packing_saturated=saturated)
+
+
+def _rounding_band(n):
+    """Relative rounding band 16 (n + 4) eps of float64 sums of n squares."""
+    return 16 * (n + 4) * np.finfo(np.float64).eps
+
+
+def _min_angle(points, center):
+    """Smallest angle at center between two points: the largest-dot pair of unit
+    offsets as 2 atan2(||a - b||, ||a + b||), 0 when a point is on the center."""
+    offs = points - center
+    norms = np.linalg.norm(offs, axis=1, keepdims=True)
+    if not norms.all():
+        return 0.0
+    offs = offs / norms
+    gram = offs @ offs.T
+    i, j = np.triu_indices(len(points), k=1)
+    pair = np.argmax(gram[i, j])
+    a, b = offs[i[pair]], offs[j[pair]]
+    return 2.0 * math.atan2(np.linalg.norm(a - b), np.linalg.norm(a + b))
+
+
+def _close_pairs_reference(code, limit, rows=128):
+    """(i, j, class) of every codeword pair i < j closer than limit[class], from
+    a scan of all pairs in row blocks; the class is 0 across roots, else the meet
+    height.  Gram distances decide, except in their rounding band, where the
+    norm of the difference does."""
+    u, anc, t_bar = code.codewords, code.ancestors, code.params.t_bar
+    sq = np.einsum("ij,ij->i", u, u)
+    found = []
+    for i0 in range(0, len(u), rows):
+        i = np.arange(i0, min(i0 + rows, len(u)))
+        shared = (anc[i, None, :] == anc[None, :, :]).sum(axis=2)
+        cls = np.where(shared > 0, t_bar + 1 - shared, 0)
+        t = limit[cls]
+        d2 = -2.0 * (u[i] @ u.T) + (sq[i, None] + sq[None, :])
+        close = (d2 < t * t) & (t > 0)
+        band = (sq[i, None] + sq[None, :] + t * t) * _rounding_band(u.shape[1])
+        band = np.abs(d2 - t * t) <= band
+        for x, y in zip(*np.nonzero(band & (t > 0))):
+            close[x, y] = float(np.linalg.norm(u[i[x]] - u[y])) < t[x, y]
+        found += [(int(i[x]), int(y), int(cls[x, y])) for x, y in zip(*np.nonzero(close))
+                  if y > i[x]]
+    return found
+
+
+def verify_structure_reference(code, tol=1e-6):
+    """experiments.verify_structure with a loop over the nodes for their radii
+    and angles, and a scan of every codeword pair for the distance bounds."""
+    p, u = code.params, code.codewords
+    report = StructureReport(separation=separation_margins(p.k, p.theta))
+    for t in range(1, p.t_bar + 1):
+        lo, hi = radial_bounds(p.r, p.k, t)
+        dist = np.linalg.norm(u - code.centers[code.ancestors[:, t - 1]], axis=1)
+        for i in np.nonzero((dist < lo - tol) | (dist > hi + tol))[0]:
+            report.cond1_violations.append({"kind": "codeword-radial", "codeword": int(i),
+                                            "height": t, "measured": float(dist[i]),
+                                            "bound": (lo, hi)})
+    # A node's points: its children's centers, or its codewords at height 1.
+    points, leaf_rows = [], iter(np.cumsum(np.r_[0, code.counts[code.heights == 1]]).tolist())
+    start = next(leaf_rows)
+    for row, height in enumerate(code.heights.tolist()):
+        if height > 1:
+            points.append(code.centers[np.flatnonzero(code.parents == row)])
+        else:
+            end = next(leaf_rows)
+            points.append(u[start:end])
+            start = end
+    root_of = (np.cumsum(code.parents < 0) - 1).tolist()
+    for row, height in enumerate(code.heights.tolist()):
+        radius = p.r * p.k ** (height - 1)
+        d = np.linalg.norm(points[row] - code.centers[row], axis=1)
+        for i in np.nonzero(np.abs(d - radius) > 1e-9 * radius)[0]:
+            report.cond1_violations.append(
+                {"kind": "node-radius", "root": root_of[row], "height": height, "point": int(i),
+                 "measured": float(d[i]), "bound": (radius, radius)})
+        if len(points[row]) >= 2:
+            ang = _min_angle(points[row], code.centers[row])
+            if ang < p.theta - experiments.ANGLE_TOL:
+                report.angle_violations.append(
+                    {"root": root_of[row], "height": height, "measured": float(ang),
+                     "bound": p.theta})
+    bound_at = [p.n ** (p.b + 0.25) / 2.0] + [
+        pair_distance_lower_bound(p.r, p.k, p.theta, t) for t in range(1, p.t_bar + 1)]
+    for i, j, meet in _close_pairs_reference(code, np.asarray(bound_at) - tol):
+        found = {"pair": (i, j), "measured": float(np.linalg.norm(u[i] - u[j])),
+                 "bound": float(bound_at[meet])}
+        if meet:
+            report.cond2_violations.append({**found, "meet": meet})
+        else:
+            report.cross_galaxy_violations.append(found)
+    power_cap = math.sqrt(p.n * p.power)
+    norms = np.linalg.norm(u, axis=1)
+    for i in np.nonzero(norms > power_cap + tol)[0]:
+        report.power_violations.append(
+            {"codeword": int(i), "measured": float(norms[i]), "bound": power_cap})
+    return report
 
 
 class NoDraws:

@@ -467,7 +467,9 @@ def test_gap_meeting_its_threshold_exactly_is_cleared():
     assert (report.cond2_violations, report.cross_galaxy_violations) == \
         reference_violations(code, floor)
     assert blocks
-    assert all(roots[rows.start] == roots[cols.stop - 1] for rows, cols in blocks)
+    # Each tile of a stack, its rows and its columns, lies under one root.
+    assert all((roots[np.hstack([rows, cols])] == roots[cols[:, :1]]).all()
+               for rows, cols in blocks)
 
 
 @settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from galaxyid import spherical
 from galaxyid.galaxy import theta_of_k
 from galaxyid.spherical import (
-    SphericalCode,
     _obtuse_ceiling,
     _simplex_directions,
     as_coords,
@@ -30,19 +29,19 @@ def test_antipodal_constraint_caps_at_two():
     code = unit_sphere(2, math.pi, 4)
     assert len(code) == 2
     assert code.saturated
-    assert min_pairwise_angle(code) == pytest.approx(math.pi)
+    assert min_pairwise_angle(code.points, code.center) == pytest.approx(math.pi)
 
 
 def test_square_in_the_plane():
     code = unit_sphere(2, math.pi / 2, 4)
     assert len(code) == 4
-    assert min_pairwise_angle(code) >= math.pi / 2 - 1e-9
+    assert min_pairwise_angle(code.points, code.center) >= math.pi / 2 - 1e-9
 
 
 def test_acute_angle_code():
     theta = math.pi / 3
     code = unit_sphere(8, theta, 16)
-    assert min_pairwise_angle(code) >= theta - 1e-9
+    assert min_pairwise_angle(code.points, code.center) >= theta - 1e-9
     assert len(code) <= 16
 
 
@@ -68,7 +67,7 @@ def test_feasibility_floor_witnesses():
     for n in (2, 4, 8, 16):
         code = generate(n, np.zeros(n), 1.0, math.pi / 2, 2 * n, 100_000, seed=1)
         assert len(code) == 2 * n
-        assert min_pairwise_angle(code) >= math.pi / 2 - 1e-9
+        assert min_pairwise_angle(code.points, code.center) >= math.pi / 2 - 1e-9
     # antipodal pair at theta = pi
     for n in (2, 5, 16):
         code = generate(n, np.zeros(n), 1.0, math.pi, 2, 100_000, seed=1)
@@ -81,7 +80,7 @@ def test_simplex_witness_for_design_angle():
     code = unit_sphere(10, theta, 4, seed=5)
     assert len(code) == 4
     assert not code.saturated
-    assert min_pairwise_angle(code) >= theta - 1e-9
+    assert min_pairwise_angle(code.points, code.center) >= theta - 1e-9
     over = unit_sphere(10, theta, 5, seed=5, attempts=3000)
     assert len(over) == 4
     assert over.saturated
@@ -193,7 +192,7 @@ def test_every_generated_code_certifies():
         m = int(rng.integers(2, 12))
         code = unit_sphere(n, theta, m, seed=int(rng.integers(1 << 30)), attempts=2000)
         if len(code) >= 2:
-            assert min_pairwise_angle(code) >= theta - 1e-9
+            assert min_pairwise_angle(code.points, code.center) >= theta - 1e-9
 
 
 def test_generate_validation():
@@ -206,7 +205,7 @@ def test_generate_validation():
     with pytest.raises(ValueError):
         generate(4, np.zeros(4), 1.0, 1.0, 0, 100, 0)
     with pytest.raises(ValueError):
-        min_pairwise_angle(unit_sphere(4, math.pi, 1))
+        min_pairwise_angle(unit_sphere(4, math.pi, 1).points, np.zeros(4))
 
 
 def test_csw_lower_bound_values():
@@ -230,15 +229,16 @@ def test_simplex_directions_fit_any_dimension(n, m):
 
 
 def test_min_pairwise_angle_examples():
-    assert min_pairwise_angle(unit_sphere(3, math.pi, 2)) == pytest.approx(math.pi)
-    assert min_pairwise_angle(unit_sphere(2, math.pi / 2, 4)) == pytest.approx(math.pi / 2)
+    assert min_pairwise_angle(unit_sphere(3, math.pi, 2).points, np.zeros(3)) == \
+        pytest.approx(math.pi)
+    assert min_pairwise_angle(unit_sphere(2, math.pi / 2, 4).points, np.zeros(2)) == \
+        pytest.approx(math.pi / 2)
 
 
 def test_min_pairwise_angle_point_on_center():
     # No direction, so no angle: 0, deliberately and without a warning.
     points = np.array([[1.0, 2.0], [2.0, 2.0], [1.0, 3.0]])
-    code = SphericalCode(center=points[0].copy(), radius=1.0, points=points)
-    assert min_pairwise_angle(code) == 0.0
+    assert min_pairwise_angle(points, points[0].copy()) == 0.0
 
 
 def test_nonfinite_rejected():

@@ -1,0 +1,237 @@
+"""verify_structure, batched by shape, against the per-node loop and all-pairs
+scan of tests/reference.py: whole reports, angles at the bound, degenerate
+nodes, and guards on how the work is split that do not depend on timing."""
+
+import dataclasses
+import io
+import json
+import math
+import tracemalloc
+from contextlib import redirect_stdout
+from unittest import mock
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
+
+from galaxyid import cli, codefile, experiments
+from galaxyid.experiments import ANGLE_TOL, verify_structure
+from galaxyid.galaxy import GalaxyCode, GalaxyParams, build_code
+from galaxyid.spherical import min_pairwise_angle
+from reference import stack_galaxies, verify_structure_reference
+from test_galaxy import BENCHMARK_BUILDS, _cli_params  # wide-build is degraded: m = 4 of 16
+
+SHAPED_BUILDS = {  # tails: nodes that draw past the witness prefix get uneven point counts
+    "tails-n4": dict(n=4, k=32, power=1e8, m_per_level=16, t_bar=2, max_roots=3,
+                     max_attempts=5, saturation_probes=30),
+    "tails-n6": dict(n=6, k=32, power=1e8, m_per_level=16, t_bar=2, max_roots=3,
+                     max_attempts=3, saturation_probes=30),
+    "obtuse-k9": dict(n=5, k=9, power=1e8, m_per_level=8, t_bar=2, max_roots=3,
+                      max_attempts=50, saturation_probes=30),  # the 6-point simplex per node
+}
+
+
+def _code(flags, seed):
+    """The code of benchmark build flags or GalaxyParams fields, at a seed."""
+    if isinstance(flags, tuple):
+        return build_code(_cli_params(*flags, "--seed", str(seed)))
+    return build_code(GalaxyParams(**flags, master_seed=seed))
+
+
+def _moved(code, centers=None, codewords=None):
+    return GalaxyCode(code.params, code.centers if centers is None else centers, code.counts,
+                      code.codewords if codewords is None else codewords, code.packing_saturated)
+
+
+def pulled(code):
+    """Leaf 5 pulled toward leaf 6, leaf 9 put on its node's center, and the
+    second node that has a parent, if any, moved off its parent's sphere."""
+    u, c = code.codewords.copy(), code.centers.copy()
+    u[5] += 0.4 * (u[6] - u[5])
+    u[9] = c[code.ancestors[9, 0]]
+    c[np.flatnonzero(code.parents >= 0)[1:2]] += 1e-3
+    return _moved(code, c, u)
+
+
+def one_node_radius(code):
+    """Codeword 3 moved outward by 1e-8 of the leaf radius: past the node-radius
+    test's 1e-9, inside the radial windows' absolute tol."""
+    u, center = code.codewords.copy(), code.centers[code.ancestors[3, 0]]
+    u[3] = center + (1 + 1e-8) * (u[3] - center)
+    return _moved(code, codewords=u)
+
+
+CASES = {
+    **{f"{name}-{seed}": (flags, seed, None) for name, flags in BENCHMARK_BUILDS.items()
+       for seed in (100, 107)},
+    **{name: (flags, 1, None) for name, flags in SHAPED_BUILDS.items()},
+    "large-n-pulled": (BENCHMARK_BUILDS["large-n"], 100, pulled),
+    "small-mc-pulled": (BENCHMARK_BUILDS["small-mc"], 100, pulled),
+    "large-n-stacked": (BENCHMARK_BUILDS["large-n"], 100, lambda code: stack_galaxies(code, 0.5)),
+    "obtuse-k9-stacked": (SHAPED_BUILDS["obtuse-k9"], 1, lambda code: stack_galaxies(code, 0.3)),
+    "large-n-node-radius": (BENCHMARK_BUILDS["large-n"], 107, one_node_radius),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_report_matches_reference(case):
+    flags, seed, change = CASES[case]
+    code = _code(flags, seed)
+    if change is not None:
+        code = change(code)
+    report = verify_structure(code)
+    assert dataclasses.asdict(report) == dataclasses.asdict(verify_structure_reference(code))
+    if case.startswith("tails"):
+        assert len(set(code.counts.tolist())) > 1
+    if case == "large-n-node-radius":
+        assert [v["kind"] for v in report.cond1_violations] == ["node-radius"]
+        assert report.counts() == {"cond1": 1, "cond2": 0, "cross_galaxy": 0, "angle": 0,
+                                   "power": 0}
+
+
+def test_verify_json_matches_reference_bytes(tmp_path):
+    code = pulled(_code(BENCHMARK_BUILDS["large-n"], 100))
+    codefile.save(code, tmp_path / "code.json")
+    with redirect_stdout(io.StringIO()):
+        status = cli.main(["verify", "--code", str(tmp_path / "code.json"),
+                           "--json", str(tmp_path / "report.json")])
+    assert status == 1
+    ref = verify_structure_reference(code)
+    doc = {"passed": ref.passed, "counts": ref.counts(), "separation": ref.separation}
+    doc.update((f"{name}_violations", found) for name, found in ref.violations().items())
+    expected = json.dumps(doc, sort_keys=True, indent=2, default=float) + "\n"
+    assert (tmp_path / "report.json").read_text(encoding="utf-8") == expected
+    assert ref.counts()["angle"] and ref.counts()["cond1"] and ref.counts()["cond2"]
+
+
+@st.composite
+def uneven_codes(draw):
+    """Small codes whose nodes mostly draw past the witness prefix, so sibling
+    point counts differ; in the plane k >= 32 leaves room for several draws."""
+    n = draw(st.sampled_from([2, 3, 5]))
+    t_bar = draw(st.integers(1, 3))
+    params = GalaxyParams(
+        n=n, power=1e8, k=draw(st.sampled_from([9, 16, 32] if n >= 4 else [16, 32])),
+        m_per_level=draw(st.integers(2, 7 if t_bar < 3 else 4)), t_bar=t_bar,
+        master_seed=draw(st.integers(0, 2**16)), max_roots=draw(st.integers(1, 3)),
+        saturation_probes=30, max_attempts=draw(st.sampled_from([5, 40])),
+    )
+    return build_code(params)
+
+
+SETTINGS = settings(max_examples=50, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+
+
+@SETTINGS
+@given(code=uneven_codes())
+def test_mixed_point_counts_match_reference(code):
+    assert dataclasses.asdict(verify_structure(code)) == \
+        dataclasses.asdict(verify_structure_reference(code))
+
+
+def _node_points(code, v):
+    """Row indices of node v's points and the table holding them."""
+    if code.heights[v] == 1:
+        return np.flatnonzero(code.ancestors[:, 0] == v), "codewords"
+    return np.flatnonzero(code.parents == v), "centers"
+
+
+@SETTINGS
+@given(code=uneven_codes(), pick=st.integers(0, 2**16), step=st.sampled_from([-1, 0, 1]))
+def test_angle_at_the_bound_is_reported_as_the_scalar_check_says(code, pick, step):
+    """Two points of one node turned to theta - ANGLE_TOL apart; theta is then
+    set so that theta - ANGLE_TOL is the scalar angle itself, or one float
+    step either side.  The node is reported exactly when the scalar angle
+    lies below the bound, and with the scalar's value."""
+    nodes = np.flatnonzero(code.counts >= 2)
+    assume(len(nodes))
+    v = int(nodes[pick % len(nodes)])
+    rows, name = _node_points(code, v)
+    table = getattr(code, name).copy()
+    center = code.centers[v]
+    a, b = table[rows[0]] - center, table[rows[-1]] - center  # the prefix pairs e1 with -e1
+    e1 = a / np.linalg.norm(a)
+    e2 = b - (b @ e1) * e1
+    assume(np.linalg.norm(e2) > 1e-3 * np.linalg.norm(b))
+    e2 /= np.linalg.norm(e2)
+    phi = code.params.theta - ANGLE_TOL
+    table[rows[-1]] = center + np.linalg.norm(a) * (math.cos(phi) * e1 + math.sin(phi) * e2)
+    moved = _moved(code, **{name: table})
+    angle = min_pairwise_angle(table[rows], center)
+    bound = angle if step == 0 else math.nextafter(angle, math.inf * step)
+    theta = bound + ANGLE_TOL
+    for _ in range(8):  # the float theta with theta - ANGLE_TOL == bound, where one exists
+        if theta - ANGLE_TOL == bound:
+            break
+        theta = math.nextafter(theta, math.inf if theta - ANGLE_TOL < bound else -math.inf)
+    assume(theta - ANGLE_TOL == bound)
+    code = GalaxyCode(dataclasses.replace(moved.params, theta=theta), moved.centers,
+                      moved.counts, moved.codewords, moved.packing_saturated)
+    report = verify_structure(code)
+    root = int(np.cumsum(code.parents < 0)[v] - 1)
+    found = [f for f in report.angle_violations
+             if (f["root"], f["height"], f["measured"]) == (root, code.heights[v], angle)]
+    assert bool(found) == (angle < theta - ANGLE_TOL) == (step == 1)
+    assert dataclasses.asdict(report) == dataclasses.asdict(verify_structure_reference(code))
+
+
+def test_point_on_its_node_center_reads_angle_zero():
+    # pytest turns a RuntimeWarning (a division by a zero norm) into an error
+    code = _code(BENCHMARK_BUILDS["small-mc"], 100)
+    u = code.codewords.copy()
+    u[2] = code.centers[code.ancestors[2, 0]]
+    code = _moved(code, codewords=u)
+    report = verify_structure(code)
+    assert {"root": 0, "height": 1, "measured": 0.0, "bound": code.params.theta} in \
+        report.angle_violations
+    assert dataclasses.asdict(report) == dataclasses.asdict(verify_structure_reference(code))
+
+
+@pytest.fixture(scope="module")
+def large_code():
+    return _code(BENCHMARK_BUILDS["large-n"], 100)
+
+
+def test_large_code_runs_no_scalar_angle_and_blocks_not_nodes(large_code):
+    """On the large-n code (N = 4096, 512 height-1 nodes) no node needs the
+    scalar angle, and the codeword tiles reach _at_least in stacks whose
+    count follows the block bound, not the node count: all in one stack once
+    the bound holds them."""
+    code, at_least = large_code, experiments._at_least
+    leaves = int((code.heights == 1).sum())
+
+    def calls(gather_cells):
+        scalar, stacks = [], []
+
+        def spy(*args):
+            stacks.append(args[2].shape)
+            return at_least(*args)
+
+        with mock.patch.object(experiments, "min_pairwise_angle",
+                               side_effect=lambda *args: scalar.append(args)), \
+                mock.patch.object(experiments, "_at_least", side_effect=spy), \
+                mock.patch.object(experiments, "_DECIDE_CELLS", gather_cells):
+            assert verify_structure(code).passed
+        assert not scalar
+        return stacks
+
+    stacks = calls(experiments._DECIDE_CELLS)
+    m, n = code.params.m_per_level, code.params.n
+    assert sum(s[0] for s in stacks) >= leaves  # each height-1 node's own tile, at least
+    assert len(stacks) <= -(-leaves * 2 * m * n // experiments._DECIDE_CELLS) + 1 < leaves // 32
+    assert len(calls(leaves * 2 * m * n)) == 1
+
+
+def test_verify_peak_is_bounded_by_the_codeword_table(large_code):
+    """verify_structure's traced peak is at most twice the codeword table; the
+    blocks keep it near 1.5 times.  A per-node loop over one copy of every
+    node's points, taking each height's radial distances for all codewords at
+    once, measured 2.32 times on this code."""
+    tracemalloc.start()
+    try:
+        verify_structure(large_code)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * large_code.codewords.nbytes
