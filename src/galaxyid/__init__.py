@@ -37,6 +37,6 @@ from .gaussian import (
     shell_prob_miss,
     std_normal_cdf,
 )
-from .spherical import SphericalCode, csw_lower_bound, generate, min_pairwise_angle
+from .spherical import csw_lower_bound, min_pairwise_angle
 
 __version__ = "0.1.0"

@@ -206,7 +206,10 @@ def cmd_sweep(args) -> int:
     row, and the sweep goes on.
     """
     t0 = time.perf_counter()
-    ks = [int(s) for s in args.k_list.split(",") if s]
+    try:
+        ks = [int(s) for s in args.k_list.split(",") if s]
+    except ValueError as exc:
+        raise ValueError(f"expected --k-list like 8,16,32, got {args.k_list!r}") from exc
     if not ks:
         raise ValueError("--k-list is empty")
     for flag, trials in (("--trials-type1", args.trials_type1),

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import galaxy
 from .channel import DecoderParams, decide, unit_directions
-from .galaxy import GalaxyCode
+from .galaxy import GalaxyCode, _band
 from .gaussian import projection_tail, shell_prob_cross, shell_prob_miss
 from .seeding import derive_seed
 from .spherical import min_pairwise_angle
@@ -113,7 +113,7 @@ class PairStrategy:
     def __post_init__(self):
         if self.mode not in self._MODES:
             raise ValueError(f"unknown pair mode {self.mode!r}; expected one of {self._MODES}")
-        if self.mode == "exhaustive-sample" and not self.sample_count:
+        if self.mode == "exhaustive-sample" and self.sample_count is None:
             raise ValueError("exhaustive-sample requires sample_count")
         if self.sample_count is not None and self.mode != "exhaustive-sample":
             raise ValueError(f"sample_count applies to exhaustive-sample only, not {self.mode}")
@@ -323,11 +323,6 @@ def _tree_layout(code: GalaxyCode) -> tuple[np.ndarray, np.ndarray]:
     lo = np.stack([np.searchsorted(key, key, side="left") for key in keys])
     hi = np.stack([np.searchsorted(key, key, side="right") for key in keys])
     return lo, hi
-
-
-def _band(n: int) -> float:
-    """Relative rounding band 16 (n + 4) eps of float64 sums of n squares."""
-    return 16 * (n + 4) * np.finfo(np.float64).eps
 
 
 def _at_least(u: np.ndarray, sq: np.ndarray, rows, threshold, cols=slice(None)) -> np.ndarray:
@@ -668,6 +663,8 @@ def verify_structure(code: GalaxyCode, tol: float = 1e-6) -> StructureReport:
         else:
             report.cross_galaxy_violations.append(found)
     return report
+
+
 def rate_report(code: GalaxyCode) -> RateReport:
     """Achieved size and rate of the code."""
     p = code.params

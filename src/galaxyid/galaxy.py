@@ -369,8 +369,10 @@ class GalaxyCode:
             object.__setattr__(self, name, value)
         object.__setattr__(self, "degraded", bool((counts < p.m_per_level).any()))
 
-    def __len__(self) -> int:
-        return len(self.codewords)
+
+def _band(n: int) -> float:
+    """Relative rounding band 16 (n + 4) eps of float64 sums of n squares."""
+    return 16 * (n + 4) * np.finfo(np.float64).eps
 
 
 def pack_centers(params: GalaxyParams) -> tuple[np.ndarray, bool]:
@@ -398,7 +400,7 @@ def pack_centers(params: GalaxyParams) -> tuple[np.ndarray, bool]:
     spacing = params.spacing
     centers = np.empty((min(params.max_roots, _INITIAL_ROOTS), n))
     sq = np.empty(len(centers))  # the accepted centers' squared norms
-    band = 16 * (n + 4) * np.finfo(np.float64).eps  # relative rounding of n-term sums
+    band = _band(n)
     count = rejections = 0
     while count < params.max_roots:
         v = rng.standard_normal(n)

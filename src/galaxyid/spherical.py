@@ -16,12 +16,10 @@ import numpy as np
 
 __all__ = [
     "as_coords",
-    "SphericalCode",
     "GreedyRun",
     "max_points",
     "greedy_prefix",
     "greedy_tail",
-    "generate",
     "min_pairwise_angle",
     "csw_lower_bound",
 ]
@@ -39,19 +37,6 @@ def as_coords(x) -> np.ndarray:
     if not np.all(np.isfinite(arr)):
         raise ValueError("coordinates must be finite")
     return arr
-
-
-@dataclass
-class SphericalCode:
-    """Points on S(center, radius) with pairwise subtended angle >= theta."""
-
-    center: np.ndarray
-    radius: float
-    points: np.ndarray  # shape (m, n), rows on the sphere
-    saturated: bool = False
-
-    def __len__(self) -> int:
-        return self.points.shape[0]
 
 
 def _simplex_directions(n: int, m: int) -> np.ndarray:
@@ -170,7 +155,18 @@ def _uniform_directions(rng: np.random.Generator, n: int):
 
 
 def greedy_prefix(n: int, theta: float, target_m: int, max_attempts: int) -> GreedyRun:
-    """Run the greedy over the witness prefix alone; it draws nothing."""
+    """Run the greedy over the witness prefix alone; it draws nothing.
+
+    A node's theta-code directions are greedy_tail of this run: the witness
+    prefix, then uniform directions, each accepted iff its angle to every
+    accepted one is >= theta.  The greedy stops at max_points (target_m, or
+    the obtuse ceiling when lower, where no candidate could be accepted) or
+    after max_attempts consecutive rejections.
+    """
+    if not (0 < theta <= math.pi):
+        raise ValueError(f"theta must lie in (0, pi], got {theta}")
+    if target_m < 1:
+        raise ValueError(f"target_m must be >= 1, got {target_m}")
     cos_t, stop_m = math.cos(theta), max_points(n, theta, target_m)
     accepted: list[np.ndarray] = []
     rejections, stopped = _greedy(
@@ -190,50 +186,6 @@ def greedy_tail(run: GreedyRun, seed: int) -> np.ndarray:
     draws = _uniform_directions(rng, run.accepted.shape[1])
     _greedy(accepted, run.rejections, draws, run.cos_t, run.stop_m, run.max_attempts)
     return np.asarray(accepted, dtype=np.float64)
-
-
-def generate(
-    n: int,
-    center,
-    r: float,
-    theta: float,
-    target_m: int,
-    max_attempts: int,
-    seed: int,
-) -> SphericalCode:
-    """Greedily build a theta-spherical code of up to target_m points.
-
-    Candidates are the deterministic witness prefix followed by uniform
-    directions (normalized i.i.d. standard normal draws); a candidate is
-    accepted iff it keeps the minimum subtended angle >= theta against
-    everything accepted so far.  Generation stops at the first of:
-
-    * target_m points;
-    * for obtuse theta, the ceiling on how many points the acceptance test
-      can admit at all (at most n+1, and at most 1 - 1/cos theta), when it
-      lies below target_m: no further candidate could be accepted, so the
-      result is flagged saturated without drawing;
-    * max_attempts consecutive rejections, also flagged saturated.
-
-    Fully deterministic given the seed: greedy_prefix, then greedy_tail.
-    """
-    if not (0 < theta <= math.pi):
-        raise ValueError(f"theta must lie in (0, pi], got {theta}")
-    if target_m < 1:
-        raise ValueError(f"target_m must be >= 1, got {target_m}")
-    if r <= 0:
-        raise ValueError(f"radius must be > 0, got {r}")
-    center = as_coords(center)
-    if center.size != n:
-        raise ValueError(f"center has dimension {center.size}, expected {n}")
-
-    dirs = greedy_tail(greedy_prefix(n, theta, target_m, max_attempts), seed)
-    return SphericalCode(
-        center=center,
-        radius=float(r),
-        points=center + r * dirs,
-        saturated=len(dirs) < target_m,
-    )
 
 
 def min_pairwise_angle(points: np.ndarray, center: np.ndarray) -> float:

@@ -1,12 +1,13 @@
 """Scalar and approximate laws that only the tests use.
 
 The package runs the exact shell law, the batched decoder, an array
-codeword table, a spherical-code generator that stops at the obtuse-angle
-ceiling, a level-by-level codebook build, verification batched by shape
-and one block-batched Monte Carlo kernel; these are the simpler
-per-vector forms, the per-codeword node walk, the plain greedy loop with
-its own witness prefix, the list-based center packing and per-node
-recursive build, the per-node verification loop and all-pairs scan, the
+codeword table, a greedy that runs its witness prefix once per build and
+stops at the obtuse-angle ceiling, a level-by-level codebook build,
+verification batched by shape and one block-batched Monte Carlo kernel;
+these are the simpler per-vector forms, the per-codeword node walk, the
+plain greedy loop with its own witness prefix (a node's points and
+saturation flag), the list-based center packing and per-node recursive
+build, the per-node verification loop and all-pairs scan, the
 per-codeword and per-pair decoder loops and the central-limit
 approximations the tests compare it against, and a random stream that
 fails on any draw.
@@ -31,7 +32,6 @@ from galaxyid.gaussian import _chi_square_tails, shell_prob_miss, std_normal_cdf
 from galaxyid.seeding import derive_seed
 from galaxyid.spherical import (
     _DOT_TOL,
-    SphericalCode,
     _obtuse_ceiling,
     _simplex_directions,
     as_coords,
@@ -237,9 +237,10 @@ def witness_candidates(n, theta):
 
 
 def generate_reference(n, center, r, theta, target_m, max_attempts, seed):
-    """spherical.generate without its obtuse-angle ceiling: the greedy loop
-    draws until target_m points or max_attempts consecutive rejections,
-    the latter flagged saturated."""
+    """A node's code on S(center, r) as (points, saturated), by the plain
+    greedy loop without the obtuse-angle ceiling: it draws until target_m
+    points or max_attempts consecutive rejections, the latter flagged
+    saturated."""
     rng = np.random.default_rng(seed)
     cos_t = math.cos(theta)
     center = as_coords(center)
@@ -269,8 +270,7 @@ def generate_reference(n, center, r, theta, target_m, max_attempts, seed):
         rejections = 0
 
     dirs = np.asarray(accepted, dtype=np.float64)
-    return SphericalCode(center=center, radius=float(r), points=center + r * dirs,
-                         saturated=saturated)
+    return center + r * dirs, saturated
 
 
 def pack_centers_reference(params: GalaxyParams) -> tuple[list, bool]:
@@ -303,16 +303,16 @@ def build_code_reference(params: GalaxyParams) -> GalaxyCode:
     centers, counts, leaves = [], [], []
 
     def grow(node_center, height, path):
-        code = generate_reference(
+        points, _ = generate_reference(
             params.n, node_center, params.r * params.k ** (height - 1), params.theta,
             stop_m, params.max_attempts, derive_seed(params.master_seed, "node", *path),
         )
-        centers.append(code.center)
-        counts.append(len(code.points))
+        centers.append(node_center)
+        counts.append(len(points))
         if height == 1:
-            leaves.append(code.points)
+            leaves.append(points)
             return
-        for i, point in enumerate(code.points):
+        for i, point in enumerate(points):
             grow(point, height - 1, path + (i,))
 
     for root_index, center in enumerate(roots):

@@ -31,3 +31,14 @@ def test_per_node_builder_is_retired():
     for owner in (galaxy, galaxyid):
         assert not hasattr(owner, "build_galaxy")
     assert "build_galaxy" not in galaxy.__all__
+
+
+def test_node_code_wrapper_is_retired():
+    # A node's code is greedy_tail(greedy_prefix(...)): an array of directions.
+    spherical = importlib.import_module("galaxyid.spherical")
+    for name in ("generate", "SphericalCode"):
+        for owner in (spherical, galaxyid):
+            assert not hasattr(owner, name)
+        assert name not in spherical.__all__
+    galaxy = importlib.import_module("galaxyid.galaxy")
+    assert not hasattr(galaxy.GalaxyCode, "__len__")

@@ -301,6 +301,32 @@ def test_cli_import_leaves_scipy_spatial_out():
     assert res.returncode == 0, res.stderr
 
 
+NUMPY_MA_PROBE = """
+import contextlib, io, sys
+from galaxyid import cli
+code = sys.argv[1]
+runs = [
+    ["build", *sys.argv[2:], "--out", code],
+    ["rate", "--code", code],
+    ["verify", "--code", code],
+    ["simulate", "--code", code, "--type1", "--trials", "200"],
+    ["simulate", "--code", code, "--type2", "--trials", "200"],
+    ["simulate", "--code", code, "--type2", "--min-distance", "1", "--trials", "200"],
+]
+for argv in runs:
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(argv) == 0, argv
+loaded = [m for m in sys.modules if m == "numpy.ma" or m.startswith("numpy.ma.")]
+assert not loaded, loaded
+"""
+
+
+def test_commands_leave_numpy_ma_out(tmp_path):
+    # Importing numpy.ma (np.unique does, lazily) costs ~10 ms per CLI process.
+    res = run_python("-c", NUMPY_MA_PROBE, str(tmp_path / "code.json"), *BUILD_ARGS)
+    assert res.returncode == 0, res.stderr
+
+
 def test_rate_formula_mode():
     res = run_cli("rate", "--b", "0", "--k-pow2", "3..20")
     assert res.returncode == 0
@@ -429,6 +455,14 @@ def test_sweep_rejects_empty_k_list(capsys):
     assert "error: --k-list is empty" in err
 
 
+def test_sweep_rejects_non_integer_k(capsys):
+    assert cli.main([*SWEEP_ARGS, "--k-list", "9,x"]) == 2
+    out, err = capsys.readouterr()
+    assert not out
+    assert "error: expected --k-list like 8,16,32, got '9,x'" in err
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("flag, field", [
     ("--power", "power"), ("--sigma", "sigma"), ("--r-min-coeff", "r_min_coeff")])
 @pytest.mark.parametrize("value", ["nan", "inf"])
@@ -499,13 +533,14 @@ def test_thread_resolver_accepts_large_counts(monkeypatch):
     assert cli._threads(argparse.Namespace(threads=3)) == 3
 
 
-@pytest.mark.parametrize("count", ["553", "-1"])
+@pytest.mark.parametrize("count", ["553", "0", "-1"])
 def test_pair_sample_out_of_range_rejected(code_file, count):
     # the CLI code has 24 codewords: 552 ordered pairs
     res = run_cli("simulate", "--code", str(code_file), "--type2", "--pairs", "exhaustive-sample",
                   "--pair-sample", count, "--trials", "100", timeout=60)
     assert res.returncode == 2
     assert f"sample_count {count} outside [1, 552]" in res.stderr
+    assert "Traceback" not in res.stderr
 
 
 @pytest.mark.parametrize("flags, message", [

@@ -13,7 +13,8 @@ from galaxyid.spherical import (
     _simplex_directions,
     as_coords,
     csw_lower_bound,
-    generate,
+    greedy_prefix,
+    greedy_tail,
     min_pairwise_angle,
 )
 from reference import NoDraws, generate_reference, witness_candidates
@@ -22,33 +23,34 @@ DESIGN_THETAS = [theta_of_k(k) for k in (7, 8, 9)]  # obtuse: cos = -3/5, -1/3, 
 
 
 def unit_sphere(n, theta, m, seed=0, attempts=10_000):
-    return generate(n, np.zeros(n), 1.0, theta, m, attempts, seed)
+    """A node's greedy directions: its points on the unit sphere about the origin."""
+    return greedy_tail(greedy_prefix(n, theta, m, attempts), seed)
 
 
 def test_antipodal_constraint_caps_at_two():
-    code = unit_sphere(2, math.pi, 4)
-    assert len(code) == 2
-    assert code.saturated
-    assert min_pairwise_angle(code.points, code.center) == pytest.approx(math.pi)
+    dirs = unit_sphere(2, math.pi, 4)
+    assert len(dirs) == 2  # fewer than the 4 asked for: saturated
+    assert min_pairwise_angle(dirs, np.zeros(2)) == pytest.approx(math.pi)
 
 
 def test_square_in_the_plane():
-    code = unit_sphere(2, math.pi / 2, 4)
-    assert len(code) == 4
-    assert min_pairwise_angle(code.points, code.center) >= math.pi / 2 - 1e-9
+    dirs = unit_sphere(2, math.pi / 2, 4)
+    assert len(dirs) == 4
+    assert min_pairwise_angle(dirs, np.zeros(2)) >= math.pi / 2 - 1e-9
 
 
 def test_acute_angle_code():
     theta = math.pi / 3
-    code = unit_sphere(8, theta, 16)
-    assert min_pairwise_angle(code.points, code.center) >= theta - 1e-9
-    assert len(code) <= 16
+    dirs = unit_sphere(8, theta, 16)
+    assert min_pairwise_angle(dirs, np.zeros(8)) >= theta - 1e-9
+    assert len(dirs) <= 16
 
 
 def test_radius_invariant():
+    # A node's points are its center plus radius times these directions.
     center = np.full(6, 2.5)
-    code = generate(6, center, 7.25, math.pi / 4, 10, 10_000, seed=3)
-    dists = np.linalg.norm(code.points - center, axis=1)
+    points = center + 7.25 * unit_sphere(6, math.pi / 4, 10, seed=3)
+    dists = np.linalg.norm(points - center, axis=1)
     assert np.max(np.abs(dists - 7.25) / 7.25) <= 1e-9
 
 
@@ -57,33 +59,29 @@ def test_generation_deterministic():
     a = unit_sphere(8, math.pi / 3, 24, seed=42)
     b = unit_sphere(8, math.pi / 3, 24, seed=42)
     assert len(a) > 16
-    assert np.array_equal(a.points, b.points)
+    assert np.array_equal(a, b)
     c = unit_sphere(8, math.pi / 3, 24, seed=43)
-    assert not np.array_equal(a.points, c.points)
+    assert not np.array_equal(a, c)
 
 
 def test_feasibility_floor_witnesses():
     # orthoplex at theta = pi/2: 2n points, dimensions up to 16
     for n in (2, 4, 8, 16):
-        code = generate(n, np.zeros(n), 1.0, math.pi / 2, 2 * n, 100_000, seed=1)
-        assert len(code) == 2 * n
-        assert min_pairwise_angle(code.points, code.center) >= math.pi / 2 - 1e-9
+        dirs = unit_sphere(n, math.pi / 2, 2 * n, seed=1, attempts=100_000)
+        assert len(dirs) == 2 * n
+        assert min_pairwise_angle(dirs, np.zeros(n)) >= math.pi / 2 - 1e-9
     # antipodal pair at theta = pi
     for n in (2, 5, 16):
-        code = generate(n, np.zeros(n), 1.0, math.pi, 2, 100_000, seed=1)
-        assert len(code) == 2
+        assert len(unit_sphere(n, math.pi, 2, seed=1, attempts=100_000)) == 2
 
 
 def test_simplex_witness_for_design_angle():
     # cos(theta_of_k(8)) = -1/3: at most 4 points, and exactly 4 are reachable
     theta = theta_of_k(8)
-    code = unit_sphere(10, theta, 4, seed=5)
-    assert len(code) == 4
-    assert not code.saturated
-    assert min_pairwise_angle(code.points, code.center) >= theta - 1e-9
-    over = unit_sphere(10, theta, 5, seed=5, attempts=3000)
-    assert len(over) == 4
-    assert over.saturated
+    dirs = unit_sphere(10, theta, 4, seed=5)
+    assert len(dirs) == 4
+    assert min_pairwise_angle(dirs, np.zeros(10)) >= theta - 1e-9
+    assert len(unit_sphere(10, theta, 5, seed=5, attempts=3000)) == 4
 
 
 @pytest.mark.parametrize(
@@ -99,10 +97,9 @@ def test_simplex_witness_for_design_angle():
 )
 def test_obtuse_ceiling_stops_without_drawing(n, theta, target_m, ceiling):
     with mock.patch.object(spherical.np.random, "default_rng", lambda seed: NoDraws()):
-        code = generate(n, np.zeros(n), 1.0, theta, target_m, 10**9, seed=0)
-    assert code.saturated
+        dirs = unit_sphere(n, theta, target_m, attempts=10**9)
     witness = np.asarray(witness_candidates(n, theta)[:ceiling])
-    assert np.array_equal(code.points, witness)
+    assert np.array_equal(dirs, witness)  # ceiling < target_m points: saturated
 
 
 @pytest.mark.parametrize("n", [2, 3, 6, 17])
@@ -148,9 +145,8 @@ def test_capped_node_takes_the_ceiling_from_the_witness_prefix(n):
             while fits <= n and _simplex_fits(n, fits + 1, cos_t):
                 fits += 1
             assert _obtuse_ceiling(n, cos_t) == fits, (n, cos_t)
-            code = generate(n, np.zeros(n), 1.0, theta, fits + 1, 10**9, seed=0)
-            assert code.saturated
-            assert np.array_equal(code.points, witness_candidates(n, theta)[:fits])
+            dirs = unit_sphere(n, theta, fits + 1, attempts=10**9)
+            assert np.array_equal(dirs, witness_candidates(n, theta)[:fits])
 
 
 @st.composite
@@ -177,11 +173,14 @@ def generate_args(draw):
 def test_generate_matches_greedy_reference(args):
     # Stopping at the ceiling must leave exactly the points and flag the
     # plain loop ends with after max_attempts futile rejections.
-    code = generate(**args)
-    ref = generate_reference(**args)
-    assert code.points.shape == ref.points.shape
-    assert code.points.tobytes() == ref.points.tobytes()
-    assert code.saturated == ref.saturated
+    n, target_m = args["n"], args["target_m"]
+    dirs = greedy_tail(greedy_prefix(n, args["theta"], target_m, args["max_attempts"]),
+                       args["seed"])
+    points = args["center"] + args["r"] * dirs
+    ref_points, ref_saturated = generate_reference(**args)
+    assert points.shape == ref_points.shape
+    assert points.tobytes() == ref_points.tobytes()
+    assert ref_saturated == (len(dirs) < target_m)
 
 
 def test_every_generated_code_certifies():
@@ -190,22 +189,19 @@ def test_every_generated_code_certifies():
         n = int(rng.integers(2, 12))
         theta = float(rng.uniform(0.3, 2.5))
         m = int(rng.integers(2, 12))
-        code = unit_sphere(n, theta, m, seed=int(rng.integers(1 << 30)), attempts=2000)
-        if len(code) >= 2:
-            assert min_pairwise_angle(code.points, code.center) >= theta - 1e-9
+        dirs = unit_sphere(n, theta, m, seed=int(rng.integers(1 << 30)), attempts=2000)
+        if len(dirs) >= 2:
+            assert min_pairwise_angle(dirs, np.zeros(n)) >= theta - 1e-9
 
 
 def test_generate_validation():
+    for theta in (0.0, 3.5, math.nan):
+        with pytest.raises(ValueError, match="theta must lie in"):
+            greedy_prefix(4, theta, 4, 100)
+    with pytest.raises(ValueError, match="target_m must be >= 1"):
+        greedy_prefix(4, 1.0, 0, 100)
     with pytest.raises(ValueError):
-        unit_sphere(4, 0.0, 4)
-    with pytest.raises(ValueError):
-        unit_sphere(4, 3.5, 4)
-    with pytest.raises(ValueError):
-        generate(4, np.zeros(4), -1.0, 1.0, 4, 100, 0)
-    with pytest.raises(ValueError):
-        generate(4, np.zeros(4), 1.0, 1.0, 0, 100, 0)
-    with pytest.raises(ValueError):
-        min_pairwise_angle(unit_sphere(4, math.pi, 1).points, np.zeros(4))
+        min_pairwise_angle(unit_sphere(4, math.pi, 1), np.zeros(4))
 
 
 def test_csw_lower_bound_values():
@@ -229,9 +225,8 @@ def test_simplex_directions_fit_any_dimension(n, m):
 
 
 def test_min_pairwise_angle_examples():
-    assert min_pairwise_angle(unit_sphere(3, math.pi, 2).points, np.zeros(3)) == \
-        pytest.approx(math.pi)
-    assert min_pairwise_angle(unit_sphere(2, math.pi / 2, 4).points, np.zeros(2)) == \
+    assert min_pairwise_angle(unit_sphere(3, math.pi, 2), np.zeros(3)) == pytest.approx(math.pi)
+    assert min_pairwise_angle(unit_sphere(2, math.pi / 2, 4), np.zeros(2)) == \
         pytest.approx(math.pi / 2)
 
 
