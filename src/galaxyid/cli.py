@@ -171,7 +171,7 @@ def cmd_rate(args) -> int:
     else:
         if args.k_pow2:
             ks = _parse_pow2_range(args.k_pow2)
-        elif args.k:
+        elif args.k is not None:
             ks = [args.k]
         else:
             raise ValueError("rate needs --code, or --k / --k-pow2 for formula mode")

@@ -1,15 +1,17 @@
 """Lossless JSON serialization of codebooks.
 
 A code file holds the params record, whether the center packing saturated,
-every node's point count in pre-order (`counts`), and two base64 blocks of
-little-endian float64 coordinates: `centers`, every node's center in
-pre-order, and `codewords`, the height-1 nodes' points.  A node's points
+every node's point count in level order (`counts`: the roots, then each
+height in turn, as the build grows them), and two base64 blocks of
+little-endian float64 coordinates: `centers`, every node's center in the
+same order, and `codewords`, the height-1 nodes' points.  A node's points
 above height 1 are its children's centers, so each coordinate is stored
 once, bit for bit.  Scalar parameters are plain JSON numbers, which Python
 also round-trips exactly.  Serialization is canonical (sorted keys, fixed
 separators) so identical codes produce identical bytes.  Loading hands the
 arrays to GalaxyCode, which derives the rest and rejects counts that do not
-form complete trees.
+fill complete levels of the blocks' rows.  Files of versions 1 to 3 (v3
+listed the nodes in pre-order) are refused with a request to rebuild.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from .galaxy import GalaxyCode, GalaxyParams
 
 __all__ = ["FORMAT_VERSION", "serialize", "deserialize", "save", "load"]
 
-FORMAT_VERSION = 3
+FORMAT_VERSION = 4
 
 
 def _enc_block(table: np.ndarray) -> str:

@@ -487,7 +487,7 @@ def _block_pairs(a0, an, b0, bn) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return a0[p] + cell // bn[p], b0[p] + cell % bn[p], p
 
 
-def _close_pairs(code: GalaxyCode, kids, start, rho: np.ndarray, limit: np.ndarray) -> np.ndarray:
+def _close_pairs(code: GalaxyCode, start, rho: np.ndarray, limit: np.ndarray) -> np.ndarray:
     """(i, j, class) columns of every codeword pair i < j closer than
     limit[class], (i, j)-sorted; the class is 0 across roots, else the meet height.
 
@@ -498,7 +498,7 @@ def _close_pairs(code: GalaxyCode, kids, start, rho: np.ndarray, limit: np.ndarr
     the rounding band; the rest give way to their children's pairs, down to
     height 1.  There they and each height-1 node with itself make codeword
     rectangles, cut into tiles that go to _at_least in stacks of one shape.
-    kids and start locate node points as in verify_structure."""
+    start locates node points as in verify_structure."""
     p, u, c, counts = code.params, code.codewords, code.centers, code.counts
     inner = np.flatnonzero(code.heights > 1)
     g_first, g_size = np.r_[0, start[inner]], np.r_[len(code.roots), counts[inner]]
@@ -518,7 +518,7 @@ def _close_pairs(code: GalaxyCode, kids, start, rho: np.ndarray, limit: np.ndarr
             part = slice(s, s + per)
             x, y, q = _block_pairs(x0[part], xn[part], y0[part], yn[part])
             up = x < y  # a sibling group pairs with itself: keep each pair once
-            pa, pb, k = kids[x[up]], kids[y[up]], parent_cls[part][q[up]]
+            pa, pb, k = x[up], y[up], parent_cls[part][q[up]]
             d = np.linalg.norm(c[pa] - c[pb], axis=1)
             reach, t = rho[pa] + rho[pb], limit[k]
             near = d - reach - t < _band(p.n) * (d + reach + np.abs(t))
@@ -527,6 +527,7 @@ def _close_pairs(code: GalaxyCode, kids, start, rho: np.ndarray, limit: np.ndarr
     # Codeword rectangles: a row node against a run of adjacent column nodes of
     # one class.  Rectangles over one column range list their rows in one.
     leaf = np.flatnonzero(code.heights == 1)
+    start = start - len(c)  # the height-1 nodes' first codeword rows
     pairs = np.concatenate(kept + [np.stack([leaf, leaf, np.ones_like(leaf)])], axis=1)
     del kept  # with nothing cleared, each copy holds one entry per pair of height-1 nodes
     a, b, cls = pairs[:, np.lexsort((start[pairs[1]], start[pairs[0]]))]
@@ -609,12 +610,10 @@ def verify_structure(code: GalaxyCode, tol: float = 1e-6) -> StructureReport:
                                  "measured": x, "bound": windows[t]} for t, i, x in sorted(radial)]
 
     # Exact node-chain radii and per-node angles.  Node v's x-th point is
-    # centers[kids[start[v] + x]] above height 1 (kids: the roots, then each
-    # node's children), codewords[start[v] + x] at height 1.
+    # centers[start[v] + x] above height 1, codewords[start[v] - C + x] at
+    # height 1: level order lists each node's points as the next rows.
     inner = code.heights > 1
-    start = np.where(inner, np.cumsum(code.counts * inner) + len(code.roots),
-                     np.cumsum(code.counts * ~inner)) - code.counts
-    kids = np.argsort(code.parents, kind="stable")
+    start = len(code.roots) + np.cumsum(code.counts) - code.counts
     radii = np.array([p.r * p.k**h for h in range(p.t_bar)])[code.heights - 1]
     cos_floor = math.cos(p.theta - ANGLE_TOL) - _band(p.n)  # cosines below it clear theta
     bad_radius, bad_angle = [], []
@@ -625,7 +624,7 @@ def verify_structure(code: GalaxyCode, tol: float = 1e-6) -> StructureReport:
             for s in range(0, len(nodes), per):
                 v = nodes[s : s + per]
                 rows = start[v, None] + np.arange(m)
-                pts = u[rows] if leaf else c[kids[rows]]
+                pts = u[rows - len(c)] if leaf else c[rows]
                 offs = pts - c[v, None]
                 d = np.linalg.norm(offs, axis=2)
                 x, i = np.nonzero(np.abs(d - radii[v, None]) > 1e-9 * radii[v, None])
@@ -640,7 +639,9 @@ def verify_structure(code: GalaxyCode, tol: float = 1e-6) -> StructureReport:
                     ang = min_pairwise_angle(pts[x], c[v[x]])
                     if ang < p.theta - ANGLE_TOL:
                         bad_angle.append((int(v[x]), float(ang)))
-    root_of = (np.cumsum(code.parents < 0) - 1).tolist()
+    root_of = np.empty(len(c), dtype=np.intp)  # a node's root is its codewords' last ancestor
+    root_of[code.ancestors] = code.ancestors[:, -1:]
+    root_of = root_of.tolist()
     report.cond1_violations += [
         {"kind": "node-radius", "root": root_of[v], "height": int(code.heights[v]), "point": i,
          "measured": x, "bound": (float(radii[v]),) * 2} for v, i, x in sorted(bad_radius)]
@@ -652,7 +653,7 @@ def verify_structure(code: GalaxyCode, tol: float = 1e-6) -> StructureReport:
     bound_at = [p.n ** (p.b + 0.25) / 2.0] + [
         galaxy.pair_distance_lower_bound(p.r, p.k, p.theta, t) for t in range(1, p.t_bar + 1)
     ]
-    for i, j, meet in _close_pairs(code, kids, start, rho, np.asarray(bound_at) - tol).T.tolist():
+    for i, j, meet in _close_pairs(code, start, rho, np.asarray(bound_at) - tol).T.tolist():
         found = {
             "pair": (i, j),
             "measured": float(np.linalg.norm(u[i] - u[j])),

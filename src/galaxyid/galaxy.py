@@ -5,9 +5,9 @@ ball, each root carrying a depth-t tree of nested spherical codes: a node
 at height h holds a code of radius k^(h-1) * r around its own center, the
 points of which are the centers of the height-(h-1) children (codewords at
 height 1).  A GalaxyCode holds this as arrays: the nodes' centers and point
-counts in pre-order and the codewords; it derives, for every codeword, the
-rows of its ancestor centers, the chain the hierarchical decoder tests
-against.
+counts in level order (the roots, then each height in turn, as the build
+grows them) and the codewords; it derives, for every codeword, the rows of
+its ancestor centers, the chain the hierarchical decoder tests against.
 """
 
 from __future__ import annotations
@@ -269,18 +269,21 @@ class GalaxyParams:
 class GalaxyCode:
     """A codebook as arrays: every node's center and point count, and the codewords.
 
-    centers (C, n) and counts (C,) list the nodes in pre-order, root after
-    root.  A node above height 1 has one child per point, centered on it;
-    the height-1 nodes' points are the codewords (N, n), in the same order.
-    Derived here, and only here: heights and parents (C,), -1 for a root;
-    roots, the root centers, whose rank is the root index; ancestors
-    (N, t_bar), where ancestors[j, h-1] is the row of centers holding
-    codeword j's height-h ancestor (pre-order makes every column sorted, so
-    a node's codewords form one run); and degraded (some node holds fewer
-    than m_per_level points).  All arrays are read-only.
-    Counts that are not complete depth-t_bar trees of 1 to m_per_level
-    points per node, tables of another shape and non-finite coordinates
-    raise ValueError naming the node as (root, *child indices).
+    centers (C, n) and counts (C,) list the nodes in level order, as
+    build_code grows them: the roots, then every node one height lower, down
+    to height 1.  A node's points are the next rows of the level below, in
+    order: the centers of its children above height 1, the codewords (N, n)
+    at height 1.  So the roots number R = C + N - sum(counts).  Derived
+    here, and only here: heights and parents (C,), -1 for a root; roots,
+    the first R centers, whose row is the root index; ancestors (N, t_bar),
+    where ancestors[j, h-1] is the row of centers holding codeword j's
+    height-h ancestor (each column is sorted, so a node's codewords form
+    one run, and ancestors[j, -1] is j's root index); and degraded (some
+    node holds fewer than m_per_level points).  All arrays are read-only.
+    Counts that do not fill t_bar complete levels of the tables' rows,
+    tables of another width, and a count outside [1, m_per_level] or a
+    non-finite coordinate, named by its node as (root, *child indices),
+    raise ValueError.
     """
 
     params: GalaxyParams
@@ -299,70 +302,60 @@ class GalaxyCode:
         counts = np.asarray(self.counts)
         if counts.ndim != 1 or (counts.size and counts.dtype.kind not in "iu"):
             raise ValueError("counts must be a list of integers")
-        values = counts.tolist()
-        heights, parents, slots = [], [], []  # slot: root index, or rank among siblings
-        open_nodes = []  # [row, children placed] of each node still missing children
-        n_roots = 0
-
-        def where(row: int) -> tuple:
-            path = []
-            while row >= 0:
-                path.append(slots[row])
-                row = parents[row]
-            return tuple(reversed(path))
-
-        for row, count in enumerate(values):
-            if open_nodes:
-                parent, slot = top = open_nodes[-1]
-                top[1] += 1
-                if top[1] == values[parent]:
-                    open_nodes.pop()
-                height = heights[parent] - 1
-            else:
-                parent, slot, height = -1, n_roots, p.t_bar
-                n_roots += 1
-            heights.append(height)
-            parents.append(parent)
-            slots.append(slot)
-            if not 1 <= count <= p.m_per_level:
-                raise ValueError(
-                    f"node {where(row)} holds {count} points, not 1 to "
-                    f"m_per_level = {p.m_per_level}"
-                )
-            if height > 1:
-                open_nodes.append([row, 0])
-        if open_nodes:
-            row, placed = open_nodes[-1]
+        counts = counts.astype(np.intp)
+        tables = {}
+        for name in ("centers", "codewords"):
+            table = tables[name] = np.asarray(getattr(self, name), dtype=np.float64)
+            if table.ndim != 2 or table.shape[1] != p.n:
+                raise ValueError(f"{name} have shape {table.shape}, not (rows, n = {p.n})")
+        n_c, n_w = len(tables["centers"]), len(tables["codewords"])
+        # Row y of the centers, then the codewords (y >= C), is a root for
+        # y < R, else a point of the node v with ends[v - 1] <= y < ends[v].
+        # No node holds more points than there are rows, so clipping only
+        # keeps the sums of malformed counts in range.
+        clipped = np.clip(counts, 0, n_c + n_w + 1)
+        n_roots = n_c + n_w - int(clipped.sum())
+        ends = n_roots + np.cumsum(clipped)
+        bounds = [0, n_roots]  # level L holds rows bounds[L] to bounds[L + 1] - 1
+        for _ in range(1, p.t_bar):
+            last = bounds[-1]
+            bounds.append(int(ends[last - 1]) if bounds[-2] < last <= len(counts) else last)
+        if len(counts) != n_c or bounds[-1] != n_c or (n_c and min(np.diff(bounds)) < 1):
             raise ValueError(
-                f"node {where(row)} holds {values[row]} points, but the counts end "
-                f"after {placed} of its children"
+                f"counts do not fill t_bar = {p.t_bar} complete levels for {n_c} centers and "
+                f"{n_w} codewords (the counts have length {len(counts)} and sum "
+                f"{sum(counts.tolist())})"
             )
 
-        counts = counts.astype(np.intp)
-        heights, parents = np.asarray(heights, dtype=np.intp), np.asarray(parents, dtype=np.intp)
-        rows = np.arange(len(counts))
-        sizes = counts[heights == 1]
-        owner = np.repeat(rows[heights == 1], sizes)  # the height-1 node of each codeword
-        tables = {}
-        # A root's center is its own; any other center is a point of its parent.
-        for name, node_of in (("centers", np.where(parents < 0, rows, parents)),
-                              ("codewords", owner)):
-            table = tables[name] = np.asarray(getattr(self, name), dtype=np.float64)
-            if table.shape != (len(node_of), p.n):
-                raise ValueError(
-                    f"{name} have shape {table.shape}, the counts need {(len(node_of), p.n)}"
-                )
+        def where(row: int) -> tuple:  # (root, *child indices) of a row; counts before it in range
+            path = []
+            while row >= n_roots:
+                parent = int(np.searchsorted(ends[:row], row, side="right"))
+                path.append(row - int(ends[parent] - counts[parent]))
+                row = parent
+            return (row, *reversed(path))
+
+        bad = (counts < 1) | (counts > p.m_per_level)
+        if bad.any():
+            row = int(bad.argmax())
+            raise ValueError(
+                f"node {where(row)} holds {counts[row]} points, not 1 to "
+                f"m_per_level = {p.m_per_level}"
+            )
+        for first, table in zip((0, n_c), tables.values()):
             bad = ~np.isfinite(table).all(axis=1)
-            if bad.any():
-                raise ValueError(
-                    f"node {where(int(node_of[bad.argmax()]))} has a non-finite coordinate"
-                )
-        chain = [owner]
+            if bad.any():  # a root's center is its own; any other point is its node's
+                path = where(first + int(bad.argmax()))
+                raise ValueError(f"node {path[:-1] or path} has a non-finite coordinate")
+        owner = np.repeat(np.arange(n_c), counts)  # the node of each row past the roots
+        parents = np.concatenate([np.full(n_roots, -1, dtype=np.intp), owner[: n_c - n_roots]])
+        chain = [owner[n_c - n_roots :]]
         for _ in range(1, p.t_bar):
             chain.append(parents[chain[-1]])
         derived = dict(
-            tables, counts=counts, heights=heights, parents=parents,
-            roots=tables["centers"][parents < 0], ancestors=np.stack(chain, axis=1),
+            tables, counts=counts, parents=parents, roots=tables["centers"][:n_roots],
+            heights=np.repeat(np.arange(p.t_bar, 0, -1), np.diff(bounds)),
+            ancestors=np.stack(chain, axis=1),
         )
         for name, value in derived.items():
             value.flags.writeable = False
@@ -437,17 +430,16 @@ def build_code(params: GalaxyParams) -> GalaxyCode:
     once.  When it stops, a level's points are its centers plus the run's
     directions scaled to the level's radius, for all nodes at once.  Only
     when it falls short does each node resume it on its own stream,
-    derive_seed(master_seed, "node", root, *child indices).  Paths padded
-    with -1 sort the nodes into pre-order; within one level, the level
-    order already is pre-order, so the last level's points are the codewords.
+    derive_seed(master_seed, "node", root, *child indices).  The levels are
+    the code's level order as they are grown; the last one's points are the
+    codewords.
     """
     roots, saturated = pack_centers(params)
     run = spherical.greedy_prefix(params.n, params.theta, params.m_per_level, params.max_attempts)
     level = roots
-    paths = np.full((len(roots), params.t_bar), -1, dtype=np.intp)
-    paths[:, 0] = np.arange(len(roots))
-    centers, counts, node_paths = [], [], []
-    for depth, height in enumerate(range(params.t_bar, 0, -1)):
+    paths = np.arange(len(roots))[:, None]  # each node's (root, *child indices): its seed key
+    centers, counts = [], []
+    for height in range(params.t_bar, 0, -1):
         r = params.r * params.k ** (height - 1)
         if run.stopped:
             sizes = np.full(len(level), len(run.accepted), dtype=np.intp)
@@ -455,7 +447,7 @@ def build_code(params: GalaxyParams) -> GalaxyCode:
         else:
             grown = [
                 center + r * spherical.greedy_tail(
-                    run, derive_seed(params.master_seed, "node", *path[: depth + 1].tolist())
+                    run, derive_seed(params.master_seed, "node", *path.tolist())
                 )
                 for center, path in zip(level, paths)
             ]
@@ -463,18 +455,12 @@ def build_code(params: GalaxyParams) -> GalaxyCode:
             points = np.concatenate(grown)
         centers.append(level)
         counts.append(sizes)
-        node_paths.append(paths)
         if height > 1:  # each point centers a child; its path adds the point's rank
             parent = np.repeat(np.arange(len(level)), sizes)
             rank = np.arange(len(parent)) - np.repeat(np.cumsum(sizes) - sizes, sizes)
-            paths = paths[parent]
-            paths[:, depth + 1] = rank
+            paths = np.column_stack([paths[parent], rank])
         level = points
-    order = np.lexsort(np.concatenate(node_paths).T[::-1])
     return GalaxyCode(
-        params,
-        np.concatenate(centers)[order],
-        np.concatenate(counts)[order],
-        level,
+        params, np.concatenate(centers), np.concatenate(counts), level,
         packing_saturated=saturated,
     )

@@ -50,7 +50,7 @@ def projection_tail(x: float) -> float:
     direction is a scalar standard normal, so the norm of the projection
     follows |N(0,1)|.
     """
-    if x < 0:
+    if not x >= 0:
         raise ValueError(f"x must be >= 0, got {x}")
     return math.erfc(x / _SQRT2)
 

@@ -4,13 +4,13 @@ The package runs the exact shell law, the batched decoder, an array
 codeword table, a greedy that runs its witness prefix once per build and
 stops at the obtuse-angle ceiling, a level-by-level codebook build,
 verification batched by shape and one block-batched Monte Carlo kernel;
-these are the simpler per-vector forms, the per-codeword node walk, the
-plain greedy loop with its own witness prefix (a node's points and
-saturation flag), the list-based center packing and per-node recursive
-build, the per-node verification loop and all-pairs scan, the
-per-codeword and per-pair decoder loops and the central-limit
-approximations the tests compare it against, and a random stream that
-fails on any draw.
+these are the simpler per-vector forms, the breadth-first codeword walk
+over the level-order nodes, the plain greedy loop with its own witness
+prefix (a node's points and saturation flag), the list-based center
+packing and per-node recursive build (sorted into level order), the
+per-node verification loop and all-pairs scan, the per-codeword and
+per-pair decoder loops and the central-limit approximations the tests
+compare it against, and a random stream that fails on any draw.
 """
 
 import math
@@ -132,28 +132,21 @@ class Codeword:
 
 
 def walk_codewords(code) -> list:
-    """The code's codewords, one object each, from a recursive walk over its
-    pre-order node counts, centers and codewords."""
+    """The code's codewords, one object each, from a breadth-first walk over
+    its level-order node counts, centers and codewords: a queue of nodes,
+    each adding its children at the back."""
     counts, centers, codewords = code.counts.tolist(), code.centers, code.codewords
+    n_roots = len(counts) + len(codewords) - sum(counts)
+    queue = [(code.params.t_bar, [], q, ()) for q in range(n_roots)]
     out = []
-    row = 0  # next node, in pre-order
-
-    def walk(height, above, root_index, path):
-        nonlocal row
-        center, count = centers[row], counts[row]
-        row += 1
-        if height > 1:
-            for i in range(count):
-                walk(height - 1, [center] + above, root_index, path + (i,))
-            return
-        for j in range(count):
-            out.append(Codeword(u=codewords[len(out)], path=[center] + above,
-                                root_index=root_index, index_path=path + (j,)))
-
-    root_index = 0
-    while row < len(counts):
-        walk(code.params.t_bar, [], root_index, ())
-        root_index += 1
+    for row, (height, above, root_index, path) in enumerate(queue):  # the queue grows
+        chain = [centers[row]] + above
+        for i in range(counts[row]):
+            if height > 1:
+                queue.append((height - 1, chain, root_index, path + (i,)))
+            else:
+                out.append(Codeword(u=codewords[len(out)], path=chain,
+                                    root_index=root_index, index_path=path + (i,)))
     return out
 
 
@@ -203,6 +196,13 @@ def reference_violations(code, tol=1e-6):
             if d < bound - tol:
                 cond2.append({"pair": (i, j), "meet": meet, "measured": d, "bound": bound})
     return cond2, cross
+
+
+def root_of(code, row):
+    """The root index of node row: the row its parent chain ends at."""
+    while code.parents[row] >= 0:
+        row = code.parents[row]
+    return int(row)
 
 
 def stack_galaxies(code, offset):
@@ -297,10 +297,12 @@ def pack_centers_reference(params: GalaxyParams) -> tuple[list, bool]:
 
 def build_code_reference(params: GalaxyParams) -> GalaxyCode:
     """galaxy.build_code as a recursion over nodes, each running the whole
-    greedy loop itself, up to the obtuse ceiling."""
+    greedy loop itself, up to the obtuse ceiling.  The recursion lists the
+    nodes in pre-order; a stable sort by descending height puts them in
+    level order."""
     stop_m = min(params.m_per_level, _obtuse_ceiling(params.n, math.cos(params.theta)))
     roots, saturated = pack_centers_reference(params)
-    centers, counts, leaves = [], [], []
+    centers, counts, heights, leaves = [], [], [], []
 
     def grow(node_center, height, path):
         points, _ = generate_reference(
@@ -309,6 +311,7 @@ def build_code_reference(params: GalaxyParams) -> GalaxyCode:
         )
         centers.append(node_center)
         counts.append(len(points))
+        heights.append(height)
         if height == 1:
             leaves.append(points)
             return
@@ -317,8 +320,9 @@ def build_code_reference(params: GalaxyParams) -> GalaxyCode:
 
     for root_index, center in enumerate(roots):
         grow(center, params.t_bar, (root_index,))
-    return GalaxyCode(params, np.array(centers), np.array(counts), np.concatenate(leaves),
-                      packing_saturated=saturated)
+    order = sorted(range(len(heights)), key=lambda row: -heights[row])
+    return GalaxyCode(params, np.array(centers)[order], np.array(counts)[order],
+                      np.concatenate(leaves), packing_saturated=saturated)
 
 
 def _rounding_band(n):
@@ -387,19 +391,18 @@ def verify_structure_reference(code, tol=1e-6):
             end = next(leaf_rows)
             points.append(u[start:end])
             start = end
-    root_of = (np.cumsum(code.parents < 0) - 1).tolist()
     for row, height in enumerate(code.heights.tolist()):
-        radius = p.r * p.k ** (height - 1)
+        radius, root = p.r * p.k ** (height - 1), root_of(code, row)
         d = np.linalg.norm(points[row] - code.centers[row], axis=1)
         for i in np.nonzero(np.abs(d - radius) > 1e-9 * radius)[0]:
             report.cond1_violations.append(
-                {"kind": "node-radius", "root": root_of[row], "height": height, "point": int(i),
+                {"kind": "node-radius", "root": root, "height": height, "point": int(i),
                  "measured": float(d[i]), "bound": (radius, radius)})
         if len(points[row]) >= 2:
             ang = _min_angle(points[row], code.centers[row])
             if ang < p.theta - experiments.ANGLE_TOL:
                 report.angle_violations.append(
-                    {"root": root_of[row], "height": height, "measured": float(ang),
+                    {"root": root, "height": height, "measured": float(ang),
                      "bound": p.theta})
     bound_at = [p.n ** (p.b + 0.25) / 2.0] + [
         pair_distance_lower_bound(p.r, p.k, p.theta, t) for t in range(1, p.t_bar + 1)]

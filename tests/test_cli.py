@@ -240,7 +240,9 @@ def _set(row, column, value):
 
 
 # The depth-2 code has 6 roots of 4 height-1 nodes of 4 codewords: 30 centers,
-# counts [4] * 30, 96 codewords; node (1, 2) holds codewords 24-27.
+# counts [4] * 30, 96 codewords.  In level order rows 0-5 are the roots and
+# row 6 + 4q + i is node (q, i); node (1, 2) holds codewords 24-27.
+FILL = "counts do not fill t_bar = 2 complete levels for "
 @pytest.mark.parametrize(
     "edit,message",
     [
@@ -249,37 +251,43 @@ def _set(row, column, value):
         (lambda doc: _without(doc, "counts"), "needs a 'counts' list"),
         (lambda doc: [doc], "must hold a JSON object, not list"),
         (_counts_edit(lambda c: c.pop()),
-         "node (5,) holds 4 points, but the counts end after 3 of its children"),
+         FILL + "30 centers and 96 codewords (the counts have length 29 and sum 116)"),
         (_counts_edit(lambda c: c.__delitem__(slice(1, None))),
-         "node (0,) holds 4 points, but the counts end after 0 of its children"),
+         FILL + "30 centers and 96 codewords (the counts have length 1 and sum 4)"),
         (lambda doc: {**doc, "centers": _encoded(_block(doc, "centers").ravel()[:-5])},
          "'centers' block holds 3800 bytes, not whole rows of n = 16 float64 coordinates"),
-        (_counts_edit(lambda c: c.__setitem__(1, 0)),
+        (_counts_edit(lambda c: c.__setitem__(slice(6, 8), [0, 8])),
          "node (0, 0) holds 0 points, not 1 to m_per_level = 4"),
         (lambda doc: {**doc, "counts": []}, "'counts' list is empty"),
-        (_counts_edit(lambda c: c.__setitem__(1, 5)),
+        (_counts_edit(lambda c: c.__setitem__(slice(6, 8), [5, 3])),
          "node (0, 0) holds 5 points, not 1 to m_per_level = 4"),
         (_block_edit("codewords", lambda u: np.vstack([u, u[:1]])),
-         "codewords have shape (97, 16), the counts need (96, 16)"),
+         FILL + "30 centers and 97 codewords (the counts have length 30 and sum 120)"),
         (lambda doc: {**doc, "format_version": 1}, "unsupported code file format_version 1"),
         (_block_edit("codewords", _set(24, 3, np.nan)), "node (1, 2) has a non-finite coordinate"),
         (_block_edit("centers", _set(0, 0, np.inf)), "node (0,) has a non-finite coordinate"),
         (lambda doc: {"format_version": 2, "params": doc["params"], "trees": [],
                       "achieved": doc["achieved"]},
-         "unsupported code file format_version 2, expected 3; rebuild the code with "
+         "unsupported code file format_version 2, expected 4; rebuild the code with "
+         "`galaxyid build`"),
+        (lambda doc: {**doc, "format_version": 3},
+         "unsupported code file format_version 3, expected 4; rebuild the code with "
          "`galaxyid build`"),
         (lambda doc: {**doc, "centers": "!" + doc["centers"][1:]}, "'centers' block is not base64"),
         (_block_edit("centers", lambda c: c[:-1]),
-         "centers have shape (29, 16), the counts need (30, 16)"),
+         FILL + "29 centers and 96 codewords (the counts have length 30 and sum 120)"),
         (_counts_edit(lambda c: c.append(4)),
-         "node (6,) holds 4 points, but the counts end after 0 of its children"),
+         FILL + "30 centers and 96 codewords (the counts have length 31 and sum 124)"),
         (_counts_edit(lambda c: c.__setitem__(0, 4.0)), "counts must be a list of integers"),
-        (_block_edit("centers", _set(2, 5, -np.inf)), "node (0,) has a non-finite coordinate"),
+        (_counts_edit(lambda c: c.__setitem__(0, 2**63 - 1)),
+         FILL + f"30 centers and 96 codewords (the counts have length 30 and sum {2**63 + 115})"),
+        (_block_edit("centers", _set(7, 5, -np.inf)), "node (0,) has a non-finite coordinate"),
     ],
     ids=["params-without-n", "null-k", "no-trees", "top-level-list", "fewer-children",
          "no-children", "short-point", "empty-points", "empty-trees", "too-many-points",
          "leaf-children", "format-v1", "nan-point", "inf-root-center", "format-v2",
-         "bad-base64", "missing-center-row", "extra-root", "float-count", "inf-inner-center"],
+         "format-v3", "bad-base64", "missing-center-row", "extra-root", "float-count",
+         "huge-count", "inf-inner-center"],
 )
 def test_malformed_code_file_exits_two(tmp_path, deep_code_file, edit, message):
     bad = tmp_path / "bad.json"
@@ -593,6 +601,7 @@ def test_rate_formula_mode_out_of_float_range():
     (["--n", "16", "--power", "-2"], "power must be > 0, got -2.0"),
     (["--n", "16", "--power", "nan"], "power must be > 0, got nan"),
     (["--power", "5"], "--power needs --n"),
+    (["--k", "0"], "k must be >= 7, got 0"),  # the last --k wins
 ])
 def test_rate_formula_mode_rejects_power(args, message):
     res = run_cli("rate", "--k", "16", *args)

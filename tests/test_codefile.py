@@ -38,7 +38,7 @@ def test_roundtrip_preserves_metadata(code):
 
 def test_coordinates_are_base64_blocks(code):
     doc = json.loads(serialize(code))
-    assert doc["format_version"] == FORMAT_VERSION == 3
+    assert doc["format_version"] == FORMAT_VERSION == 4
     assert doc["counts"] == code.counts.tolist()
     for name in ("centers", "codewords"):
         raw = base64.b64decode(doc[name], validate=True)
@@ -60,7 +60,7 @@ def test_save_and_load(tmp_path, code):
 
 
 def test_params_record_bytes_fixed():
-    # a one-root depth-2 code and the sweep cell key, byte for byte as format v3 writes them
+    # a one-root depth-2 code and the sweep cell key, byte for byte as format v4 writes them
     p = GalaxyParams(
         n=8, power=260.0, k=8, m_per_level=4, master_seed=13, t_bar=2, r_min_coeff=0.5,
         max_roots=3, saturation_probes=100,
@@ -73,7 +73,7 @@ def test_params_record_bytes_fixed():
         '{"achieved":{"packing_saturated":false},'
         '"centers":"' + "A" * 93 + "ChA" + "A" * 75 + '=",'
         '"codewords":"AAAAAAAAKEAAAAAAAAD4P' + "w" + "A" * 64 + '==",'
-        '"counts":[1,1],"format_version":3,"params":{"b":0.0,'
+        '"counts":[1,1],"format_version":4,"params":{"b":0.0,'
         '"enforce_cross_galaxy_margin":true,"k":8,"m_per_level":4,"master_seed":13,'
         '"max_attempts":20000,"max_roots":3,"n":8,"power":260.0,"r_min_coeff":0.5,'
         '"saturation_probes":100,"sigma":1.0,"t_bar":2,"theta":1.910633236249019}}\n'

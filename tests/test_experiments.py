@@ -276,7 +276,7 @@ def test_fault_translated_tree(small_code):
     # slide galaxy 1 onto galaxy 0: the cross-galaxy floor must break, pair by pair
     shift = small_code.roots[0] - small_code.roots[1]
     centers, u = small_code.centers.copy(), small_code.codewords.copy()
-    centers[np.cumsum(small_code.parents < 0) == 2] += shift
+    centers[np.unique(small_code.ancestors[small_code.ancestors[:, -1] == 1])] += shift
     u[index_paths(small_code)[:, 0] == 1] += shift
     measured = [
         2.7858859700533853e-15, 3.1512740483014287e-15, 2.9240419872774234e-15,
@@ -295,12 +295,14 @@ def test_fault_translated_tree(small_code):
 
 def test_fault_angle_violation(small_code):
     # drag root 0's second point, the center of node (0, 1), nearly onto its
-    # first, staying on the root's sphere; node (0, 1)'s codewords stay put
+    # first, staying on the root's sphere; node (0, 1)'s codewords stay put.
+    # Level order lists nodes (0, 0) and (0, 1) right after the R roots.
     centers = small_code.centers.copy()
-    p0, p1 = centers[1] - centers[0], centers[2] - centers[0]
+    first = len(small_code.roots)
+    p0, p1 = centers[first] - centers[0], centers[first + 1] - centers[0]
     blended = 0.99 * p0 + 0.01 * p1
     blended *= small_code.params.r * small_code.params.k / np.linalg.norm(blended)
-    centers[2] = centers[0] + blended
+    centers[first + 1] = centers[0] + blended
     far = [12.21388617402623, 13.845597520317966, 13.06075969104057, 13.06075969104057]
     assert_violations(
         verify_structure(_with(small_code, centers=centers)),

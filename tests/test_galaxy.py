@@ -3,6 +3,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from galaxyid import cli, galaxy
 from galaxyid.codefile import serialize
@@ -236,6 +238,15 @@ BENCHMARK_BUILDS = {
                  "--max-roots", "8"),
 }
 
+SHAPED_BUILDS = {  # tails: nodes that draw past the witness prefix get uneven point counts
+    "tails-n4": dict(n=4, k=32, power=1e8, m_per_level=16, t_bar=2, max_roots=3,
+                     max_attempts=5, saturation_probes=30),
+    "tails-n6": dict(n=6, k=32, power=1e8, m_per_level=16, t_bar=2, max_roots=3,
+                     max_attempts=3, saturation_probes=30),
+    "obtuse-k9": dict(n=5, k=9, power=1e8, m_per_level=8, t_bar=2, max_roots=3,
+                      max_attempts=50, saturation_probes=30),  # the 6-point simplex per node
+}
+
 EQUIVALENCE_GRID = {
     # acute, m <= 2n: the signed basis fills every node
     **{f"k16-depth{t}-seed{s}": dict(n=16, k=16, m_per_level=8, t_bar=t, power=1e6,
@@ -275,6 +286,22 @@ def test_build_code_matches_per_node_reference(params):
     # The level-at-a-time build, with its one prefix run, writes the same
     # code file as every node running the whole greedy loop itself.
     assert serialize(build_code(params)) == serialize(build_code_reference(params))
+
+
+@settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(name=st.sampled_from(sorted(SHAPED_BUILDS)), seed=st.integers(0, 2**16))
+def test_nodes_are_in_level_order(name, seed):
+    params = GalaxyParams(**SHAPED_BUILDS[name], master_seed=seed)
+    code = build_code(params)
+    n_roots, rows = len(code.roots), np.arange(len(code.centers))
+    assert n_roots == len(code.centers) + len(code.codewords) - code.counts.sum()
+    assert (code.parents[:n_roots] == -1).all() and (code.parents[n_roots:] >= 0).all()
+    assert (code.parents[n_roots:] < rows[n_roots:]).all()
+    assert (np.diff(code.parents[n_roots:]) >= 0).all()
+    assert (code.heights[code.parents[n_roots:]] == code.heights[n_roots:] + 1).all()
+    assert (np.diff(code.ancestors, axis=0) >= 0).all()
+    assert code.ancestors[:, -1].tolist() == index_paths(code)[:, 0].tolist()
+    assert serialize(code) == serialize(build_code_reference(params))
 
 
 def test_build_peak_memory_is_about_the_tables():

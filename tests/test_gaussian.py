@@ -58,8 +58,9 @@ def test_projection_tail():
     assert projection_tail(0.0) == 1.0
     assert projection_tail(2.0) == pytest.approx(0.0455003, abs=1e-7)
     assert projection_tail(math.log2(100)) == pytest.approx(3.0558e-11, rel=1e-4)
-    with pytest.raises(ValueError):
-        projection_tail(-0.1)
+    for bad in (-0.1, math.nan):
+        with pytest.raises(ValueError, match="x must be >= 0"):
+            projection_tail(bad)
     xs = np.linspace(0, 10, 101)
     vals = [projection_tail(x) for x in xs]
     assert all(a >= b for a, b in zip(vals, vals[1:]))

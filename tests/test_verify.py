@@ -19,17 +19,12 @@ from galaxyid import cli, codefile, experiments
 from galaxyid.experiments import ANGLE_TOL, verify_structure
 from galaxyid.galaxy import GalaxyCode, GalaxyParams, build_code
 from galaxyid.spherical import min_pairwise_angle
-from reference import stack_galaxies, verify_structure_reference
-from test_galaxy import BENCHMARK_BUILDS, _cli_params  # wide-build is degraded: m = 4 of 16
-
-SHAPED_BUILDS = {  # tails: nodes that draw past the witness prefix get uneven point counts
-    "tails-n4": dict(n=4, k=32, power=1e8, m_per_level=16, t_bar=2, max_roots=3,
-                     max_attempts=5, saturation_probes=30),
-    "tails-n6": dict(n=6, k=32, power=1e8, m_per_level=16, t_bar=2, max_roots=3,
-                     max_attempts=3, saturation_probes=30),
-    "obtuse-k9": dict(n=5, k=9, power=1e8, m_per_level=8, t_bar=2, max_roots=3,
-                      max_attempts=50, saturation_probes=30),  # the 6-point simplex per node
-}
+from reference import root_of, stack_galaxies, verify_structure_reference
+from test_galaxy import (  # wide-build is degraded: m = 4 of 16
+    BENCHMARK_BUILDS,
+    SHAPED_BUILDS,
+    _cli_params,
+)
 
 
 def _code(flags, seed):
@@ -169,7 +164,7 @@ def test_angle_at_the_bound_is_reported_as_the_scalar_check_says(code, pick, ste
     code = GalaxyCode(dataclasses.replace(moved.params, theta=theta), moved.centers,
                       moved.counts, moved.codewords, moved.packing_saturated)
     report = verify_structure(code)
-    root = int(np.cumsum(code.parents < 0)[v] - 1)
+    root = root_of(code, v)
     found = [f for f in report.angle_violations
              if (f["root"], f["height"], f["measured"]) == (root, code.heights[v], angle)]
     assert bool(found) == (angle < theta - ANGLE_TOL) == (step == 1)
