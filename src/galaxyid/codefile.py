@@ -1,17 +1,23 @@
 """Lossless JSON serialization of codebooks.
 
-A code file holds the params record, whether the center packing saturated,
-every node's point count in level order (`counts`: the roots, then each
-height in turn, as the build grows them), and two base64 blocks of
-little-endian float64 coordinates: `centers`, every node's center in the
-same order, and `codewords`, the height-1 nodes' points.  A node's points
-above height 1 are its children's centers, so each coordinate is stored
-once, bit for bit.  Scalar parameters are plain JSON numbers, which Python
-also round-trips exactly.  Serialization is canonical (sorted keys, fixed
-separators) so identical codes produce identical bytes.  Loading hands the
-arrays to GalaxyCode, which derives the rest and rejects counts that do not
-fill complete levels of the blocks' rows.  Files of versions 1 to 3 (v3
-listed the nodes in pre-order) are refused with a request to rebuild.
+A code file holds what a code cannot be re-grown without: the params
+record, whether the center packing saturated, and three base64 blocks of
+little-endian float64 coordinates.  `roots` holds the root centers, and
+`prefix` the greedy's witness-prefix directions, greedy_prefix(...).accepted.
+Both sides compute the prefix from the params; the stored copy is a check,
+since the simplex directions come from a LAPACK QR: a machine whose QR gives
+other bits refuses the file instead of growing another code from it.
+`exceptions` holds the nodes whose points are not bit for bit
+center + r_h * prefix: their level-order indices (the roots, then each
+height in turn, as the build grows them), point counts, and points one node
+after another.  Loading grows the code from these through
+galaxy._grow_code, the build's own level step, so it reproduces the code
+bit for bit; a code grown from its prefix stores no exception at all, and
+its file takes kilobytes whatever its size.  Scalar parameters are plain
+JSON numbers, which Python also round-trips exactly.  Serialization is
+canonical (sorted keys, fixed separators) so identical codes produce
+identical bytes.  Files of versions 1 to 4 (v4 stored every coordinate)
+are refused with a request to rebuild.
 """
 
 from __future__ import annotations
@@ -22,11 +28,13 @@ from dataclasses import asdict, fields
 
 import numpy as np
 
+from . import galaxy
 from .galaxy import GalaxyCode, GalaxyParams
+from .spherical import greedy_prefix
 
 __all__ = ["FORMAT_VERSION", "serialize", "deserialize", "save", "load"]
 
-FORMAT_VERSION = 4
+FORMAT_VERSION = 5
 
 
 def _enc_block(table: np.ndarray) -> str:
@@ -78,16 +86,86 @@ def _section(doc: dict, name: str, kind: type, decode):
         raise ValueError(f"code file {name!r} section is malformed ({type(exc).__name__}: {exc})") from None
 
 
+def _exceptions(code: GalaxyCode, prefix: np.ndarray) -> tuple:
+    """(level-order indices, point counts, points) of the nodes whose points
+    are not _grow_level's from the prefix, found by one bitwise comparison per
+    level (uint64 views, so -0.0 and 0.0 differ)."""
+    p = code.params
+    starts = np.flatnonzero(np.diff(code.heights)) + 1
+    bounds = [0, *starts.tolist(), len(code.centers)]
+    tables = [code.centers[a:b] for a, b in zip(bounds, bounds[1:])] + [code.codewords]
+    found = []
+    for i, height in enumerate(range(p.t_bar, 0, -1)):
+        level, points = tables[i], tables[i + 1]
+        sizes = code.counts[bounds[i] : bounds[i + 1]]
+        same = sizes == len(prefix)
+        whole = same.all()  # as on every prefix-grown code: compare without gathering
+        _, grown = galaxy._grow_level(level if whole else level[same], p.level_radius(height),
+                                      prefix, [], [], None)
+        own = points if whole else points[np.repeat(same, sizes)]
+        equal = own.view(np.uint64) == grown.view(np.uint64)
+        same[same] = equal.reshape(-1, prefix.size).all(axis=1)
+        odd = ~same
+        found.append((bounds[i] + np.flatnonzero(odd), sizes[odd], points[np.repeat(odd, sizes)]))
+    nodes, counts, points = zip(*found)
+    return np.concatenate(nodes), np.concatenate(counts), np.concatenate(points)
+
+
+def _prefix(params: GalaxyParams) -> np.ndarray:
+    """The witness-prefix directions of a code's params: the one source that
+    serialize finds exceptions against and deserialize grows from."""
+    return greedy_prefix(params.n, params.theta, params.m_per_level, params.max_attempts).accepted
+
+
 def serialize(code: GalaxyCode) -> str:
+    p = code.params
+    prefix = _prefix(p)
+    nodes, counts, points = _exceptions(code, prefix)
     doc = {
         "format_version": FORMAT_VERSION,
-        "params": asdict(code.params),
-        "counts": code.counts.tolist(),
-        "centers": _enc_block(code.centers),
-        "codewords": _enc_block(code.codewords),
+        "params": asdict(p),
+        "roots": _enc_block(code.roots),
+        "prefix": _enc_block(prefix),
+        "exceptions": {"nodes": nodes.tolist(), "counts": counts.tolist(),
+                       "points": _enc_block(points)},
         "achieved": {"packing_saturated": code.packing_saturated},
     }
     return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
+
+
+def _exceptions_from(section: dict, params: GalaxyParams) -> tuple:
+    """(nodes, counts, points) of an 'exceptions' section, checked as far as
+    they can be before the code is grown."""
+    nodes, counts = section["nodes"], section["counts"]
+    if not isinstance(nodes, list) or not isinstance(counts, list):
+        raise TypeError("'nodes' and 'counts' must be lists")
+    if len(nodes) != len(counts):
+        raise ValueError(
+            f"code file 'exceptions' lists {len(nodes)} nodes and {len(counts)} counts"
+        )
+    if any(type(v) is not int for v in nodes + counts):
+        raise ValueError("code file 'exceptions' nodes and counts must be integers")
+    for before, v in zip(nodes, nodes[1:]):
+        if v <= before:
+            raise ValueError(
+                f"code file 'exceptions' nodes must be strictly increasing, got {v} after {before}"
+            )
+    for v, c in zip(nodes, counts):
+        if not 1 <= c <= params.m_per_level:
+            raise ValueError(
+                f"code file exception node {v} holds {c} points, not 1 to "
+                f"m_per_level = {params.m_per_level}"
+            )
+    if nodes and not 0 <= nodes[0] <= nodes[-1] < 1 << 62:
+        bad = nodes[0] if nodes[0] < 0 else nodes[-1]
+        raise ValueError(f"code file exception node {bad} is out of range")
+    points = _dec_block(section["points"], params.n, "exceptions.points")
+    if len(points) != sum(counts):
+        raise ValueError(
+            f"code file 'exceptions.points' block holds {len(points)} rows, not the "
+            f"{sum(counts)} its counts give"
+        )
+    return np.array(nodes, dtype=np.intp), np.array(counts, dtype=np.intp), points
 
 
 def deserialize(text: str) -> GalaxyCode:
@@ -102,16 +180,36 @@ def deserialize(text: str) -> GalaxyCode:
             "rebuild the code with `galaxyid build` from its params record"
         )
     params = _section(doc, "params", dict, _params_from_dict)
-    counts = _section(doc, "counts", list, list)
-    if not counts:
-        raise ValueError("code file 'counts' list is empty")
-    centers = _section(doc, "centers", str, lambda s: _dec_block(s, params.n, "centers"))
-    codewords = _section(doc, "codewords", str, lambda s: _dec_block(s, params.n, "codewords"))
+    roots = _section(doc, "roots", str, lambda s: _dec_block(s, params.n, "roots"))
+    if not len(roots):
+        raise ValueError("code file 'roots' block holds no root")
+    stored = _section(doc, "prefix", str, lambda s: _dec_block(s, params.n, "prefix"))
+    prefix = _prefix(params)
+    if stored.shape != prefix.shape or (stored.view(np.uint64) != prefix.view(np.uint64)).any():
+        raise ValueError(
+            f"code file 'prefix' block ({len(stored)} directions) is not the "
+            f"{len(prefix)}-direction witness prefix its params give here, so the code "
+            "would not grow as it was built; rebuild the code with `galaxyid build`"
+        )
+    nodes, counts, points = _section(doc, "exceptions", dict,
+                                     lambda e: _exceptions_from(e, params))
     saturated = _section(doc, "achieved", dict, lambda a: bool(a["packing_saturated"]))
+    offsets = np.concatenate([[0], np.cumsum(counts)])
+
+    def given(first, level, r, paths):
+        lo, hi = np.searchsorted(nodes, [first, first + len(level)])
+        return nodes[lo:hi] - first, counts[lo:hi], points[offsets[lo] : offsets[hi]]
+
     try:
-        return GalaxyCode(params, centers, counts, codewords, packing_saturated=saturated)
+        code = galaxy._grow_code(params, roots, prefix, given, saturated)
     except ValueError as exc:
         raise ValueError(f"code file {exc}") from None
+    if len(nodes) and nodes[-1] >= len(code.centers):
+        raise ValueError(
+            f"code file exception node {nodes[-1]} is out of range: the code has "
+            f"{len(code.centers)} nodes"
+        )
+    return code
 
 
 def save(code: GalaxyCode, path) -> None:

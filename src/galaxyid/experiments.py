@@ -38,6 +38,10 @@ __all__ = [
 
 UNIT_SIZE = 8192  # trials per RNG work unit; fixed so worker count never matters
 _PAIR_CAP = 20000  # strategies larger than this are subsampled deterministically
+# The most trials one estimate may run, 2^30 (131072 units): hours at the
+# ~10^5-10^6 trials/s of the benchmark codes, so an estimator refuses more
+# instead of running for weeks.
+_TRIAL_CAP = 1 << 30
 _MASK_CELLS = 1 << 20  # (row, codeword) cells per block of a pairwise distance test
 # An estimator holds one (N, t_bar, n) direction table plus, per thread,
 # buffers of at most UNIT_SIZE rows.  Its blocks: gathered (row, level,
@@ -175,10 +179,15 @@ def _slab_tail(params: DecoderParams) -> float:
     return projection_tail(params.slab_halfwidth / params.sigma)
 
 
-def _unit_plan(trials: int) -> list[tuple[int, int]]:
+def _unit_count(trials: int) -> int:
+    """Work units of a trial count: unit i runs trials i * UNIT_SIZE on, at
+    most UNIT_SIZE of them.  Raises unless 1 <= trials <= _TRIAL_CAP."""
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
-    return [(s, min(UNIT_SIZE, trials - s)) for s in range(0, trials, UNIT_SIZE)]
+    if trials > _TRIAL_CAP:
+        raise ValueError(f"trials must be <= {_TRIAL_CAP} (the cap on trials per estimate), "
+                         f"got {trials}")
+    return -(-trials // UNIT_SIZE)
 
 
 def _worker_count(threads: int | None, n_units: int) -> int:
@@ -218,6 +227,7 @@ def _pair_counts(
     tag: str,
     params: DecoderParams,
     trials: int,
+    n_units: int,
     master_seed: int,
     threads: int | None,
     targets: np.ndarray,
@@ -231,21 +241,22 @@ def _pair_counts(
     The decisive slab is the one at the pair's meet ancestor, row
     meet_rows[p] of the chain; a pair with none (-1: across roots) counts
     nothing there, and neither does a codeword sent to itself.
-    Each unit's noise comes from the stream (master_seed, tag, unit).  The
-    run holds one (N, t_bar, n) direction table, and each thread at most
+    The trials run as n_units = _unit_count(trials) units, and each unit's
+    noise comes from the stream (master_seed, tag, unit).  The run holds
+    one (N, t_bar, n) direction table, and each thread at most
     UNIT_SIZE rows of its unit's pair offsets (row i sends visited pair
     i mod P), a reused buffer of normals drawn in chunks of _DRAW_CELLS
     cells (a stream fills the same values in chunks as in one call), and
     decide() blocks of at most _DECIDE_CELLS gathered direction cells.
     """
-    plan = _unit_plan(trials)
     u = code.codewords
     directions = _direction_table(code)
     step = max(1, _DECIDE_CELLS // directions[0].size)
     chunk = step * max(1, _DRAW_CELLS // (step * params.n))
 
     def run_unit(unit_index: int) -> np.ndarray:
-        start, size = plan[unit_index]
+        start = unit_index * UNIT_SIZE
+        size = min(UNIT_SIZE, trials - start)
         visited = (start + np.arange(min(len(targets), size))) % len(targets)
         unit_targets = targets[visited]
         if senders is not None:
@@ -274,7 +285,7 @@ def _pair_counts(
                     counts[2] += slabs[met, rows[met]].sum()
         return counts
 
-    accepted, shell_hits, slab_hits = sum(run_units(run_unit, len(plan), threads))
+    accepted, shell_hits, slab_hits = sum(run_units(run_unit, n_units, threads))
     return int(accepted), int(shell_hits), int(slab_hits)
 
 
@@ -303,8 +314,10 @@ def estimate_type1(
     levels.
     """
     bound = shell_prob_miss(params) + code.params.t_bar * _slab_tail(params)
+    n_units = _unit_count(trials)
     every = np.arange(len(code.codewords))
-    accepted, _, _ = _pair_counts(code, "type1", params, trials, master_seed, threads, every)
+    accepted, _, _ = _pair_counts(code, "type1", params, trials, n_units, master_seed, threads,
+                                  every)
     return _estimate("type1", trials, trials - accepted, bound, "shell-exact+slab-union",
                      master_seed)
 
@@ -454,10 +467,11 @@ def estimate_type2(
     meet ancestor, so their decisive-slab count stays zero by construction.
     """
     slab_tail = _slab_tail(params)
+    n_units = _unit_count(trials)  # refused before pairs are selected
     targets, senders = select_pairs(code, strategy, master_seed).T
     meet_rows = _meet_rows(code, targets, senders)
     hits, shell_hits, slab_hits = _pair_counts(
-        code, "type2", params, trials, master_seed, threads, targets, senders, meet_rows
+        code, "type2", params, trials, n_units, master_seed, threads, targets, senders, meet_rows
     )
     u, cross = code.codewords, meet_rows < 0  # two distinct codewords: across roots
     terms = {}  # one bound per pair class present
@@ -614,7 +628,7 @@ def verify_structure(code: GalaxyCode, tol: float = 1e-6) -> StructureReport:
     # height 1: level order lists each node's points as the next rows.
     inner = code.heights > 1
     start = len(code.roots) + np.cumsum(code.counts) - code.counts
-    radii = np.array([p.r * p.k**h for h in range(p.t_bar)])[code.heights - 1]
+    radii = np.array([p.level_radius(h) for h in range(1, p.t_bar + 1)])[code.heights - 1]
     cos_floor = math.cos(p.theta - ANGLE_TOL) - _band(p.n)  # cosines below it clear theta
     bad_radius, bad_angle = [], []
     for m in np.flatnonzero(np.bincount(code.counts)).tolist():

@@ -8,6 +8,11 @@ height 1).  A GalaxyCode holds this as arrays: the nodes' centers and point
 counts in level order (the roots, then each height in turn, as the build
 grows them) and the codewords; it derives, for every codeword, the rows of
 its ancestor centers, the chain the hierarchical decoder tests against.
+Every level is grown by one step, _grow_level: each node's points are its
+center plus the shared prefix directions scaled to the level's radius,
+except at exception nodes, whose points are given.  build_code and the
+code-file loader both grow through it, so a loaded code is the built one
+bit for bit.
 """
 
 from __future__ import annotations
@@ -243,6 +248,10 @@ class GalaxyParams:
             return self.r_nominal
         return max(self.r_nominal, self.r_min_coeff * self.sigma * math.log2(self.n))
 
+    def level_radius(self, height: int) -> float:
+        """Radius r k^(height-1) of the code a height-`height` node holds."""
+        return self.r * self.k ** (height - 1)
+
     @property
     def extent(self) -> float:
         """Maximum codeword distance from its root: r (k^t - 1)/(k - 1)."""
@@ -283,7 +292,9 @@ class GalaxyCode:
     Counts that do not fill t_bar complete levels of the tables' rows,
     tables of another width, and a count outside [1, m_per_level] or a
     non-finite coordinate, named by its node as (root, *child indices),
-    raise ValueError.
+    raise ValueError.  build_code and codefile.deserialize make it through
+    _grow_code; a code given other arrays is written to a code file with the
+    nodes that _grow_level would not reproduce as exception nodes.
     """
 
     params: GalaxyParams
@@ -423,38 +434,54 @@ def pack_centers(params: GalaxyParams) -> tuple[np.ndarray, bool]:
     return centers[:count], False
 
 
-def build_code(params: GalaxyParams) -> GalaxyCode:
-    """Pack root centers and grow every galaxy one tree level at a time.
+def _grow_level(level: np.ndarray, r: float, prefix: np.ndarray, nodes, counts, points):
+    """The point counts and points of one level's nodes, one node after another.
 
-    The greedy's witness-prefix run is the same at every node, so it runs
-    once.  When it stops, a level's points are its centers plus the run's
-    directions scaled to the level's radius, for all nodes at once.  Only
-    when it falls short does each node resume it on its own stream,
-    derive_seed(master_seed, "node", root, *child indices).  The levels are
-    the code's level order as they are grown; the last one's points are the
-    codewords.
+    Node i's points are level[i] + r * prefix, except at the exception nodes:
+    `nodes`, ascending indices into the level, whose point counts and points
+    (one node's after another) are given.  The build and the code-file loader
+    both grow every level here, so a loaded code is bit for bit the built one.
+    A level of points past _TABLE_CAP bytes raises ValueError.
     """
-    roots, saturated = pack_centers(params)
-    run = spherical.greedy_prefix(params.n, params.theta, params.m_per_level, params.max_attempts)
-    level = roots
-    paths = np.arange(len(roots))[:, None]  # each node's (root, *child indices): its seed key
+    n = level.shape[1]
+    sizes = np.full(len(level), len(prefix), dtype=np.intp)
+    sizes[nodes] = counts
+    total = int(sizes.sum())
+    if total * n * 8 > _TABLE_CAP:
+        raise ValueError(
+            f"refusing to grow {total} points of n = {n} coordinates: past the "
+            f"{_TABLE_CAP}-byte table cap"
+        )
+    if not len(nodes):
+        return sizes, (level[:, None, :] + r * prefix).reshape(-1, n)
+    grown = np.ones(len(level), dtype=bool)
+    grown[nodes] = False
+    rows = np.repeat(grown, sizes)
+    out = np.empty((total, n))
+    out[rows] = (level[grown][:, None, :] + r * prefix).reshape(-1, n)
+    out[~rows] = points
+    return sizes, out
+
+
+def _grow_code(params: GalaxyParams, roots, prefix, exceptions, packing_saturated) -> GalaxyCode:
+    """The code grown from its roots one tree level at a time by _grow_level.
+
+    exceptions(first, level, r, paths) gives _grow_level's (nodes, counts,
+    points) for the level of nodes first, first + 1, ... in level order, with
+    centers `level`, radius r and each node's (root, *child indices) in paths.
+    The last level's points are the codewords.  An internal hook with two
+    callers: build_code draws its exceptions (from level, r and paths), and
+    codefile.deserialize looks up the file's (from first and len(level)).
+    """
+    level, first = roots, 0
+    paths = np.arange(len(roots))[:, None]
     centers, counts = [], []
     for height in range(params.t_bar, 0, -1):
-        r = params.r * params.k ** (height - 1)
-        if run.stopped:
-            sizes = np.full(len(level), len(run.accepted), dtype=np.intp)
-            points = (level[:, None, :] + r * run.accepted).reshape(-1, params.n)
-        else:
-            grown = [
-                center + r * spherical.greedy_tail(
-                    run, derive_seed(params.master_seed, "node", *path.tolist())
-                )
-                for center, path in zip(level, paths)
-            ]
-            sizes = np.array([len(g) for g in grown], dtype=np.intp)
-            points = np.concatenate(grown)
+        r = params.level_radius(height)
+        sizes, points = _grow_level(level, r, prefix, *exceptions(first, level, r, paths))
         centers.append(level)
         counts.append(sizes)
+        first += len(level)
         if height > 1:  # each point centers a child; its path adds the point's rank
             parent = np.repeat(np.arange(len(level)), sizes)
             rank = np.arange(len(parent)) - np.repeat(np.cumsum(sizes) - sizes, sizes)
@@ -462,5 +489,33 @@ def build_code(params: GalaxyParams) -> GalaxyCode:
         level = points
     return GalaxyCode(
         params, np.concatenate(centers), np.concatenate(counts), level,
-        packing_saturated=saturated,
+        packing_saturated=packing_saturated,
     )
+
+
+def build_code(params: GalaxyParams) -> GalaxyCode:
+    """Pack root centers and grow every galaxy one tree level at a time.
+
+    The greedy's witness-prefix run is the same at every node, so it runs
+    once.  When it stops, every node's points are its center plus the run's
+    directions scaled to its level's radius, and _grow_code makes them for a
+    whole level at once.  Only when it falls short does each node resume it
+    on its own stream, derive_seed(master_seed, "node", root, *child
+    indices); every node is then an exception that _grow_level is handed.
+    """
+    roots, saturated = pack_centers(params)
+    run = spherical.greedy_prefix(params.n, params.theta, params.m_per_level, params.max_attempts)
+
+    def drawn(first, level, r, paths):
+        if run.stopped:
+            return [], [], None
+        grown = [
+            center + r * spherical.greedy_tail(
+                run, derive_seed(params.master_seed, "node", *path.tolist())
+            )
+            for center, path in zip(level, paths)
+        ]
+        sizes = np.array([len(g) for g in grown], dtype=np.intp)
+        return np.arange(len(level)), sizes, np.concatenate(grown)
+
+    return _grow_code(params, roots, run.accepted, drawn, saturated)

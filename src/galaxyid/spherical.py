@@ -57,26 +57,28 @@ def _simplex_directions(n: int, m: int) -> np.ndarray:
     return out
 
 
-def _witness_candidates(n: int, theta: float) -> np.ndarray:
+def _witness_candidates(n: int, theta: float):
     """Deterministic candidate prefix that realizes known-feasible configurations.
 
     Uniform proposals alone have probability zero of hitting the tight
     configurations (the antipodal pair at theta = pi, the orthoplex at
     theta = pi/2, the regular simplex for obtuse theta), so those are
-    offered first, as the rows of one array.  For obtuse theta the simplex
-    must come before the signed basis (e_1, -e_1, e_2, ...): an accepted
-    antipodal pair blocks every further point.
+    offered first, one vector at a time: the greedy usually stops after a
+    few of the 2n signed basis vectors, so none is made before it is asked
+    for.  For obtuse theta the simplex must come before the signed basis
+    (e_1, -e_1, e_2, ...): an accepted antipodal pair blocks every further
+    point.
     """
     cos_t = math.cos(theta)
-    basis = np.zeros((2 * n, n), dtype=np.float64)
-    basis[0::2] = np.eye(n)
-    basis[1::2] = -np.eye(n)
-    if cos_t >= -_DOT_TOL:
-        return basis
-    m = min(n + 1, _obtuse_ceiling(n, cos_t))
-    if m < 2:
-        return basis
-    return np.concatenate([_simplex_directions(n, m), basis])
+    if cos_t < -_DOT_TOL:
+        m = min(n + 1, _obtuse_ceiling(n, cos_t))
+        if m >= 2:
+            yield from _simplex_directions(n, m)
+    for i in range(n):
+        e = np.zeros(n, dtype=np.float64)
+        e[i] = 1.0
+        yield e
+        yield -e
 
 
 def _obtuse_ceiling(n: int, cos_t: float) -> float:
@@ -170,7 +172,7 @@ def greedy_prefix(n: int, theta: float, target_m: int, max_attempts: int) -> Gre
     cos_t, stop_m = math.cos(theta), max_points(n, theta, target_m)
     accepted: list[np.ndarray] = []
     rejections, stopped = _greedy(
-        accepted, 0, iter(_witness_candidates(n, theta)), cos_t, stop_m, max_attempts
+        accepted, 0, _witness_candidates(n, theta), cos_t, stop_m, max_attempts
     )
     dirs = np.array(accepted, dtype=np.float64).reshape(-1, n)
     dirs.flags.writeable = False  # every node shares it

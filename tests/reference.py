@@ -445,11 +445,18 @@ def _decide_one(deltas, directions, params):
     return shell, slabs, shell & slabs.all(axis=1)
 
 
+def unit_plan(trials):
+    """Each work unit's (first trial, trial count): UNIT_SIZE trials, the last
+    unit the rest."""
+    size = experiments.UNIT_SIZE
+    return [(s, min(size, trials - s)) for s in range(0, trials, size)]
+
+
 def type1_hits(code, params, trials, master_seed):
     """estimate_type1's hits from one decoder call per codeword and unit."""
     directions = unit_directions(code.codewords, code.centers[code.ancestors])
     hits = 0
-    for unit_index, (start, size) in enumerate(experiments._unit_plan(trials)):
+    for unit_index, (start, size) in enumerate(unit_plan(trials)):
         rng = np.random.default_rng(derive_seed(master_seed, "type1", unit_index))
         noise = rng.standard_normal((size, params.n))
         assignment = (start + np.arange(size)) % len(directions)
@@ -469,7 +476,7 @@ def type2_counts(code, strategy, params, trials, master_seed):
     offsets = u[senders] - u[pair_targets]
     meet_rows = experiments._meet_rows(code, pair_targets, senders)
     decision = shell_ct = slab_ct = 0
-    for unit_index, (start, size) in enumerate(experiments._unit_plan(trials)):
+    for unit_index, (start, size) in enumerate(unit_plan(trials)):
         rng = np.random.default_rng(derive_seed(master_seed, "type2", unit_index))
         noise = rng.standard_normal((size, params.n))
         assignment = (start + np.arange(size)) % len(offsets)

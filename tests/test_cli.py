@@ -121,10 +121,9 @@ def test_verify_pass_exit_zero(code_file):
 
 
 def test_verify_displaced_leaf_exits_one(tmp_path, code_file):
-    doc = json.loads(code_file.read_text())
-    u = _block(doc, "codewords")
-    u[0, 0] += 50.0
-    doc["codewords"] = _encoded(u)
+    # root 0 (depth 1: its points are codewords 0-3) listed as an exception
+    # node, with codeword 0 moved
+    doc = _exception_edit(0, _set(0, 0, 50.0, add=True))(json.loads(code_file.read_text()))
     broken = tmp_path / "broken.json"
     broken.write_text(json.dumps(doc))
     res = run_cli("verify", "--code", str(broken), "--json", str(tmp_path / "report.json"))
@@ -195,6 +194,19 @@ def test_simulate_zero_trials_rejected(code_file):
     assert res.returncode == 2
 
 
+@pytest.mark.parametrize("kind", [["--type1"], ["--type2", "--pairs", "cross-galaxy"]],
+                         ids=["type1", "type2"])
+@pytest.mark.parametrize("trials", [10**12, 10**21])
+def test_simulate_refuses_trials_past_the_cap(code_file, kind, trials):
+    # refused before any unit is planned or drawn
+    res = run_cli("simulate", "--code", str(code_file), *kind, "--trials", str(trials),
+                  timeout=30)
+    assert res.returncode == 2, res.stderr
+    assert "Traceback" not in res.stderr
+    assert f"trials must be <= {1 << 30} (the cap on trials per estimate), got {trials}" \
+        in res.stderr
+
+
 def test_simulate_unparsable_code(tmp_path):
     bad = tmp_path / "junk.json"
     bad.write_text("not json")
@@ -215,13 +227,27 @@ def _without(doc, key):
     return {k: v for k, v in doc.items() if k != key}
 
 
-def _counts_edit(change):
-    """An edit applying change() to a copy of the counts list."""
+def _node_points(doc, node):
+    """The points of the node at level-order index `node` of a file's code."""
+    code = codefile.deserialize(json.dumps(doc))
+    rows = np.concatenate([code.centers, code.codewords])
+    start = len(code.roots) + int(code.counts[:node].sum())
+    return rows[start : start + code.counts[node]].copy()
+
+
+def _exceptions_edit(**fields):
+    """An edit setting fields of the 'exceptions' section."""
+    return lambda doc: {**doc, "exceptions": {**doc["exceptions"], **fields}}
+
+
+def _exception_edit(node, change, count=None):
+    """An edit listing node as the only exception, holding change() of its
+    points, and by default as many as it holds."""
 
     def edit(doc):
-        counts = list(doc["counts"])
-        change(counts)
-        return {**doc, "counts": counts}
+        points = change(_node_points(doc, node))
+        counts = [len(points) if count is None else count]
+        return _exceptions_edit(nodes=[node], counts=counts, points=_encoded(points))(doc)
 
     return edit
 
@@ -231,63 +257,106 @@ def _block_edit(name, change):
     return lambda doc: {**doc, name: _encoded(change(_block(doc, name)))}
 
 
-def _set(row, column, value):
+def _set(row, column, value, add=False):
     def change(table):
-        table[row, column] = value
+        table[row, column] = table[row, column] + value if add else value
         return table
 
     return change
 
 
-# The depth-2 code has 6 roots of 4 height-1 nodes of 4 codewords: 30 centers,
-# counts [4] * 30, 96 codewords.  In level order rows 0-5 are the roots and
-# row 6 + 4q + i is node (q, i); node (1, 2) holds codewords 24-27.
-FILL = "counts do not fill t_bar = 2 complete levels for "
+def _next_up(row, column):
+    """A change moving one coordinate of a table up by one ulp."""
+
+    def change(table):
+        table[row, column] = np.nextafter(table[row, column], np.inf)
+        return table
+
+    return change
+
+
+def _v4(doc):
+    """The file's code as code file v4 wrote it: counts and every coordinate."""
+    code = codefile.deserialize(json.dumps(doc))
+    return {"format_version": 4, "params": doc["params"], "achieved": doc["achieved"],
+            "counts": code.counts.tolist(), "centers": _encoded(code.centers),
+            "codewords": _encoded(code.codewords)}
+
+
+def _repeat_first(rows):
+    """An edit of some node's points to `rows` copies of its first row."""
+    return lambda points: np.repeat(points[:1], rows, axis=0)
+
+
+# The depth-2 code has 6 roots of 4 height-1 nodes of 4 codewords, all grown
+# from the 4-point prefix: 30 nodes and 96 codewords.  In level order nodes
+# 0-5 are the roots and node 6 + 4q + i is node (q, i); node (1, 2) holds
+# codewords 24-27.
+RANGE = "holds {} points, not 1 to m_per_level = 4"
+PREFIX = ("'prefix' block ({} directions) is not the 4-direction witness prefix its params "
+          "give here, so the code would not grow as it was built; rebuild the code with "
+          "`galaxyid build`")
 @pytest.mark.parametrize(
     "edit,message",
     [
         (lambda doc: {**doc, "params": _without(doc["params"], "n")}, "params lack 'n'"),
         (lambda doc: {**doc, "params": {**doc["params"], "k": None}}, "param 'k' is not int: None"),
-        (lambda doc: _without(doc, "counts"), "needs a 'counts' list"),
+        (lambda doc: _without(doc, "roots"), "needs a 'roots' string"),
         (lambda doc: [doc], "must hold a JSON object, not list"),
-        (_counts_edit(lambda c: c.pop()),
-         FILL + "30 centers and 96 codewords (the counts have length 29 and sum 116)"),
-        (_counts_edit(lambda c: c.__delitem__(slice(1, None))),
-         FILL + "30 centers and 96 codewords (the counts have length 1 and sum 4)"),
-        (lambda doc: {**doc, "centers": _encoded(_block(doc, "centers").ravel()[:-5])},
-         "'centers' block holds 3800 bytes, not whole rows of n = 16 float64 coordinates"),
-        (_counts_edit(lambda c: c.__setitem__(slice(6, 8), [0, 8])),
-         "node (0, 0) holds 0 points, not 1 to m_per_level = 4"),
-        (lambda doc: {**doc, "counts": []}, "'counts' list is empty"),
-        (_counts_edit(lambda c: c.__setitem__(slice(6, 8), [5, 3])),
-         "node (0, 0) holds 5 points, not 1 to m_per_level = 4"),
-        (_block_edit("codewords", lambda u: np.vstack([u, u[:1]])),
-         FILL + "30 centers and 97 codewords (the counts have length 30 and sum 120)"),
+        (_exceptions_edit(nodes=[6, 7], counts=[4]), "'exceptions' lists 2 nodes and 1 counts"),
+        (lambda doc: {**doc, "prefix": ""}, PREFIX.format(0)),
+        (lambda doc: {**doc, "roots": _encoded(_block(doc, "roots").ravel()[:-5])},
+         "'roots' block holds 728 bytes, not whole rows of n = 16 float64 coordinates"),
+        (_exceptions_edit(nodes=[6], counts=[0]), "exception node 6 " + RANGE.format(0)),
+        (lambda doc: {**doc, "roots": ""}, "'roots' block holds no root"),
+        (_exception_edit(6, _repeat_first(5)), "exception node 6 " + RANGE.format(5)),
+        (_exception_edit(12, _repeat_first(5), count=4),
+         "'exceptions.points' block holds 5 rows, not the 4 its counts give"),
         (lambda doc: {**doc, "format_version": 1}, "unsupported code file format_version 1"),
-        (_block_edit("codewords", _set(24, 3, np.nan)), "node (1, 2) has a non-finite coordinate"),
-        (_block_edit("centers", _set(0, 0, np.inf)), "node (0,) has a non-finite coordinate"),
+        (_exception_edit(12, _set(0, 3, np.nan)), "node (1, 2) has a non-finite coordinate"),
+        (_block_edit("roots", _set(0, 0, np.inf)), "node (0,) has a non-finite coordinate"),
         (lambda doc: {"format_version": 2, "params": doc["params"], "trees": [],
                       "achieved": doc["achieved"]},
-         "unsupported code file format_version 2, expected 4; rebuild the code with "
+         "unsupported code file format_version 2, expected 5; rebuild the code with "
          "`galaxyid build`"),
         (lambda doc: {**doc, "format_version": 3},
-         "unsupported code file format_version 3, expected 4; rebuild the code with "
+         "unsupported code file format_version 3, expected 5; rebuild the code with "
          "`galaxyid build`"),
-        (lambda doc: {**doc, "centers": "!" + doc["centers"][1:]}, "'centers' block is not base64"),
-        (_block_edit("centers", lambda c: c[:-1]),
-         FILL + "29 centers and 96 codewords (the counts have length 30 and sum 120)"),
-        (_counts_edit(lambda c: c.append(4)),
-         FILL + "30 centers and 96 codewords (the counts have length 31 and sum 124)"),
-        (_counts_edit(lambda c: c.__setitem__(0, 4.0)), "counts must be a list of integers"),
-        (_counts_edit(lambda c: c.__setitem__(0, 2**63 - 1)),
-         FILL + f"30 centers and 96 codewords (the counts have length 30 and sum {2**63 + 115})"),
-        (_block_edit("centers", _set(7, 5, -np.inf)), "node (0,) has a non-finite coordinate"),
+        (lambda doc: {**doc, "roots": "!" + doc["roots"][1:]}, "'roots' block is not base64"),
+        (_exception_edit(12, _repeat_first(3), count=4),
+         "'exceptions.points' block holds 3 rows, not the 4 its counts give"),
+        (_exceptions_edit(nodes=[6], counts=[4, 4]), "'exceptions' lists 1 nodes and 2 counts"),
+        (_exceptions_edit(nodes=[6], counts=[4.0]),
+         "'exceptions' nodes and counts must be integers"),
+        (_exceptions_edit(nodes=[6], counts=[2**63 - 1]),
+         "exception node 6 " + RANGE.format(2**63 - 1)),
+        (_exception_edit(0, _set(1, 5, -np.inf)), "node (0,) has a non-finite coordinate"),
+        (_v4, "unsupported code file format_version 4, expected 5; rebuild the code with "
+              "`galaxyid build`"),
+        (_exceptions_edit(nodes=[30], counts=[4], points=_encoded(np.ones((4, 16)))),
+         "exception node 30 is out of range: the code has 30 nodes"),
+        (_exceptions_edit(nodes=[-1], counts=[4], points=_encoded(np.ones((4, 16)))),
+         "exception node -1 is out of range"),
+        (_exceptions_edit(nodes=[2**70], counts=[1], points=_encoded(np.ones(16))),
+         f"exception node {2**70} is out of range"),
+        (_exceptions_edit(nodes=[6, 6], counts=[4, 4]),
+         "'exceptions' nodes must be strictly increasing, got 6 after 6"),
+        (_exceptions_edit(nodes=[7, 6], counts=[4, 4]),
+         "'exceptions' nodes must be strictly increasing, got 6 after 7"),
+        (lambda doc: {**doc, "prefix": _encoded(_block(doc, "prefix").ravel()[:-1])},
+         "'prefix' block holds 504 bytes, not whole rows of n = 16 float64 coordinates"),
+        (_block_edit("prefix", _repeat_first(5)), PREFIX.format(5)),
+        (lambda doc: {**doc, "exceptions": []}, "needs a 'exceptions' object"),
+        (_block_edit("prefix", _next_up(2, 7)), PREFIX.format(4)),
     ],
     ids=["params-without-n", "null-k", "no-trees", "top-level-list", "fewer-children",
          "no-children", "short-point", "empty-points", "empty-trees", "too-many-points",
          "leaf-children", "format-v1", "nan-point", "inf-root-center", "format-v2",
          "format-v3", "bad-base64", "missing-center-row", "extra-root", "float-count",
-         "huge-count", "inf-inner-center"],
+         "huge-count", "inf-inner-center", "format-v4", "exception-past-the-end",
+         "exception-negative", "exception-huge-index", "exception-duplicated",
+         "exception-unsorted", "prefix-partial-row", "prefix-too-many", "exceptions-list",
+         "prefix-one-ulp"],
 )
 def test_malformed_code_file_exits_two(tmp_path, deep_code_file, edit, message):
     bad = tmp_path / "bad.json"
@@ -295,6 +364,7 @@ def test_malformed_code_file_exits_two(tmp_path, deep_code_file, edit, message):
     for command in (["verify"], ["simulate", "--type1", "--trials", "10"], ["rate"]):
         res = run_cli(command[0], "--code", str(bad), *command[1:])
         assert res.returncode == 2, res.stderr
+        assert "Traceback" not in res.stderr
         assert res.stderr.startswith("error: ") and message in res.stderr, res.stderr
 
 

@@ -225,6 +225,76 @@ def test_build_code_structure():
     np.testing.assert_allclose(dist, p.r, rtol=1e-9)
 
 
+@pytest.fixture(scope="module")
+def deep_code():
+    """6 roots of 4 height-1 nodes of 4 codewords: 30 centers, counts [4] * 30,
+    96 codewords.  In level order rows 0-5 are the roots and row 6 + 4q + i is
+    node (q, i); node (1, 2) holds codewords 24-27."""
+    return build_code(small_params(t_bar=2))
+
+
+def _counts_edit(change):
+    """An edit of the (centers, counts, codewords) arrays applying change()
+    to the counts list."""
+
+    def edit(centers, counts, codewords):
+        change(counts)
+        return centers, counts, codewords
+
+    return edit
+
+
+def _set(row, column, value):
+    def change(table):
+        table[row, column] = value
+        return table
+
+    return change
+
+
+FILL = "counts do not fill t_bar = 2 complete levels for "
+@pytest.mark.parametrize(
+    "edit,message",
+    [
+        (_counts_edit(lambda c: c.pop()),
+         FILL + "30 centers and 96 codewords (the counts have length 29 and sum 116)"),
+        (_counts_edit(lambda c: c.__delitem__(slice(1, None))),
+         FILL + "30 centers and 96 codewords (the counts have length 1 and sum 4)"),
+        (_counts_edit(lambda c: c.clear()),
+         FILL + "30 centers and 96 codewords (the counts have length 0 and sum 0)"),
+        (_counts_edit(lambda c: c.__setitem__(slice(6, 8), [0, 8])),
+         "node (0, 0) holds 0 points, not 1 to m_per_level = 4"),
+        (_counts_edit(lambda c: c.__setitem__(slice(6, 8), [5, 3])),
+         "node (0, 0) holds 5 points, not 1 to m_per_level = 4"),
+        (lambda c, n, u: (c, n, np.vstack([u, u[:1]])),
+         FILL + "30 centers and 97 codewords (the counts have length 30 and sum 120)"),
+        (lambda c, n, u: (c[:-1], n, u),
+         FILL + "29 centers and 96 codewords (the counts have length 30 and sum 120)"),
+        (_counts_edit(lambda c: c.append(4)),
+         FILL + "30 centers and 96 codewords (the counts have length 31 and sum 124)"),
+        (_counts_edit(lambda c: c.__setitem__(0, 4.0)), "counts must be a list of integers"),
+        # clipped to C + N + 1 before summing: no overflow
+        (_counts_edit(lambda c: c.__setitem__(0, 2**63 - 1)),
+         FILL + f"30 centers and 96 codewords (the counts have length 30 and sum {2**63 + 115})"),
+        (lambda c, n, u: (c, n, _set(24, 3, np.nan)(u)), "node (1, 2) has a non-finite coordinate"),
+        (lambda c, n, u: (_set(0, 0, np.inf)(c), n, u), "node (0,) has a non-finite coordinate"),
+        (lambda c, n, u: (_set(7, 5, -np.inf)(c), n, u), "node (0,) has a non-finite coordinate"),
+        (lambda c, n, u: (c, n, u[:, :-1]), "codewords have shape (96, 15), not (rows, n = 16)"),
+    ],
+    ids=["fewer-children", "no-children", "no-counts", "empty-points", "too-many-points",
+         "leaf-children", "missing-center-row", "extra-root", "float-count", "huge-count",
+         "nan-point", "inf-root-center", "inf-inner-center", "narrow-codewords"],
+)
+def test_galaxy_code_rejects_malformed_arrays(deep_code, edit, message):
+    # the checks a library caller meets when building a GalaxyCode from arrays
+    centers, counts, codewords = edit(
+        deep_code.centers.copy(), deep_code.counts.tolist(), deep_code.codewords.copy()
+    )
+    with pytest.raises(ValueError) as err:
+        GalaxyCode(deep_code.params, centers, counts, codewords, False)
+    assert message in str(err.value)
+
+
 def _cli_params(*flags):
     args = cli.build_parser().parse_args(["build", *flags, "--out", "-"])
     return cli._params_from_args(args)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -105,8 +106,23 @@ def test_obtuse_ceiling_stops_without_drawing(n, theta, target_m, ceiling):
 @pytest.mark.parametrize("n", [2, 3, 6, 17])
 def test_witness_prefix_matches_the_reference_list(n):
     for theta in (*DESIGN_THETAS, theta_of_k(16), math.pi / 2, math.pi):
-        prefix = spherical._witness_candidates(n, theta)
-        assert prefix.tobytes() == np.asarray(witness_candidates(n, theta)).tobytes()
+        prefix = list(spherical._witness_candidates(n, theta))
+        # bytes tell -0.0 from 0.0: each -e_i has negative zeros
+        assert [v.tobytes() for v in prefix] == [v.tobytes() for v in witness_candidates(n, theta)]
+
+
+def test_greedy_prefix_memory_is_its_directions():
+    # 8 directions of n = 4096, not the 2n x n signed basis (268 MB)
+    n, m = 4096, 8
+    greedy_prefix(n, theta_of_k(16), m, 20000)
+    tracemalloc.start()
+    try:
+        run = greedy_prefix(n, theta_of_k(16), m, 20000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert run.accepted.shape == (m, n)
+    assert peak <= 4 * m * n * 8
 
 
 def _simplex_fits(n, m, cos_t):
