@@ -19,6 +19,7 @@ from . import codefile, reports
 from .channel import DecoderParams
 from .experiments import (
     PairStrategy,
+    _unit_count,
     estimate_type1,
     estimate_type2,
     rate_report,
@@ -202,8 +203,9 @@ def cmd_sweep(args) -> int:
 
     Cells are independent: a cell's estimator seed derives from its own
     parameters, so duplicate cells give identical rows whatever the thread
-    count.  A failure to build, verify or estimate a cell becomes its error
-    row, and the sweep goes on.
+    count.  A trial count past the estimators' cap is refused before the
+    first build; a failure to build, verify or estimate a cell becomes its
+    error row, and the sweep goes on.
     """
     t0 = time.perf_counter()
     try:
@@ -216,6 +218,11 @@ def cmd_sweep(args) -> int:
                          ("--trials-type2", args.trials_type2)):
         if trials < 0:
             raise ValueError(f"{flag} must be >= 0, got {trials}")
+        if trials:  # the estimators' own refusal, before any cell is built
+            try:
+                _unit_count(trials)
+            except ValueError as exc:
+                raise ValueError(f"{flag}: {exc}") from None
     grid = [_params_from_args(args, k=k) for k in ks]
     strategy = PairStrategy(mode=args.pairs)
 

@@ -35,6 +35,10 @@ from .spherical import greedy_prefix
 __all__ = ["FORMAT_VERSION", "serialize", "deserialize", "save", "load"]
 
 FORMAT_VERSION = 5
+# Coordinates re-grown and compared per block when a code is serialized:
+# 512 kB, the size of an estimator's decide() block, so serializing adds
+# little to the codeword table that `build` holds.
+_COMPARE_CELLS = 1 << 16
 
 
 def _enc_block(table: np.ndarray) -> str:
@@ -88,25 +92,29 @@ def _section(doc: dict, name: str, kind: type, decode):
 
 def _exceptions(code: GalaxyCode, prefix: np.ndarray) -> tuple:
     """(level-order indices, point counts, points) of the nodes whose points
-    are not _grow_level's from the prefix, found by one bitwise comparison per
-    level (uint64 views, so -0.0 and 0.0 differ)."""
+    are not _grow_level's from the prefix, found by bitwise comparison (uint64
+    views, so -0.0 and 0.0 differ) in blocks of nodes holding at most
+    _COMPARE_CELLS coordinates, so no temporary outgrows a block."""
     p = code.params
     starts = np.flatnonzero(np.diff(code.heights)) + 1
     bounds = [0, *starts.tolist(), len(code.centers)]
     tables = [code.centers[a:b] for a, b in zip(bounds, bounds[1:])] + [code.codewords]
+    per = max(1, _COMPARE_CELLS // (p.m_per_level * p.n))
     found = []
     for i, height in enumerate(range(p.t_bar, 0, -1)):
-        level, points = tables[i], tables[i + 1]
+        level, points, r = tables[i], tables[i + 1], p.level_radius(height)
         sizes = code.counts[bounds[i] : bounds[i + 1]]
-        same = sizes == len(prefix)
-        whole = same.all()  # as on every prefix-grown code: compare without gathering
-        _, grown = galaxy._grow_level(level if whole else level[same], p.level_radius(height),
-                                      prefix, [], [], None)
-        own = points if whole else points[np.repeat(same, sizes)]
-        equal = own.view(np.uint64) == grown.view(np.uint64)
-        same[same] = equal.reshape(-1, prefix.size).all(axis=1)
-        odd = ~same
-        found.append((bounds[i] + np.flatnonzero(odd), sizes[odd], points[np.repeat(odd, sizes)]))
+        first = np.r_[0, np.cumsum(sizes)]  # each node's first point row
+        for a in range(0, len(level), per):
+            b = min(a + per, len(level))
+            own, size = points[first[a] : first[b]], sizes[a:b]
+            same = size == len(prefix)
+            _, grown = galaxy._grow_level(level[a:b][same], r, prefix, [], [], None)
+            equal = own[np.repeat(same, size)].view(np.uint64) == grown.view(np.uint64)
+            same[same] = equal.reshape(-1, prefix.size).all(axis=1)
+            odd = ~same
+            found.append((bounds[i] + a + np.flatnonzero(odd), size[odd],
+                          own[np.repeat(odd, size)]))
     nodes, counts, points = zip(*found)
     return np.concatenate(nodes), np.concatenate(counts), np.concatenate(points)
 

@@ -10,9 +10,7 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from statistics import NormalDist
 
 import numpy as np
 
@@ -43,11 +41,12 @@ _PAIR_CAP = 20000  # strategies larger than this are subsampled deterministicall
 # instead of running for weeks.
 _TRIAL_CAP = 1 << 30
 _MASK_CELLS = 1 << 20  # (row, codeword) cells per block of a pairwise distance test
-# An estimator holds one (N, t_bar, n) direction table plus, per thread,
-# buffers of at most UNIT_SIZE rows.  Its blocks: gathered (row, level,
-# coordinate) direction cells per decide() call, 512 kB per thread, and the
-# cells of each direction-table fill and cross-galaxy distance block; verify
-# gathers its codeword, node and tile blocks within the same bound.
+# An estimator holds one (N, t_bar, n) direction table plus, per thread, one
+# draw chunk and one decide() block: at most _DECIDE_CELLS gathered (row,
+# level, coordinate) direction cells, 512 kB, and the pair offsets of its
+# rows, fewer cells.  Each direction-table fill and cross-galaxy
+# distance block stays within the same bound, verify gathers its codeword,
+# node and tile blocks within it, and codefile compares in blocks of its size.
 # _MASK_CELLS would gather 8 MB per block and thread: more than the ~5 MB
 # (10 %) peak-RSS bound of the small-mc benchmark workload.
 _DECIDE_CELLS = 1 << 16
@@ -61,6 +60,8 @@ def wilson_interval(hits: int, trials: int, confidence: float = 0.95) -> tuple[f
         raise ValueError(f"trials must be >= 1, got {trials}")
     if not 0 <= hits <= trials:
         raise ValueError(f"hits {hits} outside [0, {trials}]")
+    from statistics import NormalDist  # on first use: it loads fractions and decimal
+
     z = NormalDist().inv_cdf(0.5 + confidence / 2.0)
     phat = hits / trials
     z2 = z * z
@@ -205,6 +206,8 @@ def run_units(worker, n_units: int, threads: int | None) -> list:
     workers = _worker_count(threads, n_units)
     if workers == 1:
         return [worker(i) for i in range(n_units)]
+    from concurrent.futures import ThreadPoolExecutor  # on first use: it loads logging
+
     with ThreadPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(worker, range(n_units)))
 
@@ -243,28 +246,24 @@ def _pair_counts(
     nothing there, and neither does a codeword sent to itself.
     The trials run as n_units = _unit_count(trials) units, and each unit's
     noise comes from the stream (master_seed, tag, unit).  The run holds
-    one (N, t_bar, n) direction table, and each thread at most
-    UNIT_SIZE rows of its unit's pair offsets (row i sends visited pair
-    i mod P), a reused buffer of normals drawn in chunks of _DRAW_CELLS
-    cells (a stream fills the same values in chunks as in one call), and
-    decide() blocks of at most _DECIDE_CELLS gathered direction cells.
+    one (N, t_bar, n) direction table, and each thread a reused buffer of
+    normals drawn in chunks of _DRAW_CELLS cells (a stream fills the same
+    values in chunks as in one call) plus one decide() block: at most
+    _DECIDE_CELLS gathered direction cells, and the pair offsets of its
+    rows (row r of a block sends pair (first trial + r) mod P): formed per
+    block, or, when P is at most a block's rows, gathered from the P
+    offsets, formed once and shared by the threads.
     """
     u = code.codewords
     directions = _direction_table(code)
     step = max(1, _DECIDE_CELLS // directions[0].size)
     chunk = step * max(1, _DRAW_CELLS // (step * params.n))
+    # P <= step: every full block sends each pair, and the P offsets fit in a block
+    shared = u[senders] - u[targets] if senders is not None and len(targets) <= step else None
 
     def run_unit(unit_index: int) -> np.ndarray:
         start = unit_index * UNIT_SIZE
         size = min(UNIT_SIZE, trials - start)
-        visited = (start + np.arange(min(len(targets), size))) % len(targets)
-        unit_targets = targets[visited]
-        if senders is not None:
-            offsets = np.empty((len(visited), params.n))
-            for s in range(0, len(visited), step):
-                p = visited[s : s + step]
-                np.subtract(u[senders[p]], u[targets[p]], out=offsets[s : s + step])
-            unit_meet_rows = meet_rows[visited]
         rng = np.random.default_rng(derive_seed(master_seed, tag, unit_index))
         noise = np.empty((min(chunk, size), params.n))
         counts = np.zeros(3, dtype=np.int64)
@@ -274,13 +273,13 @@ def _pair_counts(
             deltas *= params.sigma
             for s in range(0, len(deltas), step):
                 block = deltas[s : s + step]
-                i = (c + s + np.arange(len(block))) % len(visited)
+                q = (start + c + s + np.arange(len(block))) % len(targets)  # each row's pair
                 if senders is not None:
-                    block += offsets[i]
-                shell, slabs, accept = decide(block, directions[unit_targets[i]], params)
+                    block += shared[q] if shared is not None else u[senders[q]] - u[targets[q]]
+                shell, slabs, accept = decide(block, directions[targets[q]], params)
                 counts[:2] += accept.sum(), shell.sum()
                 if senders is not None:
-                    rows = unit_meet_rows[i]
+                    rows = meet_rows[q]
                     met = rows >= 0
                     counts[2] += slabs[met, rows[met]].sum()
         return counts

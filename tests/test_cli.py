@@ -405,6 +405,34 @@ def test_commands_leave_numpy_ma_out(tmp_path):
     assert res.returncode == 0, res.stderr
 
 
+COMMAND_MODULES_PROBE = """
+import contextlib, io, json, sys
+from galaxyid import cli
+imported = [m for m in ("galaxyid.experiments", "galaxyid.gaussian") if m in sys.modules]
+with contextlib.redirect_stdout(io.StringIO()):
+    assert cli.main(sys.argv[1:]) == 0, sys.argv
+loaded = [m for m in ("concurrent.futures", "statistics", "hashlib") if m in sys.modules]
+print(json.dumps([imported, loaded]))
+"""
+
+
+@pytest.mark.parametrize("command, absent", [
+    (["rate"], ["concurrent.futures", "statistics", "hashlib"]),
+    (["verify"], ["concurrent.futures", "statistics", "hashlib"]),
+    (["simulate", "--type1", "--type2", "--trials", "200", "--threads", "1"],
+     ["concurrent.futures"]),
+], ids=["rate", "verify", "simulate"])
+def test_commands_load_standard_modules_on_first_use(code_file, command, absent):
+    # Each pulls in more (hashlib loads OpenSSL, 3.5 MB of RSS), so a command
+    # loads only those it calls; the benchmark's import probe needs
+    # experiments and gaussian.
+    res = run_python("-c", COMMAND_MODULES_PROBE, *command, "--code", str(code_file))
+    assert res.returncode == 0, res.stderr
+    imported, loaded = json.loads(res.stdout)
+    assert imported == ["galaxyid.experiments", "galaxyid.gaussian"]
+    assert not set(loaded) & set(absent), loaded
+
+
 def test_rate_formula_mode():
     res = run_cli("rate", "--b", "0", "--k-pow2", "3..20")
     assert res.returncode == 0
@@ -524,6 +552,17 @@ def test_sweep_rejects_negative_trials_before_building(monkeypatch, capsys, flag
     out, err = capsys.readouterr()
     assert not out
     assert f"error: {flag} must be >= 0, got -5" in err
+
+
+@pytest.mark.parametrize("flag", ["--trials-type1", "--trials-type2"])
+def test_sweep_refuses_trials_past_the_cap_before_building(monkeypatch, capsys, flag):
+    monkeypatch.setattr(cli, "build_code", lambda params: pytest.fail("a cell was built"))
+    argv = ["sweep", "--n", "16", "--power", "130", "--k-list", "8,9", flag, "2000000000"]
+    assert cli.main(argv) == 2
+    out, err = capsys.readouterr()
+    assert not out
+    assert (f"error: {flag}: trials must be <= {1 << 30} (the cap on trials per estimate), "
+            "got 2000000000") in err
 
 
 def test_sweep_rejects_empty_k_list(capsys):

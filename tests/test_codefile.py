@@ -1,5 +1,7 @@
 import base64
 import json
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -116,10 +118,29 @@ def test_one_ulp_or_zero_sign_is_an_exception(code, data):
         table[row, col] = np.nextafter(old, data.draw(st.sampled_from([-np.inf, np.inf])))
     changed = GalaxyCode(code.params, tables["centers"], code.counts, tables["codewords"],
                          code.packing_saturated)
-    nodes = exception_nodes(roundtrip(changed))
+    cells = data.draw(st.sampled_from([1, 3 * code.params.m_per_level * code.params.n,
+                                       codefile._COMPARE_CELLS]))  # 1, 3 or all nodes a block
+    with mock.patch.object(codefile, "_COMPARE_CELLS", cells):
+        nodes = exception_nodes(roundtrip(changed))
     # the point belongs to the node that owns its row: the parent for a center
     owner = code.parents[row] if name == "centers" else code.ancestors[row, 0]
     assert owner in nodes
+
+
+def test_serialize_memory_is_a_block_not_a_level():
+    # 16384 codewords of n = 64, an 8.4 MB table: each level is re-grown and
+    # compared in blocks, so `build` holds about one codeword table
+    code = build_code(GalaxyParams(n=64, power=1e7, k=16, m_per_level=8, t_bar=3,
+                                   max_roots=32, master_seed=3))
+    serialize(code)
+    tracemalloc.start()
+    try:
+        text = serialize(code)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert exception_nodes(text) == []
+    assert peak <= 4 * 8 * codefile._COMPARE_CELLS <= code.codewords.nbytes // 4
 
 
 def test_coordinates_are_base64_blocks(code):

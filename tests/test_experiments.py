@@ -187,19 +187,23 @@ def table_code():
 
 
 @pytest.mark.parametrize("threads", [1, 2])
-def test_estimators_hold_one_direction_table_plus_unit_buffers(table_code, threads):
+def test_estimators_hold_one_direction_table_plus_draw_and_decide_blocks(table_code, threads):
     """The traced peak of each estimator stays within the (N, t_bar, n)
-    direction table plus two (UNIT_SIZE, n) float64 buffers per worker."""
+    direction table, per worker one draw chunk of _DRAW_CELLS normals and
+    two blocks of _DECIDE_CELLS cells, and a few pair-length arrays: no
+    (UNIT_SIZE, n) table of pair offsets, 8 more blocks per worker here."""
     code, trials = table_code, 2 * experiments.UNIT_SIZE
     n, t_bar = code.params.n, code.params.t_bar
-    bound = 8 * (len(code.codewords) * t_bar * n
-                 + 2 * experiments.UNIT_SIZE * n * _worker_count(threads, 2))
+    per_worker = experiments._DRAW_CELLS + 2 * experiments._DECIDE_CELLS
+    bound = 8 * (len(code.codewords) * t_bar * n + per_worker * _worker_count(threads, 2)
+                 + 4 * experiments._PAIR_CAP)
     dec = DecoderParams.from_galaxy(code.params)
     runs = [lambda: estimate_type1(code, dec, trials, 1, threads)] + [
         lambda mode=mode: estimate_type2(code, PairStrategy(mode=mode), dec, trials, 1, threads)
         for mode in ("same-planet", "cross-galaxy")
     ]
     for run in runs:
+        run()  # the modules an estimator imports on first use are not its working set
         tracemalloc.start()
         try:
             run()

@@ -260,8 +260,10 @@ def assert_kernel_matches_reference(code, strategy, dec, trials, seed):
     """Hits and components of the estimator (type 1 for strategy None) equal
     one decoder call per codeword or pair and unit, in 50-trial units, at 1
     and 2 threads: in decide() blocks of one row with draw chunks of 7 rows,
-    so a unit ends in a short chunk; of three rows with 6-row chunks; and of
-    the default sizes."""
+    so a unit ends in a short chunk; of three rows with 6-row chunks; of 16
+    rows in whole-unit chunks, so a block holds 16, 14 or 2 rows, and P = 7
+    lies below a block's rows (offsets formed once) and P = 25 between a
+    block and a unit (formed per block); and of the default sizes."""
     t_bar, n = code.params.t_bar, code.params.n
     with mock.patch.object(experiments, "UNIT_SIZE", 50):
         if strategy is None:
@@ -270,6 +272,7 @@ def assert_kernel_matches_reference(code, strategy, dec, trials, seed):
             hits, shell_hits, slab_hits = type2_counts(code, strategy, dec, trials, seed)
             expected = hits, {"shell_hits": shell_hits, "decisive_slab_hits": slab_hits}
         for cells, draw in ((1, 7 * n), (3 * t_bar * n, 7 * n),
+                            (16 * t_bar * n, experiments._DRAW_CELLS),
                             (experiments._DECIDE_CELLS, experiments._DRAW_CELLS)):
             with mock.patch.multiple(experiments, _DECIDE_CELLS=cells, _DRAW_CELLS=draw):
                 for threads in (1, 2):
