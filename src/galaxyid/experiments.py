@@ -45,8 +45,8 @@ _MASK_CELLS = 1 << 20  # (row, codeword) cells per block of a pairwise distance 
 # draw chunk and one decide() block: at most _DECIDE_CELLS gathered (row,
 # level, coordinate) direction cells, 512 kB, and the pair offsets of its
 # rows, fewer cells.  Each direction-table fill and cross-galaxy
-# distance block stays within the same bound, verify gathers its codeword,
-# node and tile blocks within it, and codefile compares in blocks of its size.
+# distance block stays within the same bound, and verify gathers its codeword,
+# node and tile blocks within it.
 # _MASK_CELLS would gather 8 MB per block and thread: more than the ~5 MB
 # (10 %) peak-RSS bound of the small-mc benchmark workload.
 _DECIDE_CELLS = 1 << 16
@@ -594,8 +594,6 @@ def verify_structure(code: GalaxyCode, tol: float = 1e-6) -> StructureReport:
     rest tested in stacks of equal-shape tiles: when nothing clears, each
     pair i < j once in O(N^2) time, plus one entry per node pair on a level.
     """
-    if not len(code.codewords):
-        raise ValueError("cannot verify an empty code")
     p, u, c = code.params, code.codewords, code.centers
     report = StructureReport(separation=galaxy.separation_margins(p.k, p.theta))
 
@@ -686,7 +684,7 @@ def rate_report(code: GalaxyCode) -> RateReport:
     return RateReport(
         num_codewords=n_cw,
         num_roots=len(code.roots),
-        rate_achieved=math.log2(n_cw) / (p.n * math.log2(p.n)) if n_cw >= 1 else 0.0,
+        rate_achieved=math.log2(n_cw) / (p.n * math.log2(p.n)),
         m_achieved=int(code.counts.min()),
         packing_saturated=code.packing_saturated,
     )

@@ -4,15 +4,16 @@ A codebook is a saturated greedy packing of root centers inside the power
 ball, each root carrying a depth-t tree of nested spherical codes: a node
 at height h holds a code of radius k^(h-1) * r around its own center, the
 points of which are the centers of the height-(h-1) children (codewords at
-height 1).  A GalaxyCode holds this as arrays: the nodes' centers and point
-counts in level order (the roots, then each height in turn, as the build
-grows them) and the codewords; it derives, for every codeword, the rows of
-its ancestor centers, the chain the hierarchical decoder tests against.
-Every level is grown by one step, _grow_level: each node's points are its
-center plus the shared prefix directions scaled to the level's radius,
-except at exception nodes, whose points are given.  build_code and the
-code-file loader both grow through it, so a loaded code is the built one
-bit for bit.
+height 1).  A GalaxyCode is its root centers and its exception nodes:
+every other node's points are its center plus the shared witness-prefix
+directions scaled to the level's radius, and an exception node's points
+are given.  Its constructor grows every level by one step, _grow_level,
+into the arrays the checks and estimators read: the nodes' centers and
+point counts in level order (the roots, then each height in turn), the
+codewords, and for every codeword the rows of its ancestor centers, the
+chain the hierarchical decoder tests against.  build_code and the
+code-file loader both make a code through it, so a loaded code is the
+built one bit for bit.
 """
 
 from __future__ import annotations
@@ -276,102 +277,123 @@ class GalaxyParams:
 
 @dataclass(frozen=True)
 class GalaxyCode:
-    """A codebook as arrays: every node's center and point count, and the codewords.
+    """A codebook: its root centers and exception nodes, grown into arrays.
 
-    centers (C, n) and counts (C,) list the nodes in level order, as
-    build_code grows them: the roots, then every node one height lower, down
-    to height 1.  A node's points are the next rows of the level below, in
-    order: the centers of its children above height 1, the codewords (N, n)
-    at height 1.  So the roots number R = C + N - sum(counts).  Derived
-    here, and only here: heights and parents (C,), -1 for a root; roots,
-    the first R centers, whose row is the root index; ancestors (N, t_bar),
+    Level order lists the roots, then every node one height lower, down to
+    height 1, each level in the order of its parents' points.  A node's
+    points are its center plus the witness prefix,
+    greedy_prefix(...).accepted, scaled to its level's radius, except at
+    the exception nodes: exceptions = (nodes, counts, points) gives their
+    level-order indices (ascending), point counts and points, one node
+    after another.  The constructor grows every level through _grow_level
+    and derives: centers (C, n) and counts (C,), every node's center and
+    point count in level order; codewords (N, n), the height-1 nodes'
+    points; heights and parents (C,), -1 for a root; ancestors (N, t_bar),
     where ancestors[j, h-1] is the row of centers holding codeword j's
     height-h ancestor (each column is sorted, so a node's codewords form
     one run, and ancestors[j, -1] is j's root index); and degraded (some
-    node holds fewer than m_per_level points).  All arrays are read-only.
-    Counts that do not fill t_bar complete levels of the tables' rows,
-    tables of another width, and a count outside [1, m_per_level] or a
-    non-finite coordinate, named by its node as (root, *child indices),
-    raise ValueError.  build_code and codefile.deserialize make it through
-    _grow_code; a code given other arrays is written to a code file with the
-    nodes that _grow_level would not reproduce as exception nodes.
+    node holds fewer than m_per_level points).  roots, the first R
+    centers, and exceptions are the constructor's own copies; all arrays
+    are read-only.  No root, tables of another width, exception lists of
+    other lengths, not integers, not strictly increasing or out of range,
+    a count outside [1, m_per_level], points of other rows than the counts
+    give, and a non-finite coordinate raise ValueError, naming a node by
+    its level-order index.
     """
 
     params: GalaxyParams
-    centers: np.ndarray
-    counts: np.ndarray
-    codewords: np.ndarray
+    roots: np.ndarray
+    exceptions: tuple
     packing_saturated: bool
+    centers: np.ndarray = field(init=False)
+    counts: np.ndarray = field(init=False)
+    codewords: np.ndarray = field(init=False)
     heights: np.ndarray = field(init=False)
     parents: np.ndarray = field(init=False)
-    roots: np.ndarray = field(init=False)
     ancestors: np.ndarray = field(init=False)
     degraded: bool = field(init=False)
 
     def __post_init__(self):
         p = self.params
-        counts = np.asarray(self.counts)
-        if counts.ndim != 1 or (counts.size and counts.dtype.kind not in "iu"):
-            raise ValueError("counts must be a list of integers")
-        counts = counts.astype(np.intp)
-        tables = {}
-        for name in ("centers", "codewords"):
-            table = tables[name] = np.asarray(getattr(self, name), dtype=np.float64)
+        roots = np.array(self.roots, dtype=np.float64)
+        nodes, counts, points = self.exceptions
+        nodes, counts = np.array(nodes), np.array(counts)
+        points = np.array(points, dtype=np.float64)
+        for name, table in (("roots", roots), ("exception points", points)):
             if table.ndim != 2 or table.shape[1] != p.n:
                 raise ValueError(f"{name} have shape {table.shape}, not (rows, n = {p.n})")
-        n_c, n_w = len(tables["centers"]), len(tables["codewords"])
-        # Row y of the centers, then the codewords (y >= C), is a root for
-        # y < R, else a point of the node v with ends[v - 1] <= y < ends[v].
-        # No node holds more points than there are rows, so clipping only
-        # keeps the sums of malformed counts in range.
-        clipped = np.clip(counts, 0, n_c + n_w + 1)
-        n_roots = n_c + n_w - int(clipped.sum())
-        ends = n_roots + np.cumsum(clipped)
-        bounds = [0, n_roots]  # level L holds rows bounds[L] to bounds[L + 1] - 1
-        for _ in range(1, p.t_bar):
-            last = bounds[-1]
-            bounds.append(int(ends[last - 1]) if bounds[-2] < last <= len(counts) else last)
-        if len(counts) != n_c or bounds[-1] != n_c or (n_c and min(np.diff(bounds)) < 1):
-            raise ValueError(
-                f"counts do not fill t_bar = {p.t_bar} complete levels for {n_c} centers and "
-                f"{n_w} codewords (the counts have length {len(counts)} and sum "
-                f"{sum(counts.tolist())})"
-            )
-
-        def where(row: int) -> tuple:  # (root, *child indices) of a row; counts before it in range
-            path = []
-            while row >= n_roots:
-                parent = int(np.searchsorted(ends[:row], row, side="right"))
-                path.append(row - int(ends[parent] - counts[parent]))
-                row = parent
-            return (row, *reversed(path))
-
+        if not len(roots):
+            raise ValueError("the code has no root")
+        if nodes.ndim != 1 or counts.ndim != 1 or any(
+            a.size and a.dtype.kind not in "iu" for a in (nodes, counts)
+        ):
+            raise ValueError("'exceptions' nodes and counts must be integers")
+        if len(nodes) != len(counts):
+            raise ValueError(f"'exceptions' lists {len(nodes)} nodes and {len(counts)} counts")
         bad = (counts < 1) | (counts > p.m_per_level)
         if bad.any():
-            row = int(bad.argmax())
+            i = int(bad.argmax())
             raise ValueError(
-                f"node {where(row)} holds {counts[row]} points, not 1 to "
+                f"exception node {nodes[i]} holds {counts[i]} points, not 1 to "
                 f"m_per_level = {p.m_per_level}"
             )
-        for first, table in zip((0, n_c), tables.values()):
-            bad = ~np.isfinite(table).all(axis=1)
-            if bad.any():  # a root's center is its own; any other point is its node's
-                path = where(first + int(bad.argmax()))
-                raise ValueError(f"node {path[:-1] or path} has a non-finite coordinate")
-        owner = np.repeat(np.arange(n_c), counts)  # the node of each row past the roots
-        parents = np.concatenate([np.full(n_roots, -1, dtype=np.intp), owner[: n_c - n_roots]])
-        chain = [owner[n_c - n_roots :]]
+        nodes, counts = nodes.astype(np.intp), counts.astype(np.intp)
+        bad = np.diff(nodes) <= 0
+        if bad.any():
+            i = int(bad.argmax())
+            raise ValueError(
+                f"'exceptions' nodes must be strictly increasing, got {nodes[i + 1]} after "
+                f"{nodes[i]}"
+            )
+        if len(nodes) and nodes[0] < 0:
+            raise ValueError(f"exception node {nodes[0]} is out of range")
+        if len(points) != counts.sum():
+            raise ValueError(
+                f"exception points hold {len(points)} rows, not the {counts.sum()} "
+                "their counts give"
+            )
+        bad = ~np.isfinite(roots).all(axis=1)
+        if bad.any():
+            raise ValueError(f"node {bad.argmax()} has a non-finite coordinate")
+
+        prefix = spherical.greedy_prefix(p.n, p.theta, p.m_per_level, p.max_attempts).accepted
+        offsets = np.r_[0, np.cumsum(counts)]
+        levels, sizes, first, hi = [roots], [], 0, 0
+        for height in range(p.t_bar, 0, -1):
+            level = levels[-1]
+            lo, hi = np.searchsorted(nodes, [first, first + len(level)])
+            size, grown = _grow_level(level, p.level_radius(height), prefix, nodes[lo:hi] - first,
+                                      counts[lo:hi], points[offsets[lo] : offsets[hi]])
+            bad = ~np.isfinite(grown).all(axis=1)
+            if bad.any():  # an exception's point, or a center plus the prefix past float range
+                owner = first + np.searchsorted(np.cumsum(size), bad.argmax(), side="right")
+                raise ValueError(f"node {owner} has a non-finite coordinate")
+            first += len(level)
+            levels.append(grown)
+            sizes.append(size)
+        if hi < len(nodes):
+            raise ValueError(
+                f"exception node {nodes[-1]} is out of range: the code has {first} nodes"
+            )
+        n_roots, codewords = len(roots), levels.pop()
+        centers, counts_all = np.concatenate(levels), np.concatenate(sizes)
+        inner = len(centers) - n_roots
+        owner = np.repeat(np.arange(len(centers)), counts_all)  # each non-root row's node
+        parents = np.concatenate([np.full(n_roots, -1, dtype=np.intp), owner[:inner]])
+        chain = [owner[inner:]]
         for _ in range(1, p.t_bar):
             chain.append(parents[chain[-1]])
         derived = dict(
-            tables, counts=counts, parents=parents, roots=tables["centers"][:n_roots],
-            heights=np.repeat(np.arange(p.t_bar, 0, -1), np.diff(bounds)),
-            ancestors=np.stack(chain, axis=1),
+            centers=centers, counts=counts_all, codewords=codewords, parents=parents,
+            roots=centers[:n_roots], ancestors=np.stack(chain, axis=1),
+            heights=np.repeat(np.arange(p.t_bar, 0, -1), [len(level) for level in levels]),
         )
-        for name, value in derived.items():
+        for value in (*derived.values(), nodes, counts, points):
             value.flags.writeable = False
+        for name, value in derived.items():
             object.__setattr__(self, name, value)
-        object.__setattr__(self, "degraded", bool((counts < p.m_per_level).any()))
+        object.__setattr__(self, "exceptions", (nodes, counts, points))
+        object.__setattr__(self, "degraded", bool((counts_all < p.m_per_level).any()))
 
 
 def _band(n: int) -> float:
@@ -390,7 +412,8 @@ def pack_centers(params: GalaxyParams) -> tuple[np.ndarray, bool]:
     or nearer, and only their norms decide, as if all were measured.
     Returns the accepted centers as the rows of one array.  Each root adds
     at most max_points^t_bar codewords; a root that would take that bound
-    on the codeword table past _TABLE_CAP bytes raises ValueError.
+    on the codeword table past _TABLE_CAP bytes raises ValueError, checked
+    before anything is allocated or drawn for it.
     """
     radius = params.pack_radius
     if radius <= 0:
@@ -400,9 +423,12 @@ def pack_centers(params: GalaxyParams) -> tuple[np.ndarray, bool]:
         )
     n = params.n
     leaves = spherical.max_points(n, params.theta, params.m_per_level) ** params.t_bar
+    admitted = _TABLE_CAP // (leaves * n * 8)  # the roots whose subtrees fit under the cap
+    if admitted < 1:
+        raise _refusal(1, leaves, n)
     rng = np.random.default_rng(derive_seed(params.master_seed, "centers"))
     spacing = params.spacing
-    centers = np.empty((min(params.max_roots, _INITIAL_ROOTS), n))
+    centers = np.empty((min(params.max_roots, admitted, _INITIAL_ROOTS), n))
     sq = np.empty(len(centers))  # the accepted centers' squared norms
     band = _band(n)
     count = rejections = 0
@@ -421,11 +447,8 @@ def pack_centers(params: GalaxyParams) -> tuple[np.ndarray, bool]:
             if rejections >= params.saturation_probes:
                 return centers[:count], True
             continue
-        if (count + 1) * leaves * n * 8 > _TABLE_CAP:
-            raise ValueError(
-                f"refusing root {count + 1}: N = {(count + 1) * leaves} codewords of "
-                f"n = {n} coordinates would pass the {_TABLE_CAP}-byte table cap"
-            )
+        if count == admitted:
+            raise _refusal(count + 1, leaves, n)
         if count == len(centers):
             centers, sq = np.concatenate([centers, centers]), np.concatenate([sq, sq])
         centers[count], sq[count] = cand, cand_sq
@@ -434,13 +457,20 @@ def pack_centers(params: GalaxyParams) -> tuple[np.ndarray, bool]:
     return centers[:count], False
 
 
+def _refusal(root: int, leaves: int, n: int) -> ValueError:
+    return ValueError(
+        f"refusing root {root}: N = {root * leaves} codewords of "
+        f"n = {n} coordinates would pass the {_TABLE_CAP}-byte table cap"
+    )
+
+
 def _grow_level(level: np.ndarray, r: float, prefix: np.ndarray, nodes, counts, points):
     """The point counts and points of one level's nodes, one node after another.
 
     Node i's points are level[i] + r * prefix, except at the exception nodes:
     `nodes`, ascending indices into the level, whose point counts and points
-    (one node's after another) are given.  The build and the code-file loader
-    both grow every level here, so a loaded code is bit for bit the built one.
+    (one node's after another) are given.  GalaxyCode grows every level
+    here, so a loaded code is bit for bit the built one.
     A level of points past _TABLE_CAP bytes raises ValueError.
     """
     n = level.shape[1]
@@ -463,59 +493,36 @@ def _grow_level(level: np.ndarray, r: float, prefix: np.ndarray, nodes, counts, 
     return sizes, out
 
 
-def _grow_code(params: GalaxyParams, roots, prefix, exceptions, packing_saturated) -> GalaxyCode:
-    """The code grown from its roots one tree level at a time by _grow_level.
-
-    exceptions(first, level, r, paths) gives _grow_level's (nodes, counts,
-    points) for the level of nodes first, first + 1, ... in level order, with
-    centers `level`, radius r and each node's (root, *child indices) in paths.
-    The last level's points are the codewords.  An internal hook with two
-    callers: build_code draws its exceptions (from level, r and paths), and
-    codefile.deserialize looks up the file's (from first and len(level)).
-    """
-    level, first = roots, 0
-    paths = np.arange(len(roots))[:, None]
-    centers, counts = [], []
-    for height in range(params.t_bar, 0, -1):
-        r = params.level_radius(height)
-        sizes, points = _grow_level(level, r, prefix, *exceptions(first, level, r, paths))
-        centers.append(level)
-        counts.append(sizes)
-        first += len(level)
-        if height > 1:  # each point centers a child; its path adds the point's rank
-            parent = np.repeat(np.arange(len(level)), sizes)
-            rank = np.arange(len(parent)) - np.repeat(np.cumsum(sizes) - sizes, sizes)
-            paths = np.column_stack([paths[parent], rank])
-        level = points
-    return GalaxyCode(
-        params, np.concatenate(centers), np.concatenate(counts), level,
-        packing_saturated=packing_saturated,
-    )
-
-
 def build_code(params: GalaxyParams) -> GalaxyCode:
-    """Pack root centers and grow every galaxy one tree level at a time.
+    """Pack root centers and list the nodes whose points the prefix does not give.
 
     The greedy's witness-prefix run is the same at every node, so it runs
     once.  When it stops, every node's points are its center plus the run's
-    directions scaled to its level's radius, and _grow_code makes them for a
-    whole level at once.  Only when it falls short does each node resume it
-    on its own stream, derive_seed(master_seed, "node", root, *child
-    indices); every node is then an exception that _grow_level is handed.
+    directions scaled to its level's radius: the code has no exception node,
+    and GalaxyCode grows it a whole level at a time.  Only when it falls
+    short does each node resume it, level by level, on its own stream
+    derive_seed(master_seed, "node", root, *child indices).  A node whose
+    draws take a point past the prefix is an exception node; any other
+    holds the prefix's points bit for bit, so it is not listed.
     """
     roots, saturated = pack_centers(params)
     run = spherical.greedy_prefix(params.n, params.theta, params.m_per_level, params.max_attempts)
-
-    def drawn(first, level, r, paths):
-        if run.stopped:
-            return [], [], None
+    nodes, counts, points = [], [], [np.empty((0, params.n))]
+    if run.stopped:
+        return GalaxyCode(params, roots, (nodes, counts, points[0]), saturated)
+    level, paths, first = roots, [(q,) for q in range(len(roots))], 0
+    for height in range(params.t_bar, 0, -1):
+        r = params.level_radius(height)
         grown = [
-            center + r * spherical.greedy_tail(
-                run, derive_seed(params.master_seed, "node", *path.tolist())
-            )
+            center + r * spherical.greedy_tail(run, derive_seed(params.master_seed, "node", *path))
             for center, path in zip(level, paths)
         ]
-        sizes = np.array([len(g) for g in grown], dtype=np.intp)
-        return np.arange(len(level)), sizes, np.concatenate(grown)
-
-    return _grow_code(params, roots, run.accepted, drawn, saturated)
+        for i, g in enumerate(grown):
+            if len(g) != len(run.accepted):
+                nodes.append(first + i)
+                counts.append(len(g))
+                points.append(g)
+        first += len(level)
+        paths = [(*path, i) for path, g in zip(paths, grown) for i in range(len(g))]
+        level = np.concatenate(grown)
+    return GalaxyCode(params, roots, (nodes, counts, np.concatenate(points)), saturated)

@@ -10,7 +10,9 @@ prefix (a node's points and saturation flag), the list-based center
 packing and per-node recursive build (sorted into level order), the
 per-node verification loop and all-pairs scan, the per-codeword and
 per-pair decoder loops and the central-limit approximations the tests
-compare it against, and a random stream that fails on any draw.
+compare it against, and a random stream that fails on any draw.  Codes
+that tests make from edited arrays go through from_arrays, which lists
+every node as an exception.
 """
 
 import math
@@ -38,6 +40,38 @@ from galaxyid.spherical import (
 )
 
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
+
+
+def from_arrays(params, centers, counts, codewords, packing_saturated) -> GalaxyCode:
+    """The code of level-order arrays, such as a test's edited copy of a
+    code's: every node is listed as an exception, so no edit is lost.  The
+    roots are the first R = C + N - sum(counts) centers, and the points the
+    remaining centers, then the codewords."""
+    centers, codewords = np.asarray(centers), np.asarray(codewords)
+    n_roots = len(centers) + len(codewords) - int(np.sum(counts))
+    points = np.concatenate([centers[n_roots:], codewords])
+    exceptions = (np.arange(len(centers)), np.asarray(counts), points)
+    return GalaxyCode(params, centers[:n_roots], exceptions, packing_saturated)
+
+
+def node_points(code, node):
+    """The points of the node at level-order index `node`: the next rows of
+    the level below it, in the centers followed by the codewords."""
+    start = len(code.roots) + int(code.counts[:node].sum())
+    rows = np.arange(start, start + code.counts[node])
+    if rows[-1] < len(code.centers):
+        return code.centers[rows]
+    return code.codewords[rows - len(code.centers)]
+
+
+def assert_same_code(a, b):
+    """Assert two codes hold the same arrays bit for bit, and the same params
+    and flags; their exception lists may differ."""
+    for name in ("centers", "counts", "codewords", "heights", "parents", "roots", "ancestors"):
+        x, y = getattr(a, name), getattr(b, name)
+        assert (x.shape, x.dtype, x.tobytes()) == (y.shape, y.dtype, y.tobytes()), name
+    assert (a.params, a.packing_saturated, a.degraded) == (b.params, b.packing_saturated,
+                                                           b.degraded)
 
 
 def std_normal_pdf(z: float) -> float:
@@ -216,7 +250,7 @@ def stack_galaxies(code, offset):
         moved = roots == q
         u[moved] += u[0] - u[np.flatnonzero(moved)[0]]
         u[moved, 0] += q * offset
-    return GalaxyCode(code.params, code.centers, code.counts, u, code.packing_saturated)
+    return from_arrays(code.params, code.centers, code.counts, u, code.packing_saturated)
 
 
 def witness_candidates(n, theta):
@@ -321,8 +355,8 @@ def build_code_reference(params: GalaxyParams) -> GalaxyCode:
     for root_index, center in enumerate(roots):
         grow(center, params.t_bar, (root_index,))
     order = sorted(range(len(heights)), key=lambda row: -heights[row])
-    return GalaxyCode(params, np.array(centers)[order], np.array(counts)[order],
-                      np.concatenate(leaves), packing_saturated=saturated)
+    return from_arrays(params, np.array(centers)[order], np.array(counts)[order],
+                       np.concatenate(leaves), saturated)
 
 
 def _rounding_band(n):

@@ -15,10 +15,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from galaxyid import cli, codefile
-from galaxyid.galaxy import GalaxyCode, GalaxyParams, theta_of_k
+from galaxyid.galaxy import GalaxyParams, theta_of_k
 from galaxyid.reports import REPORT_COLUMNS
 from galaxyid.seeding import derive_seed
-from reference import reference_violations, stack_galaxies
+from reference import from_arrays, node_points, reference_violations, stack_galaxies
 
 BUILD_ARGS = [
     "--n", "16", "--k", "8", "--b", "0", "--power", "100", "--sigma", "1",
@@ -83,9 +83,10 @@ def test_build_rejects_theta_pi(tmp_path):
     assert not out.exists()
 
 
-def _address_space_3gb():
-    # runs in the child between fork and exec, so the limit is the child's alone
-    resource.setrlimit(resource.RLIMIT_AS, (3 << 30, 3 << 30))
+def _address_space(gib):
+    """A preexec_fn capping the address space at gib GiB: it runs in the child
+    between fork and exec, so the limit is the child's alone."""
+    return lambda: resource.setrlimit(resource.RLIMIT_AS, (gib << 30, gib << 30))
 
 
 def test_build_past_the_table_cap_exits_2(tmp_path):
@@ -94,11 +95,25 @@ def test_build_past_the_table_cap_exits_2(tmp_path):
     out = tmp_path / "x.json"
     res = run_cli("build", "--n", "100000", "--power", "4000", "--k", "8", "--out", str(out),
                   env={**os.environ, "OPENBLAS_NUM_THREADS": "1"},
-                  preexec_fn=_address_space_3gb, timeout=60)
+                  preexec_fn=_address_space(3), timeout=60)
     assert res.returncode == 2, res.stderr
     assert "Traceback" not in res.stderr
     assert "N = 1344 codewords of n = 100000 coordinates" in res.stderr
     assert f"{1 << 30}-byte table cap" in res.stderr
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("n", ["1000000000", "100000000"])
+def test_build_refuses_a_first_root_past_the_table_cap_before_allocating(tmp_path, n):
+    # one root's subtree alone passes the cap: refused before the first
+    # center buffer or candidate of n coordinates is allocated
+    out = tmp_path / "x.json"
+    res = run_cli("build", "--n", n, "--k", "16", "--power", "1e7", "--max-roots", "1",
+                  "--out", str(out), env={**os.environ, "OPENBLAS_NUM_THREADS": "1"},
+                  preexec_fn=_address_space(2), timeout=60)
+    assert res.returncode == 2, res.stderr
+    assert "Traceback" not in res.stderr
+    assert "error: refusing root 1: N = " in res.stderr
     assert not out.exists()
 
 
@@ -140,7 +155,7 @@ def test_verify_json_lists_crowded_violations(tmp_path, code_file):
     u = code.codewords.copy()
     u[1] += 0.9 * (u[2] - u[1])
     code = stack_galaxies(
-        GalaxyCode(code.params, code.centers, code.counts, u, code.packing_saturated), 0.3
+        from_arrays(code.params, code.centers, code.counts, u, code.packing_saturated), 0.3
     )
     crowded = tmp_path / "crowded.json"
     codefile.save(code, crowded)
@@ -227,14 +242,6 @@ def _without(doc, key):
     return {k: v for k, v in doc.items() if k != key}
 
 
-def _node_points(doc, node):
-    """The points of the node at level-order index `node` of a file's code."""
-    code = codefile.deserialize(json.dumps(doc))
-    rows = np.concatenate([code.centers, code.codewords])
-    start = len(code.roots) + int(code.counts[:node].sum())
-    return rows[start : start + code.counts[node]].copy()
-
-
 def _exceptions_edit(**fields):
     """An edit setting fields of the 'exceptions' section."""
     return lambda doc: {**doc, "exceptions": {**doc["exceptions"], **fields}}
@@ -245,11 +252,16 @@ def _exception_edit(node, change, count=None):
     points, and by default as many as it holds."""
 
     def edit(doc):
-        points = change(_node_points(doc, node))
+        points = change(node_points(codefile.deserialize(json.dumps(doc)), node).copy())
         counts = [len(points) if count is None else count]
         return _exceptions_edit(nodes=[node], counts=counts, points=_encoded(points))(doc)
 
     return edit
+
+
+def _param_edit(**values):
+    """An edit setting values of the params record."""
+    return lambda doc: {**doc, "params": {**doc["params"], **values}}
 
 
 def _block_edit(name, change):
@@ -308,13 +320,13 @@ PREFIX = ("'prefix' block ({} directions) is not the 4-direction witness prefix 
         (lambda doc: {**doc, "roots": _encoded(_block(doc, "roots").ravel()[:-5])},
          "'roots' block holds 728 bytes, not whole rows of n = 16 float64 coordinates"),
         (_exceptions_edit(nodes=[6], counts=[0]), "exception node 6 " + RANGE.format(0)),
-        (lambda doc: {**doc, "roots": ""}, "'roots' block holds no root"),
+        (lambda doc: {**doc, "roots": ""}, "the code has no root"),
         (_exception_edit(6, _repeat_first(5)), "exception node 6 " + RANGE.format(5)),
         (_exception_edit(12, _repeat_first(5), count=4),
-         "'exceptions.points' block holds 5 rows, not the 4 its counts give"),
+         "exception points hold 5 rows, not the 4 their counts give"),
         (lambda doc: {**doc, "format_version": 1}, "unsupported code file format_version 1"),
-        (_exception_edit(12, _set(0, 3, np.nan)), "node (1, 2) has a non-finite coordinate"),
-        (_block_edit("roots", _set(0, 0, np.inf)), "node (0,) has a non-finite coordinate"),
+        (_exception_edit(12, _set(0, 3, np.nan)), "node 12 has a non-finite coordinate"),
+        (_block_edit("roots", _set(0, 0, np.inf)), "node 0 has a non-finite coordinate"),
         (lambda doc: {"format_version": 2, "params": doc["params"], "trees": [],
                       "achieved": doc["achieved"]},
          "unsupported code file format_version 2, expected 5; rebuild the code with "
@@ -324,13 +336,13 @@ PREFIX = ("'prefix' block ({} directions) is not the 4-direction witness prefix 
          "`galaxyid build`"),
         (lambda doc: {**doc, "roots": "!" + doc["roots"][1:]}, "'roots' block is not base64"),
         (_exception_edit(12, _repeat_first(3), count=4),
-         "'exceptions.points' block holds 3 rows, not the 4 its counts give"),
+         "exception points hold 3 rows, not the 4 their counts give"),
         (_exceptions_edit(nodes=[6], counts=[4, 4]), "'exceptions' lists 1 nodes and 2 counts"),
         (_exceptions_edit(nodes=[6], counts=[4.0]),
-         "'exceptions' nodes and counts must be integers"),
+         "'exceptions' nodes and counts must be 64-bit integers"),
         (_exceptions_edit(nodes=[6], counts=[2**63 - 1]),
          "exception node 6 " + RANGE.format(2**63 - 1)),
-        (_exception_edit(0, _set(1, 5, -np.inf)), "node (0,) has a non-finite coordinate"),
+        (_exception_edit(0, _set(1, 5, -np.inf)), "node 0 has a non-finite coordinate"),
         (_v4, "unsupported code file format_version 4, expected 5; rebuild the code with "
               "`galaxyid build`"),
         (_exceptions_edit(nodes=[30], counts=[4], points=_encoded(np.ones((4, 16)))),
@@ -338,7 +350,7 @@ PREFIX = ("'prefix' block ({} directions) is not the 4-direction witness prefix 
         (_exceptions_edit(nodes=[-1], counts=[4], points=_encoded(np.ones((4, 16)))),
          "exception node -1 is out of range"),
         (_exceptions_edit(nodes=[2**70], counts=[1], points=_encoded(np.ones(16))),
-         f"exception node {2**70} is out of range"),
+         "'exceptions' nodes and counts must be 64-bit integers"),
         (_exceptions_edit(nodes=[6, 6], counts=[4, 4]),
          "'exceptions' nodes must be strictly increasing, got 6 after 6"),
         (_exceptions_edit(nodes=[7, 6], counts=[4, 4]),
@@ -348,6 +360,17 @@ PREFIX = ("'prefix' block ({} directions) is not the 4-direction witness prefix 
         (_block_edit("prefix", _repeat_first(5)), PREFIX.format(5)),
         (lambda doc: {**doc, "exceptions": []}, "needs a 'exceptions' object"),
         (_block_edit("prefix", _next_up(2, 7)), PREFIX.format(4)),
+        (_param_edit(n=16.5), "param 'n' is not int: 16.5"),
+        (_param_edit(n="16"), "param 'n' is not int: '16'"),
+        (_param_edit(enforce_cross_galaxy_margin="false"),
+         "param 'enforce_cross_galaxy_margin' is not bool: 'false'"),
+        (_param_edit(enforce_cross_galaxy_margin=2),
+         "param 'enforce_cross_galaxy_margin' is not bool: 2"),
+        (_param_edit(power="100"), "param 'power' is not float: '100'"),
+        (lambda doc: {**doc, "achieved": {"packing_saturated": "false"}},
+         "'achieved.packing_saturated' is not a boolean: 'false'"),
+        (lambda doc: {**doc, "achieved": {"packing_saturated": 0}},
+         "'achieved.packing_saturated' is not a boolean: 0"),
     ],
     ids=["params-without-n", "null-k", "no-trees", "top-level-list", "fewer-children",
          "no-children", "short-point", "empty-points", "empty-trees", "too-many-points",
@@ -356,7 +379,8 @@ PREFIX = ("'prefix' block ({} directions) is not the 4-direction witness prefix 
          "huge-count", "inf-inner-center", "format-v4", "exception-past-the-end",
          "exception-negative", "exception-huge-index", "exception-duplicated",
          "exception-unsorted", "prefix-partial-row", "prefix-too-many", "exceptions-list",
-         "prefix-one-ulp"],
+         "prefix-one-ulp", "fractional-int", "string-int", "string-bool", "int-two-as-bool",
+         "string-float", "string-saturated", "int-saturated"],
 )
 def test_malformed_code_file_exits_two(tmp_path, deep_code_file, edit, message):
     bad = tmp_path / "bad.json"

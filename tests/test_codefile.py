@@ -1,7 +1,7 @@
 import base64
 import json
 import tracemalloc
-from unittest import mock
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -13,8 +13,8 @@ from galaxyid.cli import _params_key
 from galaxyid.codefile import FORMAT_VERSION, deserialize, load, save, serialize
 from galaxyid.galaxy import GalaxyCode, GalaxyParams, build_code
 from galaxyid.spherical import greedy_prefix
-from reference import stack_galaxies
-from test_galaxy import BENCHMARK_BUILDS, EQUIVALENCE_GRID, _cli_params
+from reference import assert_same_code, from_arrays, node_points, stack_galaxies
+from test_galaxy import BENCHMARK_BUILDS, EQUIVALENCE_GRID, SHAPED_BUILDS, _cli_params
 from test_verify import one_node_radius, pulled
 
 
@@ -26,17 +26,6 @@ def code():
             max_roots=3, saturation_probes=100,
         )
     )
-
-
-ARRAYS = ("centers", "counts", "codewords", "heights", "parents", "roots", "ancestors")
-
-
-def assert_same_code(a, b):
-    for name in ARRAYS:
-        x, y = getattr(a, name), getattr(b, name)
-        assert (x.shape, x.dtype, x.tobytes()) == (y.shape, y.dtype, y.tobytes()), name
-    assert (a.params, a.packing_saturated, a.degraded) == (b.params, b.packing_saturated,
-                                                           b.degraded)
 
 
 def roundtrip(code):
@@ -96,8 +85,8 @@ def test_code_of_exceptions_only_roundtrips(code):
     n_roots = len(code.roots)
     centers = code.centers.copy()
     centers[n_roots:] += 1e-3
-    moved = GalaxyCode(code.params, centers, code.counts, code.codewords + 2e-3,
-                       code.packing_saturated)
+    moved = from_arrays(code.params, centers, code.counts, code.codewords + 2e-3,
+                        code.packing_saturated)
     assert exception_nodes(roundtrip(moved)) == list(range(len(code.centers)))
 
 
@@ -105,31 +94,28 @@ def test_code_of_exceptions_only_roundtrips(code):
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(data=st.data())
 def test_one_ulp_or_zero_sign_is_an_exception(code, data):
-    tables = {"centers": code.centers.copy(), "codewords": code.codewords.copy()}
-    name = data.draw(st.sampled_from(sorted(tables)))
-    table = tables[name]
-    first = len(code.roots) if name == "centers" else 0  # a root center is stored as it is
-    row = data.draw(st.integers(first, len(table) - 1))
-    col = data.draw(st.integers(0, table.shape[1] - 1))
-    old = table[row, col]
+    # an exception node whose points differ from the grown ones by one ulp, or
+    # by the sign of a zero (-0.0 == 0.0, but not bit for bit), keeps its bits
+    node = data.draw(st.integers(0, len(code.centers) - 1))
+    points = node_points(code, node).copy()
+    row = data.draw(st.integers(0, len(points) - 1))
+    col = data.draw(st.integers(0, points.shape[1] - 1))
+    old = points[row, col]
     if old == 0.0 and data.draw(st.booleans()):
-        table[row, col] = -old  # -0.0 == 0.0, but not bit for bit
+        points[row, col] = -old
     else:
-        table[row, col] = np.nextafter(old, data.draw(st.sampled_from([-np.inf, np.inf])))
-    changed = GalaxyCode(code.params, tables["centers"], code.counts, tables["codewords"],
+        points[row, col] = np.nextafter(old, data.draw(st.sampled_from([-np.inf, np.inf])))
+    changed = GalaxyCode(code.params, code.roots, ([node], [len(points)], points),
                          code.packing_saturated)
-    cells = data.draw(st.sampled_from([1, 3 * code.params.m_per_level * code.params.n,
-                                       codefile._COMPARE_CELLS]))  # 1, 3 or all nodes a block
-    with mock.patch.object(codefile, "_COMPARE_CELLS", cells):
-        nodes = exception_nodes(roundtrip(changed))
-    # the point belongs to the node that owns its row: the parent for a center
-    owner = code.parents[row] if name == "centers" else code.ancestors[row, 0]
-    assert owner in nodes
+    assert node_points(changed, node).view(np.uint64).tolist() == \
+        points.view(np.uint64).tolist()
+    assert exception_nodes(roundtrip(changed)) == [node]
 
 
 def test_serialize_memory_is_a_block_not_a_level():
-    # 16384 codewords of n = 64, an 8.4 MB table: each level is re-grown and
-    # compared in blocks, so `build` holds about one codeword table
+    # 16384 codewords of n = 64, an 8.4 MB table: serialize writes the
+    # code's roots and exception nodes and grows none of it again, so `build`
+    # holds about one codeword table
     code = build_code(GalaxyParams(n=64, power=1e7, k=16, m_per_level=8, t_bar=3,
                                    max_roots=32, master_seed=3))
     serialize(code)
@@ -140,7 +126,7 @@ def test_serialize_memory_is_a_block_not_a_level():
     finally:
         tracemalloc.stop()
     assert exception_nodes(text) == []
-    assert peak <= 4 * 8 * codefile._COMPARE_CELLS <= code.codewords.nbytes // 4
+    assert peak <= 2 << 20 <= code.codewords.nbytes // 4
 
 
 def test_coordinates_are_base64_blocks(code):
@@ -192,8 +178,8 @@ def test_params_record_bytes_fixed():
         max_roots=3, saturation_probes=100,
     )
     point = np.eye(8)[0] * 12.0  # at the root radius r k = 12 from the origin
-    code = GalaxyCode(p, np.array([np.zeros(8), point]), [1, 1],
-                      (point + 1.5 * np.eye(8)[1])[None, :], packing_saturated=False)
+    code = from_arrays(p, np.array([np.zeros(8), point]), [1, 1],
+                       (point + 1.5 * np.eye(8)[1])[None, :], False)
     # little-endian doubles: 12.0 is 00..00 28 40, 1.5 is 00..00 f8 3f; the
     # prefix is the 4-point simplex of k = 8 (sqrt(3)/2 on each vertex's own
     # coordinate, -1/(2 sqrt(3)) on the other three of the first four), and
@@ -232,3 +218,120 @@ def test_params_coerced_by_declared_type(code):
     pd["r_min_coeff"] = 1
     assert deserialize(json.dumps(doc)).params.r_min_coeff == 1.0
     assert type(deserialize(json.dumps(doc)).params.r_min_coeff) is float
+
+
+# JSON values of every kind, each small: what an edited document may hold
+_JSON = st.one_of(
+    st.none(), st.booleans(), st.integers(-3, 40), st.integers(-(2**70), 2**70),
+    st.floats(allow_nan=True, allow_infinity=True), st.text(max_size=4),
+    st.lists(st.integers(-3, 40), max_size=3), st.dictionaries(st.text(max_size=3), st.none(),
+                                                             max_size=1),
+)
+_PARAM = {
+    "int": st.one_of(st.integers(-2, 4), st.integers(-(2**70), 2**70), _JSON),
+    "float": st.one_of(st.floats(-1e3, 1e3), st.sampled_from([0.5, 1.0, 3.0, 1e300]), _JSON),
+    "bool": st.one_of(st.booleans(), st.integers(0, 2), _JSON),
+}
+
+
+def _encoded(values) -> str:
+    return base64.b64encode(np.array(values, dtype="<f8").tobytes()).decode("ascii")
+
+
+def _rows(n):
+    """base64 of 0-12 rows of n coordinates, most of them finite, or of a
+    partial row."""
+    cells = st.integers(0, 12).map(lambda rows: rows * n) | st.integers(0, 3 * n)
+    coords = st.floats(-1e3, 1e3) | st.floats(allow_nan=True, allow_infinity=True)
+    return cells.flatmap(lambda k: st.lists(coords, min_size=k, max_size=k)).map(_encoded)
+
+
+def _editable(ex, n) -> bool:
+    """Whether ex is an exceptions section whose points are those its counts give."""
+    try:
+        return len(ex["nodes"]) == len(ex["counts"]) and all(
+            type(c) is int and 0 <= c <= 20 for c in ex["counts"]
+        ) and len(base64.b64decode(ex["points"], validate=True)) == 8 * n * sum(ex["counts"])
+    except (TypeError, KeyError, ValueError):
+        return False
+
+
+def _exception_edit(draw, ex, n):
+    """ex with one exception node moved, recounted (with as many new points),
+    dropped or added; or with its nodes or counts list edited alone."""
+    nodes, counts = list(ex["nodes"]), list(ex["counts"])
+    points = np.frombuffer(base64.b64decode(ex["points"]), dtype="<f8").reshape(-1, n).tolist()
+    ends = np.cumsum([0] + counts).tolist()
+    i = draw(st.integers(0, len(nodes)))
+    index = st.integers(-3, 40) | st.integers(2**62, 2**70)
+    point = st.lists(st.floats(-1e3, 1e3) | st.just(np.nan), min_size=n, max_size=n)
+    how = draw(st.sampled_from(["move", "recount", "drop", "add", "nodes", "counts"]))
+    if how == "add" or not nodes:
+        nodes.insert(i, draw(index))
+        counts.insert(i, 0)
+        ends.insert(i, ends[i])
+        how = "recount"
+    i = min(i, len(nodes) - 1)
+    if how == "move":
+        nodes[i] = draw(index)
+    elif how == "recount":
+        counts[i] = draw(st.integers(-1, 20))
+        points[ends[i] : ends[i + 1]] = draw(st.lists(point, min_size=max(counts[i], 0),
+                                                      max_size=max(counts[i], 0)))
+    elif how == "drop":
+        del nodes[i], counts[i], points[ends[i] : ends[i + 1]]
+    else:
+        values = nodes if how == "nodes" else counts
+        values[i : i + draw(st.integers(0, 1))] = draw(st.lists(index | _JSON, max_size=2))
+    return {**ex, "nodes": nodes, "counts": counts, "points": _encoded(points)}
+
+
+@st.composite
+def _edited(draw, doc):
+    doc = json.loads(json.dumps(doc))
+    n = doc["params"]["n"]
+    for _ in range(draw(st.integers(1, 3))):
+        part = draw(st.sampled_from(["exception"] * 6 + ["points", "roots", "params", "params",
+                                                         "achieved", "exceptions"]))
+        ex = doc["exceptions"]
+        if part == "exception" and _editable(ex, n):
+            doc["exceptions"] = _exception_edit(draw, ex, n)
+        elif part == "points" and isinstance(ex, dict):
+            ex["points"] = draw(_rows(n) | _JSON)
+        elif part == "roots":
+            doc["roots"] = draw(_rows(n) | _JSON)
+        elif part == "exceptions":
+            doc["exceptions"] = draw(_JSON)
+        elif part == "achieved":
+            doc["achieved"] = draw(st.fixed_dictionaries({"packing_saturated": _JSON}) | _JSON)
+        elif part == "params":
+            field = draw(st.sampled_from(sorted(fields(GalaxyParams), key=lambda f: f.name)))
+            # t_bar stays small: the loader grows every level, and a huge
+            # depth runs for as long as its level radii take to compute
+            kind = field.type.partition(" | ")[0]
+            doc["params"][field.name] = draw(st.integers(-2, 4) if field.name == "t_bar"
+                                             else _PARAM[kind])
+    return doc
+
+
+@pytest.fixture(scope="module")
+def tail_doc():
+    # nodes that draw past the prefix hold uneven counts: exceptions to edit
+    code = build_code(GalaxyParams(**SHAPED_BUILDS["tails-n4"], master_seed=1))
+    doc = json.loads(serialize(code))
+    assert doc["exceptions"]["nodes"]
+    return doc
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow])
+@given(data=st.data())
+def test_loader_raises_only_what_the_cli_maps_to_exit_two(tail_doc, data):
+    # an edited document either loads or raises ValueError or OverflowError,
+    # which `cli.main` reports as exit 2; never TypeError, IndexError or
+    # MemoryError, which would end in a traceback
+    text = json.dumps(data.draw(_edited(tail_doc)))
+    try:
+        deserialize(text)
+    except (ValueError, OverflowError):
+        pass

@@ -17,10 +17,10 @@ from galaxyid.experiments import (
     verify_structure,
     wilson_interval,
 )
-from galaxyid.galaxy import GalaxyCode, GalaxyParams, build_code
+from galaxyid.galaxy import GalaxyParams, build_code
 from galaxyid.gaussian import projection_tail
 from galaxyid.reports import rate_columns
-from reference import index_paths, meet_depth
+from reference import from_arrays, index_paths, meet_depth
 
 
 @pytest.fixture(scope="module")
@@ -222,7 +222,7 @@ def test_verify_structure_passes_fresh(small_code):
 
 def _with(code, centers=None, codewords=None):
     """The code with replaced coordinate tables, everything else derived afresh."""
-    return GalaxyCode(
+    return from_arrays(
         code.params,
         code.centers if centers is None else centers,
         code.counts,
@@ -329,10 +329,10 @@ def test_fault_power_violation(small_code):
 
 
 def test_verify_empty_raises(small_code):
+    # an empty code cannot even be made: GalaxyCode refuses a code with no root
     empty = np.empty((0, small_code.params.n))
-    bad = GalaxyCode(small_code.params, empty, [], empty, small_code.packing_saturated)
-    with pytest.raises(ValueError):
-        verify_structure(bad)
+    with pytest.raises(ValueError, match="the code has no root"):
+        verify_structure(from_arrays(small_code.params, empty, [], empty, False))
 
 
 def test_rate_report(small_code):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from galaxyid import cli, galaxy
+from galaxyid import cli, galaxy, spherical
 from galaxyid.codefile import serialize
 from galaxyid.galaxy import (
     GalaxyCode,
@@ -22,7 +22,14 @@ from galaxyid.galaxy import (
     separation_margins,
     theta_of_k,
 )
-from reference import build_code_reference, index_paths, meet_depth, separation_condition
+from reference import (
+    assert_same_code,
+    build_code_reference,
+    index_paths,
+    meet_depth,
+    node_points,
+    separation_condition,
+)
 
 
 def small_params(**kw):
@@ -233,13 +240,15 @@ def deep_code():
     return build_code(small_params(t_bar=2))
 
 
-def _counts_edit(change):
-    """An edit of the (centers, counts, codewords) arrays applying change()
-    to the counts list."""
+def _listed(node, change=lambda points: points, count=None, **fields):
+    """An edit of (roots, exceptions) listing node as the only exception, holding
+    change() of its points and by default as many as that gives; `fields`
+    replace nodes or counts."""
 
-    def edit(centers, counts, codewords):
-        change(counts)
-        return centers, counts, codewords
+    def edit(code, roots):
+        points = change(node_points(code, node).copy())
+        counts = [len(points) if count is None else count]
+        return roots, {"nodes": [node], "counts": counts, "points": points, **fields}
 
     return edit
 
@@ -252,47 +261,68 @@ def _set(row, column, value):
     return change
 
 
-FILL = "counts do not fill t_bar = 2 complete levels for "
+def _repeat_first(rows):
+    return lambda points: np.repeat(points[:1], rows, axis=0)
+
+
+RANGE = "holds {} points, not 1 to m_per_level = 4"
 @pytest.mark.parametrize(
     "edit,message",
     [
-        (_counts_edit(lambda c: c.pop()),
-         FILL + "30 centers and 96 codewords (the counts have length 29 and sum 116)"),
-        (_counts_edit(lambda c: c.__delitem__(slice(1, None))),
-         FILL + "30 centers and 96 codewords (the counts have length 1 and sum 4)"),
-        (_counts_edit(lambda c: c.clear()),
-         FILL + "30 centers and 96 codewords (the counts have length 0 and sum 0)"),
-        (_counts_edit(lambda c: c.__setitem__(slice(6, 8), [0, 8])),
-         "node (0, 0) holds 0 points, not 1 to m_per_level = 4"),
-        (_counts_edit(lambda c: c.__setitem__(slice(6, 8), [5, 3])),
-         "node (0, 0) holds 5 points, not 1 to m_per_level = 4"),
-        (lambda c, n, u: (c, n, np.vstack([u, u[:1]])),
-         FILL + "30 centers and 97 codewords (the counts have length 30 and sum 120)"),
-        (lambda c, n, u: (c[:-1], n, u),
-         FILL + "29 centers and 96 codewords (the counts have length 30 and sum 120)"),
-        (_counts_edit(lambda c: c.append(4)),
-         FILL + "30 centers and 96 codewords (the counts have length 31 and sum 124)"),
-        (_counts_edit(lambda c: c.__setitem__(0, 4.0)), "counts must be a list of integers"),
-        # clipped to C + N + 1 before summing: no overflow
-        (_counts_edit(lambda c: c.__setitem__(0, 2**63 - 1)),
-         FILL + f"30 centers and 96 codewords (the counts have length 30 and sum {2**63 + 115})"),
-        (lambda c, n, u: (c, n, _set(24, 3, np.nan)(u)), "node (1, 2) has a non-finite coordinate"),
-        (lambda c, n, u: (_set(0, 0, np.inf)(c), n, u), "node (0,) has a non-finite coordinate"),
-        (lambda c, n, u: (_set(7, 5, -np.inf)(c), n, u), "node (0,) has a non-finite coordinate"),
-        (lambda c, n, u: (c, n, u[:, :-1]), "codewords have shape (96, 15), not (rows, n = 16)"),
+        (_listed(6, counts=[]), "'exceptions' lists 1 nodes and 0 counts"),
+        (_listed(12, nodes=[6, 12]), "'exceptions' lists 2 nodes and 1 counts"),
+        (_listed(12, nodes=[12, 6], counts=[4, 4]),
+         "'exceptions' nodes must be strictly increasing, got 6 after 12"),
+        (_listed(6, count=0), "exception node 6 " + RANGE.format(0)),
+        (_listed(6, _repeat_first(5)), "exception node 6 " + RANGE.format(5)),
+        (_listed(12, _repeat_first(5), count=4),
+         "exception points hold 5 rows, not the 4 their counts give"),
+        (_listed(12, _repeat_first(3), count=4),
+         "exception points hold 3 rows, not the 4 their counts give"),
+        (_listed(29, nodes=[30]), "exception node 30 is out of range: the code has 30 nodes"),
+        (_listed(6, count=4.0), "'exceptions' nodes and counts must be integers"),
+        (_listed(6, count=2**63 - 1), "exception node 6 " + RANGE.format(2**63 - 1)),
+        (_listed(12, _set(0, 3, np.nan)), "node 12 has a non-finite coordinate"),
+        (lambda code, roots: (_set(0, 0, np.inf)(roots), {}), "node 0 has a non-finite coordinate"),
+        (_listed(0, _set(1, 5, -np.inf)), "node 0 has a non-finite coordinate"),
+        (_listed(12, lambda points: points[:, :-1]),
+         "exception points have shape (4, 15), not (rows, n = 16)"),
+        (lambda code, roots: (roots[:, :-1], {}), "roots have shape (6, 15), not (rows, n = 16)"),
+        (lambda code, roots: (roots[:0], {}), "the code has no root"),
+        (_listed(6, nodes=[-1]), "exception node -1 is out of range"),
     ],
-    ids=["fewer-children", "no-children", "no-counts", "empty-points", "too-many-points",
+    ids=["no-counts", "fewer-children", "no-children", "empty-points", "too-many-points",
          "leaf-children", "missing-center-row", "extra-root", "float-count", "huge-count",
-         "nan-point", "inf-root-center", "inf-inner-center", "narrow-codewords"],
+         "nan-point", "inf-root-center", "inf-inner-center", "narrow-codewords", "narrow-roots",
+         "no-root", "negative-node"],
 )
 def test_galaxy_code_rejects_malformed_arrays(deep_code, edit, message):
-    # the checks a library caller meets when building a GalaxyCode from arrays
-    centers, counts, codewords = edit(
-        deep_code.centers.copy(), deep_code.counts.tolist(), deep_code.codewords.copy()
-    )
+    # the checks a library caller meets when making a GalaxyCode from its roots
+    # and exception nodes (the code file loader meets them too)
+    roots, fields = edit(deep_code, deep_code.roots.copy())
+    exceptions = {"nodes": [], "counts": [], "points": np.empty((0, 16)), **fields}
     with pytest.raises(ValueError) as err:
-        GalaxyCode(deep_code.params, centers, counts, codewords, False)
+        GalaxyCode(deep_code.params, roots, tuple(exceptions.values()), False)
     assert message in str(err.value)
+
+
+def test_galaxy_code_copies_what_it_is_given(deep_code):
+    # the caller's arrays stay writeable, and editing them leaves the code as it was
+    roots, points = deep_code.roots.copy(), node_points(deep_code, 12).copy()
+    nodes, counts = np.array([12]), np.array([4])
+    code = GalaxyCode(deep_code.params, roots, (nodes, counts, points), False)
+    before = {name: getattr(code, name).copy() for name in ("centers", "codewords", "roots")}
+    for table in (roots, points, nodes, counts):
+        assert table.flags.writeable
+    roots += 1.0
+    points += 1.0
+    nodes[0], counts[0] = 13, 3
+    for name, table in before.items():
+        assert getattr(code, name).tobytes() == table.tobytes(), name
+    assert [a.tolist() for a in code.exceptions[:2]] == [[12], [4]]
+    assert code.exceptions[2].tobytes() == node_points(deep_code, 12).tobytes()
+    for table in (code.roots, code.centers, code.codewords, *code.exceptions):
+        assert not table.flags.writeable
 
 
 def _cli_params(*flags):
@@ -353,9 +383,10 @@ EQUIVALENCE_GRID = {
        for name, flags in BENCHMARK_BUILDS.items() for seed in (100, 107)],
 )
 def test_build_code_matches_per_node_reference(params):
-    # The level-at-a-time build, with its one prefix run, writes the same
-    # code file as every node running the whole greedy loop itself.
-    assert serialize(build_code(params)) == serialize(build_code_reference(params))
+    # The level-at-a-time build, with its one prefix run, grows the same code
+    # as every node running the whole greedy loop itself.  (The reference is
+    # made from arrays, so its file lists every node as an exception.)
+    assert_same_code(build_code(params), build_code_reference(params))
 
 
 @settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -371,7 +402,7 @@ def test_nodes_are_in_level_order(name, seed):
     assert (code.heights[code.parents[n_roots:]] == code.heights[n_roots:] + 1).all()
     assert (np.diff(code.ancestors, axis=0) >= 0).all()
     assert code.ancestors[:, -1].tolist() == index_paths(code)[:, 0].tolist()
-    assert serialize(code) == serialize(build_code_reference(params))
+    assert_same_code(code, build_code_reference(params))
 
 
 def test_build_peak_memory_is_about_the_tables():
@@ -404,6 +435,21 @@ def test_pack_centers_refuses_the_root_that_passes_the_table_cap(monkeypatch):
             message = str(err.value)
             assert f"N = {(held + 1) * leaves} codewords" in message
             assert f"n = {p.n}" in message and str(cap) in message
+
+
+def test_pack_centers_refuses_a_first_root_past_the_cap_before_allocating(monkeypatch):
+    # one root of n = 2^20 would take 8 MB for its candidate alone
+    p = small_params(n=1 << 20, power=4000.0)
+    per_root = spherical.max_points(p.n, p.theta, p.m_per_level) ** p.t_bar * p.n * 8
+    monkeypatch.setattr(galaxy, "_TABLE_CAP", per_root - 1)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=f"refusing root 1: N = {per_root // (8 * p.n)} "):
+            pack_centers(p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_table_cap_admits_the_largest_baseline_build():

@@ -23,10 +23,12 @@ from galaxyid.experiments import (
     select_pairs,
     verify_structure,
 )
-from galaxyid.galaxy import GalaxyCode, GalaxyParams, build_code, pair_distance_lower_bound
+from galaxyid.galaxy import GalaxyParams, build_code, pair_distance_lower_bound
 from galaxyid.seeding import derive_seed
 from reference import (
     NoDraws,
+    assert_same_code,
+    from_arrays,
     index_paths,
     meet_depth,
     reference_violations,
@@ -343,7 +345,7 @@ def test_degenerate_chain_raises_before_any_draw(wide_code):
     code = wide_code
     words = code.codewords.copy()
     words[-1] = code.centers[code.ancestors[-1, 0]]
-    bad = GalaxyCode(code.params, code.centers, code.counts, words, code.packing_saturated)
+    bad = from_arrays(code.params, code.centers, code.counts, words, code.packing_saturated)
     dec = DecoderParams.from_galaxy(code.params)
     with mock.patch.object(experiments.np.random, "default_rng", lambda seed: NoDraws()), \
             mock.patch.object(experiments, "_DECIDE_CELLS", 1):
@@ -365,7 +367,7 @@ def crowded(code, offset, leaf, pull):
     i = leaf % len(u)
     j = i + 1 if i + 1 < len(u) else max(i - 1, 0)
     u[i] += pull * (u[j] - u[i])
-    return GalaxyCode(code.params, code.centers, code.counts, u, code.packing_saturated)
+    return from_arrays(code.params, code.centers, code.counts, u, code.packing_saturated)
 
 
 @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -436,7 +438,7 @@ def test_prune_boundary_matches_reference(code, pick):
     rho = [max(np.linalg.norm(u[rows] - c[x], axis=1)) for x, rows in zip((a, b), below)]
     i, j = below[0][pick % len(below[0])], below[1][pick % len(below[1])]
     u[i], u[j] = c[a] + rho[0] * unit, c[b] - rho[1] * unit
-    code = GalaxyCode(code.params, code.centers, code.counts, u, code.packing_saturated)
+    code = from_arrays(code.params, code.centers, code.counts, u, code.packing_saturated)
     p = code.params
     meet = code.heights[code.parents[a]] if code.parents[a] >= 0 else None
     bound = (p.n ** (p.b + 0.25) / 2.0 if meet is None
@@ -456,8 +458,8 @@ def test_gap_meeting_its_threshold_exactly_is_cleared():
     built = build_code(GalaxyParams(n=8, power=1e8, k=16, m_per_level=3, t_bar=2,
                                     master_seed=1, max_roots=3, saturation_probes=30))
     assert len(built.roots) == 3
-    code = GalaxyCode(built.params, np.zeros_like(built.centers), built.counts,
-                      np.zeros_like(built.codewords), built.packing_saturated)
+    code = from_arrays(built.params, np.zeros_like(built.centers), built.counts,
+                       np.zeros_like(built.codewords), built.packing_saturated)
     floor = code.params.n ** (code.params.b + 0.25) / 2.0
     roots, at_least, blocks = code.ancestors[:, -1], experiments._at_least, []
 
@@ -533,7 +535,4 @@ def test_code_file_round_trip_is_bit_identical(code):
     text = serialize(code)
     back = deserialize(text)
     assert serialize(back) == text
-    assert (back.degraded, back.packing_saturated) == (code.degraded, code.packing_saturated)
-    for name in ("codewords", "centers", "counts", "heights", "parents", "roots", "ancestors"):
-        a, b = getattr(code, name), getattr(back, name)
-        assert (a.shape, a.dtype, a.tobytes()) == (b.shape, b.dtype, b.tobytes()), name
+    assert_same_code(back, code)

@@ -17,9 +17,9 @@ from hypothesis import strategies as st
 
 from galaxyid import cli, codefile, experiments
 from galaxyid.experiments import ANGLE_TOL, verify_structure
-from galaxyid.galaxy import GalaxyCode, GalaxyParams, build_code
+from galaxyid.galaxy import GalaxyParams, build_code, separation_margins
 from galaxyid.spherical import min_pairwise_angle
-from reference import root_of, stack_galaxies, verify_structure_reference
+from reference import from_arrays, root_of, stack_galaxies, verify_structure_reference
 from test_galaxy import (  # wide-build is degraded: m = 4 of 16
     BENCHMARK_BUILDS,
     SHAPED_BUILDS,
@@ -35,8 +35,8 @@ def _code(flags, seed):
 
 
 def _moved(code, centers=None, codewords=None):
-    return GalaxyCode(code.params, code.centers if centers is None else centers, code.counts,
-                      code.codewords if codewords is None else codewords, code.packing_saturated)
+    return from_arrays(code.params, code.centers if centers is None else centers, code.counts,
+                       code.codewords if codewords is None else codewords, code.packing_saturated)
 
 
 def pulled(code):
@@ -161,8 +161,11 @@ def test_angle_at_the_bound_is_reported_as_the_scalar_check_says(code, pick, ste
             break
         theta = math.nextafter(theta, math.inf if theta - ANGLE_TOL < bound else -math.inf)
     assume(theta - ANGLE_TOL == bound)
-    code = GalaxyCode(dataclasses.replace(moved.params, theta=theta), moved.centers,
-                      moved.counts, moved.codewords, moved.packing_saturated)
+    # the turned point may come nearer another point of the node than phi, and
+    # a theta that small fails the separation condition GalaxyParams checks
+    assume(separation_margins(code.params.k, theta)["strict_holds"])
+    code = from_arrays(dataclasses.replace(moved.params, theta=theta), moved.centers,
+                       moved.counts, moved.codewords, moved.packing_saturated)
     report = verify_structure(code)
     root = root_of(code, v)
     found = [f for f in report.angle_violations
