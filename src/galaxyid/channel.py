@@ -22,6 +22,7 @@ from .spherical import as_coords
 __all__ = [
     "DecoderParams",
     "unit_directions",
+    "in_shell",
     "decide",
     "identify",
 ]
@@ -77,21 +78,25 @@ def unit_directions(u: np.ndarray, chains: np.ndarray) -> np.ndarray:
     return dirs / norms
 
 
+def in_shell(deltas: np.ndarray, params: DecoderParams) -> np.ndarray:
+    """Shell mask for rows y - u: the squared norm lies in the shell window,
+    the event on which the chi-square noise statistic concentrates."""
+    sq = np.einsum("ij,ij->i", deltas, deltas)
+    lo, hi = params.shell_bounds
+    return (lo <= sq) & (sq <= hi)
+
+
 def decide(
     deltas: np.ndarray, directions: np.ndarray, params: DecoderParams
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Shell mask, per-level slab masks and decision mask for rows y - u.
+    """Shell mask (in_shell), per-level slab masks and decision mask for rows y - u.
 
     `directions` is a (rows, t_bar, n) block of unit_directions slices: row
-    r is tested against the chain of its own codeword.  The shell window is
-    on the squared norm, the event on which the chi-square noise statistic
-    concentrates.  The projection of y onto the line o-u lies
-    |<y - u, (u - o)/||u - o||>| from u, so each slab test is one inner
-    product per level.
+    r is tested against the chain of its own codeword.  The projection of
+    y onto the line o-u lies |<y - u, (u - o)/||u - o||>| from u, so each
+    slab test is one inner product per level.
     """
-    sq = np.einsum("ij,ij->i", deltas, deltas)
-    lo, hi = params.shell_bounds
-    shell = (lo <= sq) & (sq <= hi)
+    shell = in_shell(deltas, params)
     slabs = np.abs(np.einsum("ri,rli->rl", deltas, directions)) <= params.slab_halfwidth
     return shell, slabs, shell & slabs.all(axis=1)
 

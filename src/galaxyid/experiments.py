@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import galaxy
-from .channel import DecoderParams, decide, unit_directions
+from .channel import DecoderParams, decide, in_shell, unit_directions
 from .galaxy import GalaxyCode, _band
 from .gaussian import projection_tail, shell_prob_cross, shell_prob_miss
 from .seeding import derive_seed
@@ -41,16 +41,15 @@ _PAIR_CAP = 20000  # strategies larger than this are subsampled deterministicall
 # instead of running for weeks.
 _TRIAL_CAP = 1 << 30
 _MASK_CELLS = 1 << 20  # (row, codeword) cells per block of a pairwise distance test
-# An estimator holds one (N, t_bar, n) direction table plus, per thread, one
-# draw chunk and one decide() block: at most _DECIDE_CELLS gathered (row,
-# level, coordinate) direction cells, 512 kB, and the pair offsets of its
-# rows, fewer cells.  Each direction-table fill and cross-galaxy
-# distance block stays within the same bound, and verify gathers its codeword,
-# node and tile blocks within it.
+# An estimator holds the nonzero cells of its (N, t_bar, n) directions plus,
+# per thread, one decide() block: a zeroed scratch of _DECIDE_CELLS (row,
+# level, coordinate) cells at most, 512 kB, that its cells are scattered into,
+# and its rows' normals and pair offsets, fewer cells.  Each direction-table
+# row block and cross-galaxy distance block stays within the same bound, and
+# verify gathers its codeword, node and tile blocks within it.
 # _MASK_CELLS would gather 8 MB per block and thread: more than the ~5 MB
 # (10 %) peak-RSS bound of the small-mc benchmark workload.
 _DECIDE_CELLS = 1 << 16
-_DRAW_CELLS = 1 << 18  # normals per draw chunk, 2 MB per thread at any thread count
 ANGLE_TOL = 1e-9
 
 
@@ -105,7 +104,7 @@ class PairStrategy:
 
     mode: "same-planet" (meet height 1), "same-galaxy-deep" (meet at the
     full depth), "cross-galaxy", or "exhaustive-sample" (seeded sample of
-    `sample_count` ordered pairs of any class).  min_distance filters
+    `sample_count` ordered pairs of any class, at most _PAIR_CAP).  min_distance filters
     cross-galaxy pairs by Euclidean distance.
     """
 
@@ -122,6 +121,9 @@ class PairStrategy:
             raise ValueError("exhaustive-sample requires sample_count")
         if self.sample_count is not None and self.mode != "exhaustive-sample":
             raise ValueError(f"sample_count applies to exhaustive-sample only, not {self.mode}")
+        if self.sample_count is not None and self.sample_count > _PAIR_CAP:
+            raise ValueError(f"sample_count {self.sample_count} exceeds the cap of {_PAIR_CAP} "
+                             "pairs that every pair mode subsamples to")
         if self.min_distance is not None and self.mode != "cross-galaxy":
             raise ValueError(f"min_distance applies to cross-galaxy only, not {self.mode}")
         if self.min_distance is not None and not math.isfinite(self.min_distance):
@@ -212,17 +214,32 @@ def run_units(worker, n_units: int, threads: int | None) -> list:
         return list(pool.map(worker, range(n_units)))
 
 
-def _direction_table(code: GalaxyCode) -> np.ndarray:
-    """unit_directions of every codeword's chain as one (N, t_bar, n) array,
-    filled in row blocks of at most _DECIDE_CELLS cells, so no temporary
-    outgrows a block.  Raises on a degenerate chain, as unit_directions does."""
-    u = code.codewords
-    table = np.empty((len(u), code.ancestors.shape[1], u.shape[1]))
-    step = max(1, _DECIDE_CELLS // table[0].size)
+def _direction_table(code: GalaxyCode) -> tuple[np.ndarray, np.ndarray]:
+    """The nonzero cells of unit_directions along every codeword's chain:
+    (N, K) flat offsets into its (t_bar, n) directions and their values, K
+    the most of any chain (at most t_bar times the most of one direction),
+    a shorter list repeating its first cell.  Directions come in row blocks
+    of at most _DECIDE_CELLS cells, so no temporary outgrows a block.
+    Raises on a degenerate chain, as unit_directions does."""
+    u, anc = code.codewords, code.ancestors
+    chain = anc.shape[1] * u.shape[1]
+    step = max(1, _DECIDE_CELLS // chain)
+    blocks = []
     for s in range(0, len(u), step):
-        rows = slice(s, s + step)
-        table[rows] = unit_directions(u[rows], code.centers[code.ancestors[rows]])
-    return table
+        d = unit_directions(u[s : s + step], code.centers[anc[s : s + step]]).reshape(-1, chain)
+        r, c = np.divmod(np.flatnonzero(d != 0), chain)  # every chain has a nonzero cell
+        count = np.bincount(r, minlength=len(d))
+        first = np.cumsum(count) - count
+        cols = np.repeat(c[first, None], count.max(), axis=1)
+        cols[r, np.arange(len(r)) - first[r]] = c
+        blocks.append((cols, np.take_along_axis(d, cols, 1)))
+    k = max(cells.shape[1] for cells, _ in blocks)
+
+    def padded(a):  # k cells per list, repeating its first
+        return np.concatenate([a, np.repeat(a[:, :1], k - a.shape[1], axis=1)], axis=1)
+
+    return tuple(np.concatenate([a if a.shape[1] == k else padded(a) for a in arrays])
+                 for arrays in zip(*blocks))
 
 
 def _pair_counts(
@@ -233,55 +250,74 @@ def _pair_counts(
     n_units: int,
     master_seed: int,
     threads: int | None,
-    targets: np.ndarray,
+    targets: np.ndarray | None = None,
     senders: np.ndarray | None = None,
     meet_rows: np.ndarray | None = None,
 ) -> tuple[int, int, int]:
     """(accepted, in shell, in decisive slab) counts, summed over the units,
     when trial t sends senders[p] to targets[p]'s decoder, p = t mod P; with
-    no senders, each target sends itself.
+    no targets, codeword t mod N sends itself.
 
     The decisive slab is the one at the pair's meet ancestor, row
     meet_rows[p] of the chain; a pair with none (-1: across roots) counts
     nothing there, and neither does a codeword sent to itself.
     The trials run as n_units = _unit_count(trials) units, and each unit's
-    noise comes from the stream (master_seed, tag, unit).  The run holds
-    one (N, t_bar, n) direction table, and each thread a reused buffer of
-    normals drawn in chunks of _DRAW_CELLS cells (a stream fills the same
-    values in chunks as in one call) plus one decide() block: at most
-    _DECIDE_CELLS gathered direction cells, and the pair offsets of its
-    rows (row r of a block sends pair (first trial + r) mod P): formed per
-    block, or, when P is at most a block's rows, gathered from the P
-    offsets, formed once and shared by the threads.
+    noise comes from the stream (master_seed, tag, unit), drawn block by
+    block (a stream fills the same values in parts as in one call).  The run
+    holds the sparse direction table, and each thread one block of normals
+    and one zeroed (rows, t_bar, n) scratch of at most _DECIDE_CELLS cells:
+    a block's direction cells are scattered into it for decide() and zeroed
+    after, so each projection is the dense einsum on the dense values.  Row
+    r of a block sends pair (first trial + r) mod P.  A type-2 block with no
+    decisive slab and no row in the shell accepts nothing: its slabs are
+    not tested.
     """
     u = code.codewords
-    directions = _direction_table(code)
-    step = max(1, _DECIDE_CELLS // directions[0].size)
-    chunk = step * max(1, _DRAW_CELLS // (step * params.n))
-    # P <= step: every full block sends each pair, and the P offsets fit in a block
-    shared = u[senders] - u[targets] if senders is not None and len(targets) <= step else None
+    offsets, values = _direction_table(code)
+    step = max(1, _DECIDE_CELLS // (code.params.t_bar * params.n))
+    n_pairs = len(u) if targets is None else len(targets)
+
+    def pair_rows(q):  # table rows, sender - target offsets and meet rows of pairs q
+        if targets is None:
+            return q, None, None
+        return targets[q], u[senders[q]] - u[targets[q]], meet_rows[q]
+
+    if n_pairs <= step:  # tiled once to P + step rows, so every block is a view
+        tiled, *tiles = pair_rows(np.arange(n_pairs + step) % n_pairs)
+        offsets, values, span = offsets[tiled], values[tiled], n_pairs + step
+        block_rows = lambda q: [q] + [a if a is None else a[q] for a in tiles]
+    else:  # a block ends at the end of the pair list, so it is a slice of it
+        span, block_rows = n_pairs, pair_rows
 
     def run_unit(unit_index: int) -> np.ndarray:
         start = unit_index * UNIT_SIZE
         size = min(UNIT_SIZE, trials - start)
         rng = np.random.default_rng(derive_seed(master_seed, tag, unit_index))
-        noise = np.empty((min(chunk, size), params.n))
+        noise = np.empty((min(step, size), params.n))
+        scratch = np.zeros((len(noise), code.params.t_bar, params.n))
+        flat, row_base = scratch.reshape(-1), np.arange(len(noise))[:, None] * scratch[0].size
         counts = np.zeros(3, dtype=np.int64)
-        for c in range(0, size, chunk):
-            deltas = noise[: size - c]
-            rng.standard_normal(out=deltas)
-            deltas *= params.sigma
-            for s in range(0, len(deltas), step):
-                block = deltas[s : s + step]
-                q = (start + c + s + np.arange(len(block))) % len(targets)  # each row's pair
-                if senders is not None:
-                    block += shared[q] if shared is not None else u[senders[q]] - u[targets[q]]
-                shell, slabs, accept = decide(block, directions[targets[q]], params)
-                counts[:2] += accept.sum(), shell.sum()
-                if senders is not None:
-                    rows = meet_rows[q]
-                    met = rows >= 0
-                    counts[2] += slabs[met, rows[met]].sum()
+        s = 0
+        while s < size:
+            q = (start + s) % n_pairs
+            rows = min(step, size - s, span - q)
+            s += rows
+            table_rows, shift, meet = block_rows(slice(q, q + rows))
+            block = noise[:rows]
+            rng.standard_normal(out=block)
+            block *= params.sigma
+            if shift is not None:
+                block += shift
+                met = meet >= 0
+                if not met.any() and not in_shell(block, params).any():
+                    continue
+            cells = offsets[table_rows] + row_base[:rows]
+            flat[cells] = values[table_rows]
+            shell, slabs, accept = decide(block, scratch[:rows], params)
+            flat[cells] = 0.0
+            counts[:2] += accept.sum(), shell.sum()
+            if shift is not None:
+                counts[2] += slabs[met, meet[met]].sum()
         return counts
 
     accepted, shell_hits, slab_hits = sum(run_units(run_unit, n_units, threads))
@@ -314,9 +350,7 @@ def estimate_type1(
     """
     bound = shell_prob_miss(params) + code.params.t_bar * _slab_tail(params)
     n_units = _unit_count(trials)
-    every = np.arange(len(code.codewords))
-    accepted, _, _ = _pair_counts(code, "type1", params, trials, n_units, master_seed, threads,
-                                  every)
+    accepted, _, _ = _pair_counts(code, "type1", params, trials, n_units, master_seed, threads)
     return _estimate("type1", trials, trials - accepted, bound, "shell-exact+slab-union",
                      master_seed)
 

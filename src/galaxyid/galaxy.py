@@ -221,6 +221,10 @@ class GalaxyParams:
             object.__setattr__(self, "t_bar", depth_bar(self.n, self.b, self.k))
         if self.t_bar < 1:
             raise ValueError(f"t_bar must be >= 1, got {self.t_bar}")
+        # past it r k^(t_bar - 1) leaves float range; exact at any t_bar, unlike k ** t_bar
+        if self.t_bar - 1 >= 1024 / math.log2(self.k):
+            raise ValueError(f"t_bar must satisfy (t_bar - 1) log2(k) < 1024, got t_bar = "
+                             f"{self.t_bar} at k = {self.k}")
         if self.m_per_level is None:
             csw = spherical.csw_lower_bound(self.n, self.theta)  # may be inf
             object.__setattr__(self, "m_per_level", max(1, math.floor(min(csw, self._M_CAP))))

@@ -3,8 +3,10 @@ import base64
 import json
 import os
 import resource
+import signal
 import subprocess
 import sys
+import threading
 from collections import Counter
 from dataclasses import fields
 from pathlib import Path
@@ -40,10 +42,15 @@ def _encoded(table) -> str:
 PACKAGE_ROOT = str(Path(cli.__file__).resolve().parents[1])
 
 
-def run_python(*args, env=None, **kw):
+def child_env(env=None):
     env = dict(os.environ if env is None else env)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (PACKAGE_ROOT, env.get("PYTHONPATH")) if p)
-    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env, **kw)
+    return env
+
+
+def run_python(*args, env=None, **kw):
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                          env=child_env(env), **kw)
 
 
 def run_cli(*args, env=None, **kw):
@@ -682,6 +689,77 @@ def test_pair_sample_out_of_range_rejected(code_file, count):
     assert res.returncode == 2
     assert f"sample_count {count} outside [1, 552]" in res.stderr
     assert "Traceback" not in res.stderr
+
+
+def run_measured(tmp_path, *args, gib=2, timeout=120):
+    """run_cli with the child's address space capped at gib GiB, returning
+    (exit code, stdout, stderr, the child's own resource usage from os.wait4)."""
+    env = child_env({**os.environ, "OPENBLAS_NUM_THREADS": "1"})
+    out_path, err_path = tmp_path / "stdout.txt", tmp_path / "stderr.txt"
+    with open(out_path, "w") as out, open(err_path, "w") as err:
+        proc = subprocess.Popen([sys.executable, "-m", "galaxyid.cli", *args], stdout=out,
+                                stderr=err, env=env, preexec_fn=_address_space(gib))
+        # os.kill, not proc.kill: Popen would reap the child before wait4 reads its usage
+        killer = threading.Timer(timeout, os.kill, (proc.pid, signal.SIGKILL))
+        killer.start()
+        try:
+            _, status, usage = os.wait4(proc.pid, 0)
+        finally:
+            killer.cancel()
+    proc.returncode = os.waitstatus_to_exitcode(status)
+    return proc.returncode, out_path.read_text(), err_path.read_text(), usage
+
+
+@pytest.fixture(scope="module")
+def ladder_file(tmp_path_factory):
+    """The scale-ladder code at R = 16 roots: n = 256, depth 3, N = 8192."""
+    path = tmp_path_factory.mktemp("ladder") / "r16.json"
+    res = run_cli("build", "--n", "256", "--k", "16", "--m", "8", "--depth", "3",
+                  "--r-min-coeff", "2", "--power", "1e7", "--seed", "5", "--max-roots", "16",
+                  "--out", str(path), timeout=120)
+    assert res.returncode == 0, res.stderr
+    assert "codewords=8192 " in res.stdout
+    return path
+
+
+def test_pair_sample_past_the_cap_rejected(tmp_path, ladder_file):
+    # 8192 codewords form 67 M ordered pairs; the sample may not exceed the
+    # 20 000 pairs every other mode subsamples to
+    args = ["simulate", "--code", str(ladder_file), "--type2", "--pairs", "exhaustive-sample",
+            "--trials", "100"]
+    rc, out, err, _ = run_measured(tmp_path, *args, "--pair-sample", "20001")
+    assert rc == 2, err
+    assert "Traceback" not in err
+    assert "sample_count 20001 exceeds the cap of 20000 pairs" in err
+    assert not out
+    rc, out, err, _ = run_measured(tmp_path, *args, "--pair-sample", "20000")
+    assert rc == 0, err
+    assert len(out.splitlines()) == 2
+
+
+def test_simulate_peaks_near_the_loaded_code(tmp_path, ladder_file):
+    """Neither estimator holds a dense (N, t, n) direction table (50 MB
+    here): each simulate peaks at most 16 MB above rate --code, which only
+    loads the code."""
+    code = ["--code", str(ladder_file)]
+    rc, _, err, loaded = run_measured(tmp_path, "rate", *code)
+    assert rc == 0, err
+    for kind in (["--type1"], ["--type2", "--pairs", "same-planet"]):
+        rc, _, err, usage = run_measured(tmp_path, "simulate", *code, *kind, "--trials", "20000")
+        assert rc == 0, err
+        assert usage.ru_maxrss - loaded.ru_maxrss <= 16 << 10, kind  # kB
+
+
+def test_depth_past_float_range_exits_2_at_once(tmp_path, code_file):
+    # k ** t_bar as an exact int would take longer than any timeout here
+    deep = tmp_path / "deep.json"
+    doc = json.loads(code_file.read_text())
+    deep.write_text(json.dumps({**doc, "params": {**doc["params"], "t_bar": 10**300}}))
+    rc, out, err, usage = run_measured(tmp_path, "rate", "--code", str(deep), timeout=20)
+    assert rc == 2, err
+    assert "Traceback" not in err and not out
+    assert "error: t_bar must satisfy (t_bar - 1) log2(k) < 1024, got t_bar = 1000" in err
+    assert usage.ru_utime + usage.ru_stime < 1.0
 
 
 @pytest.mark.parametrize("flags, message", [

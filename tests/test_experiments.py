@@ -186,17 +186,32 @@ def table_code():
                                    max_roots=8, master_seed=3))
 
 
+def test_direction_table_keeps_three_cells_per_direction(table_code):
+    """Every chain direction of the large-n shape has at most 3 nonzero
+    coordinates (acute theta, +-e_i prefix), so the table holds at most
+    N t_bar 3 offsets and values, against N t_bar n dense cells."""
+    code = table_code
+    offsets, values = experiments._direction_table(code)
+    n_cw, t_bar = len(code.codewords), code.params.t_bar
+    assert offsets.shape == values.shape and offsets.shape[0] == n_cw
+    assert offsets.shape[1] <= t_bar * 3
+    assert offsets.nbytes + values.nbytes <= n_cw * t_bar * 3 * 16
+
+
 @pytest.mark.parametrize("threads", [1, 2])
 def test_estimators_hold_one_direction_table_plus_draw_and_decide_blocks(table_code, threads):
-    """The traced peak of each estimator stays within the (N, t_bar, n)
-    direction table, per worker one draw chunk of _DRAW_CELLS normals and
-    two blocks of _DECIDE_CELLS cells, and a few pair-length arrays: no
-    (UNIT_SIZE, n) table of pair offsets, 8 more blocks per worker here."""
+    """The traced peak of each estimator stays within the sparse direction
+    table twice (its row blocks and their join), a few pair-length arrays,
+    and (2 + 3 workers) blocks of _DECIDE_CELLS cells: the tiles of P pairs
+    at most a block's rows (2 blocks; before the first draw, the table's
+    dense row blocks), and per worker one scratch block, one normals block
+    and the temporaries of decide() and of the block's gathers.  No dense
+    (N, t_bar, n) table, 12 blocks here, and no draw chunk."""
     code, trials = table_code, 2 * experiments.UNIT_SIZE
-    n, t_bar = code.params.n, code.params.t_bar
-    per_worker = experiments._DRAW_CELLS + 2 * experiments._DECIDE_CELLS
-    bound = 8 * (len(code.codewords) * t_bar * n + per_worker * _worker_count(threads, 2)
-                 + 4 * experiments._PAIR_CAP)
+    offsets, values = experiments._direction_table(code)
+    blocks = 2 + 3 * _worker_count(threads, 2)
+    bound = 2 * (offsets.nbytes + values.nbytes) + 8 * (4 * experiments._PAIR_CAP
+                                                        + blocks * experiments._DECIDE_CELLS)
     dec = DecoderParams.from_galaxy(code.params)
     runs = [lambda: estimate_type1(code, dec, trials, 1, threads)] + [
         lambda mode=mode: estimate_type2(code, PairStrategy(mode=mode), dec, trials, 1, threads)

@@ -14,7 +14,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from galaxyid import experiments
-from galaxyid.channel import DecoderParams
+from galaxyid.channel import DecoderParams, unit_directions
 from galaxyid.codefile import deserialize, serialize
 from galaxyid.experiments import (
     PairStrategy,
@@ -261,11 +261,11 @@ def straddling_decoder(code, pairs, spread, width, scale):
 def assert_kernel_matches_reference(code, strategy, dec, trials, seed):
     """Hits and components of the estimator (type 1 for strategy None) equal
     one decoder call per codeword or pair and unit, in 50-trial units, at 1
-    and 2 threads: in decide() blocks of one row with draw chunks of 7 rows,
-    so a unit ends in a short chunk; of three rows with 6-row chunks; of 16
-    rows in whole-unit chunks, so a block holds 16, 14 or 2 rows, and P = 7
-    lies below a block's rows (offsets formed once) and P = 25 between a
-    block and a unit (formed per block); and of the default sizes."""
+    and 2 threads: in decide() blocks of one row; of three rows; of five
+    rows, so a block ends at the wrap of P = 25 or 50 pairs with no cut; of
+    16 rows, so a block holds 16, 14 or 2 rows, and P = 7 lies below a
+    block's rows (the pairs tiled once) and P = 25 between a block and a
+    unit (blocks cut at the end of the pair list); and of the default size."""
     t_bar, n = code.params.t_bar, code.params.n
     with mock.patch.object(experiments, "UNIT_SIZE", 50):
         if strategy is None:
@@ -273,16 +273,42 @@ def assert_kernel_matches_reference(code, strategy, dec, trials, seed):
         else:
             hits, shell_hits, slab_hits = type2_counts(code, strategy, dec, trials, seed)
             expected = hits, {"shell_hits": shell_hits, "decisive_slab_hits": slab_hits}
-        for cells, draw in ((1, 7 * n), (3 * t_bar * n, 7 * n),
-                            (16 * t_bar * n, experiments._DRAW_CELLS),
-                            (experiments._DECIDE_CELLS, experiments._DRAW_CELLS)):
-            with mock.patch.multiple(experiments, _DECIDE_CELLS=cells, _DRAW_CELLS=draw):
+        for rows in (1, 3, 5, 16, None):
+            cells = experiments._DECIDE_CELLS if rows is None else rows * t_bar * n
+            with mock.patch.object(experiments, "_DECIDE_CELLS", cells):
                 for threads in (1, 2):
                     if strategy is None:
                         est = estimate_type1(code, dec, trials, seed, threads)
                     else:
                         est = estimate_type2(code, strategy, dec, trials, seed, threads)
                     assert (est.hits, est.components) == expected
+
+
+def assert_table_scatters_to_unit_directions(code):
+    """_direction_table's cells scattered into zeros give unit_directions bit for bit."""
+    offsets, values = experiments._direction_table(code)
+    u, t_bar, n = code.codewords, code.params.t_bar, code.params.n
+    assert offsets.shape == values.shape == (len(u), offsets.shape[1])
+    dense = np.zeros((len(u), t_bar * n))
+    np.put_along_axis(dense, offsets, values, axis=1)
+    expected = unit_directions(u, code.centers[code.ancestors]).reshape(len(u), -1)
+    assert dense.tobytes() == expected.tobytes()
+    return offsets.shape[1]
+
+
+@SETTINGS
+@given(code=codes())
+def test_direction_table_scatters_to_unit_directions(code):
+    assert_table_scatters_to_unit_directions(code)
+
+
+def test_direction_table_of_drawn_nodes_keeps_every_coordinate():
+    """Nodes that draw past the witness prefix have directions with no zero
+    coordinate, so each list holds the whole (t_bar, n) chain."""
+    code = build_code(GalaxyParams(n=4, k=64, theta=0.9, m_per_level=16, t_bar=3, power=1e8,
+                                   max_roots=3, master_seed=1))
+    assert len(code.exceptions[0])  # nodes whose points the prefix does not give
+    assert assert_table_scatters_to_unit_directions(code) == code.params.t_bar * code.params.n
 
 
 @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
