@@ -3,7 +3,7 @@
 Every command is deterministic given its full argument list; all
 randomness flows from the seed arguments and timing diagnostics go to
 stderr only.  Exit codes: 0 success / structural pass, 1 structural
-violations found by verify, 2 usage or I/O errors.
+violations found by verify, 2 usage or I/O errors, or a run out of memory.
 """
 
 from __future__ import annotations
@@ -323,8 +323,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OverflowError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ValueError, OverflowError, OSError, MemoryError) as exc:
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 2
 
 

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import galaxy
 from .channel import DecoderParams, decide, in_shell, unit_directions
-from .galaxy import GalaxyCode, _band
+from .galaxy import _DECIDE_CELLS, GalaxyCode, _band
 from .gaussian import projection_tail, shell_prob_cross, shell_prob_miss
 from .seeding import derive_seed
 from .spherical import min_pairwise_angle
@@ -41,15 +41,15 @@ _PAIR_CAP = 20000  # strategies larger than this are subsampled deterministicall
 # instead of running for weeks.
 _TRIAL_CAP = 1 << 30
 _MASK_CELLS = 1 << 20  # (row, codeword) cells per block of a pairwise distance test
-# An estimator holds the nonzero cells of its (N, t_bar, n) directions plus,
-# per thread, one decide() block: a zeroed scratch of _DECIDE_CELLS (row,
-# level, coordinate) cells at most, 512 kB, that its cells are scattered into,
-# and its rows' normals and pair offsets, fewer cells.  Each direction-table
-# row block and cross-galaxy distance block stays within the same bound, and
-# verify gathers its codeword, node and tile blocks within it.
+# _DECIDE_CELLS (galaxy's): an estimator holds the nonzero cells of its
+# (N, t_bar, n) directions plus, per thread, one decide() block: a zeroed
+# scratch of _DECIDE_CELLS (row, level, coordinate) cells at most, 512 kB,
+# that its cells are scattered into, and its rows' normals and pair offsets,
+# fewer cells.  Each direction-table row block and cross-galaxy distance
+# block stays within the same bound, and verify grows its codeword, node and
+# tile blocks within it: no command holds the (N, n) codeword table.
 # _MASK_CELLS would gather 8 MB per block and thread: more than the ~5 MB
 # (10 %) peak-RSS bound of the small-mc benchmark workload.
-_DECIDE_CELLS = 1 << 16
 ANGLE_TOL = 1e-9
 
 
@@ -371,7 +371,15 @@ def _tree_layout(code: GalaxyCode) -> tuple[np.ndarray, np.ndarray]:
     return lo, hi
 
 
-def _at_least(u: np.ndarray, sq: np.ndarray, rows, threshold, cols=slice(None)) -> np.ndarray:
+def _sq_norms(u) -> np.ndarray:
+    """Each codeword's squared norm, from one einsum per block of rows: handed
+    the whole row source, einsum would iterate it row by row."""
+    step = max(1, _DECIDE_CELLS // u.shape[1])
+    return np.concatenate([np.einsum("ij,ij->i", rows, rows)
+                           for rows in (u[s : s + step] for s in range(0, len(u), step))])
+
+
+def _at_least(u, sq: np.ndarray, rows, threshold, cols=slice(None)) -> np.ndarray:
     """Mask over (rows, cols) of ||u_i - u_j|| >= threshold; rows and cols index u.
 
     (T, h) and (T, w) index arrays make a (T, h, w) stack of tiles, with a
@@ -423,11 +431,14 @@ def select_pairs(code: GalaxyCode, strategy: PairStrategy, master_seed: int) -> 
 
     filtered = strategy.min_distance is not None
     if filtered:
-        sq = np.einsum("ij,ij->i", u, u)
-        step = max(1, _MASK_CELLS // n_cw)
+        sq = _sq_norms(u)
+        step, width = max(1, _MASK_CELLS // n_cw), max(1, _DECIDE_CELLS // u.shape[1])
 
-        def far(rows):  # outside the target's root
-            return _at_least(u, sq, rows, strategy.min_distance) & (lo[1, rows, None] != lo[1])
+        def far(rows):  # outside the target's root, from column tiles of `width` codewords
+            mask = np.concatenate([_at_least(u, sq, rows, strategy.min_distance,
+                                             slice(s, s + width)) for s in range(0, n_cw, width)],
+                                  axis=1)
+            return mask & (lo[1, rows, None] != lo[1])
 
         counts = np.concatenate(
             [far(np.arange(s, min(s + step, n_cw))).sum(axis=1) for s in range(0, n_cw, step)]
@@ -534,6 +545,16 @@ def _block_pairs(a0, an, b0, bn) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return a0[p] + cell // bn[p], b0[p] + cell % bn[p], p
 
 
+def _tiles(x0, xn, y0, yn, h, w):
+    """The h by w tiles (smaller at the far edges) that cut each rectangle
+    x0 + [0, xn) by y0 + [0, yn): (x0, xn, y0, yn, rectangle) of each tile,
+    rectangle-major."""
+    x, y, e = _block_pairs(0 * h, -(-xn // h), 0 * w, -(-yn // w))
+    tx0, ty0 = x0[e] + x * h[e], y0[e] + y * w[e]
+    return (tx0, np.minimum(h[e], x0[e] + xn[e] - tx0),
+            ty0, np.minimum(w[e], y0[e] + yn[e] - ty0), e)
+
+
 def _close_pairs(code: GalaxyCode, start, rho: np.ndarray, limit: np.ndarray) -> np.ndarray:
     """(i, j, class) columns of every codeword pair i < j closer than
     limit[class], (i, j)-sorted; the class is 0 across roots, else the meet height.
@@ -545,7 +566,10 @@ def _close_pairs(code: GalaxyCode, start, rho: np.ndarray, limit: np.ndarray) ->
     the rounding band; the rest give way to their children's pairs, down to
     height 1.  There they and each height-1 node with itself make codeword
     rectangles, cut into tiles that go to _at_least in stacks of one shape.
-    start locates node points as in verify_structure."""
+    A level's node pairs go in blocks of at most _MASK_CELLS gathered
+    coordinates: a group of pairs wider than a block (the roots, or a node
+    with many children) is cut into row stripes, and a row wider than a
+    block into pieces.  start locates node points as in verify_structure."""
     p, u, c, counts = code.params, code.codewords, code.centers, code.counts
     inner = np.flatnonzero(code.heights > 1)
     g_first, g_size = np.r_[0, start[inner]], np.r_[len(code.roots), counts[inner]]
@@ -558,9 +582,12 @@ def _close_pairs(code: GalaxyCode, start, rho: np.ndarray, limit: np.ndarray) ->
         g = np.flatnonzero(g_height == height)
         x0, xn = np.r_[start[a], g_first[g]], np.r_[counts[a], g_size[g]]
         y0, yn = np.r_[start[b], g_first[g]], np.r_[counts[b], g_size[g]]
-        parent_cls = np.r_[cls, g_class[g]]
-        per = max(1, step // int((xn * yn).max()))
-        kept = []
+        w = np.minimum(yn, step)
+        x0, xn, y0, yn, e = _tiles(x0, xn, y0, yn, np.minimum(xn, np.maximum(1, step // w)), w)
+        up = x0 < y0 + yn - 1  # a tile with no x < y holds no pair of its own
+        x0, xn, y0, yn, parent_cls = x0[up], xn[up], y0[up], yn[up], np.r_[cls, g_class[g]][e[up]]
+        per = max(1, step // int((xn * yn).max(initial=1)))
+        kept = [np.empty((3, 0), dtype=np.intp)]
         for s in range(0, len(x0), per):
             part = slice(s, s + per)
             x, y, q = _block_pairs(x0[part], xn[part], y0[part], yn[part])
@@ -594,13 +621,11 @@ def _close_pairs(code: GalaxyCode, start, rho: np.ndarray, limit: np.ndarray) ->
     gather = _DECIDE_CELLS // p.n  # rows of u
     tw = np.minimum(c1 - c0, max(1, min(_MASK_CELLS, gather // 2)))
     th = np.minimum(f1 - f0, np.maximum(1, np.minimum(_MASK_CELLS // tw, gather - tw)))
-    x, y, q = _block_pairs(0 * th, -(-(f1 - f0) // th), 0 * tw, -(-(c1 - c0) // tw))
-    i0, j0 = f0[q] + x * th[q], c0[q] + y * tw[q]
-    th, tw = np.minimum(th[q], f1[q] - i0), np.minimum(tw[q], c1[q] - j0)
+    i0, th, j0, tw, _ = _tiles(f0, f1 - f0, c0, c1 - c0, th, tw)
     order = np.lexsort((tw, th))  # tiles of one shape go in stacks within the same bounds
     i0, j0, th, tw = i0[order], j0[order], th[order], tw[order]
     shapes = np.flatnonzero(np.r_[True, (th[1:] != th[:-1]) | (tw[1:] != tw[:-1]), True])
-    sq = np.einsum("ij,ij->i", u, u)
+    sq = _sq_norms(u)
     found = [np.empty((3, 0), dtype=np.intp)]
     for s0, s1 in zip(shapes[:-1].tolist(), shapes[1:].tolist()):
         x, y = np.arange(th[s0]), np.arange(tw[s0])
@@ -642,12 +667,12 @@ def verify_structure(code: GalaxyCode, tol: float = 1e-6) -> StructureReport:
     radial = []
     step = max(1, _DECIDE_CELLS // (p.t_bar * p.n))
     for s in range(0, len(u), step):
-        anc = code.ancestors[s : s + step]
-        dist = np.linalg.norm(u[s : s + step, None] - c[anc], axis=2)
+        anc, rows = code.ancestors[s : s + step], u[s : s + step]
+        dist = np.linalg.norm(rows[:, None] - c[anc], axis=2)
         np.maximum.at(rho, anc, dist)
         i, t = np.nonzero((dist < lo - tol) | (dist > hi + tol))
         radial += zip(t.tolist(), (i + s).tolist(), dist[i, t].tolist())
-        norms = np.linalg.norm(u[s : s + step], axis=1)
+        norms = np.linalg.norm(rows, axis=1)
         i = np.flatnonzero(norms > power_cap + tol)
         report.power_violations += [{"codeword": j, "measured": x, "bound": power_cap}
                                     for j, x in zip((i + s).tolist(), norms[i].tolist())]
@@ -698,16 +723,17 @@ def verify_structure(code: GalaxyCode, tol: float = 1e-6) -> StructureReport:
     bound_at = [p.n ** (p.b + 0.25) / 2.0] + [
         galaxy.pair_distance_lower_bound(p.r, p.k, p.theta, t) for t in range(1, p.t_bar + 1)
     ]
-    for i, j, meet in _close_pairs(code, start, rho, np.asarray(bound_at) - tol).T.tolist():
-        found = {
-            "pair": (i, j),
-            "measured": float(np.linalg.norm(u[i] - u[j])),
-            "bound": float(bound_at[meet]),
-        }
-        if meet:
-            report.cond2_violations.append({**found, "meet": meet})
-        else:
-            report.cross_galaxy_violations.append(found)
+    close = _close_pairs(code, start, rho, np.asarray(bound_at) - tol)
+    step = max(1, _DECIDE_CELLS // p.n)
+    for s in range(0, close.shape[1], step):  # each pair's difference, grown in blocks
+        block = close[:, s : s + step]
+        for (i, j, meet), diff in zip(block.T.tolist(), u[block[0]] - u[block[1]]):
+            found = {"pair": (i, j), "measured": float(np.linalg.norm(diff)),
+                     "bound": float(bound_at[meet])}
+            if meet:
+                report.cond2_violations.append({**found, "meet": meet})
+            else:
+                report.cross_galaxy_violations.append(found)
     return report
 
 

@@ -7,13 +7,15 @@ points of which are the centers of the height-(h-1) children (codewords at
 height 1).  A GalaxyCode is its root centers and its exception nodes:
 every other node's points are its center plus the shared witness-prefix
 directions scaled to the level's radius, and an exception node's points
-are given.  Its constructor grows every level by one step, _grow_level,
-into the arrays the checks and estimators read: the nodes' centers and
-point counts in level order (the roots, then each height in turn), the
-codewords, and for every codeword the rows of its ancestor centers, the
-chain the hierarchical decoder tests against.  build_code and the
-code-file loader both make a code through it, so a loaded code is the
-built one bit for bit.
+are given.  Its constructor grows every level above the codewords by one
+step, _grow_level, into the arrays the checks and estimators read: the
+nodes' centers and point counts in level order (the roots, then each
+height in turn), and for every codeword the rows of its ancestor centers,
+the chain the hierarchical decoder tests against.  The codewords
+themselves are grown on demand, a block of rows at a time, from the same
+operands (CodewordRows).  build_code and the code-file loader both make a
+code through the constructor, so a loaded code is the built one bit for
+bit.
 """
 
 from __future__ import annotations
@@ -43,10 +45,13 @@ __all__ = [
 
 _CEIL_GUARD = 1e-9  # absorbs float noise at exact integer depth ratios
 
-# The most bytes of codeword coordinates a build may hold, 1 GiB: packing
-# refuses the root whose subtree could take the table past it.
+# The most bytes a code's (N, n) codeword table may take, 1 GiB, though no
+# command holds it whole: packing refuses the root whose subtree could take
+# the table past it, so the cap bounds N.
 _TABLE_CAP = 1 << 30
 _INITIAL_ROOTS = 64  # pack_centers' first capacity; it doubles as roots are accepted
+# The most cells a kernel gathers or grows at once, 512 kB of float64 (see experiments).
+_DECIDE_CELLS = 1 << 16
 
 
 def theta_of_k(k: int) -> float:
@@ -279,6 +284,51 @@ class GalaxyParams:
         return math.sqrt(self.n * self.power) - self.extent
 
 
+class CodewordRows:
+    """A code's (N, n) codewords as a read-only row source, grown on demand.
+
+    Codeword j is point slot[j] of its height-1 node v = owner[j]: the
+    listed point of an exception node, else centers[v] + (r_1 *
+    prefix)[slot[j]], the operands _grow_level adds, so every row is bit for
+    bit the one a materialized table would hold.  Supports len, shape, and
+    indexing by a slice or by an integer array of any shape (an int gives
+    one row); only the rows asked for are grown.
+    """
+
+    def __init__(self, centers, owner, slot, grown, listed, points):
+        self._centers, self._owner, self._slot = centers, owner, slot
+        self._grown, self._points = grown, points
+        # each node's first row in points, -1 if it is not listed; None if none is
+        self._listed = listed
+        self.shape = (len(owner), centers.shape[1])
+
+    def __len__(self) -> int:
+        return self.shape[0]
+
+    def __array__(self, *args, **kwargs):
+        raise TypeError("codewords are grown on demand: index a block of rows instead")
+
+    def __getitem__(self, index) -> np.ndarray:
+        if isinstance(index, slice):
+            index = np.arange(*index.indices(len(self)))
+        j = np.asarray(index)
+        if j.size and j.dtype.kind not in "iu":
+            raise IndexError(f"codewords take a slice or integer indices, not {index!r}")
+        j = j.astype(np.intp, copy=False)
+        owner, slot = self._owner[j], self._slot[j]  # IndexError past either end
+        if self._listed is None:
+            out = np.take(self._centers, owner, axis=0)
+            out += np.take(self._grown, slot, axis=0)
+            return out
+        owner, slot = owner.reshape(-1), slot.reshape(-1)
+        listed = self._listed[owner]
+        given = listed >= 0
+        out = np.empty((len(owner), self.shape[1]))
+        out[~given] = self._centers[owner[~given]] + self._grown[slot[~given]]
+        out[given] = self._points[listed[given] + slot[given]]
+        return out.reshape(j.shape + (self.shape[1],))
+
+
 @dataclass(frozen=True)
 class GalaxyCode:
     """A codebook: its root centers and exception nodes, grown into arrays.
@@ -289,20 +339,22 @@ class GalaxyCode:
     greedy_prefix(...).accepted, scaled to its level's radius, except at
     the exception nodes: exceptions = (nodes, counts, points) gives their
     level-order indices (ascending), point counts and points, one node
-    after another.  The constructor grows every level through _grow_level
-    and derives: centers (C, n) and counts (C,), every node's center and
-    point count in level order; codewords (N, n), the height-1 nodes'
-    points; heights and parents (C,), -1 for a root; ancestors (N, t_bar),
-    where ancestors[j, h-1] is the row of centers holding codeword j's
-    height-h ancestor (each column is sorted, so a node's codewords form
-    one run, and ancestors[j, -1] is j's root index); and degraded (some
-    node holds fewer than m_per_level points).  roots, the first R
-    centers, and exceptions are the constructor's own copies; all arrays
-    are read-only.  No root, tables of another width, exception lists of
-    other lengths, not integers, not strictly increasing or out of range,
-    a count outside [1, m_per_level], points of other rows than the counts
-    give, and a non-finite coordinate raise ValueError, naming a node by
-    its level-order index.
+    after another.  The constructor grows every level above height 1
+    through _grow_level and derives: centers (C, n) and counts (C,), every
+    node's center and point count in level order; codewords, the height-1
+    nodes' points as a CodewordRows of shape (N, n), grown a block at a
+    time when a kernel asks for them; heights and parents (C,), -1 for a
+    root; ancestors (N, t_bar), where ancestors[j, h-1] is the row of
+    centers holding codeword j's height-h ancestor (each column is sorted,
+    so a node's codewords form one run, and ancestors[j, -1] is j's root
+    index); and degraded (some node holds fewer than m_per_level points).
+    roots, the first R centers, and exceptions are the constructor's own
+    copies; all arrays are read-only.  No root, tables of another width,
+    exception lists of other lengths, not integers, not strictly increasing
+    or out of range, a count outside [1, m_per_level], points of other rows
+    than the counts give, and a non-finite coordinate (the codewords
+    checked in blocks of _DECIDE_CELLS cells) raise ValueError, naming a
+    node by its level-order index.
     """
 
     params: GalaxyParams
@@ -311,7 +363,7 @@ class GalaxyCode:
     packing_saturated: bool
     centers: np.ndarray = field(init=False)
     counts: np.ndarray = field(init=False)
-    codewords: np.ndarray = field(init=False)
+    codewords: CodewordRows = field(init=False)
     heights: np.ndarray = field(init=False)
     parents: np.ndarray = field(init=False)
     ancestors: np.ndarray = field(init=False)
@@ -362,40 +414,71 @@ class GalaxyCode:
 
         prefix = spherical.greedy_prefix(p.n, p.theta, p.m_per_level, p.max_attempts).accepted
         offsets = np.r_[0, np.cumsum(counts)]
-        levels, sizes, first, hi = [roots], [], 0, 0
+        levels, sizes, first = [roots], [], 0
         for height in range(p.t_bar, 0, -1):
             level = levels[-1]
             lo, hi = np.searchsorted(nodes, [first, first + len(level)])
-            size, grown = _grow_level(level, p.level_radius(height), prefix, nodes[lo:hi] - first,
-                                      counts[lo:hi], points[offsets[lo] : offsets[hi]])
-            bad = ~np.isfinite(grown).all(axis=1)
-            if bad.any():  # an exception's point, or a center plus the prefix past float range
-                owner = first + np.searchsorted(np.cumsum(size), bad.argmax(), side="right")
-                raise ValueError(f"node {owner} has a non-finite coordinate")
-            first += len(level)
-            levels.append(grown)
+            size = np.full(len(level), len(prefix), dtype=np.intp)
+            size[nodes[lo:hi] - first] = counts[lo:hi]
+            total = int(size.sum())
+            if total * p.n * 8 > _TABLE_CAP:
+                raise ValueError(
+                    f"refusing to grow {total} points of n = {p.n} coordinates: past the "
+                    f"{_TABLE_CAP}-byte table cap"
+                )
             sizes.append(size)
-        if hi < len(nodes):
-            raise ValueError(
-                f"exception node {nodes[-1]} is out of range: the code has {first} nodes"
-            )
-        n_roots, codewords = len(roots), levels.pop()
-        centers, counts_all = np.concatenate(levels), np.concatenate(sizes)
+            if height > 1:
+                grown = _grow_level(level, p.level_radius(height), prefix, nodes[lo:hi] - first,
+                                    size, points[offsets[lo] : offsets[hi]])
+                bad = ~np.isfinite(grown).all(axis=1)
+                if bad.any():  # an exception's point, or a center plus the prefix past float range
+                    owner = first + np.searchsorted(np.cumsum(size), bad.argmax(), side="right")
+                    raise ValueError(f"node {owner} has a non-finite coordinate")
+                levels.append(grown)
+            first += len(level)
+        n_roots, centers, counts_all = len(roots), np.concatenate(levels), np.concatenate(sizes)
+        slot = np.arange(total) - np.repeat(np.cumsum(size) - size, size)  # in its height-1 node
+        slot = slot.astype(np.min_scalar_type(p.m_per_level))
         inner = len(centers) - n_roots
         owner = np.repeat(np.arange(len(centers)), counts_all)  # each non-root row's node
         parents = np.concatenate([np.full(n_roots, -1, dtype=np.intp), owner[:inner]])
-        chain = [owner[inner:]]
-        for _ in range(1, p.t_bar):
-            chain.append(parents[chain[-1]])
+        ancestors = np.empty((len(owner) - inner, p.t_bar), dtype=np.intp)
+        ancestors[:, 0] = owner[inner:]
+        del owner
+        for h in range(1, p.t_bar):
+            ancestors[:, h] = parents[ancestors[:, h - 1]]
+        listed = None
+        if hi > lo:  # height-1 exception nodes: their points are given, not grown
+            listed = np.full(len(centers), -1, dtype=np.intp)
+            listed[nodes[lo:hi]] = offsets[lo:hi]
         derived = dict(
-            centers=centers, counts=counts_all, codewords=codewords, parents=parents,
-            roots=centers[:n_roots], ancestors=np.stack(chain, axis=1),
+            centers=centers, counts=counts_all, parents=parents, roots=centers[:n_roots],
+            ancestors=ancestors,
             heights=np.repeat(np.arange(p.t_bar, 0, -1), [len(level) for level in levels]),
         )
         for value in (*derived.values(), nodes, counts, points):
             value.flags.writeable = False
+        grown = p.level_radius(1) * prefix
+        codewords = CodewordRows(centers, ancestors[:, 0], slot, grown, listed, points)
+        # The codewords are finite when their listed points are and no center
+        # plus a prefix point can leave float range; else the blocks find the
+        # first that is not.
+        room = np.finfo(np.float64).max / 2 - np.abs(grown).max(initial=0.0)
+        if max(-centers.min(), centers.max()) > room or not np.isfinite(
+                points[offsets[lo] : offsets[hi]]).all():
+            step = max(1, _DECIDE_CELLS // p.n)
+            for s in range(0, len(codewords), step):
+                bad = ~np.isfinite(codewords[s : s + step]).all(axis=1)
+                if bad.any():  # an exception's point, or a center plus the prefix past float range
+                    raise ValueError(f"node {ancestors[s + bad.argmax(), 0]} has a non-finite "
+                                     "coordinate")
+        if hi < len(nodes):
+            raise ValueError(
+                f"exception node {nodes[-1]} is out of range: the code has {first} nodes"
+            )
         for name, value in derived.items():
             object.__setattr__(self, name, value)
+        object.__setattr__(self, "codewords", codewords)
         object.__setattr__(self, "exceptions", (nodes, counts, points))
         object.__setattr__(self, "degraded", bool((counts_all < p.m_per_level).any()))
 
@@ -468,33 +551,25 @@ def _refusal(root: int, leaves: int, n: int) -> ValueError:
     )
 
 
-def _grow_level(level: np.ndarray, r: float, prefix: np.ndarray, nodes, counts, points):
-    """The point counts and points of one level's nodes, one node after another.
+def _grow_level(level: np.ndarray, r: float, prefix: np.ndarray, nodes, sizes, points):
+    """The points of one level's nodes, one node after another.
 
     Node i's points are level[i] + r * prefix, except at the exception nodes:
-    `nodes`, ascending indices into the level, whose point counts and points
-    (one node's after another) are given.  GalaxyCode grows every level
-    here, so a loaded code is bit for bit the built one.
-    A level of points past _TABLE_CAP bytes raises ValueError.
+    `nodes`, ascending indices into the level, whose points (one node's
+    after another) are given; sizes holds every node's point count.
+    GalaxyCode grows every level above the codewords here, and CodewordRows
+    adds the same operands, so a loaded code is bit for bit the built one.
     """
     n = level.shape[1]
-    sizes = np.full(len(level), len(prefix), dtype=np.intp)
-    sizes[nodes] = counts
-    total = int(sizes.sum())
-    if total * n * 8 > _TABLE_CAP:
-        raise ValueError(
-            f"refusing to grow {total} points of n = {n} coordinates: past the "
-            f"{_TABLE_CAP}-byte table cap"
-        )
     if not len(nodes):
-        return sizes, (level[:, None, :] + r * prefix).reshape(-1, n)
+        return (level[:, None, :] + r * prefix).reshape(-1, n)
     grown = np.ones(len(level), dtype=bool)
     grown[nodes] = False
     rows = np.repeat(grown, sizes)
-    out = np.empty((total, n))
+    out = np.empty((len(rows), n))
     out[rows] = (level[grown][:, None, :] + r * prefix).reshape(-1, n)
     out[~rows] = points
-    return sizes, out
+    return out
 
 
 def build_code(params: GalaxyParams) -> GalaxyCode:
@@ -504,29 +579,39 @@ def build_code(params: GalaxyParams) -> GalaxyCode:
     once.  When it stops, every node's points are its center plus the run's
     directions scaled to its level's radius: the code has no exception node,
     and GalaxyCode grows it a whole level at a time.  Only when it falls
-    short does each node resume it, level by level, on its own stream
-    derive_seed(master_seed, "node", root, *child indices).  A node whose
-    draws take a point past the prefix is an exception node; any other
-    holds the prefix's points bit for bit, so it is not listed.
+    short does each node resume it (_exception_nodes).
     """
     roots, saturated = pack_centers(params)
     run = spherical.greedy_prefix(params.n, params.theta, params.m_per_level, params.max_attempts)
-    nodes, counts, points = [], [], [np.empty((0, params.n))]
     if run.stopped:
-        return GalaxyCode(params, roots, (nodes, counts, points[0]), saturated)
+        return GalaxyCode(params, roots, ([], [], np.empty((0, params.n))), saturated)
+    return GalaxyCode(params, roots, _exception_nodes(params, roots, run), saturated)
+
+
+def _exception_nodes(params: GalaxyParams, roots: np.ndarray, run) -> tuple:
+    """GalaxyCode's exceptions of a build whose prefix run falls short.
+
+    Each node resumes the run, level by level, on its own stream
+    derive_seed(master_seed, "node", root, *child indices).  A node whose
+    draws take a point past the prefix is an exception node; any other
+    holds the prefix's points bit for bit, so it is not listed.  Of the
+    codewords only the exception nodes' points are kept.
+    """
+    nodes, counts, points = [], [], [np.empty((0, params.n))]
     level, paths, first = roots, [(q,) for q in range(len(roots))], 0
     for height in range(params.t_bar, 0, -1):
-        r = params.level_radius(height)
-        grown = [
-            center + r * spherical.greedy_tail(run, derive_seed(params.master_seed, "node", *path))
-            for center, path in zip(level, paths)
-        ]
-        for i, g in enumerate(grown):
+        r, grown = params.level_radius(height), []
+        for i, (center, path) in enumerate(zip(level, paths)):
+            g = center + r * spherical.greedy_tail(run, derive_seed(params.master_seed, "node",
+                                                                   *path))
             if len(g) != len(run.accepted):
                 nodes.append(first + i)
                 counts.append(len(g))
                 points.append(g)
+            if height > 1:
+                grown.append(g)
         first += len(level)
-        paths = [(*path, i) for path, g in zip(paths, grown) for i in range(len(g))]
-        level = np.concatenate(grown)
-    return GalaxyCode(params, roots, (nodes, counts, np.concatenate(points)), saturated)
+        if height > 1:
+            paths = [(*path, i) for path, g in zip(paths, grown) for i in range(len(g))]
+            level = np.concatenate(grown)
+    return nodes, counts, np.concatenate(points)

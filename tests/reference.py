@@ -1,10 +1,12 @@
 """Scalar and approximate laws that only the tests use.
 
-The package runs the exact shell law, the batched decoder, an array
-codeword table, a greedy that runs its witness prefix once per build and
+The package runs the exact shell law, the batched decoder, codewords
+grown on demand, a greedy that runs its witness prefix once per build and
 stops at the obtuse-angle ceiling, a level-by-level codebook build,
 verification batched by shape and one block-batched Monte Carlo kernel;
-these are the simpler per-vector forms, the breadth-first codeword walk
+these are the simpler per-vector forms, the materialized codeword table
+(codeword_table, which every test reading the whole table goes through),
+the breadth-first codeword walk
 over the level-order nodes, the plain greedy loop with its own witness
 prefix (a node's points and saturation flag), the list-based center
 packing and per-node recursive build (sorted into level order), the
@@ -37,6 +39,7 @@ from galaxyid.spherical import (
     _obtuse_ceiling,
     _simplex_directions,
     as_coords,
+    greedy_prefix,
 )
 
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
@@ -54,6 +57,19 @@ def from_arrays(params, centers, counts, codewords, packing_saturated) -> Galaxy
     return GalaxyCode(params, centers[:n_roots], exceptions, packing_saturated)
 
 
+def codeword_table(code) -> np.ndarray:
+    """The (N, n) codeword table, materialized node by node: a height-1 node's
+    listed points if it is an exception node, else its center plus the witness
+    prefix scaled to the leaf radius."""
+    p = code.params
+    grown = p.level_radius(1) * greedy_prefix(p.n, p.theta, p.m_per_level,
+                                               p.max_attempts).accepted
+    nodes, counts, points = code.exceptions
+    listed = dict(zip(nodes.tolist(), np.split(points, np.cumsum(counts)[:-1])))
+    return np.concatenate([listed[v] if v in listed else code.centers[v] + grown
+                           for v in np.flatnonzero(code.heights == 1).tolist()])
+
+
 def node_points(code, node):
     """The points of the node at level-order index `node`: the next rows of
     the level below it, in the centers followed by the codewords."""
@@ -61,14 +77,15 @@ def node_points(code, node):
     rows = np.arange(start, start + code.counts[node])
     if rows[-1] < len(code.centers):
         return code.centers[rows]
-    return code.codewords[rows - len(code.centers)]
+    return codeword_table(code)[rows - len(code.centers)]
 
 
 def assert_same_code(a, b):
     """Assert two codes hold the same arrays bit for bit, and the same params
     and flags; their exception lists may differ."""
     for name in ("centers", "counts", "codewords", "heights", "parents", "roots", "ancestors"):
-        x, y = getattr(a, name), getattr(b, name)
+        x, y = (codeword_table(a), codeword_table(b)) if name == "codewords" else (
+            getattr(a, name), getattr(b, name))
         assert (x.shape, x.dtype, x.tobytes()) == (y.shape, y.dtype, y.tobytes()), name
     assert (a.params, a.packing_saturated, a.degraded) == (b.params, b.packing_saturated,
                                                            b.degraded)
@@ -169,7 +186,7 @@ def walk_codewords(code) -> list:
     """The code's codewords, one object each, from a breadth-first walk over
     its level-order node counts, centers and codewords: a queue of nodes,
     each adding its children at the back."""
-    counts, centers, codewords = code.counts.tolist(), code.centers, code.codewords
+    counts, centers, codewords = code.counts.tolist(), code.centers, codeword_table(code)
     n_roots = len(counts) + len(codewords) - sum(counts)
     queue = [(code.params.t_bar, [], q, ()) for q in range(n_roots)]
     out = []
@@ -215,7 +232,7 @@ def meet_depth(row1, row2):
 def reference_violations(code, tol=1e-6):
     """cond2 and cross-galaxy violations from an i < j loop over every pair."""
     p = code.params
-    u, paths = code.codewords, index_paths(code)
+    u, paths = codeword_table(code), index_paths(code)
     floor = p.n ** (p.b + 0.25) / 2.0
     cond2, cross = [], []
     for i in range(len(u)):
@@ -244,7 +261,7 @@ def stack_galaxies(code, offset):
     shifted by q * offset along the first axis; node centers stay.  Each moved
     node's measured radius then spans the distance between two roots, so
     verification can clear few node pairs."""
-    u = code.codewords.copy()
+    u = codeword_table(code)
     roots = index_paths(code)[:, 0]
     for q in range(1, roots.max() + 1):
         moved = roots == q
@@ -384,7 +401,7 @@ def _close_pairs_reference(code, limit, rows=128):
     a scan of all pairs in row blocks; the class is 0 across roots, else the meet
     height.  Gram distances decide, except in their rounding band, where the
     norm of the difference does."""
-    u, anc, t_bar = code.codewords, code.ancestors, code.params.t_bar
+    u, anc, t_bar = codeword_table(code), code.ancestors, code.params.t_bar
     sq = np.einsum("ij,ij->i", u, u)
     found = []
     for i0 in range(0, len(u), rows):
@@ -406,7 +423,7 @@ def _close_pairs_reference(code, limit, rows=128):
 def verify_structure_reference(code, tol=1e-6):
     """experiments.verify_structure with a loop over the nodes for their radii
     and angles, and a scan of every codeword pair for the distance bounds."""
-    p, u = code.params, code.codewords
+    p, u = code.params, codeword_table(code)
     report = StructureReport(separation=separation_margins(p.k, p.theta))
     for t in range(1, p.t_bar + 1):
         lo, hi = radial_bounds(p.r, p.k, t)
@@ -488,7 +505,7 @@ def unit_plan(trials):
 
 def type1_hits(code, params, trials, master_seed):
     """estimate_type1's hits from one decoder call per codeword and unit."""
-    directions = unit_directions(code.codewords, code.centers[code.ancestors])
+    directions = unit_directions(codeword_table(code), code.centers[code.ancestors])
     hits = 0
     for unit_index, (start, size) in enumerate(unit_plan(trials)):
         rng = np.random.default_rng(derive_seed(master_seed, "type1", unit_index))
@@ -504,7 +521,7 @@ def type2_counts(code, strategy, params, trials, master_seed):
     """estimate_type2's (hits, shell hits, decisive slab hits) from one
     decoder call per pair and unit."""
     pair_targets, senders = experiments.select_pairs(code, strategy, master_seed).T
-    u = code.codewords
+    u = codeword_table(code)
     targets, target_rows = np.unique(pair_targets, return_inverse=True)
     directions = unit_directions(u[targets], code.centers[code.ancestors[targets]])
     offsets = u[senders] - u[pair_targets]

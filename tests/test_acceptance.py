@@ -33,6 +33,7 @@ from galaxyid.gaussian import (
     std_normal_cdf,
 )
 from reference import (
+    codeword_table,
     mills_bound,
     shell_prob_same,
     shell_prob_same_normal_approx,
@@ -191,7 +192,7 @@ def test_acceptance_7_same_galaxy_slab(standard_code):
     params = standard_code.params
     dec = DecoderParams.from_galaxy(params)
     threshold = 2 * params.sigma * math.log2(params.n)
-    u = standard_code.codewords
+    u = codeword_table(standard_code)
     chains = standard_code.centers[standard_code.ancestors]
     from galaxyid.experiments import select_pairs
 

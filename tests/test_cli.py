@@ -20,7 +20,13 @@ from galaxyid import cli, codefile
 from galaxyid.galaxy import GalaxyParams, theta_of_k
 from galaxyid.reports import REPORT_COLUMNS
 from galaxyid.seeding import derive_seed
-from reference import from_arrays, node_points, reference_violations, stack_galaxies
+from reference import (
+    codeword_table,
+    from_arrays,
+    node_points,
+    reference_violations,
+    stack_galaxies,
+)
 
 BUILD_ARGS = [
     "--n", "16", "--k", "8", "--b", "0", "--power", "100", "--sigma", "1",
@@ -159,7 +165,7 @@ def test_verify_displaced_leaf_exits_one(tmp_path, code_file):
 def test_verify_json_lists_crowded_violations(tmp_path, code_file):
     # galaxies stacked together, and one leaf pulled toward its neighbour
     code = codefile.load(code_file)
-    u = code.codewords.copy()
+    u = codeword_table(code)
     u[1] += 0.9 * (u[2] - u[1])
     code = stack_galaxies(
         from_arrays(code.params, code.centers, code.counts, u, code.packing_saturated), 0.3
@@ -299,7 +305,7 @@ def _v4(doc):
     code = codefile.deserialize(json.dumps(doc))
     return {"format_version": 4, "params": doc["params"], "achieved": doc["achieved"],
             "counts": code.counts.tolist(), "centers": _encoded(code.centers),
-            "codewords": _encoded(code.codewords)}
+            "codewords": _encoded(codeword_table(code))}
 
 
 def _repeat_first(rows):
@@ -748,6 +754,53 @@ def test_simulate_peaks_near_the_loaded_code(tmp_path, ladder_file):
         rc, _, err, usage = run_measured(tmp_path, "simulate", *code, *kind, "--trials", "20000")
         assert rc == 0, err
         assert usage.ru_maxrss - loaded.ru_maxrss <= 16 << 10, kind  # kB
+
+
+# A child's ru_maxrss counts the pages it shares with its parent at the fork,
+# so the command is started from a small Python process, not from pytest.
+MAXRSS_PROBE = """
+import os, subprocess, sys
+with open(os.devnull, "w") as sink:
+    proc = subprocess.Popen([sys.executable, "-m", "galaxyid.cli", *sys.argv[1:]], stdout=sink)
+    _, status, usage = os.wait4(proc.pid, 0)
+print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)
+"""
+
+
+def test_commands_hold_no_codeword_table(ladder_file):
+    """The ladder code's codewords would take a 16 MiB table (8192 of n = 256).
+    rate --code, verify and both simulate kinds peak less than that above
+    formula-mode rate, which loads no code: none holds the table.  Each held
+    it, and peaked 21-30 MB above."""
+    def peak_kb(*args):
+        res = run_python("-c", MAXRSS_PROBE, *args, env={**os.environ,
+                                                         "OPENBLAS_NUM_THREADS": "1"})
+        rc, peak = map(int, res.stdout.split())
+        assert rc == 0, res.stderr
+        return peak
+
+    bare = peak_kb("rate", "--k", "16")
+    code = ["--code", str(ladder_file)]
+    for command in (["rate", *code], ["verify", *code],
+                    ["simulate", *code, "--type1", "--trials", "20000"],
+                    ["simulate", *code, "--type2", "--pairs", "same-planet", "--trials", "20000"]):
+        assert peak_kb(*command) - bare < 8192 * 256 * 8 >> 10, command  # kB
+
+
+def test_out_of_memory_exits_2(monkeypatch, capsys):
+    # exit 1 is verify's "violations found"; running out of memory is an error
+    def exhausted(args):
+        return np.empty(1 << 58)  # 2 EiB: numpy's MemoryError, before anything is mapped
+
+    def bare(args):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "cmd_verify", exhausted)
+    assert cli.main(["verify", "--code", "code.json"]) == 2
+    assert capsys.readouterr().err.startswith("error: Unable to allocate 2.00 EiB")
+    monkeypatch.setattr(cli, "cmd_verify", bare)
+    assert cli.main(["verify", "--code", "code.json"]) == 2
+    assert capsys.readouterr().err == "error: MemoryError\n"
 
 
 def test_depth_past_float_range_exits_2_at_once(tmp_path, code_file):

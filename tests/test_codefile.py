@@ -13,7 +13,7 @@ from galaxyid.cli import _params_key
 from galaxyid.codefile import FORMAT_VERSION, deserialize, load, save, serialize
 from galaxyid.galaxy import GalaxyCode, GalaxyParams, build_code
 from galaxyid.spherical import greedy_prefix
-from reference import assert_same_code, from_arrays, node_points, stack_galaxies
+from reference import assert_same_code, codeword_table, from_arrays, node_points, stack_galaxies
 from test_galaxy import BENCHMARK_BUILDS, EQUIVALENCE_GRID, SHAPED_BUILDS, _cli_params
 from test_verify import one_node_radius, pulled
 
@@ -85,7 +85,7 @@ def test_code_of_exceptions_only_roundtrips(code):
     n_roots = len(code.roots)
     centers = code.centers.copy()
     centers[n_roots:] += 1e-3
-    moved = from_arrays(code.params, centers, code.counts, code.codewords + 2e-3,
+    moved = from_arrays(code.params, centers, code.counts, codeword_table(code) + 2e-3,
                         code.packing_saturated)
     assert exception_nodes(roundtrip(moved)) == list(range(len(code.centers)))
 
@@ -126,7 +126,7 @@ def test_serialize_memory_is_a_block_not_a_level():
     finally:
         tracemalloc.stop()
     assert exception_nodes(text) == []
-    assert peak <= 2 << 20 <= code.codewords.nbytes // 4
+    assert peak <= 2 << 20 <= codeword_table(code).nbytes // 4
 
 
 def test_coordinates_are_base64_blocks(code):

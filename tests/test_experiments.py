@@ -20,7 +20,7 @@ from galaxyid.experiments import (
 from galaxyid.galaxy import GalaxyParams, build_code
 from galaxyid.gaussian import projection_tail
 from galaxyid.reports import rate_columns
-from reference import from_arrays, index_paths, meet_depth
+from reference import codeword_table, from_arrays, index_paths, meet_depth
 
 
 @pytest.fixture(scope="module")
@@ -241,7 +241,7 @@ def _with(code, centers=None, codewords=None):
         code.params,
         code.centers if centers is None else centers,
         code.counts,
-        code.codewords if codewords is None else codewords,
+        codeword_table(code) if codewords is None else codewords,
         code.packing_saturated,
     )
 
@@ -280,7 +280,7 @@ def assert_violations(report, **expected):
 
 
 def test_fault_displaced_leaf(small_code):
-    u = small_code.codewords.copy()
+    u = codeword_table(small_code)
     u[0] += 10.0 * small_code.params.r
     assert_violations(
         verify_structure(_with(small_code, codewords=u)),
@@ -294,7 +294,7 @@ def test_fault_displaced_leaf(small_code):
 def test_fault_translated_tree(small_code):
     # slide galaxy 1 onto galaxy 0: the cross-galaxy floor must break, pair by pair
     shift = small_code.roots[0] - small_code.roots[1]
-    centers, u = small_code.centers.copy(), small_code.codewords.copy()
+    centers, u = small_code.centers.copy(), codeword_table(small_code)
     centers[np.unique(small_code.ancestors[small_code.ancestors[:, -1] == 1])] += shift
     u[index_paths(small_code)[:, 0] == 1] += shift
     measured = [
@@ -332,7 +332,7 @@ def test_fault_angle_violation(small_code):
 
 
 def test_fault_power_violation(small_code):
-    u = small_code.codewords.copy()
+    u = codeword_table(small_code)
     u[0] *= 50.0
     assert_violations(
         verify_structure(_with(small_code, codewords=u)),

@@ -25,6 +25,7 @@ from galaxyid.galaxy import (
 from reference import (
     assert_same_code,
     build_code_reference,
+    codeword_table,
     index_paths,
     meet_depth,
     node_points,
@@ -228,7 +229,7 @@ def test_build_code_structure():
         r_expected = p.r * p.k ** (code.heights[parent] - 1)
         dist = np.linalg.norm(code.centers[row] - code.centers[parent])
         assert dist == pytest.approx(r_expected, rel=1e-9)
-    dist = np.linalg.norm(code.codewords - code.centers[code.ancestors[:, 0]], axis=1)
+    dist = np.linalg.norm(codeword_table(code) - code.centers[code.ancestors[:, 0]], axis=1)
     np.testing.assert_allclose(dist, p.r, rtol=1e-9)
 
 
@@ -311,18 +312,21 @@ def test_galaxy_code_copies_what_it_is_given(deep_code):
     roots, points = deep_code.roots.copy(), node_points(deep_code, 12).copy()
     nodes, counts = np.array([12]), np.array([4])
     code = GalaxyCode(deep_code.params, roots, (nodes, counts, points), False)
-    before = {name: getattr(code, name).copy() for name in ("centers", "codewords", "roots")}
+    before = {"centers": code.centers.copy(), "codewords": codeword_table(code),
+              "roots": code.roots.copy()}
     for table in (roots, points, nodes, counts):
         assert table.flags.writeable
     roots += 1.0
     points += 1.0
     nodes[0], counts[0] = 13, 3
     for name, table in before.items():
-        assert getattr(code, name).tobytes() == table.tobytes(), name
+        assert getattr(code, name)[:].tobytes() == table.tobytes(), name
     assert [a.tolist() for a in code.exceptions[:2]] == [[12], [4]]
     assert code.exceptions[2].tobytes() == node_points(deep_code, 12).tobytes()
-    for table in (code.roots, code.centers, code.codewords, *code.exceptions):
+    for table in (code.roots, code.centers, *code.exceptions):
         assert not table.flags.writeable
+    with pytest.raises(TypeError):  # codewords are grown rows, not a table to write into
+        code.codewords[0] = 0.0
 
 
 def _cli_params(*flags):
@@ -406,15 +410,23 @@ def test_nodes_are_in_level_order(name, seed):
 
 
 def test_build_peak_memory_is_about_the_tables():
-    params = _cli_params(*BENCHMARK_BUILDS["large-n"], "--seed", "103")
-    build_code(params)  # leave one-time import and cache allocations out of the peak
-    tracemalloc.start()
-    try:
-        code = build_code(params)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 2 * (code.centers.nbytes + code.codewords.nbytes)
+    """A build holds no codeword table: it peaks under twice the centers plus
+    the table it would take, for the large-n benchmark build and for a tail
+    build of 21858 codewords and 478 exception nodes (whose build once held
+    every level's points, one path per node and the whole height-1 level:
+    7.4 times)."""
+    tail = GalaxyParams(n=4, k=64, theta=0.9, m_per_level=16, t_bar=3, max_attempts=3,
+                        power=1e8, master_seed=1, max_roots=40)
+    for params in (_cli_params(*BENCHMARK_BUILDS["large-n"], "--seed", "103"), tail):
+        build_code(params)  # leave one-time import and cache allocations out of the peak
+        tracemalloc.start()
+        try:
+            code = build_code(params)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * (code.centers.nbytes + codeword_table(code).nbytes)
+    assert (len(code.codewords), len(code.exceptions[0])) == (21858, 478)
 
 
 def test_pack_centers_refuses_the_root_that_passes_the_table_cap(monkeypatch):
@@ -462,7 +474,7 @@ def test_build_code_counts_and_power():
     code = build_code(p)
     assert len(code.codewords) == len(code.roots) * p.m_per_level**p.t_bar
     cap = math.sqrt(p.n * p.power)
-    assert max(float(np.linalg.norm(u)) for u in code.codewords) <= cap
+    assert max(float(np.linalg.norm(u)) for u in codeword_table(code)) <= cap
     # depth-1 code: 1 root x m codewords when the budget admits one center
     tiny = GalaxyParams(
         n=8, power=0.7, k=8, m_per_level=4, master_seed=3, max_roots=4, saturation_probes=20

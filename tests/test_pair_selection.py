@@ -1,8 +1,8 @@
 """The tree-block paths against direct per-pair definitions, one pair at a time:
 pair selection, type-II meet rows, and the pairwise checks of verification;
 and, over the same random codes, the block-batched Monte Carlo kernel against
-per-codeword and per-pair decoder loops, the codeword table against a
-node-by-node walk and the code file round trip."""
+per-codeword and per-pair decoder loops, the codeword rows against a
+node-by-node walk and the materialized table, and the code file round trip."""
 
 import math
 from collections import Counter
@@ -28,6 +28,7 @@ from galaxyid.seeding import derive_seed
 from reference import (
     NoDraws,
     assert_same_code,
+    codeword_table,
     from_arrays,
     index_paths,
     meet_depth,
@@ -43,7 +44,7 @@ MODES = ("same-planet", "same-galaxy-deep", "cross-galaxy")
 
 def reference_pairs(code, strategy, master_seed):
     """Walk all N(N-1) ordered pairs i-major, keep the [i, j] matches, then cap them."""
-    u, paths = code.codewords, index_paths(code)
+    u, paths = codeword_table(code), index_paths(code)
     t_bar = code.params.t_bar
     pairs = []
     for i in range(len(u)):
@@ -120,7 +121,7 @@ def test_select_pairs_matches_reference(code, seed):
 @SETTINGS
 @given(code=codes(), pick=st.integers(0, 2**16), seed=st.integers(0, 2**16))
 def test_min_distance_tie_matches_reference(code, pick, seed):
-    u, roots = code.codewords, index_paths(code)[:, 0]
+    u, roots = codeword_table(code), index_paths(code)[:, 0]
     cross = [(i, j) for i in range(len(u)) for j in range(len(u)) if roots[i] != roots[j]]
     if not cross:
         return
@@ -135,7 +136,7 @@ def test_min_distance_tie_matches_reference(code, pick, seed):
 def test_capped_selection_matches_reference(code, cap, seed):
     if len(code.codewords) < 2:
         return
-    u = code.codewords
+    u = codeword_table(code)
     median = float(np.median(np.linalg.norm(u - u[0], axis=1)))
     with mock.patch.object(experiments, "_PAIR_CAP", cap):
         for mode in MODES:
@@ -163,7 +164,7 @@ def uneven_code():
 
 
 def test_uneven_blocks_match_reference(uneven_code):
-    u = uneven_code.codewords
+    u = codeword_table(uneven_code)
     tie = float(np.linalg.norm(u[0] - u[-1]))
     strategies = [PairStrategy(mode=mode) for mode in MODES] + [
         PairStrategy(mode="cross-galaxy", min_distance=md) for md in (tie, 0.0, -1.0)
@@ -251,7 +252,7 @@ def test_min_norm_rechecks_near_ties():
 def straddling_decoder(code, pairs, spread, width, scale):
     """Decoder thresholds at the scale of the pairs' offsets D (0 for a
     codeword with itself), so both outcomes of the shell and slab tests occur."""
-    u, n = code.codewords, code.params.n
+    u, n = codeword_table(code), code.params.n
     d = float(np.median([np.linalg.norm(u[j] - u[i]) for i, j in pairs]))
     sigma = scale * max(d, 1.0) / math.sqrt(n)
     return DecoderParams(n=n, sigma=sigma, eps_n=spread * (d * d / n + sigma**2),
@@ -287,7 +288,7 @@ def assert_kernel_matches_reference(code, strategy, dec, trials, seed):
 def assert_table_scatters_to_unit_directions(code):
     """_direction_table's cells scattered into zeros give unit_directions bit for bit."""
     offsets, values = experiments._direction_table(code)
-    u, t_bar, n = code.codewords, code.params.t_bar, code.params.n
+    u, t_bar, n = codeword_table(code), code.params.t_bar, code.params.n
     assert offsets.shape == values.shape == (len(u), offsets.shape[1])
     dense = np.zeros((len(u), t_bar * n))
     np.put_along_axis(dense, offsets, values, axis=1)
@@ -326,7 +327,8 @@ def test_pair_kernel_matches_per_group_loops(code, trials, seed, spread, width, 
     n_cw = len(code.codewords)
     runs = [(None, [(i, i) for i in range(n_cw)])]
     if n_cw >= 2:
-        median = float(np.median(np.linalg.norm(code.codewords - code.codewords[0], axis=1)))
+        u = codeword_table(code)
+        median = float(np.median(np.linalg.norm(u - u[0], axis=1)))
         for strategy in [PairStrategy(mode=mode) for mode in MODES] + [
             PairStrategy(mode="exhaustive-sample", sample_count=min(40, n_cw * (n_cw - 1))),
             PairStrategy(mode="cross-galaxy", min_distance=median),
@@ -369,7 +371,7 @@ def test_degenerate_chain_raises_before_any_draw(wide_code):
     raise while filling the direction table, one row per block, before
     their first draw."""
     code = wide_code
-    words = code.codewords.copy()
+    words = codeword_table(code)
     words[-1] = code.centers[code.ancestors[-1, 0]]
     bad = from_arrays(code.params, code.centers, code.counts, words, code.packing_saturated)
     dec = DecoderParams.from_galaxy(code.params)
@@ -384,7 +386,7 @@ def test_degenerate_chain_raises_before_any_draw(wide_code):
 def crowded(code, offset, leaf, pull):
     """The code with root 1's galaxy moved next to root 0's, shifted by `offset`
     along the first axis, and one leaf pulled toward its list neighbour."""
-    u = code.codewords.copy()
+    u = codeword_table(code)
     roots = index_paths(code)[:, 0]
     if roots.max() > 0:
         moved = roots == 1
@@ -427,7 +429,7 @@ def sibling_pairs(code):
 def measured_gap(code, a, b):
     """||c_a - c_b|| - (rho_a + rho_b), with rho a node's largest distance to a
     codeword below it, in the operations verification uses."""
-    c, u = code.centers, code.codewords
+    c, u = code.centers, codeword_table(code)
     rho = [max(np.linalg.norm(u[code.ancestors[:, code.heights[x] - 1] == x] - c[x], axis=1))
            for x in (a, b)]
     return float(np.linalg.norm((c[a] - c[b])[None], axis=1)[0] - (rho[0] + rho[1]))
@@ -458,7 +460,7 @@ def test_prune_boundary_matches_reference(code, pick):
     if not pairs:
         return
     a, b = pairs[pick % len(pairs)]
-    c, u = code.centers, code.codewords.copy()
+    c, u = code.centers, codeword_table(code)
     below = [np.flatnonzero(code.ancestors[:, code.heights[x] - 1] == x) for x in (a, b)]
     unit = (c[b] - c[a]) / np.linalg.norm(c[b] - c[a])
     rho = [max(np.linalg.norm(u[rows] - c[x], axis=1)) for x, rows in zip((a, b), below)]
@@ -485,7 +487,7 @@ def test_gap_meeting_its_threshold_exactly_is_cleared():
                                     master_seed=1, max_roots=3, saturation_probes=30))
     assert len(built.roots) == 3
     code = from_arrays(built.params, np.zeros_like(built.centers), built.counts,
-                       np.zeros_like(built.codewords), built.packing_saturated)
+                       np.zeros_like(codeword_table(built)), built.packing_saturated)
     floor = code.params.n ** (code.params.b + 0.25) / 2.0
     roots, at_least, blocks = code.ancestors[:, -1], experiments._at_least, []
 
@@ -548,11 +550,45 @@ def test_at_least_meets_nonpositive_thresholds_without_recheck():
 def test_codeword_table_matches_node_walk(code):
     walked = walk_codewords(code)
     expected = {
-        "codewords": (np.asarray([c.u for c in walked]), code.codewords),
+        "codewords": (np.asarray([c.u for c in walked]), code.codewords[:]),
         "chains": (np.asarray([c.path for c in walked]), code.centers[code.ancestors]),
     }
     for name, (ref, table) in expected.items():
         assert (ref.shape, ref.dtype, ref.tobytes()) == (table.shape, table.dtype, table.tobytes()), name
+
+
+@SETTINGS
+@given(code=codes(), listed=st.booleans(), data=st.data())
+def test_codeword_rows_match_the_table(code, listed, data):
+    """Slices, integers, 1-D and 2-D index arrays (negative entries too) and
+    empty indices into the row source give the materialized table's rows bit
+    for bit: on codes grown from the prefix, with uneven exception nodes, and
+    with every node listed.  Past either end it raises IndexError, and it
+    takes no assignment."""
+    table = codeword_table(code)
+    if listed:
+        code = from_arrays(code.params, code.centers, code.counts, table, code.packing_saturated)
+    u, n_cw = code.codewords, len(table)
+    assert (len(u), u.shape) == (n_cw, table.shape)
+    entry = st.integers(-n_cw, n_cw - 1)
+    bound = st.none() | st.integers(-n_cw - 2, n_cw + 2)
+    rows, cols = data.draw(st.integers(0, 4)), data.draw(st.integers(0, 4))
+    indices = [
+        slice(data.draw(bound), data.draw(bound), data.draw(st.sampled_from([None, 2, -1, -3]))),
+        data.draw(entry),
+        np.array(data.draw(st.lists(entry, max_size=12)), dtype=np.intp),
+        np.array(data.draw(st.lists(entry, min_size=rows * cols, max_size=rows * cols)),
+                 dtype=np.intp).reshape(rows, cols),
+        np.empty(0, dtype=np.intp), [],
+    ]
+    for index in indices:
+        got, want = u[index], table[index]
+        assert (got.shape, got.dtype, got.tobytes()) == (want.shape, want.dtype, want.tobytes())
+    for index in (n_cw, -n_cw - 1, np.array([0, n_cw])):
+        with pytest.raises(IndexError):
+            u[index]
+    with pytest.raises(TypeError):
+        u[0] = table[0]
 
 
 @SETTINGS

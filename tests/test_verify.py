@@ -19,7 +19,13 @@ from galaxyid import cli, codefile, experiments
 from galaxyid.experiments import ANGLE_TOL, verify_structure
 from galaxyid.galaxy import GalaxyParams, build_code, separation_margins
 from galaxyid.spherical import min_pairwise_angle
-from reference import from_arrays, root_of, stack_galaxies, verify_structure_reference
+from reference import (
+    codeword_table,
+    from_arrays,
+    root_of,
+    stack_galaxies,
+    verify_structure_reference,
+)
 from test_galaxy import (  # wide-build is degraded: m = 4 of 16
     BENCHMARK_BUILDS,
     SHAPED_BUILDS,
@@ -36,13 +42,14 @@ def _code(flags, seed):
 
 def _moved(code, centers=None, codewords=None):
     return from_arrays(code.params, code.centers if centers is None else centers, code.counts,
-                       code.codewords if codewords is None else codewords, code.packing_saturated)
+                       codeword_table(code) if codewords is None else codewords,
+                       code.packing_saturated)
 
 
 def pulled(code):
     """Leaf 5 pulled toward leaf 6, leaf 9 put on its node's center, and the
     second node that has a parent, if any, moved off its parent's sphere."""
-    u, c = code.codewords.copy(), code.centers.copy()
+    u, c = codeword_table(code), code.centers.copy()
     u[5] += 0.4 * (u[6] - u[5])
     u[9] = c[code.ancestors[9, 0]]
     c[np.flatnonzero(code.parents >= 0)[1:2]] += 1e-3
@@ -52,7 +59,7 @@ def pulled(code):
 def one_node_radius(code):
     """Codeword 3 moved outward by 1e-8 of the leaf radius: past the node-radius
     test's 1e-9, inside the radial windows' absolute tol."""
-    u, center = code.codewords.copy(), code.centers[code.ancestors[3, 0]]
+    u, center = codeword_table(code), code.centers[code.ancestors[3, 0]]
     u[3] = center + (1 + 1e-8) * (u[3] - center)
     return _moved(code, codewords=u)
 
@@ -143,7 +150,7 @@ def test_angle_at_the_bound_is_reported_as_the_scalar_check_says(code, pick, ste
     assume(len(nodes))
     v = int(nodes[pick % len(nodes)])
     rows, name = _node_points(code, v)
-    table = getattr(code, name).copy()
+    table = codeword_table(code) if name == "codewords" else code.centers.copy()
     center = code.centers[v]
     a, b = table[rows[0]] - center, table[rows[-1]] - center  # the prefix pairs e1 with -e1
     e1 = a / np.linalg.norm(a)
@@ -165,7 +172,7 @@ def test_angle_at_the_bound_is_reported_as_the_scalar_check_says(code, pick, ste
     # a theta that small fails the separation condition GalaxyParams checks
     assume(separation_margins(code.params.k, theta)["strict_holds"])
     code = from_arrays(dataclasses.replace(moved.params, theta=theta), moved.centers,
-                       moved.counts, moved.codewords, moved.packing_saturated)
+                       moved.counts, codeword_table(moved), moved.packing_saturated)
     report = verify_structure(code)
     root = root_of(code, v)
     found = [f for f in report.angle_violations
@@ -177,7 +184,7 @@ def test_angle_at_the_bound_is_reported_as_the_scalar_check_says(code, pick, ste
 def test_point_on_its_node_center_reads_angle_zero():
     # pytest turns a RuntimeWarning (a division by a zero norm) into an error
     code = _code(BENCHMARK_BUILDS["small-mc"], 100)
-    u = code.codewords.copy()
+    u = codeword_table(code)
     u[2] = code.centers[code.ancestors[2, 0]]
     code = _moved(code, codewords=u)
     report = verify_structure(code)
@@ -232,4 +239,30 @@ def test_verify_peak_is_bounded_by_the_codeword_table(large_code):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 2 * large_code.codewords.nbytes
+    assert peak <= 2 * codeword_table(large_code).nbytes
+
+
+def test_close_pairs_cuts_a_wide_sibling_group_into_blocks():
+    """512 roots of depth 1: their 130816 center pairs form one sibling group.
+    With _MASK_CELLS patched down, _close_pairs cuts the group into row
+    stripes, so its traced peak stays within a few blocks, plus the codeword
+    tiles' gathers of _DECIDE_CELLS cells.  Taking the group as one block
+    held 28.5 MB here."""
+    code = build_code(GalaxyParams(n=8, power=1e4, k=8, m_per_level=2, t_bar=1, max_roots=512,
+                                   master_seed=1, saturation_probes=2000))
+    assert len(code.roots) == 512
+    close, cells, peaks = experiments._close_pairs, 1 << 12, []
+
+    def traced(*args):
+        tracemalloc.start()
+        try:
+            return close(*args)
+        finally:
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            tracemalloc.stop()
+
+    with mock.patch.object(experiments, "_MASK_CELLS", cells), \
+            mock.patch.object(experiments, "_close_pairs", side_effect=traced):
+        report = verify_structure(code)
+    assert dataclasses.asdict(report) == dataclasses.asdict(verify_structure(code))
+    assert peaks[0] <= 8 * (2 * experiments._DECIDE_CELLS + 16 * cells)
