@@ -41,6 +41,9 @@ _PAIR_CAP = 20000  # strategies larger than this are subsampled deterministicall
 # instead of running for weeks.
 _TRIAL_CAP = 1 << 30
 _MASK_CELLS = 1 << 20  # (row, codeword) cells per block of a pairwise distance test
+# The most coordinate products, N^2 n, that a min_distance filter may take,
+# 2^38: about a minute on the R = 64 ladder code (N = 32768, n = 256).
+_MIN_DISTANCE_CAP = 1 << 38
 # _DECIDE_CELLS (galaxy's): an estimator holds the nonzero cells of its
 # (N, t_bar, n) directions plus, per thread, one decide() block: a zeroed
 # scratch of _DECIDE_CELLS (row, level, coordinate) cells at most, 512 kB,
@@ -417,7 +420,8 @@ def select_pairs(code: GalaxyCode, strategy: PairStrategy, master_seed: int) -> 
     so no pair list larger than the result is built.  Deterministic: any
     subsampling, to sample_count or _PAIR_CAP pairs, uses a stream derived
     from the master seed.  Raises when the code contains no pair of the
-    requested class.
+    requested class, and a min_distance filter past _MIN_DISTANCE_CAP
+    coordinate products (N^2 n) before it compares any pair.
     """
     u = code.codewords
     n_cw = len(u)
@@ -431,6 +435,11 @@ def select_pairs(code: GalaxyCode, strategy: PairStrategy, master_seed: int) -> 
 
     filtered = strategy.min_distance is not None
     if filtered:
+        if n_cw * n_cw * u.shape[1] > _MIN_DISTANCE_CAP:
+            raise ValueError(
+                f"refusing min_distance over N = {n_cw} codewords of n = {u.shape[1]} "
+                f"coordinates: N^2 n passes the cap of {_MIN_DISTANCE_CAP} coordinate products"
+            )
         sq = _sq_norms(u)
         step, width = max(1, _MASK_CELLS // n_cw), max(1, _DECIDE_CELLS // u.shape[1])
 

@@ -7,15 +7,14 @@ points of which are the centers of the height-(h-1) children (codewords at
 height 1).  A GalaxyCode is its root centers and its exception nodes:
 every other node's points are its center plus the shared witness-prefix
 directions scaled to the level's radius, and an exception node's points
-are given.  Its constructor grows every level above the codewords by one
-step, _grow_level, into the arrays the checks and estimators read: the
-nodes' centers and point counts in level order (the roots, then each
-height in turn), and for every codeword the rows of its ancestor centers,
-the chain the hierarchical decoder tests against.  The codewords
-themselves are grown on demand, a block of rows at a time, from the same
-operands (CodewordRows).  build_code and the code-file loader both make a
-code through the constructor, so a loaded code is the built one bit for
-bit.
+are given.  One row source, LevelRows, grows any level's points by that
+rule.  The constructor grows every level above the codewords through it
+into one table of the nodes' centers in level order (the roots, then each
+height in turn); the height-1 one is the codewords, grown on demand a block
+of rows at a time.  Every codeword keeps the rows of its ancestor centers,
+the chain the hierarchical decoder tests against.  build_code and the
+code-file loader both make a code through the constructor, so a loaded
+code is the built one bit for bit.
 """
 
 from __future__ import annotations
@@ -284,15 +283,16 @@ class GalaxyParams:
         return math.sqrt(self.n * self.power) - self.extent
 
 
-class CodewordRows:
-    """A code's (N, n) codewords as a read-only row source, grown on demand.
+class LevelRows:
+    """One level's points as a read-only row source of shape (rows, n), grown on demand.
 
-    Codeword j is point slot[j] of its height-1 node v = owner[j]: the
-    listed point of an exception node, else centers[v] + (r_1 *
-    prefix)[slot[j]], the operands _grow_level adds, so every row is bit for
-    bit the one a materialized table would hold.  Supports len, shape, and
-    indexing by a slice or by an integer array of any shape (an int gives
-    one row); only the rows asked for are grown.
+    Row j is point slot[j] of the node in row owner[j] of centers: the listed
+    point of an exception node, else centers[owner[j]] + (r * prefix)[slot[j]],
+    r the radius of that node's level.  GalaxyCode grows every level above the
+    codewords through one, and its codewords are the height-1 one, so every row
+    is bit for bit the one a materialized table would hold.  Supports len,
+    shape, and indexing by a slice or by an integer array of any shape (an int
+    gives one row); only the rows asked for are grown.
     """
 
     def __init__(self, centers, owner, slot, grown, listed, points):
@@ -306,14 +306,14 @@ class CodewordRows:
         return self.shape[0]
 
     def __array__(self, *args, **kwargs):
-        raise TypeError("codewords are grown on demand: index a block of rows instead")
+        raise TypeError("rows are grown on demand: index a block of them instead")
 
     def __getitem__(self, index) -> np.ndarray:
         if isinstance(index, slice):
             index = np.arange(*index.indices(len(self)))
         j = np.asarray(index)
         if j.size and j.dtype.kind not in "iu":
-            raise IndexError(f"codewords take a slice or integer indices, not {index!r}")
+            raise IndexError(f"rows take a slice or integer indices, not {index!r}")
         j = j.astype(np.intp, copy=False)
         owner, slot = self._owner[j], self._slot[j]  # IndexError past either end
         if self._listed is None:
@@ -339,22 +339,22 @@ class GalaxyCode:
     greedy_prefix(...).accepted, scaled to its level's radius, except at
     the exception nodes: exceptions = (nodes, counts, points) gives their
     level-order indices (ascending), point counts and points, one node
-    after another.  The constructor grows every level above height 1
-    through _grow_level and derives: centers (C, n) and counts (C,), every
-    node's center and point count in level order; codewords, the height-1
-    nodes' points as a CodewordRows of shape (N, n), grown a block at a
-    time when a kernel asks for them; heights and parents (C,), -1 for a
-    root; ancestors (N, t_bar), where ancestors[j, h-1] is the row of
-    centers holding codeword j's height-h ancestor (each column is sorted,
-    so a node's codewords form one run, and ancestors[j, -1] is j's root
-    index); and degraded (some node holds fewer than m_per_level points).
-    roots, the first R centers, and exceptions are the constructor's own
-    copies; all arrays are read-only.  No root, tables of another width,
-    exception lists of other lengths, not integers, not strictly increasing
-    or out of range, a count outside [1, m_per_level], points of other rows
-    than the counts give, and a non-finite coordinate (the codewords
-    checked in blocks of _DECIDE_CELLS cells) raise ValueError, naming a
-    node by its level-order index.
+    after another.  The constructor sizes every level before it grows any,
+    then grows each through a LevelRows: the levels above height 1 into
+    their slices of centers (C, n), every node's center in level order, and
+    the height-1 one as codewords, of shape (N, n), grown a block of rows at
+    a time when a kernel asks for them.  It derives counts (C,), every
+    node's point count; heights and parents (C,), -1 for a root; ancestors
+    (N, t_bar), where ancestors[j, h-1] is the row of centers holding
+    codeword j's height-h ancestor (each column is sorted, so a node's
+    codewords form one run, and ancestors[j, -1] is j's root index); and
+    degraded (some node holds fewer than m_per_level points).  roots, the
+    first R centers, and exceptions are the constructor's own copies; all
+    arrays are read-only.  No root, tables of another width, exception lists
+    of other lengths, not integers, not strictly increasing or out of range,
+    a count outside [1, m_per_level], points of other rows than the counts
+    give, and a non-finite coordinate (checked in blocks of _DECIDE_CELLS
+    cells) raise ValueError, naming a node by its level-order index.
     """
 
     params: GalaxyParams
@@ -363,7 +363,7 @@ class GalaxyCode:
     packing_saturated: bool
     centers: np.ndarray = field(init=False)
     counts: np.ndarray = field(init=False)
-    codewords: CodewordRows = field(init=False)
+    codewords: LevelRows = field(init=False)
     heights: np.ndarray = field(init=False)
     parents: np.ndarray = field(init=False)
     ancestors: np.ndarray = field(init=False)
@@ -412,73 +412,78 @@ class GalaxyCode:
         if bad.any():
             raise ValueError(f"node {bad.argmax()} has a non-finite coordinate")
 
+        # Every level's size from the counts alone: level i holds rows
+        # starts[i]:starts[i + 1] (the codewords last) and exception nodes
+        # cuts[i]:cuts[i + 1].
         prefix = spherical.greedy_prefix(p.n, p.theta, p.m_per_level, p.max_attempts).accepted
-        offsets = np.r_[0, np.cumsum(counts)]
-        levels, sizes, first = [roots], [], 0
-        for height in range(p.t_bar, 0, -1):
-            level = levels[-1]
-            lo, hi = np.searchsorted(nodes, [first, first + len(level)])
-            size = np.full(len(level), len(prefix), dtype=np.intp)
-            size[nodes[lo:hi] - first] = counts[lo:hi]
-            total = int(size.sum())
+        starts, cuts = [0, len(roots)], [0]
+        for _ in range(p.t_bar):
+            cuts.append(int(np.searchsorted(nodes, starts[-1])))
+            given = counts[cuts[-2] : cuts[-1]]
+            total = (starts[-1] - starts[-2] - len(given)) * len(prefix) + int(given.sum())
             if total * p.n * 8 > _TABLE_CAP:
                 raise ValueError(
                     f"refusing to grow {total} points of n = {p.n} coordinates: past the "
                     f"{_TABLE_CAP}-byte table cap"
                 )
-            sizes.append(size)
-            if height > 1:
-                grown = _grow_level(level, p.level_radius(height), prefix, nodes[lo:hi] - first,
-                                    size, points[offsets[lo] : offsets[hi]])
-                bad = ~np.isfinite(grown).all(axis=1)
-                if bad.any():  # an exception's point, or a center plus the prefix past float range
-                    owner = first + np.searchsorted(np.cumsum(size), bad.argmax(), side="right")
-                    raise ValueError(f"node {owner} has a non-finite coordinate")
-                levels.append(grown)
-            first += len(level)
-        n_roots, centers, counts_all = len(roots), np.concatenate(levels), np.concatenate(sizes)
-        slot = np.arange(total) - np.repeat(np.cumsum(size) - size, size)  # in its height-1 node
-        slot = slot.astype(np.min_scalar_type(p.m_per_level))
-        inner = len(centers) - n_roots
-        owner = np.repeat(np.arange(len(centers)), counts_all)  # each non-root row's node
-        parents = np.concatenate([np.full(n_roots, -1, dtype=np.intp), owner[:inner]])
-        ancestors = np.empty((len(owner) - inner, p.t_bar), dtype=np.intp)
-        ancestors[:, 0] = owner[inner:]
+            starts.append(starts[-1] + total)
+        n_roots, n_nodes = len(roots), starts[-2]
+        if cuts[-1] < len(nodes):
+            raise ValueError(
+                f"exception node {nodes[-1]} is out of range: the code has {n_nodes} nodes"
+            )
+
+        # Each non-root row's node and its slot among that node's points.
+        counts_all = np.full(n_nodes, len(prefix), dtype=np.intp)
+        counts_all[nodes] = counts
+        owner = np.repeat(np.arange(n_nodes), counts_all)
+        slot = np.arange(len(owner)) - (np.cumsum(counts_all) - counts_all)[owner]
+        slot = slot.astype(np.min_scalar_type(int(counts_all.max())))
+        parents = np.r_[np.full(n_roots, -1, dtype=np.intp), owner[: n_nodes - n_roots]]
+        ancestors = np.empty((len(owner) - n_nodes + n_roots, p.t_bar), dtype=np.intp)
+        ancestors[:, 0] = owner[n_nodes - n_roots :]
         del owner
         for h in range(1, p.t_bar):
             ancestors[:, h] = parents[ancestors[:, h - 1]]
         listed = None
-        if hi > lo:  # height-1 exception nodes: their points are given, not grown
-            listed = np.full(len(centers), -1, dtype=np.intp)
-            listed[nodes[lo:hi]] = offsets[lo:hi]
+        if len(nodes):  # each exception node's first row in points
+            listed = np.full(n_nodes, -1, dtype=np.intp)
+            listed[nodes] = np.cumsum(counts) - counts
+
+        # Level i's points are the rows of level i + 1: centers, written a
+        # block at a time into their slice, or at last the codewords.
+        centers = np.empty((n_nodes, p.n))
+        centers[:n_roots] = roots
+        step = max(1, _DECIDE_CELLS // p.n)
+        for i in range(p.t_bar):
+            first, end = starts[i + 1], starts[i + 2]
+            owner = parents[first:end] if end <= n_nodes else ancestors[:, 0]
+            grown = p.level_radius(p.t_bar - i) * prefix
+            rows = LevelRows(centers, owner, slot[first - n_roots : end - n_roots], grown,
+                             listed if cuts[i] < cuts[i + 1] else None, points)
+            # The codewords are finite when their listed points are and no
+            # center plus a prefix point can leave float range; else the blocks
+            # find the first that is not.
+            room = np.finfo(np.float64).max / 2 - np.abs(grown).max(initial=0.0)
+            if end > n_nodes and max(-centers.min(), centers.max()) <= room and np.isfinite(
+                    points[counts[: cuts[i]].sum() :]).all():
+                break
+            for s in range(0, len(rows), step):
+                block = rows[s : s + step]
+                if end <= n_nodes:
+                    centers[first + s : first + s + len(block)] = block
+                bad = ~np.isfinite(block).all(axis=1)
+                if bad.any():  # an exception's point, or a center plus the prefix past float range
+                    raise ValueError(f"node {owner[s + bad.argmax()]} has a non-finite coordinate")
         derived = dict(
             centers=centers, counts=counts_all, parents=parents, roots=centers[:n_roots],
-            ancestors=ancestors,
-            heights=np.repeat(np.arange(p.t_bar, 0, -1), [len(level) for level in levels]),
+            ancestors=ancestors, heights=np.repeat(np.arange(p.t_bar, 0, -1), np.diff(starts[:-1])),
         )
         for value in (*derived.values(), nodes, counts, points):
             value.flags.writeable = False
-        grown = p.level_radius(1) * prefix
-        codewords = CodewordRows(centers, ancestors[:, 0], slot, grown, listed, points)
-        # The codewords are finite when their listed points are and no center
-        # plus a prefix point can leave float range; else the blocks find the
-        # first that is not.
-        room = np.finfo(np.float64).max / 2 - np.abs(grown).max(initial=0.0)
-        if max(-centers.min(), centers.max()) > room or not np.isfinite(
-                points[offsets[lo] : offsets[hi]]).all():
-            step = max(1, _DECIDE_CELLS // p.n)
-            for s in range(0, len(codewords), step):
-                bad = ~np.isfinite(codewords[s : s + step]).all(axis=1)
-                if bad.any():  # an exception's point, or a center plus the prefix past float range
-                    raise ValueError(f"node {ancestors[s + bad.argmax(), 0]} has a non-finite "
-                                     "coordinate")
-        if hi < len(nodes):
-            raise ValueError(
-                f"exception node {nodes[-1]} is out of range: the code has {first} nodes"
-            )
         for name, value in derived.items():
             object.__setattr__(self, name, value)
-        object.__setattr__(self, "codewords", codewords)
+        object.__setattr__(self, "codewords", rows)
         object.__setattr__(self, "exceptions", (nodes, counts, points))
         object.__setattr__(self, "degraded", bool((counts_all < p.m_per_level).any()))
 
@@ -551,34 +556,13 @@ def _refusal(root: int, leaves: int, n: int) -> ValueError:
     )
 
 
-def _grow_level(level: np.ndarray, r: float, prefix: np.ndarray, nodes, sizes, points):
-    """The points of one level's nodes, one node after another.
-
-    Node i's points are level[i] + r * prefix, except at the exception nodes:
-    `nodes`, ascending indices into the level, whose points (one node's
-    after another) are given; sizes holds every node's point count.
-    GalaxyCode grows every level above the codewords here, and CodewordRows
-    adds the same operands, so a loaded code is bit for bit the built one.
-    """
-    n = level.shape[1]
-    if not len(nodes):
-        return (level[:, None, :] + r * prefix).reshape(-1, n)
-    grown = np.ones(len(level), dtype=bool)
-    grown[nodes] = False
-    rows = np.repeat(grown, sizes)
-    out = np.empty((len(rows), n))
-    out[rows] = (level[grown][:, None, :] + r * prefix).reshape(-1, n)
-    out[~rows] = points
-    return out
-
-
 def build_code(params: GalaxyParams) -> GalaxyCode:
     """Pack root centers and list the nodes whose points the prefix does not give.
 
     The greedy's witness-prefix run is the same at every node, so it runs
     once.  When it stops, every node's points are its center plus the run's
     directions scaled to its level's radius: the code has no exception node,
-    and GalaxyCode grows it a whole level at a time.  Only when it falls
+    and GalaxyCode grows it from the roots alone.  Only when it falls
     short does each node resume it (_exception_nodes).
     """
     roots, saturated = pack_centers(params)

@@ -743,19 +743,6 @@ def test_pair_sample_past_the_cap_rejected(tmp_path, ladder_file):
     assert len(out.splitlines()) == 2
 
 
-def test_simulate_peaks_near_the_loaded_code(tmp_path, ladder_file):
-    """Neither estimator holds a dense (N, t, n) direction table (50 MB
-    here): each simulate peaks at most 16 MB above rate --code, which only
-    loads the code."""
-    code = ["--code", str(ladder_file)]
-    rc, _, err, loaded = run_measured(tmp_path, "rate", *code)
-    assert rc == 0, err
-    for kind in (["--type1"], ["--type2", "--pairs", "same-planet"]):
-        rc, _, err, usage = run_measured(tmp_path, "simulate", *code, *kind, "--trials", "20000")
-        assert rc == 0, err
-        assert usage.ru_maxrss - loaded.ru_maxrss <= 16 << 10, kind  # kB
-
-
 # A child's ru_maxrss counts the pages it shares with its parent at the fork,
 # so the command is started from a small Python process, not from pytest.
 MAXRSS_PROBE = """
@@ -767,18 +754,29 @@ print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)
 """
 
 
+def peak_kb(*args):
+    """The ru_maxrss (kB) of one command started from MAXRSS_PROBE."""
+    res = run_python("-c", MAXRSS_PROBE, *args, env={**os.environ, "OPENBLAS_NUM_THREADS": "1"})
+    rc, peak = map(int, res.stdout.split())
+    assert rc == 0, res.stderr
+    return peak
+
+
+def test_simulate_peaks_near_the_loaded_code(ladder_file):
+    """Neither estimator holds a dense (N, t, n) direction table (50 MB
+    here): each simulate peaks at most 16 MB above rate --code, which only
+    loads the code."""
+    code = ["--code", str(ladder_file)]
+    loaded = peak_kb("rate", *code)
+    for kind in (["--type1"], ["--type2", "--pairs", "same-planet"]):
+        assert peak_kb("simulate", *code, *kind, "--trials", "20000") - loaded <= 16 << 10, kind
+
+
 def test_commands_hold_no_codeword_table(ladder_file):
     """The ladder code's codewords would take a 16 MiB table (8192 of n = 256).
     rate --code, verify and both simulate kinds peak less than that above
     formula-mode rate, which loads no code: none holds the table.  Each held
     it, and peaked 21-30 MB above."""
-    def peak_kb(*args):
-        res = run_python("-c", MAXRSS_PROBE, *args, env={**os.environ,
-                                                         "OPENBLAS_NUM_THREADS": "1"})
-        rc, peak = map(int, res.stdout.split())
-        assert rc == 0, res.stderr
-        return peak
-
     bare = peak_kb("rate", "--k", "16")
     code = ["--code", str(ladder_file)]
     for command in (["rate", *code], ["verify", *code],
@@ -851,6 +849,18 @@ def test_build_simplex_with_more_points_than_coordinates(tmp_path, n, k, points)
     res = run_cli("verify", "--code", str(path))
     assert res.returncode == 0, res.stdout
     assert "PASS" in res.stdout
+
+
+def test_m_past_64_bits_verifies_and_simulates(tmp_path):
+    # the code holds 4 points per node whatever m asks for; m = 2^64 is no uint64
+    path = tmp_path / "m64.json"
+    build = run_cli("build", "--n", "16", "--k", "8", "--power", "400", "--m", str(2**64),
+                    "--max-roots", "2", "--seed", "3", "--out", str(path))
+    assert build.returncode == 0, build.stderr
+    for command in (["verify"], ["simulate", "--type1", "--trials", "1000"]):
+        res = run_cli(command[0], "--code", str(path), *command[1:])
+        assert res.returncode == 0, res.stderr
+        assert "Traceback" not in res.stderr
 
 
 def test_rate_formula_mode_out_of_float_range():

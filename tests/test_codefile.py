@@ -129,6 +129,26 @@ def test_serialize_memory_is_a_block_not_a_level():
     assert peak <= 2 << 20 <= codeword_table(code).nbytes // 4
 
 
+def test_load_holds_its_centers_once(tmp_path):
+    """Loading the scale-ladder code at R = 64 roots (n = 256, N = 32768)
+    grows each level into its slice of one centers table, so it peaks under
+    1.5 times the centers and ancestors it keeps.  Growing every level apart
+    and then joining them peaked at 2.02 times."""
+    path = tmp_path / "r64.json"
+    save(build_code(_cli_params("--n", "256", "--k", "16", "--m", "8", "--depth", "3",
+                                "--r-min-coeff", "2", "--power", "1e7", "--seed", "5",
+                                "--max-roots", "64")), path)
+    load(path)  # leave one-time import and cache allocations out of the peak
+    tracemalloc.start()
+    try:
+        code = load(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(code.codewords) == 32768
+    assert peak <= 1.5 * (code.centers.nbytes + code.ancestors.nbytes)
+
+
 def test_coordinates_are_base64_blocks(code):
     doc = json.loads(serialize(code))
     assert doc["format_version"] == FORMAT_VERSION == 5

@@ -176,6 +176,27 @@ def test_uneven_blocks_match_reference(uneven_code):
         assert_same_selection(uneven_code, strategies[-3], 3)
 
 
+def test_min_distance_refuses_past_its_work_cap(two_root_code, monkeypatch):
+    """A min_distance filter of N^2 n coordinate products at the cap still
+    runs; one product past it is refused before any distance is taken."""
+    n_cw, n = two_root_code.codewords.shape
+    strategy = PairStrategy(mode="cross-galaxy", min_distance=0.0)
+    monkeypatch.setattr(experiments, "_MIN_DISTANCE_CAP", n_cw * n_cw * n)
+    assert_same_selection(two_root_code, strategy, 3)
+
+    def untouched(u):
+        raise AssertionError("squared norms taken past the cap")
+
+    cap = n_cw * n_cw * n - 1
+    monkeypatch.setattr(experiments, "_MIN_DISTANCE_CAP", cap)
+    monkeypatch.setattr(experiments, "_sq_norms", untouched)
+    with pytest.raises(ValueError) as err:
+        select_pairs(two_root_code, strategy, 3)
+    message = str(err.value)
+    assert f"N = {n_cw} codewords of n = {n} coordinates" in message
+    assert f"cap of {cap} coordinate products" in message
+
+
 def test_exhaustive_sample_count_bounds(two_root_code):
     n_cw = len(two_root_code.codewords)
     ordered = n_cw * (n_cw - 1)
