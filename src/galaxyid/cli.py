@@ -30,6 +30,7 @@ from .galaxy import GalaxyParams, build_code, theta_of_k
 from .seeding import derive_seed
 
 THREADS_ENV = "GALAXYID_THREADS"
+_K_LIST_CAP = 1024  # sweep cells; each builds, verifies and estimates one code
 
 
 def _threads(args) -> int:
@@ -203,9 +204,9 @@ def cmd_sweep(args) -> int:
 
     Cells are independent: a cell's estimator seed derives from its own
     parameters, so duplicate cells give identical rows whatever the thread
-    count.  A trial count past the estimators' cap is refused before the
-    first build; a failure to build, verify or estimate a cell becomes its
-    error row, and the sweep goes on.
+    count.  A trial count past the estimators' cap, or more than _K_LIST_CAP
+    values of k, is refused before the first build; a failure to build,
+    verify or estimate a cell becomes its error row, and the sweep goes on.
     """
     t0 = time.perf_counter()
     try:
@@ -214,6 +215,8 @@ def cmd_sweep(args) -> int:
         raise ValueError(f"expected --k-list like 8,16,32, got {args.k_list!r}") from exc
     if not ks:
         raise ValueError("--k-list is empty")
+    if len(ks) > _K_LIST_CAP:
+        raise ValueError(f"--k-list holds {len(ks)} values, more than the cap of {_K_LIST_CAP}")
     for flag, trials in (("--trials-type1", args.trials_type1),
                          ("--trials-type2", args.trials_type2)):
         if trials < 0:

@@ -385,13 +385,15 @@ def _sq_norms(u) -> np.ndarray:
 def _at_least(u, sq: np.ndarray, rows, threshold, cols=slice(None)) -> np.ndarray:
     """Mask over (rows, cols) of ||u_i - u_j|| >= threshold; rows and cols index u.
 
-    (T, h) and (T, w) index arrays make a (T, h, w) stack of tiles, with a
-    threshold per row.  Distances come from the Gram form; cells within its
-    rounding band are decided by np.linalg.norm of the difference, so a tie
-    goes the way a direct per-pair comparison sends it.  A distance is never
-    negative, so a threshold <= 0 is met everywhere with no recheck.
+    (T, h) and (T, w) index arrays make a (T, h, w) stack of tiles.  The
+    threshold broadcasts against the (..., h, w) mask: one value, one per
+    tile as (T, 1, 1), or one per cell.  Distances come from the Gram form;
+    cells within its rounding band are decided by np.linalg.norm of the
+    difference, so a tie goes the way a direct per-pair comparison sends it.
+    A distance is never negative, so a threshold <= 0 is met everywhere with
+    no recheck.
     """
-    a, b, t = u[rows], u[cols], np.asarray(threshold)[..., None]
+    a, b, t = u[rows], u[cols], np.asarray(threshold)
     d2 = a @ np.swapaxes(b, -1, -2)
     d2 *= -2.0
     band = sq[rows][..., :, None] + sq[cols][..., None, :]
@@ -546,20 +548,15 @@ def estimate_type2(
 # ---------------------------------------------------------------------------
 
 
-def _block_pairs(a0, an, b0, bn) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Every (a0[p] + x, b0[p] + y, p) with x < an[p] and y < bn[p], p-major."""
-    sizes = an * bn
-    p = np.repeat(np.arange(len(sizes)), sizes)
-    cell = np.arange(len(p)) - (np.cumsum(sizes) - sizes)[p]
-    return a0[p] + cell // bn[p], b0[p] + cell % bn[p], p
-
-
 def _tiles(x0, xn, y0, yn, h, w):
     """The h by w tiles (smaller at the far edges) that cut each rectangle
     x0 + [0, xn) by y0 + [0, yn): (x0, xn, y0, yn, rectangle) of each tile,
     rectangle-major."""
-    x, y, e = _block_pairs(0 * h, -(-xn // h), 0 * w, -(-yn // w))
-    tx0, ty0 = x0[e] + x * h[e], y0[e] + y * w[e]
+    down, across = -(-xn // h), -(-yn // w)  # tiles along each side of a rectangle
+    sizes = down * across
+    e = np.repeat(np.arange(len(sizes)), sizes)
+    cell = np.arange(len(e)) - (np.cumsum(sizes) - sizes)[e]
+    tx0, ty0 = x0[e] + cell // across[e] * h[e], y0[e] + cell % across[e] * w[e]
     return (tx0, np.minimum(h[e], x0[e] + xn[e] - tx0),
             ty0, np.minimum(w[e], y0[e] + yn[e] - ty0), e)
 
@@ -568,83 +565,55 @@ def _close_pairs(code: GalaxyCode, start, rho: np.ndarray, limit: np.ndarray) ->
     """(i, j, class) columns of every codeword pair i < j closer than
     limit[class], (i, j)-sorted; the class is 0 across roots, else the meet height.
 
-    A dual-tree check (Gray & Moore, NIPS 2000).  Node pairs start as
-    siblings: roots in class 0, a height-t node's children in class t.  No
-    codeword below node A lies farther than rho[A] from its center, so a
+    A dual-tree check (Gray & Moore, NIPS 2000), one pass per height down to
+    the codewords' (height 0).  A pass cuts the children of the pairs kept
+    above, and each sibling group with itself (roots in class 0, a node's
+    points in the class of its height), into tiles; stacks of one tile shape
+    go to _at_least, and each pair x < y it does not clear is kept.  A node
     pair is cleared when ||c_A - c_B|| - rho[A] - rho[B] beats its limit by
-    the rounding band; the rest give way to their children's pairs, down to
-    height 1.  There they and each height-1 node with itself make codeword
-    rectangles, cut into tiles that go to _at_least in stacks of one shape.
-    A level's node pairs go in blocks of at most _MASK_CELLS gathered
-    coordinates: a group of pairs wider than a block (the roots, or a node
-    with many children) is cut into row stripes, and a row wider than a
-    block into pieces.  start locates node points as in verify_structure."""
-    p, u, c, counts = code.params, code.codewords, code.centers, code.counts
-    inner = np.flatnonzero(code.heights > 1)
-    g_first, g_size = np.r_[0, start[inner]], np.r_[len(code.roots), counts[inner]]
-    g_class, g_height = np.r_[0, code.heights[inner]], np.r_[p.t_bar, code.heights[inner] - 1]
-    kept = [np.empty((3, 0), dtype=np.intp)]
-    step = max(1, _MASK_CELLS // p.n)  # node pairs per block of gathered center differences
-    for height in range(p.t_bar, 0, -1):
-        # Children pairs of the uncleared pairs one level up, and sibling pairs.
-        a, b, cls = np.concatenate(kept, axis=1)
-        g = np.flatnonzero(g_height == height)
-        x0, xn = np.r_[start[a], g_first[g]], np.r_[counts[a], g_size[g]]
-        y0, yn = np.r_[start[b], g_first[g]], np.r_[counts[b], g_size[g]]
-        w = np.minimum(yn, step)
-        x0, xn, y0, yn, e = _tiles(x0, xn, y0, yn, np.minimum(xn, np.maximum(1, step // w)), w)
-        up = x0 < y0 + yn - 1  # a tile with no x < y holds no pair of its own
-        x0, xn, y0, yn, parent_cls = x0[up], xn[up], y0[up], yn[up], np.r_[cls, g_class[g]][e[up]]
-        per = max(1, step // int((xn * yn).max(initial=1)))
-        kept = [np.empty((3, 0), dtype=np.intp)]
-        for s in range(0, len(x0), per):
-            part = slice(s, s + per)
-            x, y, q = _block_pairs(x0[part], xn[part], y0[part], yn[part])
-            up = x < y  # a sibling group pairs with itself: keep each pair once
-            pa, pb, k = x[up], y[up], parent_cls[part][q[up]]
-            d = np.linalg.norm(c[pa] - c[pb], axis=1)
-            reach, t = rho[pa] + rho[pb], limit[k]
-            near = d - reach - t < _band(p.n) * (d + reach + np.abs(t))
-            kept.append(np.stack([pa[near], pb[near], k[near]]))
-
-    # Codeword rectangles: a row node against a run of adjacent column nodes of
-    # one class.  Rectangles over one column range list their rows in one.
-    leaf = np.flatnonzero(code.heights == 1)
-    start = start - len(c)  # the height-1 nodes' first codeword rows
-    pairs = np.concatenate(kept + [np.stack([leaf, leaf, np.ones_like(leaf)])], axis=1)
-    del kept  # with nothing cleared, each copy holds one entry per pair of height-1 nodes
-    a, b, cls = pairs[:, np.lexsort((start[pairs[1]], start[pairs[0]]))]
-    del pairs
-    runs = np.flatnonzero(np.r_[True, (a[1:] != a[:-1]) | (cls[1:] != cls[:-1])
-                                | (start[b[1:]] != start[b[:-1]] + counts[b[:-1]])])
-    ends = np.r_[runs[1:], len(a)] - 1
-    c0, c1 = start[b[runs]], start[b[ends]] + counts[b[ends]]
-    order = np.lexsort((c1, c0))
-    a, c0, c1, h = a[runs][order], c0[order], c1[order], counts[a[runs][order]]
-    row_k = np.repeat(cls[runs][order], h)  # the codeword rows listed, and their classes
-    row = np.repeat(start[a] - np.cumsum(h) + h, h) + np.arange(len(row_k))
-    lists = np.flatnonzero(np.r_[True, (c0[1:] != c0[:-1]) | (c1[1:] != c1[:-1])])
-    first = np.r_[np.cumsum(h) - h, len(row)]
-    f0, f1, c0, c1 = first[lists], first[np.r_[lists[1:], len(h)]], c0[lists], c1[lists]
-    # Tiles of at most _MASK_CELLS cells and _DECIDE_CELLS gathered coordinates.
-    gather = _DECIDE_CELLS // p.n  # rows of u
-    tw = np.minimum(c1 - c0, max(1, min(_MASK_CELLS, gather // 2)))
-    th = np.minimum(f1 - f0, np.maximum(1, np.minimum(_MASK_CELLS // tw, gather - tw)))
-    i0, th, j0, tw, _ = _tiles(f0, f1 - f0, c0, c1 - c0, th, tw)
-    order = np.lexsort((tw, th))  # tiles of one shape go in stacks within the same bounds
-    i0, j0, th, tw = i0[order], j0[order], th[order], tw[order]
-    shapes = np.flatnonzero(np.r_[True, (th[1:] != th[:-1]) | (tw[1:] != tw[:-1]), True])
-    sq = _sq_norms(u)
-    found = [np.empty((3, 0), dtype=np.intp)]
-    for s0, s1 in zip(shapes[:-1].tolist(), shapes[1:].tolist()):
-        x, y = np.arange(th[s0]), np.arange(tw[s0])
-        per = max(1, min(_MASK_CELLS // (len(x) * len(y)), gather // (len(x) + len(y))))
-        for s in range(s0, s1, per):
-            pos, cols = i0[s : min(s + per, s1), None] + x, j0[s : min(s + per, s1), None] + y
-            t, x_t, y_t = np.nonzero(~_at_least(u, sq, row[pos], limit[row_k[pos]], cols))
-            i, j = row[pos[t, x_t]], cols[t, y_t]
-            found.append(np.stack([i, j, row_k[pos[t, x_t]]])[:, j > i])
-    found = np.concatenate(found, axis=1)
+    the rounding band: no codeword below A lies farther than rho[A] from
+    c_A.  start locates node points as in verify_structure."""
+    p, c, counts = code.params, code.centers, code.counts
+    first, size = np.r_[0, start], np.r_[len(code.roots), counts]  # the roots, each node's points
+    group_cls, group_height = np.r_[0, code.heights], np.r_[p.t_bar, code.heights - 1]
+    gather, band = _DECIDE_CELLS // p.n, _band(p.n)  # rows gathered per stack
+    sq_c = _sq_norms(c)
+    found = np.empty((3, 0), dtype=np.intp)
+    for height in range(p.t_bar, -1, -1):
+        a, b, cls = found
+        u, off = (c, 0) if height else (code.codewords, len(c))  # start counts centers first
+        sq = sq_c if height else _sq_norms(u)
+        g = np.flatnonzero(group_height == height)
+        x0, xn = np.r_[start[a], first[g]] - off, np.r_[counts[a], size[g]]
+        y0, yn = np.r_[start[b], first[g]] - off, np.r_[counts[b], size[g]]
+        w = np.minimum(yn, max(1, min(_MASK_CELLS, gather // 2)))
+        h = np.minimum(xn, np.maximum(1, np.minimum(_MASK_CELLS // w, gather - w)))
+        x0, xn, y0, yn, e = _tiles(x0, xn, y0, yn, h, w)
+        tile = np.flatnonzero(x0 < y0 + yn - 1)  # a tile with no x < y holds no pair of its own
+        tile = tile[np.lexsort((yn[tile], xn[tile]))]  # tiles of one shape go in stacks
+        x0, xn, y0, yn, e = x0[tile], xn[tile], y0[tile], yn[tile], e[tile]
+        cls = np.r_[cls, group_cls[g]][e]  # each tile's class
+        shapes = np.flatnonzero(np.diff(xn, prepend=0, append=0) | np.diff(yn, prepend=0, append=0))
+        kept = [found[:, :0]]
+        for s0, s1 in zip(shapes[:-1].tolist(), shapes[1:].tolist()):
+            x, y = np.arange(xn[s0]), np.arange(yn[s0])
+            per = max(1, min(_MASK_CELLS // (len(x) * len(y)), gather // (len(x) + len(y))))
+            for s in range(s0, s1, per):
+                part = slice(s, min(s + per, s1))
+                rows, cols, q = x0[part, None] + x, y0[part, None] + y, cls[part]
+                t = limit[q][:, None, None]
+                if height:
+                    # The band's prune, d - reach - t >= band (d + reach + |t|), solved for
+                    # d.  Its roundings move it by under 5 * 2^-53 scale (band << 1), so
+                    # adding 2^-50 scale, rounded too, keeps it at or above the exact
+                    # value: a node pair is cleared only where the exact test holds.
+                    reach = rho[rows][:, :, None] + rho[cols][:, None, :]
+                    scale = np.abs(t) + reach
+                    t = (t + reach + band * scale) / (1.0 - band) + scale * 2.0**-50
+                k, i, j = np.nonzero(~_at_least(u, sq, rows, t, cols))
+                i, j = rows[k, i], cols[k, j]
+                kept.append(np.stack([i, j, q[k]])[:, i < j])
+        found = np.concatenate(kept, axis=1)
     return found[:, np.lexsort(found[1::-1])]
 
 
@@ -657,10 +626,10 @@ def verify_structure(code: GalaxyCode, tol: float = 1e-6) -> StructureReport:
     violations are returned with their measured values.  Codewords go in
     row blocks, nodes in (nodes, m, n) blocks of one point count; the scalar
     min_pairwise_angle sees only a node whose largest cosine comes within
-    rounding of the angle bound, or with a point on its center.  Pairs are
-    skipped by node pairs whose radii clear the bound (_close_pairs), the
-    rest tested in stacks of equal-shape tiles: when nothing clears, each
-    pair i < j once in O(N^2) time, plus one entry per node pair on a level.
+    rounding of the angle bound, or with a point on its center.  Pairs go
+    through one descent (_close_pairs) that measures node and codeword pairs
+    alike: when nothing clears, each pair i < j once in O(N^2) time, plus
+    one kept entry per node pair of a height.
     """
     p, u, c = code.params, code.codewords, code.centers
     report = StructureReport(separation=galaxy.separation_margins(p.k, p.theta))

@@ -602,11 +602,28 @@ def test_sweep_refuses_trials_past_the_cap_before_building(monkeypatch, capsys, 
             "got 2000000000") in err
 
 
-def test_sweep_rejects_empty_k_list(capsys):
-    assert cli.main([*SWEEP_ARGS, "--k-list", ","]) == 2
-    out, err = capsys.readouterr()
-    assert not out
-    assert "error: --k-list is empty" in err
+def test_sweep_rejects_empty_k_list(monkeypatch, capsys):
+    """An empty --k-list, or one of more than 1024 values, exits 2 before any
+    GalaxyParams is made or any code is built; 1024 values run every cell."""
+    monkeypatch.setattr(cli, "build_code", lambda params: pytest.fail("a cell was built"))
+    monkeypatch.setattr(cli, "GalaxyParams", lambda **kw: pytest.fail("params were made"))
+    for k_list, message in ((",", "--k-list is empty"),
+                            (",".join(["8"] * 1025),
+                             "--k-list holds 1025 values, more than the cap of 1024")):
+        assert cli.main([*SWEEP_ARGS, "--k-list", k_list]) == 2
+        out, err = capsys.readouterr()
+        assert not out
+        assert f"error: {message}" in err
+    monkeypatch.undo()
+    built = []
+
+    def refuse(params):
+        built.append(params.k)
+        raise ValueError("not built here")
+
+    monkeypatch.setattr(cli, "build_code", refuse)
+    assert cli.main([*SWEEP_ARGS, "--k-list", ",".join(["8"] * 1024)]) == 0
+    assert built == [8] * 1024
 
 
 def test_sweep_rejects_non_integer_k(capsys):

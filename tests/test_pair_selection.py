@@ -503,7 +503,8 @@ def test_prune_boundary_matches_reference(code, pick):
 def test_gap_meeting_its_threshold_exactly_is_cleared():
     """With every center and codeword at the origin, each node pair's gap is
     0 with nothing to round.  At tol = the cross-galaxy floor the root pairs'
-    threshold is 0 too, so they are cleared and no exact test spans two roots."""
+    threshold is 0 too, so the root pass clears them all and no codeword tile
+    spans two roots."""
     built = build_code(GalaxyParams(n=8, power=1e8, k=16, m_per_level=3, t_bar=2,
                                     master_seed=1, max_roots=3, saturation_probes=30))
     assert len(built.roots) == 3
@@ -513,17 +514,23 @@ def test_gap_meeting_its_threshold_exactly_is_cleared():
     roots, at_least, blocks = code.ancestors[:, -1], experiments._at_least, []
 
     def spy(u, sq, rows, threshold, cols):
-        blocks.append((rows, cols))
-        return at_least(u, sq, rows, threshold, cols)
+        far = at_least(u, sq, rows, threshold, cols)
+        blocks.append((u is code.codewords, rows, cols, far))
+        return far
 
     with mock.patch.object(experiments, "_at_least", side_effect=spy):
         report = verify_structure(code, tol=floor)
     assert (report.cond2_violations, report.cross_galaxy_violations) == \
         reference_violations(code, floor)
-    assert blocks
-    # Each tile of a stack, its rows and its columns, lies under one root.
-    assert all((roots[np.hstack([rows, cols])] == roots[cols[:, :1]]).all()
-               for rows, cols in blocks)
+    node_root = np.empty(len(code.centers), dtype=np.intp)
+    node_root[code.ancestors] = code.ancestors[:, -1:]
+    assert any(leaf for leaf, *_ in blocks)
+    # Each tile of a stack, its rows and its columns, lies under one root;
+    # only node tiles may span roots, and then every pair in them is cleared.
+    for leaf, rows, cols, far in blocks:
+        root = (roots if leaf else node_root)[np.hstack([rows, cols])]
+        spans = (root != root[:, :1]).any(axis=1)
+        assert not (spans & leaf).any() and far[spans].all()
 
 
 @settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -564,6 +571,23 @@ def test_at_least_meets_nonpositive_thresholds_without_recheck():
     for rows, cols in ((np.arange(6), slice(None)), (slice(1, 4), slice(2, 6))):
         far = experiments._at_least(u, sq, rows, float(np.median(dist)), cols)
         np.testing.assert_array_equal(far, dist[rows][:, cols] >= np.median(dist))
+
+
+def test_at_least_takes_a_threshold_per_cell():
+    # A (T, h, w) threshold array meets the mask cell by cell: thresholds <= 0
+    # (the point itself included), each cell's measured distance, where the
+    # recheck must read it as met, and one float step above it, where not.
+    u = np.random.default_rng(1).standard_normal((7, 5))
+    sq = np.einsum("ij,ij->i", u, u)
+    rows, cols = np.array([[0, 1, 2], [3, 4, 5]]), np.array([[0, 2, 4, 6], [1, 3, 5, 6]])
+    dist = np.array([[[float(np.linalg.norm(u[i] - u[j])) for j in c] for i in r]
+                     for r, c in zip(rows, cols)])
+    pick = np.arange(dist.size).reshape(dist.shape) % 5
+    threshold = np.choose(pick, [np.zeros_like(dist), -dist, dist,
+                                 np.nextafter(dist, np.inf), 0.5 * dist])
+    far = experiments._at_least(u, sq, rows, threshold, cols)
+    np.testing.assert_array_equal(far, dist >= threshold)
+    assert (far == (pick != 3)).all()
 
 
 @SETTINGS

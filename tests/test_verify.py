@@ -17,9 +17,15 @@ from hypothesis import strategies as st
 
 from galaxyid import cli, codefile, experiments
 from galaxyid.experiments import ANGLE_TOL, verify_structure
-from galaxyid.galaxy import GalaxyParams, build_code, separation_margins
+from galaxyid.galaxy import (
+    GalaxyParams,
+    build_code,
+    pair_distance_lower_bound,
+    separation_margins,
+)
 from galaxyid.spherical import min_pairwise_angle
 from reference import (
+    _close_pairs_reference,
     codeword_table,
     from_arrays,
     root_of,
@@ -31,6 +37,7 @@ from test_galaxy import (  # wide-build is degraded: m = 4 of 16
     SHAPED_BUILDS,
     _cli_params,
 )
+from test_pair_selection import codes, sibling_pairs
 
 
 def _code(flags, seed):
@@ -132,6 +139,58 @@ def test_mixed_point_counts_match_reference(code):
         dataclasses.asdict(verify_structure_reference(code))
 
 
+def test_close_pairs_at_the_prune_margin():
+    """Limits at a sibling node pair's measured clearance ||c_A - c_B|| -
+    rho_A - rho_B, with start and rho as verify_structure takes them, and one
+    float step either side.  Each node gets a codeword on the segment between
+    the centers at its measured radius, so the codeword pair's distance is the
+    clearance up to rounding, and only the node threshold's rounding stands
+    between clearing the node pair and missing the codeword pair.  The same
+    is checked at the codeword pair's own distance.  _close_pairs matches the
+    all-pairs scan, and across the drawn cases some node pair is cleared
+    above the codewords, so the pruning is exercised, not just the leaves."""
+    at_least, cleared = experiments._at_least, []
+
+    @SETTINGS
+    @given(drawn=st.one_of(codes(max_roots=st.integers(2, 4)), uneven_codes()),
+           pick=st.integers(0, 2**16))
+    def check(drawn, pick):
+        pairs = sibling_pairs(drawn)
+        assume(pairs)
+        a, b = pairs[pick % len(pairs)]
+        c, u = drawn.centers, codeword_table(drawn)
+        below = [np.flatnonzero(drawn.ancestors[:, drawn.heights[x] - 1] == x) for x in (a, b)]
+        unit = (c[b] - c[a]) / np.linalg.norm(c[b] - c[a])
+        rho = [max(np.linalg.norm(u[rows] - c[x], axis=1)) for x, rows in zip((a, b), below)]
+        i, j = below[0][pick % len(below[0])], below[1][pick % len(below[1])]
+        u[i], u[j] = c[a] + rho[0] * unit, c[b] - rho[1] * unit
+        code = from_arrays(drawn.params, c, drawn.counts, u, drawn.packing_saturated)
+        p, anc = code.params, code.ancestors
+        start = len(code.roots) + np.cumsum(code.counts) - code.counts
+        rho = np.zeros(len(c))
+        np.maximum.at(rho, anc, np.linalg.norm(u[:, None] - c[anc], axis=2))
+        limit = np.array([p.n ** (p.b + 0.25) / 2.0] + [
+            pair_distance_lower_bound(p.r, p.k, p.theta, t) for t in range(1, p.t_bar + 1)]) - 1e-6
+        k = int(code.heights[code.parents[a]]) if code.parents[a] >= 0 else 0
+
+        def spy(u, sq, rows, threshold, cols):
+            far = at_least(u, sq, rows, threshold, cols)
+            if u is not code.codewords:
+                cleared.append(bool((far & (rows[..., :, None] < cols[..., None, :])).any()))
+            return far
+
+        for tie in (float(np.linalg.norm(c[a] - c[b])) - (rho[a] + rho[b]),
+                    float(np.linalg.norm(u[i] - u[j]))):
+            for t in (math.nextafter(tie, -math.inf), tie, math.nextafter(tie, math.inf)):
+                limit[k] = t
+                with mock.patch.object(experiments, "_at_least", side_effect=spy):
+                    close = experiments._close_pairs(code, start, rho, limit)
+                assert list(map(tuple, close.T.tolist())) == _close_pairs_reference(code, limit)
+
+    check()
+    assert any(cleared)
+
+
 def _node_points(code, v):
     """Row indices of node v's points and the table holding them."""
     if code.heights[v] == 1:
@@ -200,18 +259,19 @@ def large_code():
 
 def test_large_code_runs_no_scalar_angle_and_blocks_not_nodes(large_code):
     """On the large-n code (N = 4096, 512 height-1 nodes) no node needs the
-    scalar angle, and the codeword tiles reach _at_least in stacks whose
-    count follows the block bound, not the node count: all in one stack once
-    the bound holds them."""
+    scalar angle, and at each height the tiles reach _at_least in stacks
+    whose count follows that height's block bound, not its node count: one
+    stack per height once the bound holds them."""
     code, at_least = large_code, experiments._at_least
-    leaves = int((code.heights == 1).sum())
+    leaves, t_bar = int((code.heights == 1).sum()), code.params.t_bar
 
     def calls(gather_cells):
         scalar, stacks = [], []
 
-        def spy(*args):
-            stacks.append(args[2].shape)
-            return at_least(*args)
+        def spy(u, sq, rows, threshold, cols):
+            height = 0 if u is code.codewords else int(code.heights[rows.flat[0]])
+            stacks.append((height, rows.shape))
+            return at_least(u, sq, rows, threshold, cols)
 
         with mock.patch.object(experiments, "min_pairwise_angle",
                                side_effect=lambda *args: scalar.append(args)), \
@@ -222,10 +282,16 @@ def test_large_code_runs_no_scalar_angle_and_blocks_not_nodes(large_code):
         return stacks
 
     stacks = calls(experiments._DECIDE_CELLS)
-    m, n = code.params.m_per_level, code.params.n
-    assert sum(s[0] for s in stacks) >= leaves  # each height-1 node's own tile, at least
-    assert len(stacks) <= -(-leaves * 2 * m * n // experiments._DECIDE_CELLS) + 1 < leaves // 32
-    assert len(calls(leaves * 2 * m * n)) == 1
+    n = code.params.n
+    # Each point is gathered twice, as a row and as a column of its sibling
+    # group's tile: the codewords at height 0, the nodes of each height above.
+    points = [len(code.codewords)] + [int((code.heights == t).sum()) for t in range(1, t_bar + 1)]
+    for height, count in enumerate(points):
+        at = [shape for t, shape in stacks if t == height]
+        assert 1 <= len(at) <= -(-count * 2 * n // experiments._DECIDE_CELLS) + 1
+    assert sum(shape[0] for t, shape in stacks if t == 0) >= leaves  # each leaf's own tile
+    assert len(stacks) < leaves // 32
+    assert sorted(t for t, _ in calls(2 * len(code.codewords) * n)) == list(range(t_bar + 1))
 
 
 def test_verify_peak_is_bounded_by_the_codeword_table(large_code):
