@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 import os
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -217,19 +218,21 @@ def run_units(worker, n_units: int, threads: int | None) -> list:
         return list(pool.map(worker, range(n_units)))
 
 
-def _direction_table(code: GalaxyCode) -> tuple[np.ndarray, np.ndarray]:
-    """The nonzero cells of unit_directions along every codeword's chain:
-    (N, K) flat offsets into its (t_bar, n) directions and their values, K
-    the most of any chain (at most t_bar times the most of one direction),
-    a shorter list repeating its first cell.  Directions come in row blocks
-    of at most _DECIDE_CELLS cells, so no temporary outgrows a block.
-    Raises on a degenerate chain, as unit_directions does."""
+def _direction_table(code: GalaxyCode, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The nonzero cells of unit_directions along the chains of codewords
+    rows: (len(rows), K) flat offsets into each chain's (t_bar, n)
+    directions and their values, K the most of any of these chains (at most
+    t_bar times the most of one direction), a shorter list repeating its
+    first cell.  Directions come in blocks of at most _DECIDE_CELLS cells,
+    so no temporary outgrows a block.  Raises on a degenerate chain, as
+    unit_directions does."""
     u, anc = code.codewords, code.ancestors
     chain = anc.shape[1] * u.shape[1]
     step = max(1, _DECIDE_CELLS // chain)
     blocks = []
-    for s in range(0, len(u), step):
-        d = unit_directions(u[s : s + step], code.centers[anc[s : s + step]]).reshape(-1, chain)
+    for s in range(0, len(rows), step):
+        block = rows[s : s + step]
+        d = unit_directions(u[block], code.centers[anc[block]]).reshape(-1, chain)
         r, c = np.divmod(np.flatnonzero(d != 0), chain)  # every chain has a nonzero cell
         count = np.bincount(r, minlength=len(d))
         first = np.cumsum(count) - count
@@ -256,10 +259,12 @@ def _pair_counts(
     targets: np.ndarray | None = None,
     senders: np.ndarray | None = None,
     meet_rows: np.ndarray | None = None,
-) -> tuple[int, int, int]:
+) -> tuple[int, int, int, float]:
     """(accepted, in shell, in decisive slab) counts, summed over the units,
     when trial t sends senders[p] to targets[p]'s decoder, p = t mod P; with
-    no targets, codeword t mod N sends itself.
+    no targets, codeword t mod N sends itself.  Last, the least norm of the
+    offsets of the cross-root pairs the trials visit (inf for none), taken
+    as each is first visited: the trials visit pairs [0, min(trials, P)).
 
     The decisive slab is the one at the pair's meet ancestor, row
     meet_rows[p] of the chain; a pair with none (-1: across roots) counts
@@ -267,32 +272,54 @@ def _pair_counts(
     The trials run as n_units = _unit_count(trials) units, and each unit's
     noise comes from the stream (master_seed, tag, unit), drawn block by
     block (a stream fills the same values in parts as in one call).  The run
-    holds the sparse direction table, and each thread one block of normals
-    and one zeroed (rows, t_bar, n) scratch of at most _DECIDE_CELLS cells:
-    a block's direction cells are scattered into it for decide() and zeroed
-    after, so each projection is the dense einsum on the dense values.  Row
-    r of a block sends pair (first trial + r) mod P.  A type-2 block with no
-    decisive slab and no row in the shell accepts nothing: its slabs are
-    not tested.
+    holds the sparse direction table of the codewords its trials decode
+    (the first min(trials, N), or the distinct targets), and each thread one
+    block of normals and one zeroed (rows, t_bar, n) scratch of at most
+    _DECIDE_CELLS cells: a block's direction cells are scattered into it for
+    decide() and zeroed after, so each projection is the dense einsum on the
+    dense values.  Row r of a block sends pair (first trial + r) mod P.  A
+    type-2 block with no decisive slab and no row in the shell accepts
+    nothing: its slabs are not tested.  So when no pair has a decisive slab
+    the table is built only once some block has a row in the shell, by the
+    first thread to need it.
     """
     u = code.codewords
-    offsets, values = _direction_table(code)
     step = max(1, _DECIDE_CELLS // (code.params.t_bar * params.n))
     n_pairs = len(u) if targets is None else len(targets)
+    tiled = n_pairs <= step
+    if targets is None:  # row q of the table is codeword q
+        words, table_row = np.arange(n_pairs if tiled else min(trials, n_pairs)), None
+    else:
+        words, table_row = np.unique(targets, return_inverse=True)
 
     def pair_rows(q):  # table rows, sender - target offsets and meet rows of pairs q
         if targets is None:
             return q, None, None
-        return targets[q], u[senders[q]] - u[targets[q]], meet_rows[q]
+        return table_row[q], u[senders[q]] - u[targets[q]], meet_rows[q]
 
-    if n_pairs <= step:  # tiled once to P + step rows, so every block is a view
-        tiled, *tiles = pair_rows(np.arange(n_pairs + step) % n_pairs)
-        offsets, values, span = offsets[tiled], values[tiled], n_pairs + step
+    if tiled:  # tiled once to P + step rows, so every block is a view
+        gather, *tiles = pair_rows(np.arange(n_pairs + step) % n_pairs)
+        span = n_pairs + step
         block_rows = lambda q: [q] + [a if a is None else a[q] for a in tiles]
     else:  # a block ends at the end of the pair list, so it is a slice of it
-        span, block_rows = n_pairs, pair_rows
+        gather, span, block_rows = slice(None), n_pairs, pair_rows
 
-    def run_unit(unit_index: int) -> np.ndarray:
+    table, lock = None, threading.Lock()
+
+    def direction_cells():  # built once, by the first caller
+        nonlocal table
+        with lock:
+            if table is None:
+                offsets, values = _direction_table(code, words)
+                table = offsets[gather], values[gather]
+        return table
+
+    if targets is None or (meet_rows >= 0).any():  # some slab test is certain
+        direction_cells()
+
+    seen = min(trials, n_pairs)  # trials [0, seen) visit each pair first
+
+    def run_unit(unit_index: int) -> tuple[np.ndarray, float]:
         start = unit_index * UNIT_SIZE
         size = min(UNIT_SIZE, trials - start)
         rng = np.random.default_rng(derive_seed(master_seed, tag, unit_index))
@@ -300,20 +327,26 @@ def _pair_counts(
         scratch = np.zeros((len(noise), code.params.t_bar, params.n))
         flat, row_base = scratch.reshape(-1), np.arange(len(noise))[:, None] * scratch[0].size
         counts = np.zeros(3, dtype=np.int64)
+        least = math.inf
         s = 0
         while s < size:
             q = (start + s) % n_pairs
             rows = min(step, size - s, span - q)
+            fresh = max(0, min(rows, seen - start - s))  # rows visiting their pair first
             s += rows
             table_rows, shift, meet = block_rows(slice(q, q + rows))
             block = noise[:rows]
             rng.standard_normal(out=block)
             block *= params.sigma
             if shift is not None:
+                across = meet[:fresh] < 0
+                if across.any():
+                    least = min(least, _min_norm(shift[:fresh][across]))
                 block += shift
                 met = meet >= 0
                 if not met.any() and not in_shell(block, params).any():
                     continue
+            offsets, values = table if table is not None else direction_cells()
             cells = offsets[table_rows] + row_base[:rows]
             flat[cells] = values[table_rows]
             shell, slabs, accept = decide(block, scratch[:rows], params)
@@ -321,10 +354,11 @@ def _pair_counts(
             counts[:2] += accept.sum(), shell.sum()
             if shift is not None:
                 counts[2] += slabs[met, meet[met]].sum()
-        return counts
+        return counts, least
 
-    accepted, shell_hits, slab_hits = sum(run_units(run_unit, n_units, threads))
-    return int(accepted), int(shell_hits), int(slab_hits)
+    results = run_units(run_unit, n_units, threads)
+    accepted, shell_hits, slab_hits = sum(counts for counts, _ in results)
+    return int(accepted), int(shell_hits), int(slab_hits), min(least for _, least in results)
 
 
 def _estimate(kind, trials, hits, bound, formula, seed, **components) -> ErrorEstimate:
@@ -353,25 +387,28 @@ def estimate_type1(
     """
     bound = shell_prob_miss(params) + code.params.t_bar * _slab_tail(params)
     n_units = _unit_count(trials)
-    accepted, _, _ = _pair_counts(code, "type1", params, trials, n_units, master_seed, threads)
+    accepted, *_ = _pair_counts(code, "type1", params, trials, n_units, master_seed, threads)
     return _estimate("type1", trials, trials - accepted, bound, "shell-exact+slab-union",
                      master_seed)
 
 
-def _tree_layout(code: GalaxyCode) -> tuple[np.ndarray, np.ndarray]:
-    """[start, end) of the block holding each codeword at every tree level.
+def _tree_layout(code: GalaxyCode, level: int) -> tuple[np.ndarray, np.ndarray]:
+    """[start, end) of the block holding each codeword at one tree level.
 
-    Row L of the (t_bar + 2, N) results is level L: 0 is the whole code,
-    L in 1..t_bar the codeword's ancestor at height t_bar + 1 - L (1 is its
-    root), t_bar + 1 the codeword itself.  Codewords are listed depth-first,
-    so each level's key (one value, an ancestors column, the codeword's own
-    index) is sorted and a block is the run of one key value.
+    Level 0 is the whole code, L in 1..t_bar the codeword's ancestor at
+    height t_bar + 1 - L (1 is its root), t_bar + 1 the codeword itself.
+    Codewords are listed depth-first, so the level's key (one value, an
+    ancestors column, the codeword's own index) is sorted and a block is
+    the run of one key value.
     """
-    n_cw = len(code.codewords)
-    keys = [np.zeros(n_cw, dtype=np.intp), *code.ancestors.T[::-1], np.arange(n_cw)]
-    lo = np.stack([np.searchsorted(key, key, side="left") for key in keys])
-    hi = np.stack([np.searchsorted(key, key, side="right") for key in keys])
-    return lo, hi
+    n_cw, t_bar = len(code.codewords), code.params.t_bar
+    if level == 0:
+        key = np.zeros(n_cw, dtype=np.intp)
+    elif level <= t_bar:
+        key = np.ascontiguousarray(code.ancestors[:, t_bar - level])
+    else:
+        key = np.arange(n_cw)
+    return np.searchsorted(key, key, side="left"), np.searchsorted(key, key, side="right")
 
 
 def _sq_norms(u) -> np.ndarray:
@@ -423,17 +460,17 @@ def select_pairs(code: GalaxyCode, strategy: PairStrategy, master_seed: int) -> 
     subsampling, to sample_count or _PAIR_CAP pairs, uses a stream derived
     from the master seed.  Raises when the code contains no pair of the
     requested class, and a min_distance filter past _MIN_DISTANCE_CAP
-    coordinate products (N^2 n) before it compares any pair.
+    coordinate products (N^2 n), or past the code's diameter bound, before
+    it compares any pair.  Only the outer and inner levels are laid out.
     """
     u = code.codewords
     n_cw = len(u)
     if n_cw < 2:
         raise ValueError("need at least two codewords to form pairs")
     t_bar = code.params.t_bar
-    lo, hi = _tree_layout(code)
     outer, inner = {"same-planet": (t_bar, t_bar + 1), "same-galaxy-deep": (1, 2),
                     "cross-galaxy": (0, 1), "exhaustive-sample": (0, t_bar + 1)}[strategy.mode]
-    outer_lo, outer_hi, inner_lo, inner_hi = lo[outer], hi[outer], lo[inner], hi[inner]
+    inner_lo, inner_hi = _tree_layout(code, inner)  # the root level for min_distance
 
     filtered = strategy.min_distance is not None
     if filtered:
@@ -443,19 +480,26 @@ def select_pairs(code: GalaxyCode, strategy: PairStrategy, master_seed: int) -> 
                 f"coordinates: N^2 n passes the cap of {_MIN_DISTANCE_CAP} coordinate products"
             )
         sq = _sq_norms(u)
+        # No pair is farther apart than 2 max ||u||, nor measures so up to the
+        # rounding band: past that no pair matches (and the threshold's square
+        # may overflow).
+        if strategy.min_distance > 2.0 * math.sqrt(sq.max()) * (1.0 + _band(u.shape[1])):
+            raise ValueError(f"no pairs match strategy {strategy.mode!r}")
         step, width = max(1, _MASK_CELLS // n_cw), max(1, _DECIDE_CELLS // u.shape[1])
 
         def far(rows):  # outside the target's root, from column tiles of `width` codewords
             mask = np.concatenate([_at_least(u, sq, rows, strategy.min_distance,
                                              slice(s, s + width)) for s in range(0, n_cw, width)],
                                   axis=1)
-            return mask & (lo[1, rows, None] != lo[1])
+            return mask & (inner_lo[rows, None] != inner_lo)
 
         counts = np.concatenate(
             [far(np.arange(s, min(s + step, n_cw))).sum(axis=1) for s in range(0, n_cw, step)]
         )
     else:
-        counts = (outer_hi - outer_lo) - (inner_hi - inner_lo)
+        outer_lo, outer_hi = _tree_layout(code, outer)
+        counts = outer_hi - outer_lo
+        counts -= inner_hi - inner_lo
     ends = np.cumsum(counts)
     total = int(ends[-1])
     if total == 0:
@@ -519,22 +563,25 @@ def estimate_type2(
     Pairs are visited round-robin.  Sub-events are counted separately: the
     shell of the target, and the slab at the pair's meet ancestor (the one
     the separation analysis makes decisive).  Cross-galaxy pairs have no
-    meet ancestor, so their decisive-slab count stays zero by construction.
+    meet ancestor, so their decisive-slab count stays zero by construction;
+    their bound takes d_min, the least norm of their offsets, which the
+    trials measure as they first visit each pair: only the pairs that they
+    never reach are measured after them.
     """
     slab_tail = _slab_tail(params)
     n_units = _unit_count(trials)  # refused before pairs are selected
     targets, senders = select_pairs(code, strategy, master_seed).T
     meet_rows = _meet_rows(code, targets, senders)
-    hits, shell_hits, slab_hits = _pair_counts(
+    hits, shell_hits, slab_hits, d_min = _pair_counts(
         code, "type2", params, trials, n_units, master_seed, threads, targets, senders, meet_rows
     )
     u, cross = code.codewords, meet_rows < 0  # two distinct codewords: across roots
     terms = {}  # one bound per pair class present
     if cross.any():
-        cross_t, cross_s = targets[cross], senders[cross]
+        rest = trials + np.flatnonzero(cross[trials:])
         step = max(1, _DECIDE_CELLS // u.shape[1])
-        d_min = min(_min_norm(u[cross_s[s : s + step]] - u[cross_t[s : s + step]])
-                    for s in range(0, len(cross_t), step))
+        d_min = min([d_min] + [_min_norm(u[senders[q]] - u[targets[q]])
+                               for q in (rest[s : s + step] for s in range(0, len(rest), step))])
         terms["cross-shell"] = shell_prob_cross(params, d_min)
     if not cross.all():
         terms["meet-slab-tail"] = slab_tail

@@ -7,6 +7,7 @@ import signal
 import subprocess
 import sys
 import threading
+import time
 from collections import Counter
 from dataclasses import fields
 from pathlib import Path
@@ -758,6 +759,25 @@ def test_pair_sample_past_the_cap_rejected(tmp_path, ladder_file):
     rc, out, err, _ = run_measured(tmp_path, *args, "--pair-sample", "20000")
     assert rc == 0, err
     assert len(out.splitlines()) == 2
+
+
+def test_min_distance_past_the_code_diameter_exits_2_at_once(tmp_path):
+    """On the large-n benchmark code (N = 4096), a min_distance whose square
+    overflows matches no pair and exits 2 in under a second, with no
+    warning.  Each of its cells was a Python-level norm recheck: the command
+    ran for minutes."""
+    path = tmp_path / "large.json"
+    res = run_cli("build", "--n", "64", "--k", "16", "--power", "1e7", "--m", "8", "--depth", "3",
+                  "--r-min-coeff", "2", "--max-roots", "8", "--seed", "103", "--out", str(path),
+                  timeout=120)
+    assert res.returncode == 0, res.stderr
+    start = time.perf_counter()
+    res = run_cli("simulate", "--code", str(path), "--type2", "--pairs", "cross-galaxy",
+                  "--min-distance", "1e300", "--trials", "10", timeout=60)
+    elapsed = time.perf_counter() - start
+    assert (res.returncode, res.stdout) == (2, "")
+    assert res.stderr == "error: no pairs match strategy 'cross-galaxy'\n"
+    assert elapsed < 1.0
 
 
 # A child's ru_maxrss counts the pages it shares with its parent at the fork,

@@ -191,7 +191,7 @@ def test_direction_table_keeps_three_cells_per_direction(table_code):
     coordinates (acute theta, +-e_i prefix), so the table holds at most
     N t_bar 3 offsets and values, against N t_bar n dense cells."""
     code = table_code
-    offsets, values = experiments._direction_table(code)
+    offsets, values = experiments._direction_table(code, np.arange(len(code.codewords)))
     n_cw, t_bar = len(code.codewords), code.params.t_bar
     assert offsets.shape == values.shape and offsets.shape[0] == n_cw
     assert offsets.shape[1] <= t_bar * 3
@@ -206,18 +206,21 @@ def test_estimators_hold_one_direction_table_plus_draw_and_decide_blocks(table_c
     at most a block's rows (2 blocks; before the first draw, the table's
     dense row blocks), and per worker one scratch block, one normals block
     and the temporaries of decide() and of the block's gathers.  No dense
-    (N, t_bar, n) table, 12 blocks here, and no draw chunk."""
+    (N, t_bar, n) table, 12 blocks here, and no draw chunk.  A cross-galaxy
+    run with no row in the shell holds no table at all."""
     code, trials = table_code, 2 * experiments.UNIT_SIZE
-    offsets, values = experiments._direction_table(code)
+    offsets, values = experiments._direction_table(code, np.arange(len(code.codewords)))
     blocks = 2 + 3 * _worker_count(threads, 2)
-    bound = 2 * (offsets.nbytes + values.nbytes) + 8 * (4 * experiments._PAIR_CAP
-                                                        + blocks * experiments._DECIDE_CELLS)
+    tableless = 8 * (4 * experiments._PAIR_CAP + blocks * experiments._DECIDE_CELLS)
+    bound = 2 * (offsets.nbytes + values.nbytes) + tableless
     dec = DecoderParams.from_galaxy(code.params)
-    runs = [lambda: estimate_type1(code, dec, trials, 1, threads)] + [
-        lambda mode=mode: estimate_type2(code, PairStrategy(mode=mode), dec, trials, 1, threads)
-        for mode in ("same-planet", "cross-galaxy")
+    runs = [(bound, lambda: estimate_type1(code, dec, trials, 1, threads))] + [
+        (limit, lambda mode=mode: estimate_type2(code, PairStrategy(mode=mode), dec, trials, 1,
+                                                 threads))
+        for limit, mode in ((bound, "same-planet"), (tableless, "cross-galaxy"))
     ]
-    for run in runs:
+    assert runs[-1][1]().components["shell_hits"] == 0
+    for limit, run in runs:
         run()  # the modules an estimator imports on first use are not its working set
         tracemalloc.start()
         try:
@@ -225,7 +228,7 @@ def test_estimators_hold_one_direction_table_plus_draw_and_decide_blocks(table_c
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= bound
+        assert peak <= limit
 
 
 def test_verify_structure_passes_fresh(small_code):

@@ -5,6 +5,11 @@ per-codeword and per-pair decoder loops, the codeword rows against a
 node-by-node walk and the materialized table, and the code file round trip."""
 
 import math
+import os
+import sys
+import time
+import tracemalloc
+import warnings
 from collections import Counter
 from unittest import mock
 
@@ -197,6 +202,26 @@ def test_min_distance_refuses_past_its_work_cap(two_root_code, monkeypatch):
     assert f"cap of {cap} coordinate products" in message
 
 
+def test_min_distance_past_the_diameter_bound_matches_no_pair_at_once():
+    """A min_distance above 2 max ||u||, widened by the rounding band, matches
+    no pair, and select_pairs says so before it compares any: no distance
+    test, no norm recheck and no overflow warning, also where the
+    threshold's square overflows (from about 1.34e154).  Such a square made
+    every cell a recheck: 16 384 on this 128-codeword code."""
+    code = build_code(GalaxyParams(n=64, k=8, power=4000, max_roots=32, master_seed=100))
+    far = 2.0 * float(np.linalg.norm(codeword_table(code), axis=1).max())
+    assert len(code.codewords) == 128
+    for min_distance in (far * (1 + 1e-9), 1.4e154, 1e300, np.finfo(np.float64).max):
+        strategy = PairStrategy(mode="cross-galaxy", min_distance=min_distance)
+        with warnings.catch_warnings(), \
+                mock.patch.object(np.linalg, "norm", side_effect=AssertionError("rechecked")), \
+                mock.patch.object(experiments, "_at_least", side_effect=AssertionError("compared")):
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="no pairs match strategy 'cross-galaxy'"):
+                select_pairs(code, strategy, 1)
+    assert_same_selection(code, PairStrategy(mode="cross-galaxy", min_distance=far), 1)
+
+
 def test_exhaustive_sample_count_bounds(two_root_code):
     n_cw = len(two_root_code.codewords)
     ordered = n_cw * (n_cw - 1)
@@ -250,8 +275,36 @@ def reference_layout(code):
                                  max_roots=3, saturation_probes=30, max_attempts=5)),
 )
 def test_tree_layout_matches_reference_paths(code):
-    for ref, table in zip(reference_layout(code), experiments._tree_layout(code), strict=True):
-        assert (ref.shape, ref.dtype, ref.tobytes()) == (table.shape, table.dtype, table.tobytes())
+    ref_lo, ref_hi = reference_layout(code)
+    assert len(ref_lo) == code.params.t_bar + 2
+    for level, refs in enumerate(zip(ref_lo, ref_hi)):
+        for ref, table in zip(refs, experiments._tree_layout(code, level), strict=True):
+            assert (ref.shape, ref.dtype, ref.tobytes()) == \
+                (table.shape, table.dtype, table.tobytes()), level
+
+
+@pytest.mark.parametrize("mode", ["same-galaxy-deep", "cross-galaxy", "exhaustive-sample"])
+def test_select_pairs_lays_out_only_the_levels_it_reads(mode):
+    """On 65 536 codewords, far more than the _PAIR_CAP pairs it keeps, pair
+    selection's traced peak stays within 7 codeword-length arrays (the
+    [start, end) of its two tree levels, their keys, block sizes and the
+    sizes' running sum) and 8 pair-length ones: it lays out no level it does
+    not read.  Laying out all t_bar + 2 levels took 136 bytes a codeword."""
+    code = build_code(GalaxyParams(n=16, power=1e8, k=16, m_per_level=8, t_bar=3, max_roots=128,
+                                   master_seed=3, saturation_probes=30))
+    n_cw = len(code.codewords)
+    assert n_cw == 65536
+    strategy = PairStrategy(mode=mode, sample_count=experiments._PAIR_CAP
+                            if mode == "exhaustive-sample" else None)
+    select_pairs(code, strategy, 1)  # the modules it imports on first use are not its working set
+    tracemalloc.start()
+    try:
+        pairs = select_pairs(code, strategy, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(pairs) == experiments._PAIR_CAP
+    assert peak <= 8 * (7 * n_cw + 8 * experiments._PAIR_CAP)
 
 
 def test_min_norm_rechecks_near_ties():
@@ -308,7 +361,7 @@ def assert_kernel_matches_reference(code, strategy, dec, trials, seed):
 
 def assert_table_scatters_to_unit_directions(code):
     """_direction_table's cells scattered into zeros give unit_directions bit for bit."""
-    offsets, values = experiments._direction_table(code)
+    offsets, values = experiments._direction_table(code, np.arange(len(code.codewords)))
     u, t_bar, n = codeword_table(code), code.params.t_bar, code.params.n
     assert offsets.shape == values.shape == (len(u), offsets.shape[1])
     dense = np.zeros((len(u), t_bar * n))
@@ -402,6 +455,142 @@ def test_degenerate_chain_raises_before_any_draw(wide_code):
             estimate_type1(bad, dec, 1000, 1)
         with pytest.raises(ValueError, match="degenerate"):
             estimate_type2(bad, PairStrategy(mode="same-planet"), dec, 1000, 1)
+
+
+def spied_tables(run, pause=0.0):
+    """The codeword rows of each _direction_table call made while run() runs,
+    and run()'s result; each call first sleeps `pause` seconds."""
+    built, table = [], experiments._direction_table
+
+    def spy(code, rows):
+        built.append(np.asarray(rows).tolist())
+        time.sleep(pause)
+        return table(code, rows)
+
+    with mock.patch.object(experiments, "_direction_table", side_effect=spy):
+        result = run()
+    return built, result
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_direction_table_covers_the_rows_the_trials_read(wide_code, threads):
+    """Type 1 builds the table over the first min(trials, N) codewords, or
+    all N when they are tiled (N at most a block's rows); type 2 over its
+    distinct targets.  A cross-galaxy run builds it once a block has a row in
+    the shell, and never if none has."""
+    code = wide_code
+    n_cw, rows = len(code.codewords), code.params.t_bar * code.params.n
+    dec = DecoderParams.from_galaxy(code.params)
+    with mock.patch.object(experiments, "UNIT_SIZE", 50):
+        for cells, trials, read in ((5 * rows, 30, 30), (5 * rows, 230, n_cw),
+                                    (experiments._DECIDE_CELLS, 30, n_cw)):
+            with mock.patch.object(experiments, "_DECIDE_CELLS", cells):
+                built, _ = spied_tables(lambda: estimate_type1(code, dec, trials, 1, threads))
+            assert built == [list(range(read))]
+        for strategy in (PairStrategy(mode="same-planet"),
+                         PairStrategy(mode="exhaustive-sample", sample_count=40),
+                         PairStrategy(mode="cross-galaxy")):
+            pairs = select_pairs(code, strategy, 1)
+            targets = np.unique(pairs[:, 0]).tolist()
+            shelled = straddling_decoder(code, pairs, 1.0, 0.5, 1.0)
+            built, est = spied_tables(lambda: estimate_type2(code, strategy, shelled, 230, 1,
+                                                            threads))
+            assert est.components["shell_hits"] > 0
+            assert built == [targets], strategy.mode
+        built, est = spied_tables(lambda: estimate_type2(code, strategy, dec, 230, 1, threads))
+        assert est.components["shell_hits"] == 0
+        assert built == []
+
+
+def test_cross_galaxy_table_is_built_once_by_many_threads(wide_code, monkeypatch):
+    """Eight workers on eight units, switching every microsecond, reach the
+    shell while the first to get there builds the table (slowed down): it
+    is built once, and every count equals the one-thread run."""
+    code, strategy = wide_code, PairStrategy(mode="cross-galaxy")
+    dec = straddling_decoder(code, select_pairs(code, strategy, 1), 1.0, 0.5, 1.0)
+    monkeypatch.setattr(experiments, "UNIT_SIZE", 50)
+    expected = estimate_type2(code, strategy, dec, 400, 1, 1)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        built, est = spied_tables(lambda: estimate_type2(code, strategy, dec, 400, 1, 8), 0.05)
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(built) == 1 and expected.components["shell_hits"] > 0
+    assert (est.hits, est.components, est.analytic_bound) == \
+        (expected.hits, expected.components, expected.analytic_bound)
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_cross_shell_bound_takes_the_least_norm_of_every_cross_pair(wide_code, threads):
+    """The cross-shell term's d_min is the least np.linalg.norm of a
+    cross-root pair's offset, over all P pairs, whether the trials stop just
+    before the least pair (measured after the run) or just after it, visit
+    every pair or visit them twice; with
+    the pairs tiled (P at most a block's rows) or cut in 16-row blocks."""
+    code = wide_code
+    u, rows = codeword_table(code), code.params.t_bar * code.params.n
+    dec = DecoderParams.from_galaxy(code.params)
+    shell_prob_cross, visited = experiments.shell_prob_cross, set()
+    for strategy in (PairStrategy(mode="cross-galaxy"),
+                     PairStrategy(mode="exhaustive-sample", sample_count=150)):
+        pairs = select_pairs(code, strategy, 1)
+        norms = [float(np.linalg.norm(u[j] - u[i])) if m < 0 else math.inf
+                 for (i, j), m in zip(pairs.tolist(), experiments._meet_rows(code, *pairs.T))]
+        d_min, first = min(norms), norms.index(min(norms))
+        for cells in (16 * rows, experiments._DECIDE_CELLS):
+            for trials in (max(first, 1), first + 1, len(pairs), 2 * len(pairs) + 7):
+                with mock.patch.object(experiments, "UNIT_SIZE", 500), \
+                        mock.patch.object(experiments, "_DECIDE_CELLS", cells), \
+                        mock.patch.object(experiments, "shell_prob_cross",
+                                          wraps=shell_prob_cross) as spy:
+                    est = estimate_type2(code, strategy, dec, trials, 1, threads)
+                assert spy.call_args.args[1] == d_min
+                assert est.analytic_bound == max(
+                    [shell_prob_cross(dec, d_min)]
+                    + [experiments._slab_tail(dec)] * (strategy.mode != "cross-galaxy"))
+                visited.add(first < trials)
+    assert visited == {False, True}  # the least pair is both visited and measured after
+
+
+def test_degenerate_cross_galaxy_target_raises_at_the_first_block_in_the_shell(wide_code):
+    """With only cross-root pairs the table waits for a row in the shell: a
+    degenerate target chain raises there, before any decide(), and a
+    degenerate codeword that is no target never stops the run."""
+    code = wide_code
+    words = codeword_table(code)
+    words[-1] = code.centers[code.ancestors[-1, 0]]
+    bad = from_arrays(code.params, code.centers, code.counts, words, code.packing_saturated)
+    strategy = PairStrategy(mode="cross-galaxy")
+    pairs = select_pairs(bad, strategy, 1)
+    assert len(words) - 1 in pairs[:, 0]
+    dec = straddling_decoder(bad, pairs, 1.0, 0.5, 1.0)
+    in_shell, shelled = experiments.in_shell, []
+
+    def spy(block, params):
+        shell = in_shell(block, params)
+        shelled.append(bool(shell.any()))
+        return shell
+
+    with mock.patch.object(experiments, "_DECIDE_CELLS", code.params.t_bar * code.params.n), \
+            mock.patch.object(experiments, "in_shell", side_effect=spy), \
+            mock.patch.object(experiments, "decide", side_effect=AssertionError("decided")):
+        with pytest.raises(ValueError, match="degenerate"):
+            estimate_type2(bad, strategy, dec, 1000, 1)
+    assert shelled.count(True) == 1 and shelled[-1]
+
+    with mock.patch.object(experiments, "_PAIR_CAP", 20), \
+            mock.patch.object(experiments, "UNIT_SIZE", 50):
+        seed = next(s for s in range(100)
+                    if len(words) - 1 not in select_pairs(bad, strategy, s)[:, 0])
+        pairs = select_pairs(bad, strategy, seed)
+        dec = straddling_decoder(bad, pairs, 1.0, 0.5, 1.0)
+        est = estimate_type2(bad, strategy, dec, 230, seed)
+        hits, shell_hits, slab_hits = type2_counts(bad, strategy, dec, 230, seed)
+    assert shell_hits > 0
+    assert (est.hits, est.components) == \
+        (hits, {"shell_hits": shell_hits, "decisive_slab_hits": slab_hits})
 
 
 def crowded(code, offset, leaf, pull):
