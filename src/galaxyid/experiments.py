@@ -49,9 +49,11 @@ _MIN_DISTANCE_CAP = 1 << 38
 # (N, t_bar, n) directions plus, per thread, one decide() block: a zeroed
 # scratch of _DECIDE_CELLS (row, level, coordinate) cells at most, 512 kB,
 # that its cells are scattered into, and its rows' normals and pair offsets,
-# fewer cells.  Each direction-table row block and cross-galaxy distance
-# block stays within the same bound, and verify grows its codeword, node and
-# tile blocks within it: no command holds the (N, n) codeword table.
+# fewer cells.  Pairs that fit in one block hold instead their dense
+# directions, tiled to at most 2 _DECIDE_CELLS cells, and no scratch.  Each
+# direction-table row block and cross-galaxy distance block stays within
+# the same bound, and verify grows its codeword, node and tile blocks within
+# it: no command holds the (N, n) codeword table.
 # _MASK_CELLS would gather 8 MB per block and thread: more than the ~5 MB
 # (10 %) peak-RSS bound of the small-mc benchmark workload.
 ANGLE_TOL = 1e-9
@@ -130,8 +132,9 @@ class PairStrategy:
                              "pairs that every pair mode subsamples to")
         if self.min_distance is not None and self.mode != "cross-galaxy":
             raise ValueError(f"min_distance applies to cross-galaxy only, not {self.mode}")
-        if self.min_distance is not None and not math.isfinite(self.min_distance):
-            raise ValueError(f"min_distance must be finite, got {self.min_distance}")
+        # every pair meets a negative threshold: refused, not filtered in O(N^2 n)
+        if self.min_distance is not None and not 0 <= self.min_distance < math.inf:
+            raise ValueError(f"min_distance must be finite and >= 0, got {self.min_distance}")
 
 
 @dataclass
@@ -271,20 +274,25 @@ def _pair_counts(
     nothing there, and neither does a codeword sent to itself.
     The trials run as n_units = _unit_count(trials) units, and each unit's
     noise comes from the stream (master_seed, tag, unit), drawn block by
-    block (a stream fills the same values in parts as in one call).  The run
-    holds the sparse direction table of the codewords its trials decode
-    (the first min(trials, N), or the distinct targets), and each thread one
-    block of normals and one zeroed (rows, t_bar, n) scratch of at most
-    _DECIDE_CELLS cells: a block's direction cells are scattered into it for
-    decide() and zeroed after, so each projection is the dense einsum on the
-    dense values.  Row r of a block sends pair (first trial + r) mod P.  A
+    block (a stream fills the same values in parts as in one call).  Row r
+    of a block sends pair (first trial + r) mod P.  When P is at most a
+    block's rows, the pairs are tiled once to P + step rows, and the
+    directions of their codewords scattered once into one dense
+    (P + step, t_bar, n) table, at most 2 _DECIDE_CELLS cells, of which
+    each block takes a view.  Else the run holds the sparse direction table
+    of the codewords its trials decode (the first min(trials, N), or the
+    distinct targets), and a block's cells are scattered into a zeroed
+    scratch for decide() and zeroed after.  Either way each projection is
+    the dense einsum on the dense values.  Each thread allocates its
+    buffers once, for the largest block it may run: one block of normals,
+    and on the scatter path one scratch of at most _DECIDE_CELLS cells.  A
     type-2 block with no decisive slab and no row in the shell accepts
     nothing: its slabs are not tested.  So when no pair has a decisive slab
     the table is built only once some block has a row in the shell, by the
     first thread to need it.
     """
-    u = code.codewords
-    step = max(1, _DECIDE_CELLS // (code.params.t_bar * params.n))
+    u, t_bar = code.codewords, code.params.t_bar
+    step = max(1, _DECIDE_CELLS // (t_bar * params.n))
     n_pairs = len(u) if targets is None else len(targets)
     tiled = n_pairs <= step
     if targets is None:  # row q of the table is codeword q
@@ -311,21 +319,30 @@ def _pair_counts(
         with lock:
             if table is None:
                 offsets, values = _direction_table(code, words)
-                table = offsets[gather], values[gather]
+                offsets, values = offsets[gather], values[gather]
+                if tiled:
+                    table = np.zeros((span, t_bar, params.n))
+                    np.put_along_axis(table.reshape(span, -1), offsets, values, axis=1)
+                else:
+                    table = offsets, values
         return table
 
     if targets is None or (meet_rows >= 0).any():  # some slab test is certain
         direction_cells()
 
     seen = min(trials, n_pairs)  # trials [0, seen) visit each pair first
+    most = min(step, UNIT_SIZE, trials)  # the rows of the largest block
+    row_base = np.arange(most)[:, None] * (t_bar * params.n)  # each scratch row's first cell
+    local = threading.local()  # each thread's buffers
 
     def run_unit(unit_index: int) -> tuple[np.ndarray, float]:
         start = unit_index * UNIT_SIZE
         size = min(UNIT_SIZE, trials - start)
         rng = np.random.default_rng(derive_seed(master_seed, tag, unit_index))
-        noise = np.empty((min(step, size), params.n))
-        scratch = np.zeros((len(noise), code.params.t_bar, params.n))
-        flat, row_base = scratch.reshape(-1), np.arange(len(noise))[:, None] * scratch[0].size
+        if not hasattr(local, "noise"):
+            local.noise = np.empty((most, params.n))
+            local.scratch = None if tiled else np.zeros((most, t_bar, params.n))
+        noise, scratch = local.noise, local.scratch
         counts = np.zeros(3, dtype=np.int64)
         least = math.inf
         s = 0
@@ -337,20 +354,26 @@ def _pair_counts(
             table_rows, shift, meet = block_rows(slice(q, q + rows))
             block = noise[:rows]
             rng.standard_normal(out=block)
-            block *= params.sigma
+            if params.sigma != 1.0:  # times 1.0 changes no bit
+                block *= params.sigma
             if shift is not None:
                 across = meet[:fresh] < 0
-                if across.any():
-                    least = min(least, _min_norm(shift[:fresh][across]))
+                if across.any():  # no mask copy when every fresh row crosses roots
+                    least = min(least, _min_norm(shift[:fresh] if across.all()
+                                                 else shift[:fresh][across]))
                 block += shift
                 met = meet >= 0
                 if not met.any() and not in_shell(block, params).any():
                     continue
-            offsets, values = table if table is not None else direction_cells()
-            cells = offsets[table_rows] + row_base[:rows]
-            flat[cells] = values[table_rows]
-            shell, slabs, accept = decide(block, scratch[:rows], params)
-            flat[cells] = 0.0
+            directions = table if table is not None else direction_cells()
+            if tiled:
+                shell, slabs, accept = decide(block, directions[table_rows], params)
+            else:
+                offsets, values = directions
+                cells, flat = offsets[table_rows] + row_base[:rows], scratch.reshape(-1)
+                flat[cells] = values[table_rows]
+                shell, slabs, accept = decide(block, scratch[:rows], params)
+                flat[cells] = 0.0
             counts[:2] += accept.sum(), shell.sum()
             if shift is not None:
                 counts[2] += slabs[met, meet[met]].sum()
@@ -664,6 +687,19 @@ def _close_pairs(code: GalaxyCode, start, rho: np.ndarray, limit: np.ndarray) ->
     return found[:, np.lexsort(found[1::-1])]
 
 
+def _view(buf: np.ndarray, *shape: int) -> np.ndarray:
+    """The first cells of a flat buffer, as a C-contiguous array of this shape."""
+    return buf[: math.prod(shape)].reshape(shape)
+
+
+def _norms(x: np.ndarray, sq: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """np.linalg.norm(x, axis=-1) bit for bit, by its own multiply, add.reduce
+    and sqrt, into out; sq (x itself, or an array of its shape) takes the
+    squares."""
+    np.multiply(x, x, out=sq)
+    return np.sqrt(np.add.reduce(sq, axis=-1, out=out), out=out)
+
+
 def verify_structure(code: GalaxyCode, tol: float = 1e-6) -> StructureReport:
     """Exhaustive check of every structural guarantee of the construction.
 
@@ -676,7 +712,9 @@ def verify_structure(code: GalaxyCode, tol: float = 1e-6) -> StructureReport:
     rounding of the angle bound, or with a point on its center.  Pairs go
     through one descent (_close_pairs) that measures node and codeword pairs
     alike: when nothing clears, each pair i < j once in O(N^2) time, plus
-    one kept entry per node pair of a height.
+    one kept entry per node pair of a height.  The codeword and node passes
+    grow and measure their blocks in buffers allocated once per pass, sized
+    to its largest block on this code.
     """
     p, u, c = code.params, code.codewords, code.centers
     report = StructureReport(separation=galaxy.separation_margins(p.k, p.theta))
@@ -691,13 +729,20 @@ def verify_structure(code: GalaxyCode, tol: float = 1e-6) -> StructureReport:
     rho = np.zeros(len(c))
     radial = []
     step = max(1, _DECIDE_CELLS // (p.t_bar * p.n))
+    most = min(step, len(u))  # the largest block's rows, and its buffers, allocated once
+    row_buf, gap_buf = np.empty(most * p.n), np.empty(most * p.t_bar * p.n)
+    dist_buf, norm_buf = np.empty(most * p.t_bar), np.empty(most)
     for s in range(0, len(u), step):
-        anc, rows = code.ancestors[s : s + step], u[s : s + step]
-        dist = np.linalg.norm(rows[:, None] - c[anc], axis=2)
+        anc = code.ancestors[s : s + step]
+        k = len(anc)
+        rows = u.grow(slice(s, s + k), _view(row_buf, k, p.n), _view(gap_buf, k, p.n))
+        gaps = np.take(c, anc, axis=0, out=_view(gap_buf, k, p.t_bar, p.n), mode="clip")
+        np.subtract(rows[:, None], gaps, out=gaps)
+        dist = _norms(gaps, gaps, _view(dist_buf, k, p.t_bar))
         np.maximum.at(rho, anc, dist)
         i, t = np.nonzero((dist < lo - tol) | (dist > hi + tol))
         radial += zip(t.tolist(), (i + s).tolist(), dist[i, t].tolist())
-        norms = np.linalg.norm(rows, axis=1)
+        norms = _norms(rows, _view(gap_buf, k, p.n), norm_buf[:k])
         i = np.flatnonzero(norms > power_cap + tol)
         report.power_violations += [{"codeword": j, "measured": x, "bound": power_cap}
                                     for j, x in zip((i + s).tolist(), norms[i].tolist())]
@@ -707,33 +752,46 @@ def verify_structure(code: GalaxyCode, tol: float = 1e-6) -> StructureReport:
     # Exact node-chain radii and per-node angles.  Node v's x-th point is
     # centers[start[v] + x] above height 1, codewords[start[v] - C + x] at
     # height 1: level order lists each node's points as the next rows.
+    # Nodes go in blocks of one point count m and kind, `per` at a time.
     inner = code.heights > 1
     start = len(code.roots) + np.cumsum(code.counts) - code.counts
     radii = np.array([p.level_radius(h) for h in range(1, p.t_bar + 1)])[code.heights - 1]
     cos_floor = math.cos(p.theta - ANGLE_TOL) - _band(p.n)  # cosines below it clear theta
+    groups = [(m, max(1, _DECIDE_CELLS // (m * max(m, p.n))), leaf, nodes)
+              for m in np.flatnonzero(np.bincount(code.counts)).tolist() for leaf in (False, True)
+              if len(nodes := np.flatnonzero((code.counts == m) & (inner != leaf)))]
+    blocks = [(min(per, len(nodes)), m) for m, per, _, nodes in groups]  # each group's largest
+    points = max(k * m for k, m in blocks)
+    off_buf, sq_buf, d_buf = np.empty(points * p.n), np.empty(points * p.n), np.empty(points)
+    center_buf = np.empty(max(k for k, _ in blocks) * p.n)
+    gram_buf = np.empty(max(k * m * m for k, m in blocks))
     bad_radius, bad_angle = [], []
-    for m in np.flatnonzero(np.bincount(code.counts)).tolist():
-        per = max(1, _DECIDE_CELLS // (m * max(m, p.n)))
-        for leaf in (False, True):
-            nodes = np.flatnonzero((code.counts == m) & (inner != leaf))
-            for s in range(0, len(nodes), per):
-                v = nodes[s : s + per]
-                rows = start[v, None] + np.arange(m)
-                pts = u[rows - len(c)] if leaf else c[rows]
-                offs = pts - c[v, None]
-                d = np.linalg.norm(offs, axis=2)
-                x, i = np.nonzero(np.abs(d - radii[v, None]) > 1e-9 * radii[v, None])
-                bad_radius += zip(v[x].tolist(), i.tolist(), d[x, i].tolist())
-                if m < 2:
-                    continue
-                offs /= np.where(d > 0, d, 1.0)[..., None]
-                gram = offs @ offs.transpose(0, 2, 1)
-                gram[:, range(m), range(m)] = -1.0
-                recheck = (gram.max(axis=(1, 2)) >= cos_floor) | (d == 0).any(axis=1)
-                for x in np.flatnonzero(recheck):
-                    ang = min_pairwise_angle(pts[x], c[v[x]])
-                    if ang < p.theta - ANGLE_TOL:
-                        bad_angle.append((int(v[x]), float(ang)))
+    for m, per, leaf, nodes in groups:
+        for s in range(0, len(nodes), per):
+            v = nodes[s : s + per]
+            k = len(v)
+            rows = start[v, None] + np.arange(m)
+            offs, sq = _view(off_buf, k, m, p.n), _view(sq_buf, k, m, p.n)
+            if leaf:
+                u.grow(rows - len(c), offs, sq)
+            else:
+                np.take(c, rows, axis=0, out=offs, mode="clip")
+            np.subtract(offs, np.take(c, v, axis=0, out=_view(center_buf, k, p.n),
+                                      mode="clip")[:, None], out=offs)
+            d = _norms(offs, sq, _view(d_buf, k, m))
+            x, i = np.nonzero(np.abs(d - radii[v, None]) > 1e-9 * radii[v, None])
+            bad_radius += zip(v[x].tolist(), i.tolist(), d[x, i].tolist())
+            if m < 2:
+                continue
+            offs /= np.where(d > 0, d, 1.0)[..., None]
+            gram = np.matmul(offs, offs.transpose(0, 2, 1), out=_view(gram_buf, k, m, m))
+            gram[:, range(m), range(m)] = -1.0
+            recheck = (gram.max(axis=(1, 2)) >= cos_floor) | (d == 0).any(axis=1)
+            for x in np.flatnonzero(recheck):
+                pts = u[rows[x] - len(c)] if leaf else c[rows[x]]
+                ang = min_pairwise_angle(pts, c[v[x]])
+                if ang < p.theta - ANGLE_TOL:
+                    bad_angle.append((int(v[x]), float(ang)))
     root_of = np.empty(len(c), dtype=np.intp)  # a node's root is its codewords' last ancestor
     root_of[code.ancestors] = code.ancestors[:, -1:]
     root_of = root_of.tolist()

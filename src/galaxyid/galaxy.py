@@ -292,7 +292,8 @@ class LevelRows:
     codewords through one, and its codewords are the height-1 one, so every row
     is bit for bit the one a materialized table would hold.  Supports len,
     shape, and indexing by a slice or by an integer array of any shape (an int
-    gives one row); only the rows asked for are grown.
+    gives one row); only the rows asked for are grown.  grow() grows them into
+    a caller's buffers instead of fresh arrays.
     """
 
     def __init__(self, centers, owner, slot, grown, listed, points):
@@ -309,6 +310,12 @@ class LevelRows:
         raise TypeError("rows are grown on demand: index a block of them instead")
 
     def __getitem__(self, index) -> np.ndarray:
+        return self.grow(index)
+
+    def grow(self, index, out=None, scratch=None) -> np.ndarray:
+        """self[index], grown into out, an array of its shape, or a fresh one
+        for None; scratch, of the same shape, takes the prefix rows that are
+        added (a fresh temporary for None)."""
         if isinstance(index, slice):
             index = np.arange(*index.indices(len(self)))
         j = np.asarray(index)
@@ -316,17 +323,19 @@ class LevelRows:
             raise IndexError(f"rows take a slice or integer indices, not {index!r}")
         j = j.astype(np.intp, copy=False)
         owner, slot = self._owner[j], self._slot[j]  # IndexError past either end
-        if self._listed is None:
-            out = np.take(self._centers, owner, axis=0)
-            out += np.take(self._grown, slot, axis=0)
+        if out is None:
+            out = np.empty(j.shape + (self.shape[1],))
+        if self._listed is None:  # the indices are valid, so "clip" takes without a copy
+            np.take(self._centers, owner, axis=0, out=out, mode="clip")
+            out += np.take(self._grown, slot, axis=0, out=scratch, mode="clip")
             return out
         owner, slot = owner.reshape(-1), slot.reshape(-1)
         listed = self._listed[owner]
         given = listed >= 0
-        out = np.empty((len(owner), self.shape[1]))
-        out[~given] = self._centers[owner[~given]] + self._grown[slot[~given]]
-        out[given] = self._points[listed[given] + slot[given]]
-        return out.reshape(j.shape + (self.shape[1],))
+        flat = out.reshape(len(owner), self.shape[1])
+        flat[~given] = self._centers[owner[~given]] + self._grown[slot[~given]]
+        flat[given] = self._points[listed[given] + slot[given]]
+        return out
 
 
 @dataclass(frozen=True)

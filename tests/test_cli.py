@@ -850,6 +850,15 @@ def test_depth_past_float_range_exits_2_at_once(tmp_path, code_file):
     assert usage.ru_utime + usage.ru_stime < 1.0
 
 
+@pytest.mark.parametrize("value", ["-5", "nan", "inf"])
+def test_min_distance_out_of_range_exits_2(code_file, value):
+    # every pair meets a negative threshold: the filter would keep them all
+    res = run_cli("simulate", "--code", str(code_file), "--type2", "--pairs", "cross-galaxy",
+                  "--min-distance", value, "--trials", "100", timeout=60)
+    assert (res.returncode, res.stdout) == (2, "")
+    assert f"error: min_distance must be finite and >= 0, got {float(value)}" in res.stderr
+
+
 @pytest.mark.parametrize("flags, message", [
     (["--pairs", "same-planet", "--min-distance", "1e9"],
      "min_distance applies to cross-galaxy only, not same-planet"),

@@ -1,6 +1,8 @@
+import json
 import math
 import os
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -21,6 +23,8 @@ from galaxyid.galaxy import GalaxyParams, build_code
 from galaxyid.gaussian import projection_tail
 from galaxyid.reports import rate_columns
 from reference import codeword_table, from_arrays, index_paths, meet_depth
+from test_cli import run_python
+from test_galaxy import BENCHMARK_BUILDS
 
 
 @pytest.fixture(scope="module")
@@ -99,9 +103,10 @@ def test_pair_strategy_validation():
         PairStrategy(mode="bogus")
     with pytest.raises(ValueError):
         PairStrategy(mode="exhaustive-sample")
-    for bad in (math.nan, math.inf):
-        with pytest.raises(ValueError, match="min_distance must be finite"):
+    for bad in (math.nan, math.inf, -5.0, -1e-300):
+        with pytest.raises(ValueError, match="min_distance must be finite and >= 0"):
             PairStrategy(mode="cross-galaxy", min_distance=bad)
+    PairStrategy(mode="cross-galaxy", min_distance=0.0)  # met by every pair, but not refused
     with pytest.raises(ValueError, match="min_distance applies to cross-galaxy only, not same-planet"):
         PairStrategy(mode="same-planet", min_distance=1e9)
     with pytest.raises(ValueError, match="sample_count applies to exhaustive-sample only, not cross-galaxy"):
@@ -229,6 +234,90 @@ def test_estimators_hold_one_direction_table_plus_draw_and_decide_blocks(table_c
         finally:
             tracemalloc.stop()
         assert peak <= limit
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("pairs", [100, 341])
+def test_tiled_pairs_hold_one_dense_table_and_no_scratch(table_code, threads, pairs):
+    """P pairs at most a block's rows (341 here) and P equal to it: the run
+    scatters their directions once into one dense (P + 341, t_bar, n)
+    table, of which each block takes a view, and allocates no scratch.  Its
+    traced peak stays within the bound of the test above."""
+    code, trials = table_code, 2 * experiments.UNIT_SIZE
+    t_bar, n = code.params.t_bar, code.params.n
+    assert experiments._DECIDE_CELLS // (t_bar * n) == 341
+    offsets, values = experiments._direction_table(code, np.arange(len(code.codewords)))
+    blocks = 2 + 3 * _worker_count(threads, 2)
+    bound = 2 * (offsets.nbytes + values.nbytes) + \
+        8 * (4 * experiments._PAIR_CAP + blocks * experiments._DECIDE_CELLS)
+    dec = DecoderParams.from_galaxy(code.params)
+    strategy = PairStrategy(mode="exhaustive-sample", sample_count=pairs)
+    run = lambda: estimate_type2(code, strategy, dec, trials, 1, threads)
+    run()  # the modules an estimator imports on first use are not its working set
+    zeros, tables = np.zeros, []
+
+    def spy(shape, *args, **kwargs):
+        tables.append(shape)
+        return zeros(shape, *args, **kwargs)
+
+    with mock.patch.object(np, "zeros", spy):
+        tracemalloc.start()
+        try:
+            run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert [shape for shape in tables if np.size(shape) == 3] == [(pairs + 341, t_bar, n)]
+    assert peak <= bound
+
+
+# One call in a fresh process, printing the minor page faults it takes.
+# "warm" first allocates and frees one 8 MB array: that raises glibc's mmap
+# and trim thresholds past every block, so no block needs fresh pages.
+MINOR_FAULTS = """
+import json, resource, sys
+import numpy as np
+from galaxyid import cli, experiments
+from galaxyid.channel import DecoderParams
+from galaxyid.galaxy import build_code
+flags, call, state = json.loads(sys.argv[1]), sys.argv[2], sys.argv[3]
+code = build_code(cli._params_from_args(cli.build_parser().parse_args(["build", *flags,
+                                                                       "--out", "-"])))
+dec = DecoderParams.from_galaxy(code.params)
+if state == "warm":
+    np.ones(1 << 20)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+exec(call)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+def minor_faults(flags, call):
+    """The minor faults call takes on the code of build flags: (cold, warm),
+    each in a fresh process (see MINOR_FAULTS)."""
+    pytest.importorskip("resource")
+    faults = []
+    for state in ("cold", "warm"):
+        res = run_python("-c", MINOR_FAULTS, json.dumps(flags), call, state, timeout=120,
+                         env={**os.environ, "OPENBLAS_NUM_THREADS": "1"})
+        assert res.returncode == 0, res.stderr
+        faults.append(int(res.stdout))
+    return faults
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_estimator_blocks_take_no_fresh_pages(threads):
+    """estimate_type1 over 40 units on the small-mc code (32 codewords, so
+    its blocks are views of one tiled table) takes at most 10 more minor
+    faults a unit in a fresh process than after one 8 MB alloc/free: each
+    thread allocates its blocks once.  Fresh 512 kB blocks in every unit
+    took about 9 000 faults against 270 at 1 thread, and 7 000-7 300
+    against 740 at 2."""
+    units = 40
+    cold, warm = minor_faults(
+        BENCHMARK_BUILDS["small-mc"] + ("--seed", "100"),
+        f"experiments.estimate_type1(code, dec, {units * experiments.UNIT_SIZE}, 1, {threads})")
+    assert cold - warm <= 10 * units, (cold, warm)
 
 
 def test_verify_structure_passes_fresh(small_code):

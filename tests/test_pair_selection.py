@@ -172,13 +172,13 @@ def test_uneven_blocks_match_reference(uneven_code):
     u = codeword_table(uneven_code)
     tie = float(np.linalg.norm(u[0] - u[-1]))
     strategies = [PairStrategy(mode=mode) for mode in MODES] + [
-        PairStrategy(mode="cross-galaxy", min_distance=md) for md in (tie, 0.0, -1.0)
-    ]
+        PairStrategy(mode="cross-galaxy", min_distance=md) for md in (tie, 0.0)
+    ]  # a negative min_distance is refused (test_pair_strategy_validation)
     for strategy in strategies:
         assert_same_selection(uneven_code, strategy, 3)
     # one target row per distance block sends the filter through many blocks
     with mock.patch.object(experiments, "_MASK_CELLS", 1):
-        assert_same_selection(uneven_code, strategies[-3], 3)
+        assert_same_selection(uneven_code, strategies[-2], 3)
 
 
 def test_min_distance_refuses_past_its_work_cap(two_root_code, monkeypatch):
@@ -423,20 +423,40 @@ def wide_code():
                                    max_roots=4, saturation_probes=30))
 
 
-@pytest.mark.parametrize("pair_count", [None, 7, 25, 50, 73, 150],
-                         ids=["type1", "P7", "P25", "P50", "P73", "P150"])
+UNIT_EDGES = pytest.mark.parametrize("pair_count", [None, 7, 25, 50, 73, 150],
+                                     ids=["type1", "P7", "P25", "P50", "P73", "P150"])
+
+
+def edge_run(code, pair_count):
+    """(strategy, pairs) of type 1 (strategy None) or of pair_count
+    exhaustive-sample pairs at seed 11."""
+    if pair_count is None:
+        return None, [(i, i) for i in range(len(code.codewords))]
+    strategy = PairStrategy(mode="exhaustive-sample", sample_count=pair_count)
+    return strategy, select_pairs(code, strategy, 11)
+
+
+@UNIT_EDGES
 @pytest.mark.parametrize("code_name", ["two_root_code", "wide_code"])
 def test_pair_kernel_matches_reference_across_unit_edges(code_name, pair_count, request):
     """The kernel against per-group decoder loops for P pairs below,
     dividing, equal to and above the 50-trial unit, P = 73 wrapping in the
     middle of the second unit, and type 1 on 27 and on 64 codewords."""
     code = request.getfixturevalue(code_name)
-    if pair_count is None:
-        strategy, pairs = None, [(i, i) for i in range(len(code.codewords))]
-    else:
-        strategy = PairStrategy(mode="exhaustive-sample", sample_count=pair_count)
-        pairs = select_pairs(code, strategy, 11)
+    strategy, pairs = edge_run(code, pair_count)
     dec = straddling_decoder(code, pairs, 1.0, 0.5, 1.0)
+    assert_kernel_matches_reference(code, strategy, dec, 230, 11)
+
+
+@UNIT_EDGES
+@pytest.mark.parametrize("code_name", ["two_root_code", "wide_code"])
+def test_pair_kernel_matches_reference_at_sigma_one(code_name, pair_count, request):
+    """The same runs at sigma = 1.0 exactly, where the kernel skips its
+    multiply by sigma, with a shell and a slab of unit scale that noise of
+    sigma 1 both passes and fails."""
+    code = request.getfixturevalue(code_name)
+    strategy, _ = edge_run(code, pair_count)
+    dec = DecoderParams(n=code.params.n, sigma=1.0, eps_n=0.5, slab_halfwidth=1.0)
     assert_kernel_matches_reference(code, strategy, dec, 230, 11)
 
 
