@@ -87,29 +87,39 @@ def in_shell(deltas: np.ndarray, params: DecoderParams) -> np.ndarray:
 
 
 def decide(
-    deltas: np.ndarray, directions: np.ndarray, params: DecoderParams
+    deltas: np.ndarray, cells: tuple[np.ndarray, np.ndarray], params: DecoderParams
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Shell mask (in_shell), per-level slab masks and decision mask for rows y - u.
 
-    `directions` is a (rows, t_bar, n) block of unit_directions slices: row
-    r is tested against the chain of its own codeword.  The projection of
-    y onto the line o-u lies |<y - u, (u - o)/||u - o||>| from u, so each
-    slab test is one inner product per level.
+    `cells` are (coords, values), each (rows, t_bar, K): the nonzero
+    coordinates of row r's unit directions (u - o)/||u - o|| along its own
+    codeword's chain and their values, a shorter list padded with
+    coordinate 0 and value 0.0.  The projection of y onto the line o-u lies
+    |<y - u, (u - o)/||u - o||>| from u, so each slab test is one K-term
+    inner product per level.
     """
+    coords, values = cells
+    rows, n = deltas.shape
     shell = in_shell(deltas, params)
-    slabs = np.abs(np.einsum("ri,rli->rl", deltas, directions)) <= params.slab_halfwidth
+    at = np.take(deltas, coords + (np.arange(rows) * n)[:, None, None])
+    slabs = np.abs(np.einsum("rlk,rlk->rl", at, values)) <= params.slab_halfwidth
     return shell, slabs, shell & slabs.all(axis=1)
 
 
 def identify(y, u, chain, params: DecoderParams) -> bool:
-    """Full decision for one output against codeword u and its (t_bar, n)
-    ancestor chain: decide() on a batch of one row."""
+    """Full decision for one output against codeword u and its finite
+    (t_bar, n) ancestor chain: decide() on a batch of one row, its cells
+    every coordinate."""
+    y = as_coords(y)
+    u = as_coords(u)
     chain = np.asarray(chain, dtype=np.float64)
     if chain.ndim != 2 or not len(chain):
         raise ValueError("codeword carries no center chain")
-    y = as_coords(y)
-    u = as_coords(u)
-    if y.size != u.size:
-        raise ValueError(f"dimension mismatch: {y.size} vs {u.size}")
-    _, _, accept = decide((y - u)[None, :], unit_directions(u[None, :], chain[None]), params)
+    if y.size != u.size or chain.shape[1] != u.size:
+        raise ValueError(f"dimension mismatch: {y.size} and {chain.shape} vs {u.size}")
+    if not np.isfinite(chain).all():
+        raise ValueError("center chain coordinates must be finite")
+    directions = unit_directions(u[None, :], chain[None])
+    cells = np.broadcast_to(np.arange(u.size), directions.shape), directions
+    _, _, accept = decide((y - u)[None, :], cells, params)
     return bool(accept[0])

@@ -45,15 +45,13 @@ _MASK_CELLS = 1 << 20  # (row, codeword) cells per block of a pairwise distance 
 # The most coordinate products, N^2 n, that a min_distance filter may take,
 # 2^38: about a minute on the R = 64 ladder code (N = 32768, n = 256).
 _MIN_DISTANCE_CAP = 1 << 38
-# _DECIDE_CELLS (galaxy's): an estimator holds the nonzero cells of its
-# (N, t_bar, n) directions plus, per thread, one decide() block: a zeroed
-# scratch of _DECIDE_CELLS (row, level, coordinate) cells at most, 512 kB,
-# that its cells are scattered into, and its rows' normals and pair offsets,
-# fewer cells.  Pairs that fit in one block hold instead their dense
-# directions, tiled to at most 2 _DECIDE_CELLS cells, and no scratch.  Each
-# direction-table row block and cross-galaxy distance block stays within
-# the same bound, and verify grows its codeword, node and tile blocks within
-# it: no command holds the (N, n) codeword table.
+# _DECIDE_CELLS (galaxy's): a decide() block has at most _DECIDE_CELLS /
+# (t_bar n) rows, so an estimator holds the nonzero cells of its (N, t_bar,
+# n) directions plus, per thread, one block of its rows' normals and pair
+# offsets, fewer than _DECIDE_CELLS cells.  Each direction-table row block
+# and cross-galaxy distance block stays within the same bound, and verify
+# grows its codeword, node and tile blocks within it: no command holds the
+# (N, n) codeword table.
 # _MASK_CELLS would gather 8 MB per block and thread: more than the ~5 MB
 # (10 %) peak-RSS bound of the small-mc benchmark workload.
 ANGLE_TOL = 1e-9
@@ -65,6 +63,8 @@ def wilson_interval(hits: int, trials: int, confidence: float = 0.95) -> tuple[f
         raise ValueError(f"trials must be >= 1, got {trials}")
     if not 0 <= hits <= trials:
         raise ValueError(f"hits {hits} outside [0, {trials}]")
+    if not 0 < confidence < 1:
+        raise ValueError(f"confidence must lie in (0, 1), got {confidence}")
     from statistics import NormalDist  # on first use: it loads fractions and decimal
 
     z = NormalDist().inv_cdf(0.5 + confidence / 2.0)
@@ -178,12 +178,15 @@ class RateReport:
 # ---------------------------------------------------------------------------
 
 
-def _slab_tail(params: DecoderParams) -> float:
+def _slab_tail(code: GalaxyCode, params: DecoderParams) -> float:
     """Probability 2 Phi(-w/sigma) that noise leaves one slab of half-width w.
 
     The estimators call it before drawing any trial: their bounds need
-    sigma > 0, which the decoder itself does not.
+    sigma > 0, which the decoder itself does not, and a decoder of another
+    width than the code would read its direction cells at wrong coordinates.
     """
+    if params.n != code.params.n:
+        raise ValueError(f"decoder n = {params.n} does not match the code's n = {code.params.n}")
     if params.sigma <= 0:
         raise ValueError(f"sigma must be > 0, got {params.sigma}")
     return projection_tail(params.slab_halfwidth / params.sigma)
@@ -223,32 +226,32 @@ def run_units(worker, n_units: int, threads: int | None) -> list:
 
 def _direction_table(code: GalaxyCode, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The nonzero cells of unit_directions along the chains of codewords
-    rows: (len(rows), K) flat offsets into each chain's (t_bar, n)
-    directions and their values, K the most of any of these chains (at most
-    t_bar times the most of one direction), a shorter list repeating its
-    first cell.  Directions come in blocks of at most _DECIDE_CELLS cells,
-    so no temporary outgrows a block.  Raises on a degenerate chain, as
+    rows: (coords, values), each (len(rows), t_bar, K), K the most nonzero
+    coordinates of any one of these directions, a shorter list padded with
+    coordinate 0 and value 0.0 (a repeated cell would be summed twice).
+    Directions come in blocks of at most _DECIDE_CELLS cells, so no
+    temporary outgrows a block.  Raises on a degenerate chain, as
     unit_directions does."""
     u, anc = code.codewords, code.ancestors
-    chain = anc.shape[1] * u.shape[1]
-    step = max(1, _DECIDE_CELLS // chain)
+    t_bar, n = anc.shape[1], u.shape[1]
+    step = max(1, _DECIDE_CELLS // (t_bar * n))
     blocks = []
     for s in range(0, len(rows), step):
         block = rows[s : s + step]
-        d = unit_directions(u[block], code.centers[anc[block]]).reshape(-1, chain)
-        r, c = np.divmod(np.flatnonzero(d != 0), chain)  # every chain has a nonzero cell
+        d = unit_directions(u[block], code.centers[anc[block]]).reshape(-1, n)
+        r, c = np.nonzero(d)  # every direction has a nonzero cell
         count = np.bincount(r, minlength=len(d))
-        first = np.cumsum(count) - count
-        cols = np.repeat(c[first, None], count.max(), axis=1)
-        cols[r, np.arange(len(r)) - first[r]] = c
-        blocks.append((cols, np.take_along_axis(d, cols, 1)))
-    k = max(cells.shape[1] for cells, _ in blocks)
+        at = (r, np.arange(len(r)) - (np.cumsum(count) - count)[r])
+        coords = np.zeros((len(d), count.max()), dtype=np.intp)
+        values = np.zeros(coords.shape)
+        coords[at], values[at] = c, d[r, c]
+        blocks.append(tuple(a.reshape(len(block), t_bar, -1) for a in (coords, values)))
+    k = max(a.shape[2] for a, _ in blocks)
 
-    def padded(a):  # k cells per list, repeating its first
-        return np.concatenate([a, np.repeat(a[:, :1], k - a.shape[1], axis=1)], axis=1)
+    def padded(a):  # k cells per list, the last ones zero
+        return a if a.shape[2] == k else np.pad(a, ((0, 0), (0, 0), (0, k - a.shape[2])))
 
-    return tuple(np.concatenate([a if a.shape[1] == k else padded(a) for a in arrays])
-                 for arrays in zip(*blocks))
+    return tuple(np.concatenate([padded(a) for a in arrays]) for arrays in zip(*blocks))
 
 
 def _pair_counts(
@@ -275,21 +278,16 @@ def _pair_counts(
     The trials run as n_units = _unit_count(trials) units, and each unit's
     noise comes from the stream (master_seed, tag, unit), drawn block by
     block (a stream fills the same values in parts as in one call).  Row r
-    of a block sends pair (first trial + r) mod P.  When P is at most a
-    block's rows, the pairs are tiled once to P + step rows, and the
-    directions of their codewords scattered once into one dense
-    (P + step, t_bar, n) table, at most 2 _DECIDE_CELLS cells, of which
-    each block takes a view.  Else the run holds the sparse direction table
-    of the codewords its trials decode (the first min(trials, N), or the
-    distinct targets), and a block's cells are scattered into a zeroed
-    scratch for decide() and zeroed after.  Either way each projection is
-    the dense einsum on the dense values.  Each thread allocates its
-    buffers once, for the largest block it may run: one block of normals,
-    and on the scatter path one scratch of at most _DECIDE_CELLS cells.  A
-    type-2 block with no decisive slab and no row in the shell accepts
-    nothing: its slabs are not tested.  So when no pair has a decisive slab
-    the table is built only once some block has a row in the shell, by the
-    first thread to need it.
+    of a block sends pair (first trial + r) mod P.  The run holds the
+    direction cells (_direction_table) of the codewords its trials decode:
+    when P is at most a block's rows, of the pairs tiled once to P + step
+    rows, so each block takes a view of them; else of the first
+    min(trials, N) codewords, or of the distinct targets, which each block
+    indexes.  Each thread allocates one block of normals once, for the
+    largest block it may run.  A type-2 block with no decisive slab and no
+    row in the shell accepts nothing: its slabs are not tested.  So when no
+    pair has a decisive slab the table is built only once some block has a
+    row in the shell, by the first thread to need it.
     """
     u, t_bar = code.codewords, code.params.t_bar
     step = max(1, _DECIDE_CELLS // (t_bar * params.n))
@@ -318,13 +316,7 @@ def _pair_counts(
         nonlocal table
         with lock:
             if table is None:
-                offsets, values = _direction_table(code, words)
-                offsets, values = offsets[gather], values[gather]
-                if tiled:
-                    table = np.zeros((span, t_bar, params.n))
-                    np.put_along_axis(table.reshape(span, -1), offsets, values, axis=1)
-                else:
-                    table = offsets, values
+                table = tuple(a[gather] for a in _direction_table(code, words))
         return table
 
     if targets is None or (meet_rows >= 0).any():  # some slab test is certain
@@ -332,8 +324,7 @@ def _pair_counts(
 
     seen = min(trials, n_pairs)  # trials [0, seen) visit each pair first
     most = min(step, UNIT_SIZE, trials)  # the rows of the largest block
-    row_base = np.arange(most)[:, None] * (t_bar * params.n)  # each scratch row's first cell
-    local = threading.local()  # each thread's buffers
+    local = threading.local()  # each thread's normals
 
     def run_unit(unit_index: int) -> tuple[np.ndarray, float]:
         start = unit_index * UNIT_SIZE
@@ -341,8 +332,7 @@ def _pair_counts(
         rng = np.random.default_rng(derive_seed(master_seed, tag, unit_index))
         if not hasattr(local, "noise"):
             local.noise = np.empty((most, params.n))
-            local.scratch = None if tiled else np.zeros((most, t_bar, params.n))
-        noise, scratch = local.noise, local.scratch
+        noise = local.noise
         counts = np.zeros(3, dtype=np.int64)
         least = math.inf
         s = 0
@@ -365,15 +355,8 @@ def _pair_counts(
                 met = meet >= 0
                 if not met.any() and not in_shell(block, params).any():
                     continue
-            directions = table if table is not None else direction_cells()
-            if tiled:
-                shell, slabs, accept = decide(block, directions[table_rows], params)
-            else:
-                offsets, values = directions
-                cells, flat = offsets[table_rows] + row_base[:rows], scratch.reshape(-1)
-                flat[cells] = values[table_rows]
-                shell, slabs, accept = decide(block, scratch[:rows], params)
-                flat[cells] = 0.0
+            cells = table if table is not None else direction_cells()
+            shell, slabs, accept = decide(block, [a[table_rows] for a in cells], params)
             counts[:2] += accept.sum(), shell.sum()
             if shift is not None:
                 counts[2] += slabs[met, meet[met]].sum()
@@ -408,7 +391,7 @@ def estimate_type1(
     companion is the exact shell miss plus the union bound over the slab
     levels.
     """
-    bound = shell_prob_miss(params) + code.params.t_bar * _slab_tail(params)
+    bound = shell_prob_miss(params) + code.params.t_bar * _slab_tail(code, params)
     n_units = _unit_count(trials)
     accepted, *_ = _pair_counts(code, "type1", params, trials, n_units, master_seed, threads)
     return _estimate("type1", trials, trials - accepted, bound, "shell-exact+slab-union",
@@ -591,7 +574,7 @@ def estimate_type2(
     trials measure as they first visit each pair: only the pairs that they
     never reach are measured after them.
     """
-    slab_tail = _slab_tail(params)
+    slab_tail = _slab_tail(code, params)
     n_units = _unit_count(trials)  # refused before pairs are selected
     targets, senders = select_pairs(code, strategy, master_seed).T
     meet_rows = _meet_rows(code, targets, senders)

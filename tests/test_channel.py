@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from galaxyid.channel import DecoderParams, decide, identify, unit_directions
 from galaxyid.gaussian import projection_tail
-from reference import slab_separation_margin, transmit
+from reference import _decide_one, slab_separation_margin, transmit
 
 
 def params100():
@@ -62,9 +62,15 @@ def test_transmit_noise_scale():
     assert abs(mean - 1.0) <= 3 * se
 
 
+def dense_cells(directions):
+    """decide()'s cells of dense (rows, t, n) directions: every coordinate."""
+    return np.broadcast_to(np.arange(directions.shape[-1]), directions.shape), directions
+
+
 def _shell(y, u, p):
     """decide()'s shell mask for one output (the shell ignores the directions)."""
-    return bool(decide((np.asarray(y) - u)[None, :], np.eye(u.size)[None, :1], p)[0][0])
+    cells = dense_cells(np.eye(u.size)[None, :1])
+    return bool(decide((np.asarray(y) - u)[None, :], cells, p)[0][0])
 
 
 def _line_codeword(u, *path):
@@ -144,12 +150,52 @@ def test_decide_matches_reference_decoder(case):
         expected = [reference_decision(y, c, dec) for y in rows]
         assume(not any(_near_threshold(tests) for tests in expected))
         block = np.broadcast_to(directions[j], (len(rows),) + directions[j].shape)
-        shell, slabs, accept = decide(rows - u[j], block, dec)
+        shell, slabs, accept = decide(rows - u[j], dense_cells(block), dec)
         for r, tests in enumerate(expected):
             oks = [ok for _, _, ok in tests]
             assert shell[r] == (oks[0] and oks[1])
             assert slabs[r].tolist() == oks[2:]
             assert accept[r] == all(oks)
+
+
+def sparse_cells(directions):
+    """decide()'s cells of (rows, t, n) directions: each direction's nonzero
+    coordinates in order, padded with coordinate 0 and value 0.0 to the
+    longest list (at least one cell)."""
+    k = max(1, int((directions != 0).sum(axis=-1).max()))
+    coords = np.zeros(directions.shape[:-1] + (k,), dtype=np.intp)
+    values = np.zeros(coords.shape)
+    for at in np.ndindex(directions.shape[:-1]):
+        nonzero = np.flatnonzero(directions[at])
+        coords[at][: len(nonzero)], values[at][: len(nonzero)] = nonzero, directions[at][nonzero]
+    return coords, values
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    rows=st.integers(1, 6),
+    t=st.integers(1, 4),
+    n=st.integers(1, 12),
+    keep=st.floats(0.0, 1.0),
+    width=st.floats(0.0, 3.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_decide_on_cells_matches_dense_reference(rows, t, n, keep, width, seed):
+    """decide() on the nonzero cells of random directions, with random zero
+    masks, against tests/reference.py's dense decoder row by row, wherever
+    no projection lies within 1e-12 of its scale from the half-width."""
+    rng = np.random.default_rng(seed)
+    directions = rng.standard_normal((rows, t, n)) * (rng.random((rows, t, n)) < keep)
+    deltas = rng.standard_normal((rows, n)) * math.sqrt(rng.uniform(0.5, 2.0))
+    dec = DecoderParams(n=n, sigma=1.0, eps_n=0.5, slab_halfwidth=width)
+    scale = np.einsum("ri,rli->rl", np.abs(deltas), np.abs(directions))
+    near = np.abs(np.abs(np.einsum("ri,rli->rl", deltas, directions)) - width)
+    assume(not (near <= 1e-12 * np.maximum(scale, width)).any())
+    shell, slabs, accept = decide(deltas, sparse_cells(directions), dec)
+    for r in range(rows):
+        expected = _decide_one(deltas[r : r + 1], directions[r], dec)
+        assert (shell[r], slabs[r].tolist(), accept[r]) == \
+            (expected[0][0], expected[1][0].tolist(), expected[2][0])
 
 
 def test_in_shell():
@@ -174,7 +220,7 @@ def test_in_slab():
     ys = np.tile(u, (3, 1))
     ys[1, 1] = 1e6
     ys[2, 0] += 2 * p.slab_halfwidth
-    _, slabs, _ = decide(ys - u, np.broadcast_to(direction, (3, 1, 100)), p)
+    _, slabs, _ = decide(ys - u, dense_cells(np.broadcast_to(direction, (3, 1, 100))), p)
     assert slabs[:, 0].tolist() == [True, True, False]
     with pytest.raises(ValueError, match="degenerate"):
         unit_directions(u[None], u[None, None])
@@ -230,6 +276,17 @@ def test_identify_rejects_bad_input():
         identify(y, u, chain, p)
     with pytest.raises(ValueError, match="degenerate"):
         identify(u, *_line_codeword(u, chain[0], u), p)
+
+
+@pytest.mark.parametrize("chain", [np.zeros((1, 1)), np.zeros((2, 3)), np.zeros((1, 5)),
+                                   np.zeros((2, 2, 4)), np.full((1, 4), math.nan),
+                                   np.array([[0.0, math.inf, 0.0, 0.0]])])
+def test_identify_refuses_a_chain_of_the_wrong_shape_or_not_finite(chain):
+    """The chain must be a finite (t, n) array with n = u.size: a (1, 1)
+    chain is not broadcast, and a nan or inf one is not silently decided."""
+    u = np.eye(4)[0]
+    with pytest.raises(ValueError, match="center chain|dimension mismatch"):
+        identify(u + np.eye(4)[1], u, chain, DecoderParams(n=4, sigma=1.0))
 
 
 def test_empirical_slab_acceptance():

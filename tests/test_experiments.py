@@ -55,6 +55,12 @@ def test_wilson_interval_basics():
         wilson_interval(7, 5)
 
 
+@pytest.mark.parametrize("confidence", [-0.5, 0.0, 1.0, 1.5, math.nan, math.inf])
+def test_wilson_interval_refuses_confidence_outside_0_1(confidence):
+    with pytest.raises(ValueError, match="confidence"):
+        wilson_interval(5, 100, confidence)
+
+
 def test_type1_reproducible(small_code, decoder):
     a = estimate_type1(small_code, decoder, 20_000, master_seed=5)
     b = estimate_type1(small_code, decoder, 20_000, master_seed=5)
@@ -191,84 +197,81 @@ def table_code():
                                    max_roots=8, master_seed=3))
 
 
+@pytest.mark.parametrize("width", [32, 100])
+def test_estimators_refuse_a_decoder_of_another_width_before_any_trial(table_code, width,
+                                                                       monkeypatch):
+    """A decoder wider than the code once counted no hit, and a narrower one
+    raised IndexError; the direction cells index the code's coordinates, so
+    both are refused before a trial is drawn."""
+    def drawn(*args, **kwargs):
+        raise AssertionError("trials drawn before the decoder width was checked")
+
+    monkeypatch.setattr(experiments, "_pair_counts", drawn)
+    dec = DecoderParams(n=width, sigma=1.0)
+    with pytest.raises(ValueError, match="does not match the code's n = 64"):
+        estimate_type1(table_code, dec, 5000, master_seed=1)
+    for mode in ("same-planet", "cross-galaxy"):
+        with pytest.raises(ValueError, match="does not match the code's n = 64"):
+            estimate_type2(table_code, PairStrategy(mode=mode), dec, 5000, master_seed=1)
+
+
 def test_direction_table_keeps_three_cells_per_direction(table_code):
     """Every chain direction of the large-n shape has at most 3 nonzero
     coordinates (acute theta, +-e_i prefix), so the table holds at most
-    N t_bar 3 offsets and values, against N t_bar n dense cells."""
+    N t_bar 3 coordinates and values, against N t_bar n dense cells."""
     code = table_code
-    offsets, values = experiments._direction_table(code, np.arange(len(code.codewords)))
+    coords, values = experiments._direction_table(code, np.arange(len(code.codewords)))
     n_cw, t_bar = len(code.codewords), code.params.t_bar
-    assert offsets.shape == values.shape and offsets.shape[0] == n_cw
-    assert offsets.shape[1] <= t_bar * 3
-    assert offsets.nbytes + values.nbytes <= n_cw * t_bar * 3 * 16
+    assert coords.shape == values.shape and coords.shape[:2] == (n_cw, t_bar)
+    assert coords.shape[2] <= 3
+    assert coords.nbytes + values.nbytes <= n_cw * t_bar * 3 * 16
 
 
 @pytest.mark.parametrize("threads", [1, 2])
 def test_estimators_hold_one_direction_table_plus_draw_and_decide_blocks(table_code, threads):
     """The traced peak of each estimator stays within the sparse direction
     table twice (its row blocks and their join), a few pair-length arrays,
-    and (2 + 3 workers) blocks of _DECIDE_CELLS cells: the tiles of P pairs
-    at most a block's rows (2 blocks; before the first draw, the table's
-    dense row blocks), and per worker one scratch block, one normals block
+    and (2 + 3 workers) blocks of _DECIDE_CELLS cells: before the first
+    draw, the table's dense row blocks, and per worker one normals block
     and the temporaries of decide() and of the block's gathers.  No dense
     (N, t_bar, n) table, 12 blocks here, and no draw chunk.  A cross-galaxy
-    run with no row in the shell holds no table at all."""
-    code, trials = table_code, 2 * experiments.UNIT_SIZE
-    offsets, values = experiments._direction_table(code, np.arange(len(code.codewords)))
-    blocks = 2 + 3 * _worker_count(threads, 2)
-    tableless = 8 * (4 * experiments._PAIR_CAP + blocks * experiments._DECIDE_CELLS)
-    bound = 2 * (offsets.nbytes + values.nbytes) + tableless
-    dec = DecoderParams.from_galaxy(code.params)
-    runs = [(bound, lambda: estimate_type1(code, dec, trials, 1, threads))] + [
-        (limit, lambda mode=mode: estimate_type2(code, PairStrategy(mode=mode), dec, trials, 1,
-                                                 threads))
-        for limit, mode in ((bound, "same-planet"), (tableless, "cross-galaxy"))
-    ]
-    assert runs[-1][1]().components["shell_hits"] == 0
-    for limit, run in runs:
-        run()  # the modules an estimator imports on first use are not its working set
-        tracemalloc.start()
-        try:
-            run()
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= limit
-
-
-@pytest.mark.parametrize("threads", [1, 2])
-@pytest.mark.parametrize("pairs", [100, 341])
-def test_tiled_pairs_hold_one_dense_table_and_no_scratch(table_code, threads, pairs):
-    """P pairs at most a block's rows (341 here) and P equal to it: the run
-    scatters their directions once into one dense (P + 341, t_bar, n)
-    table, of which each block takes a view, and allocates no scratch.  Its
-    traced peak stays within the bound of the test above."""
+    run with no row in the shell holds no table at all.  P = 100 and 341
+    sampled pairs, at most a block's rows (341 here), are tiled once, and
+    no run allocates a zeroed (..., t_bar, n) table or scratch."""
     code, trials = table_code, 2 * experiments.UNIT_SIZE
     t_bar, n = code.params.t_bar, code.params.n
     assert experiments._DECIDE_CELLS // (t_bar * n) == 341
-    offsets, values = experiments._direction_table(code, np.arange(len(code.codewords)))
+    coords, values = experiments._direction_table(code, np.arange(len(code.codewords)))
     blocks = 2 + 3 * _worker_count(threads, 2)
-    bound = 2 * (offsets.nbytes + values.nbytes) + \
-        8 * (4 * experiments._PAIR_CAP + blocks * experiments._DECIDE_CELLS)
+    tableless = 8 * (4 * experiments._PAIR_CAP + blocks * experiments._DECIDE_CELLS)
+    bound = 2 * (coords.nbytes + values.nbytes) + tableless
     dec = DecoderParams.from_galaxy(code.params)
-    strategy = PairStrategy(mode="exhaustive-sample", sample_count=pairs)
-    run = lambda: estimate_type2(code, strategy, dec, trials, 1, threads)
-    run()  # the modules an estimator imports on first use are not its working set
-    zeros, tables = np.zeros, []
+
+    def type2(limit, **strategy):
+        return limit, lambda: estimate_type2(code, PairStrategy(**strategy), dec, trials, 1, threads)
+
+    runs = [(bound, lambda: estimate_type1(code, dec, trials, 1, threads)),
+            type2(bound, mode="same-planet"),
+            type2(bound, mode="exhaustive-sample", sample_count=100),
+            type2(bound, mode="exhaustive-sample", sample_count=341),
+            type2(tableless, mode="cross-galaxy")]
+    assert runs[-1][1]().components["shell_hits"] == 0
+    zeros = np.zeros
 
     def spy(shape, *args, **kwargs):
-        tables.append(shape)
+        assert tuple(np.atleast_1d(shape)[-2:]) != (t_bar, n), f"zeroed table {shape}"
         return zeros(shape, *args, **kwargs)
 
-    with mock.patch.object(np, "zeros", spy):
-        tracemalloc.start()
-        try:
-            run()
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-    assert [shape for shape in tables if np.size(shape) == 3] == [(pairs + 341, t_bar, n)]
-    assert peak <= bound
+    for limit, run in runs:
+        run()  # the modules an estimator imports on first use are not its working set
+        with mock.patch.object(np, "zeros", spy):
+            tracemalloc.start()
+            try:
+                run()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peak <= limit
 
 
 # One call in a fresh process, printing the minor page faults it takes.

@@ -360,15 +360,23 @@ def assert_kernel_matches_reference(code, strategy, dec, trials, seed):
 
 
 def assert_table_scatters_to_unit_directions(code):
-    """_direction_table's cells scattered into zeros give unit_directions bit for bit."""
-    offsets, values = experiments._direction_table(code, np.arange(len(code.codewords)))
+    """_direction_table's cells, scattered into zeros level by level, give
+    unit_directions bit for bit; each list holds its direction's nonzero
+    coordinates in order, then padding of coordinate 0 and value 0.0.
+    Returns K, the cells per list."""
+    coords, values = experiments._direction_table(code, np.arange(len(code.codewords)))
     u, t_bar, n = codeword_table(code), code.params.t_bar, code.params.n
-    assert offsets.shape == values.shape == (len(u), offsets.shape[1])
-    dense = np.zeros((len(u), t_bar * n))
-    np.put_along_axis(dense, offsets, values, axis=1)
-    expected = unit_directions(u, code.centers[code.ancestors]).reshape(len(u), -1)
+    assert coords.shape == values.shape == (len(u), t_bar, coords.shape[2])
+    real = values != 0
+    assert (coords[~real] == 0).all() and (np.diff(real.astype(int), axis=2) <= 0).all()
+    assert (np.diff(coords, axis=2)[real[..., 1:]] > 0).all()  # no cell repeats
+    expected = unit_directions(u, code.centers[code.ancestors])
+    dense = np.zeros_like(expected)
+    for level in range(t_bar):
+        rows, cells = np.nonzero(real[:, level])
+        dense[rows, level, coords[rows, level, cells]] = values[rows, level, cells]
     assert dense.tobytes() == expected.tobytes()
-    return offsets.shape[1]
+    return coords.shape[2]
 
 
 @SETTINGS
@@ -379,11 +387,11 @@ def test_direction_table_scatters_to_unit_directions(code):
 
 def test_direction_table_of_drawn_nodes_keeps_every_coordinate():
     """Nodes that draw past the witness prefix have directions with no zero
-    coordinate, so each list holds the whole (t_bar, n) chain."""
+    coordinate, so some list holds all n coordinates of its direction."""
     code = build_code(GalaxyParams(n=4, k=64, theta=0.9, m_per_level=16, t_bar=3, power=1e8,
                                    max_roots=3, master_seed=1))
     assert len(code.exceptions[0])  # nodes whose points the prefix does not give
-    assert assert_table_scatters_to_unit_directions(code) == code.params.t_bar * code.params.n
+    assert assert_table_scatters_to_unit_directions(code) == code.params.n
 
 
 @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -569,7 +577,7 @@ def test_cross_shell_bound_takes_the_least_norm_of_every_cross_pair(wide_code, t
                 assert spy.call_args.args[1] == d_min
                 assert est.analytic_bound == max(
                     [shell_prob_cross(dec, d_min)]
-                    + [experiments._slab_tail(dec)] * (strategy.mode != "cross-galaxy"))
+                    + [experiments._slab_tail(code, dec)] * (strategy.mode != "cross-galaxy"))
                 visited.add(first < trials)
     assert visited == {False, True}  # the least pair is both visited and measured after
 
