@@ -274,6 +274,52 @@ def test_estimators_hold_one_direction_table_plus_draw_and_decide_blocks(table_c
         assert peak <= limit
 
 
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("pairs", [100, 341])
+def test_tiled_pairs_hold_one_dense_table_and_no_scratch(table_code, threads, pairs):
+    """P pairs at most a block's rows (341 here) and P equal to it: the run
+    gathers their direction cells once into one table dense in rows,
+    (P + 341, t_bar, K) coordinates and values, of which every block's
+    decide() gets a view, and allocates no zeroed (..., t_bar, n) scratch.
+    Its traced peak stays within the bound of the test above."""
+    code, trials = table_code, 2 * experiments.UNIT_SIZE
+    t_bar, n = code.params.t_bar, code.params.n
+    assert experiments._DECIDE_CELLS // (t_bar * n) == 341
+    coords, values = experiments._direction_table(code, np.arange(len(code.codewords)))
+    blocks = 2 + 3 * _worker_count(threads, 2)
+    bound = 2 * (coords.nbytes + values.nbytes) + \
+        8 * (4 * experiments._PAIR_CAP + blocks * experiments._DECIDE_CELLS)
+    dec = DecoderParams.from_galaxy(code.params)
+    strategy = PairStrategy(mode="exhaustive-sample", sample_count=pairs)
+    run = lambda: estimate_type2(code, strategy, dec, trials, 1, threads)
+    run()  # the modules an estimator imports on first use are not its working set
+    zeros, decide, bases, tables = np.zeros, experiments.decide, [], []
+
+    def zeros_spy(shape, *args, **kwargs):
+        tables.append(shape)
+        return zeros(shape, *args, **kwargs)
+
+    def decide_spy(deltas, cells, params):
+        bases.append(tuple(a.base for a in cells))
+        return decide(deltas, cells, params)
+
+    with mock.patch.object(np, "zeros", zeros_spy), \
+            mock.patch.object(experiments, "decide", decide_spy):
+        tracemalloc.start()
+        try:
+            run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert [shape for shape in tables if tuple(np.atleast_1d(shape)[-2:]) == (t_bar, n)] == []
+    assert bases and all(b is not None for pair in bases for b in pair)
+    tiled = {tuple(id(b) for b in pair) for pair in bases}
+    assert len(tiled) == 1  # one gathered table, every block a view of it
+    for b, full in zip(bases[0], (coords, values)):
+        assert b.shape == (pairs + 341, t_bar, full.shape[2])
+    assert peak <= bound
+
+
 # One call in a fresh process, printing the minor page faults it takes.
 # "warm" first allocates and frees one 8 MB array: that raises glibc's mmap
 # and trim thresholds past every block, so no block needs fresh pages.
