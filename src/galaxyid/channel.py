@@ -108,8 +108,8 @@ def decide(
 
 def identify(y, u, chain, params: DecoderParams) -> bool:
     """Full decision for one output against codeword u and its finite
-    (t_bar, n) ancestor chain: decide() on a batch of one row, its cells
-    every coordinate."""
+    (t_bar, n) ancestor chain, by a decoder of u's width n: decide() on a
+    batch of one row, its cells every coordinate."""
     y = as_coords(y)
     u = as_coords(u)
     chain = np.asarray(chain, dtype=np.float64)
@@ -117,6 +117,8 @@ def identify(y, u, chain, params: DecoderParams) -> bool:
         raise ValueError("codeword carries no center chain")
     if y.size != u.size or chain.shape[1] != u.size:
         raise ValueError(f"dimension mismatch: {y.size} and {chain.shape} vs {u.size}")
+    if params.n != u.size:
+        raise ValueError(f"decoder n = {params.n} does not match the codeword's n = {u.size}")
     if not np.isfinite(chain).all():
         raise ValueError("center chain coordinates must be finite")
     directions = unit_directions(u[None, :], chain[None])

@@ -3,10 +3,10 @@
 A code file holds what a code cannot be re-grown without: the params
 record, whether the center packing saturated, and three base64 blocks of
 little-endian float64 coordinates.  `roots` holds the root centers, and
-`prefix` the greedy's witness-prefix directions, greedy_prefix(...).accepted.
-Both sides compute the prefix from the params; the stored copy is a check,
-since the simplex directions come from a LAPACK QR: a machine whose QR gives
-other bits refuses the file instead of growing another code from it.
+`prefix` the witness prefix the code grows from, GalaxyCode.prefix.  The
+loaded code grows its own prefix from the params; the stored copy is checked
+against it, since the simplex directions come from a LAPACK QR: a machine
+whose QR gives other bits refuses the file instead of growing another code.
 `exceptions` holds the code's exception nodes, GalaxyCode.exceptions as
 they are: their level-order indices (the roots, then each height in turn,
 as the build grows them), point counts, and points one node after another.
@@ -31,7 +31,6 @@ from dataclasses import asdict, fields
 import numpy as np
 
 from .galaxy import GalaxyCode, GalaxyParams
-from .spherical import greedy_prefix
 
 __all__ = ["FORMAT_VERSION", "serialize", "deserialize", "save", "load"]
 
@@ -92,13 +91,6 @@ def _section(doc: dict, name: str, kind: type, decode):
         raise ValueError(f"code file {name!r} section is malformed ({type(exc).__name__}: {exc})") from None
 
 
-def _prefix(params: GalaxyParams) -> np.ndarray:
-    """The witness-prefix directions of a code's params, as GalaxyCode grows
-    every node from them: serialize stores them, and deserialize checks the
-    stored copy against them."""
-    return greedy_prefix(params.n, params.theta, params.m_per_level, params.max_attempts).accepted
-
-
 def serialize(code: GalaxyCode) -> str:
     p = code.params
     nodes, counts, points = code.exceptions
@@ -106,7 +98,7 @@ def serialize(code: GalaxyCode) -> str:
         "format_version": FORMAT_VERSION,
         "params": asdict(p),
         "roots": _enc_block(code.roots),
-        "prefix": _enc_block(_prefix(p)),
+        "prefix": _enc_block(code.prefix),
         "exceptions": {"nodes": nodes.tolist(), "counts": counts.tolist(),
                        "points": _enc_block(points)},
         "achieved": {"packing_saturated": code.packing_saturated},
@@ -153,7 +145,7 @@ def deserialize(text: str) -> GalaxyCode:
         code = GalaxyCode(params, roots, exceptions, saturated)
     except ValueError as exc:
         raise ValueError(f"code file {exc}") from None
-    prefix = _prefix(params)
+    prefix = code.prefix
     if stored.shape != prefix.shape or (stored.view(np.uint64) != prefix.view(np.uint64)).any():
         raise ValueError(
             f"code file 'prefix' block ({len(stored)} directions) is not the "

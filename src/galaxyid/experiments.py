@@ -118,11 +118,11 @@ class PairStrategy:
     sample_count: int | None = None
     min_distance: float | None = None
 
-    _MODES = ("same-planet", "same-galaxy-deep", "cross-galaxy", "exhaustive-sample")
+    MODES = ("same-planet", "same-galaxy-deep", "cross-galaxy", "exhaustive-sample")
 
     def __post_init__(self):
-        if self.mode not in self._MODES:
-            raise ValueError(f"unknown pair mode {self.mode!r}; expected one of {self._MODES}")
+        if self.mode not in self.MODES:
+            raise ValueError(f"unknown pair mode {self.mode!r}; expected one of {self.MODES}")
         if self.mode == "exhaustive-sample" and self.sample_count is None:
             raise ValueError("exhaustive-sample requires sample_count")
         if self.sample_count is not None and self.mode != "exhaustive-sample":

@@ -4,17 +4,17 @@ A codebook is a saturated greedy packing of root centers inside the power
 ball, each root carrying a depth-t tree of nested spherical codes: a node
 at height h holds a code of radius k^(h-1) * r around its own center, the
 points of which are the centers of the height-(h-1) children (codewords at
-height 1).  A GalaxyCode is its root centers and its exception nodes:
-every other node's points are its center plus the shared witness-prefix
-directions scaled to the level's radius, and an exception node's points
-are given.  One row source, LevelRows, grows any level's points by that
-rule.  The constructor grows every level above the codewords through it
-into one table of the nodes' centers in level order (the roots, then each
-height in turn); the height-1 one is the codewords, grown on demand a block
-of rows at a time.  Every codeword keeps the rows of its ancestor centers,
-the chain the hierarchical decoder tests against.  build_code and the
-code-file loader both make a code through the constructor, so a loaded
-code is the built one bit for bit.
+height 1).  A GalaxyCode is its root centers, its witness prefix and its
+exception nodes: every other node's points are its center plus the shared
+witness-prefix directions scaled to the level's radius, and an exception
+node's points are given.  One row source, LevelRows, grows any level's
+points by that rule.  The constructor grows every level above the
+codewords through it into one table of the nodes' centers in level order
+(the roots, then each height in turn); the height-1 one is the codewords,
+grown on demand a block of rows at a time.  Every codeword keeps the rows
+of its ancestor centers, the chain the hierarchical decoder tests against.
+build_code and the code-file loader both make a code through the
+constructor, so a loaded code is the built one bit for bit.
 """
 
 from __future__ import annotations
@@ -352,18 +352,19 @@ class GalaxyCode:
     then grows each through a LevelRows: the levels above height 1 into
     their slices of centers (C, n), every node's center in level order, and
     the height-1 one as codewords, of shape (N, n), grown a block of rows at
-    a time when a kernel asks for them.  It derives counts (C,), every
-    node's point count; heights and parents (C,), -1 for a root; ancestors
-    (N, t_bar), where ancestors[j, h-1] is the row of centers holding
-    codeword j's height-h ancestor (each column is sorted, so a node's
-    codewords form one run, and ancestors[j, -1] is j's root index); and
-    degraded (some node holds fewer than m_per_level points).  roots, the
-    first R centers, and exceptions are the constructor's own copies; all
-    arrays are read-only.  No root, tables of another width, exception lists
-    of other lengths, not integers, not strictly increasing or out of range,
-    a count outside [1, m_per_level], points of other rows than the counts
-    give, and a non-finite coordinate (checked in blocks of _DECIDE_CELLS
-    cells) raise ValueError, naming a node by its level-order index.
+    a time when a kernel asks for them.  It derives prefix (m, n), the
+    witness prefix every level grows from; counts (C,), every node's point
+    count; heights (C,); ancestors (N, t_bar), where ancestors[j, h-1] is
+    the row of centers holding codeword j's height-h ancestor (each column
+    is sorted, so a node's codewords form one run, and ancestors[j, -1] is
+    j's root index); and degraded (some node holds fewer than m_per_level
+    points).  roots, the first R centers, and exceptions are the
+    constructor's own copies; all arrays are read-only.  No root, tables of
+    another width, exception lists of other lengths, not integers, not
+    strictly increasing or out of range, a count outside [1, m_per_level],
+    points of other rows than the counts give, and a non-finite coordinate
+    (checked in blocks of _DECIDE_CELLS cells) raise ValueError, naming a
+    node by its level-order index.
     """
 
     params: GalaxyParams
@@ -371,10 +372,10 @@ class GalaxyCode:
     exceptions: tuple
     packing_saturated: bool
     centers: np.ndarray = field(init=False)
+    prefix: np.ndarray = field(init=False)
     counts: np.ndarray = field(init=False)
     codewords: LevelRows = field(init=False)
     heights: np.ndarray = field(init=False)
-    parents: np.ndarray = field(init=False)
     ancestors: np.ndarray = field(init=False)
     degraded: bool = field(init=False)
 
@@ -485,7 +486,7 @@ class GalaxyCode:
                 if bad.any():  # an exception's point, or a center plus the prefix past float range
                     raise ValueError(f"node {owner[s + bad.argmax()]} has a non-finite coordinate")
         derived = dict(
-            centers=centers, counts=counts_all, parents=parents, roots=centers[:n_roots],
+            centers=centers, prefix=prefix, counts=counts_all, roots=centers[:n_roots],
             ancestors=ancestors, heights=np.repeat(np.arange(p.t_bar, 0, -1), np.diff(starts[:-1])),
         )
         for value in (*derived.values(), nodes, counts, points):

@@ -70,6 +70,14 @@ def codeword_table(code) -> np.ndarray:
                            for v in np.flatnonzero(code.heights == 1).tolist()])
 
 
+def parents(code) -> np.ndarray:
+    """(C,) each node's parent row in the centers, -1 for a root: after the
+    roots, node v's points are the next counts[v] rows."""
+    n_roots = len(code.roots)
+    owner = np.repeat(np.arange(len(code.counts)), code.counts)
+    return np.r_[np.full(n_roots, -1), owner[: len(code.centers) - n_roots]]
+
+
 def node_points(code, node):
     """The points of the node at level-order index `node`: the next rows of
     the level below it, in the centers followed by the codewords."""
@@ -83,7 +91,7 @@ def node_points(code, node):
 def assert_same_code(a, b):
     """Assert two codes hold the same arrays bit for bit, and the same params
     and flags; their exception lists may differ."""
-    for name in ("centers", "counts", "codewords", "heights", "parents", "roots", "ancestors"):
+    for name in ("centers", "prefix", "counts", "codewords", "heights", "roots", "ancestors"):
         x, y = (codeword_table(a), codeword_table(b)) if name == "codewords" else (
             getattr(a, name), getattr(b, name))
         assert (x.shape, x.dtype, x.tobytes()) == (y.shape, y.dtype, y.tobytes()), name
@@ -251,8 +259,9 @@ def reference_violations(code, tol=1e-6):
 
 def root_of(code, row):
     """The root index of node row: the row its parent chain ends at."""
-    while code.parents[row] >= 0:
-        row = code.parents[row]
+    parent = parents(code)
+    while parent[row] >= 0:
+        row = parent[row]
     return int(row)
 
 
@@ -433,11 +442,12 @@ def verify_structure_reference(code, tol=1e-6):
                                             "height": t, "measured": float(dist[i]),
                                             "bound": (lo, hi)})
     # A node's points: its children's centers, or its codewords at height 1.
+    parent = parents(code)
     points, leaf_rows = [], iter(np.cumsum(np.r_[0, code.counts[code.heights == 1]]).tolist())
     start = next(leaf_rows)
     for row, height in enumerate(code.heights.tolist()):
         if height > 1:
-            points.append(code.centers[np.flatnonzero(code.parents == row)])
+            points.append(code.centers[np.flatnonzero(parent == row)])
         else:
             end = next(leaf_rows)
             points.append(u[start:end])

@@ -2,6 +2,7 @@ import importlib
 import pkgutil
 import sys
 import types
+from dataclasses import fields
 from pathlib import Path
 
 import galaxyid
@@ -44,6 +45,13 @@ def test_node_code_wrapper_is_retired():
         assert name not in spherical.__all__
     galaxy = importlib.import_module("galaxyid.galaxy")
     assert not hasattr(galaxy.GalaxyCode, "__len__")
+
+
+def test_parents_table_is_retired():
+    # A node's parent follows from the counts; only the tests' reference derives it.
+    galaxy = importlib.import_module("galaxyid.galaxy")
+    assert "parents" not in {f.name for f in fields(galaxy.GalaxyCode)}
+    assert not hasattr(galaxy.GalaxyCode, "parents")
 
 
 # Trace targets of benchmarks/layers.py that name retired code: the harness

@@ -289,6 +289,16 @@ def test_identify_refuses_a_chain_of_the_wrong_shape_or_not_finite(chain):
         identify(u + np.eye(4)[1], u, chain, DecoderParams(n=4, sigma=1.0))
 
 
+def test_identify_refuses_a_decoder_of_another_width():
+    """Another width's shell and slab thresholds would decide u's output:
+    y = u + 31 e_2 is rejected at n = 4 but would pass the n = 1000 shell."""
+    u, chain = 3 * np.eye(4)[0], np.zeros((1, 4))
+    y = u + 31 * np.eye(4)[1]
+    assert not identify(y, u, chain, DecoderParams(n=4, sigma=1.0))
+    with pytest.raises(ValueError, match="decoder n = 1000 does not match the codeword's n = 4"):
+        identify(y, u, chain, DecoderParams(n=1000, sigma=1.0))
+
+
 def test_empirical_slab_acceptance():
     # own-transmission slab acceptance matches 1 - 2 Phi(-log2 n) at n = 16
     n = 16

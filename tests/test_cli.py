@@ -523,6 +523,27 @@ def test_sweep_csv(code_file):
     assert ks == ["8", "16"]
 
 
+@pytest.mark.parametrize("argv, refused", [
+    (["build", *BUILD_ARGS, "--out", "{tmp}/code.json"], ["--k", "5"]),
+    (["simulate", "--code", "{code}", "--type1", "--trials", "100"], ["--trials", "0"]),
+    (["verify", "--code", "{code}"], ["--code", "{tmp}/missing.json"]),
+    (["rate", "--k", "8"], ["--k", "5"]),
+    (["sweep", "--n", "16", "--power", "100", "--k-list", "8", "--m", "4", "--max-roots", "2"],
+     ["--k-list", ","]),
+])
+def test_each_command_times_itself_once_unless_it_exits_2(tmp_path, code_file, capsys, argv,
+                                                           refused):
+    """main prints one [time] line when a command returns, and none on an error."""
+    def run(args):
+        code = cli.main([a.format(tmp=tmp_path, code=code_file) for a in args])
+        return code, [ln for ln in capsys.readouterr().err.splitlines() if ln.startswith("[time]")]
+
+    code, timed = run(argv)
+    assert code == 0 and len(timed) == 1, timed
+    assert timed[0].startswith(f"[time] {argv[0]} ") and timed[0].endswith("s")
+    assert run([*argv, *refused]) == (2, [])
+
+
 def _jsonl(capsys, *argv):
     """Exit code and JSON-lines rows of one in-process CLI run."""
     code = cli.main([*argv, "--format", "jsonl"])
@@ -922,6 +943,7 @@ def test_rate_formula_mode_out_of_float_range():
     (["--n", "16", "--power", "nan"], "power must be > 0, got nan"),
     (["--power", "5"], "--power needs --n"),
     (["--k", "0"], "k must be >= 7, got 0"),  # the last --k wins
+    (["--n", "16", "--power", "inf"], "power must be finite, got inf"),
 ])
 def test_rate_formula_mode_rejects_power(args, message):
     res = run_cli("rate", "--k", "16", *args)

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from galaxyid import codefile
+from galaxyid import cli, codefile, galaxy, spherical
 from galaxyid.cli import _params_key
 from galaxyid.codefile import FORMAT_VERSION, deserialize, load, save, serialize
 from galaxyid.galaxy import GalaxyCode, GalaxyParams, build_code
@@ -175,6 +175,32 @@ def test_save_and_load(tmp_path, code):
     save(code, path)
     back = load(path)
     assert serialize(back) == serialize(code)
+    # the loaded code's prefix is the file's block, and read-only
+    block = base64.b64decode(json.loads(path.read_text())["prefix"])
+    assert back.prefix.shape[1] == code.params.n and back.prefix.astype("<f8").tobytes() == block
+    with pytest.raises(ValueError, match="read-only"):
+        back.prefix[0, 0] = 0.0
+
+
+def test_greedy_prefix_runs_twice_per_build_and_once_per_load(tmp_path, monkeypatch):
+    """build_code's run and the constructor's; the code file stores and checks
+    the prefix the code carries, so loading runs only the constructor's."""
+    real, runs = spherical.greedy_prefix, []
+
+    def spy(*args):
+        runs.append(args)
+        return real(*args)
+
+    for module in (spherical, galaxy, codefile):
+        if getattr(module, "greedy_prefix", None) is real:
+            monkeypatch.setattr(module, "greedy_prefix", spy)
+    path = tmp_path / "code.json"
+    argv = ["build", "--n", "16", "--k", "8", "--power", "100", "--m", "4", "--max-roots", "3"]
+    assert cli.main([*argv, "--out", str(path)]) == 0
+    assert len(runs) <= 2
+    runs.clear()
+    load(path)
+    assert len(runs) <= 1
 
 
 def test_text_path_of_the_benchmark_harness(tmp_path):

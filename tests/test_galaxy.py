@@ -29,6 +29,7 @@ from reference import (
     index_paths,
     meet_depth,
     node_points,
+    parents,
     separation_condition,
 )
 
@@ -224,10 +225,10 @@ def test_build_code_structure():
     assert code.counts.tolist() == [4] * 21
     assert not code.degraded
     # every child center and codeword exactly on its parent's sphere
-    for row in np.flatnonzero(code.parents >= 0):
-        parent = code.parents[row]
-        r_expected = p.r * p.k ** (code.heights[parent] - 1)
-        dist = np.linalg.norm(code.centers[row] - code.centers[parent])
+    parent = parents(code)
+    for row in np.flatnonzero(parent >= 0):
+        r_expected = p.r * p.k ** (code.heights[parent[row]] - 1)
+        dist = np.linalg.norm(code.centers[row] - code.centers[parent[row]])
         assert dist == pytest.approx(r_expected, rel=1e-9)
     dist = np.linalg.norm(codeword_table(code) - code.centers[code.ancestors[:, 0]], axis=1)
     np.testing.assert_allclose(dist, p.r, rtol=1e-9)
@@ -398,12 +399,12 @@ def test_build_code_matches_per_node_reference(params):
 def test_nodes_are_in_level_order(name, seed):
     params = GalaxyParams(**SHAPED_BUILDS[name], master_seed=seed)
     code = build_code(params)
-    n_roots, rows = len(code.roots), np.arange(len(code.centers))
+    n_roots, rows, parent = len(code.roots), np.arange(len(code.centers)), parents(code)
     assert n_roots == len(code.centers) + len(code.codewords) - code.counts.sum()
-    assert (code.parents[:n_roots] == -1).all() and (code.parents[n_roots:] >= 0).all()
-    assert (code.parents[n_roots:] < rows[n_roots:]).all()
-    assert (np.diff(code.parents[n_roots:]) >= 0).all()
-    assert (code.heights[code.parents[n_roots:]] == code.heights[n_roots:] + 1).all()
+    assert (parent[:n_roots] == -1).all() and (parent[n_roots:] >= 0).all()
+    assert (parent[n_roots:] < rows[n_roots:]).all()
+    assert (np.diff(parent[n_roots:]) >= 0).all()
+    assert (code.heights[parent[n_roots:]] == code.heights[n_roots:] + 1).all()
     assert (np.diff(code.ancestors, axis=0) >= 0).all()
     assert code.ancestors[:, -1].tolist() == index_paths(code)[:, 0].tolist()
     assert_same_code(code, build_code_reference(params))

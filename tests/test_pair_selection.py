@@ -37,6 +37,7 @@ from reference import (
     from_arrays,
     index_paths,
     meet_depth,
+    parents,
     reference_violations,
     stack_galaxies,
     type1_hits,
@@ -660,8 +661,8 @@ def test_pairwise_violations_match_reference(code, offset, leaf, pull, tol):
 
 def sibling_pairs(code):
     """Every pair of distinct nodes with one parent, roots included."""
-    parents = code.parents.tolist()
-    return [(a, b) for b in range(len(parents)) for a in range(b) if parents[a] == parents[b]]
+    parent = parents(code).tolist()
+    return [(a, b) for b in range(len(parent)) for a in range(b) if parent[a] == parent[b]]
 
 
 def measured_gap(code, a, b):
@@ -706,7 +707,8 @@ def test_prune_boundary_matches_reference(code, pick):
     u[i], u[j] = c[a] + rho[0] * unit, c[b] - rho[1] * unit
     code = from_arrays(code.params, code.centers, code.counts, u, code.packing_saturated)
     p = code.params
-    meet = code.heights[code.parents[a]] if code.parents[a] >= 0 else None
+    parent = parents(code)[a]
+    meet = code.heights[parent] if parent >= 0 else None
     bound = (p.n ** (p.b + 0.25) / 2.0 if meet is None
              else pair_distance_lower_bound(p.r, p.k, p.theta, int(meet)))
     for tie in (measured_gap(code, a, b), float(np.linalg.norm(u[i] - u[j]))):

@@ -28,6 +28,7 @@ from reference import (
     _close_pairs_reference,
     codeword_table,
     from_arrays,
+    parents,
     root_of,
     stack_galaxies,
     verify_structure_reference,
@@ -60,7 +61,7 @@ def pulled(code):
     u, c = codeword_table(code), code.centers.copy()
     u[5] += 0.4 * (u[6] - u[5])
     u[9] = c[code.ancestors[9, 0]]
-    c[np.flatnonzero(code.parents >= 0)[1:2]] += 1e-3
+    c[np.flatnonzero(parents(code) >= 0)[1:2]] += 1e-3
     return _moved(code, c, u)
 
 
@@ -180,7 +181,8 @@ def test_close_pairs_at_the_prune_margin():
         np.maximum.at(rho, anc, np.linalg.norm(u[:, None] - c[anc], axis=2))
         limit = np.array([p.n ** (p.b + 0.25) / 2.0] + [
             pair_distance_lower_bound(p.r, p.k, p.theta, t) for t in range(1, p.t_bar + 1)]) - 1e-6
-        k = int(code.heights[code.parents[a]]) if code.parents[a] >= 0 else 0
+        parent = parents(code)[a]
+        k = int(code.heights[parent]) if parent >= 0 else 0
 
         def spy(u, sq, rows, threshold, cols):
             far = at_least(u, sq, rows, threshold, cols)
@@ -204,7 +206,7 @@ def _node_points(code, v):
     """Row indices of node v's points and the table holding them."""
     if code.heights[v] == 1:
         return np.flatnonzero(code.ancestors[:, 0] == v), "codewords"
-    return np.flatnonzero(code.parents == v), "centers"
+    return np.flatnonzero(parents(code) == v), "centers"
 
 
 @SETTINGS
