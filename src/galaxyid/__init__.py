@@ -10,11 +10,9 @@ from .channel import DecoderParams, decide, identify, unit_directions
 from .experiments import (
     ErrorEstimate,
     PairStrategy,
-    RateReport,
     StructureReport,
     estimate_type1,
     estimate_type2,
-    rate_report,
     verify_structure,
     wilson_interval,
 )

@@ -47,6 +47,8 @@ class DecoderParams:
             object.__setattr__(self, "eps_n", default_eps(self.n))
         if not 0 < self.eps_n < math.inf:
             raise ValueError(f"eps_n must be finite and > 0, got {self.eps_n}")
+        if self.n * (self.sigma * self.sigma + self.eps_n) == math.inf:
+            raise ValueError(f"sigma must give a finite shell n (sigma^2 + eps_n), got {self.sigma}")
         if self.slab_halfwidth is None:
             object.__setattr__(self, "slab_halfwidth", self.sigma * math.log2(self.n))
         if not 0 <= self.slab_halfwidth < math.inf:

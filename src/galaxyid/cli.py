@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 import time
@@ -23,7 +22,6 @@ from .experiments import (
     _unit_count,
     estimate_type1,
     estimate_type2,
-    rate_report,
     run_units,
     verify_structure,
 )
@@ -102,15 +100,15 @@ def cmd_build(args) -> int:
 def _rows(command, code, type1_trials, type2_trials, strategy, seed, threads=None, **extra):
     """Report rows of a code: one per estimate run, type I then type II, or one
     row with no estimate when neither runs.  `extra` goes to every row."""
-    dec = DecoderParams.from_galaxy(code.params)
     runs = []
+    if type1_trials or type2_trials:  # a row with no estimate needs no decoder
+        dec = DecoderParams.from_galaxy(code.params)
     if type1_trials > 0:
         runs.append((estimate_type1(code, dec, type1_trials, seed, threads=threads), ""))
     if type2_trials > 0:
         est = estimate_type2(code, strategy, dec, type2_trials, seed, threads=threads)
         runs.append((est, strategy.mode))
-    rate = rate_report(code)
-    return [reports.build_row(command, code.params, rate, est, pair_mode=mode, **extra)
+    return [reports.build_row(command, code.params, code, est, pair_mode=mode, **extra)
             for est, mode in runs or [(None, "")]]
 
 
@@ -172,14 +170,6 @@ def cmd_rate(args) -> int:
             ks = [args.k]
         else:
             raise ValueError("rate needs --code, or --k / --k-pow2 for formula mode")
-        if args.n is not None and args.n < 2:
-            raise ValueError(f"n must be >= 2, got {args.n}")
-        if args.power is not None and args.n is None:
-            raise ValueError("--power needs --n")
-        if args.power is not None and not args.power > 0:
-            raise ValueError(f"power must be > 0, got {args.power}")
-        if args.power == math.inf:
-            raise ValueError("power must be finite, got inf")
         rows = []
         for k in ks:
             row = reports.build_row("rate")

@@ -1,4 +1,4 @@
-"""Monte Carlo error estimation, exhaustive structural checks, rate reports.
+"""Monte Carlo error estimation and exhaustive structural checks.
 
 Estimation is organized in fixed-size work units, each with its own RNG
 stream derived from (master seed, unit index).  The unit plan depends only
@@ -26,12 +26,10 @@ __all__ = [
     "ErrorEstimate",
     "PairStrategy",
     "StructureReport",
-    "RateReport",
     "wilson_interval",
     "estimate_type1",
     "estimate_type2",
     "verify_structure",
-    "rate_report",
     "run_units",
 ]
 
@@ -160,17 +158,6 @@ class StructureReport:
 
     def counts(self) -> dict:
         return {name: len(found) for name, found in self.violations().items()}
-
-
-@dataclass(frozen=True)
-class RateReport:
-    """Achieved codebook size and rate; reports.rate_columns gives the bounds."""
-
-    num_codewords: int
-    num_roots: int
-    rate_achieved: float
-    m_achieved: int
-    packing_saturated: bool
 
 
 # ---------------------------------------------------------------------------
@@ -801,16 +788,3 @@ def verify_structure(code: GalaxyCode, tol: float = 1e-6) -> StructureReport:
             else:
                 report.cross_galaxy_violations.append(found)
     return report
-
-
-def rate_report(code: GalaxyCode) -> RateReport:
-    """Achieved size and rate of the code."""
-    p = code.params
-    n_cw = len(code.codewords)
-    return RateReport(
-        num_codewords=n_cw,
-        num_roots=len(code.roots),
-        rate_achieved=math.log2(n_cw) / (p.n * math.log2(p.n)),
-        m_achieved=int(code.counts.min()),
-        packing_saturated=code.packing_saturated,
-    )

@@ -325,16 +325,14 @@ class LevelRows:
         owner, slot = self._owner[j], self._slot[j]  # IndexError past either end
         if out is None:
             out = np.empty(j.shape + (self.shape[1],))
-        if self._listed is None:  # the indices are valid, so "clip" takes without a copy
-            np.take(self._centers, owner, axis=0, out=out, mode="clip")
-            out += np.take(self._grown, slot, axis=0, out=scratch, mode="clip")
-            return out
-        owner, slot = owner.reshape(-1), slot.reshape(-1)
-        listed = self._listed[owner]
-        given = listed >= 0
-        flat = out.reshape(len(owner), self.shape[1])
-        flat[~given] = self._centers[owner[~given]] + self._grown[slot[~given]]
-        flat[given] = self._points[listed[given] + slot[given]]
+        # "clip" takes without a copy: the owners are valid, and so is every
+        # slot but a listed node's past the prefix, whose row is replaced below
+        np.take(self._centers, owner, axis=0, out=out, mode="clip")
+        out += np.take(self._grown, slot, axis=0, out=scratch, mode="clip")
+        if self._listed is not None:
+            listed = self._listed[owner]
+            given = listed >= 0
+            out[given] = self._points[listed[given] + slot[given]]
         return out
 
 

@@ -137,18 +137,23 @@ def shell_prob_miss(params: DecoderParams) -> float:
     """Probability that noise around the transmitted point leaves its own shell:
     the chi-square tails below n - n eps/sigma^2 and above n + n eps/sigma^2,
     each computed directly, so no cancellation against 1 limits its accuracy.
+    A sigma^2 that underflows to 0 takes the sigma -> 0 limit, 0.
     """
     n, sigma, eps = _shell(params)
-    shift = n * eps / (sigma * sigma)
+    var = sigma * sigma
+    shift = n * eps / var if var else math.inf
     return _chi_square_tails(n, max(0.0, n - shift))[0] + _chi_square_tails(n, n + shift)[1]
 
 
 def shell_prob_cross(params: DecoderParams, d: float) -> float:
     """Normal approximation of landing in the shell of a codeword at distance d.
 
-    Phi((n eps - d^2) / (sigma sqrt(2 n sigma^2 + 4 d^2))).
+    Phi((n eps - d^2) / (sigma sqrt(2 n sigma^2 + 4 d^2))).  A denominator
+    that underflows to 0 takes the sigma -> 0 limit: 1 inside the shell's
+    radius, 0 outside it, 1/2 on it.
     """
     if d < 0:
         raise ValueError(f"distance must be >= 0, got {d}")
     n, sigma, eps = _shell(params)
-    return std_normal_cdf((n * eps - d * d) / (sigma * math.sqrt(2 * n * sigma**2 + 4 * d * d)))
+    gap, scale = n * eps - d * d, sigma * math.sqrt(2 * n * sigma**2 + 4 * d * d)
+    return std_normal_cdf(gap / scale if scale else math.copysign(math.inf, gap) if gap else 0.0)

@@ -11,10 +11,10 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import asdict
+import math
 
-from .experiments import ErrorEstimate, RateReport
-from .galaxy import GalaxyParams, asymptotic_rate, center_count_bounds, rate_lower_bound
+from .experiments import ErrorEstimate
+from .galaxy import GalaxyCode, GalaxyParams, asymptotic_rate, center_count_bounds, rate_lower_bound
 from .spherical import csw_lower_bound
 
 __all__ = ["SCHEMA_VERSION", "REPORT_COLUMNS", "rate_columns", "build_row", "render_csv",
@@ -71,7 +71,16 @@ def rate_columns(k: int, b: float, theta: float, n: int | None = None,
 
     Always k, b, theta and rate_asymptotic; with n also n and m_bound_csw;
     with n and power also power, rate_bound_lemma1 and the claim-1 bounds.
+    An n below 2, or a power without n, not > 0 or infinite, raises ValueError.
     """
+    if n is not None and n < 2:
+        raise ValueError(f"n must be >= 2, got {n}")
+    if power is not None and n is None:
+        raise ValueError("--power needs --n")
+    if power is not None and not power > 0:
+        raise ValueError(f"power must be > 0, got {power}")
+    if power == math.inf:
+        raise ValueError("power must be finite, got inf")
     cols = dict(k=k, b=b, theta=theta, rate_asymptotic=asymptotic_rate(b, k))
     if n is not None:
         cols.update(n=n, m_bound_csw=csw_lower_bound(n, theta))
@@ -85,14 +94,15 @@ def rate_columns(k: int, b: float, theta: float, n: int | None = None,
 def build_row(
     command: str,
     params: GalaxyParams | None = None,
-    rate: RateReport | None = None,
+    code: GalaxyCode | None = None,
     estimate: ErrorEstimate | None = None,
     pair_mode: str = "",
     structure_passed: bool | None = None,
     error: str | None = None,
 ) -> dict:
     """Assemble one schema-v1 row; absent pieces leave their columns blank.
-    A rate report brings the rate_columns of params with it."""
+    A code brings its own size and achieved rate log2 N / (n log2 n), and
+    the rate_columns of params, with it."""
     row = {c: "" for c in REPORT_COLUMNS}
     row["schema_version"] = SCHEMA_VERSION
     row["command"] = command
@@ -110,8 +120,11 @@ def build_row(
             spacing=params.spacing,
             build_seed=params.master_seed,
         )
-    if rate is not None:  # each RateReport field is the column of its name
-        row.update(asdict(rate))
+    if code is not None:
+        size = len(code.codewords)
+        row.update(num_codewords=size, num_roots=len(code.roots), m_achieved=int(code.counts.min()),
+                   rate_achieved=math.log2(size) / (params.n * math.log2(params.n)),
+                   packing_saturated=code.packing_saturated)
         row.update(rate_columns(params.k, params.b, params.theta, params.n, params.power))
     if structure_passed is not None:
         row["structure_passed"] = structure_passed

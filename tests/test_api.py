@@ -54,6 +54,24 @@ def test_parents_table_is_retired():
     assert not hasattr(galaxy.GalaxyCode, "parents")
 
 
+def test_rate_report_is_retired():
+    # reports.build_row reads a code's own size and rate; no record carries them.
+    experiments = importlib.import_module("galaxyid.experiments")
+    for name in ("RateReport", "rate_report"):
+        for owner in (experiments, galaxyid):
+            assert not hasattr(owner, name)
+        assert name not in experiments.__all__
+
+
+def test_readme_library_example_runs(capsys):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Library entry points", 1)[1]
+    block = section.split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(block, "README.md", "exec"), {})
+    p_hat, bound, wilson = capsys.readouterr().out.split(" ", 2)
+    assert 0 <= float(p_hat) <= 1 and float(bound) > 0 and wilson.startswith("(")
+
+
 # Trace targets of benchmarks/layers.py that name retired code: the harness
 # warns about them and reports their metrics as absent.
 STALE_TRACE_TARGETS = [

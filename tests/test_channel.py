@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -28,6 +29,14 @@ def test_decoder_params_defaults():
 def test_decoder_params_reject_nonfinite(field, value):
     with pytest.raises(ValueError, match=f"^{field} must be finite"):
         DecoderParams(**{"n": 16, "sigma": 1.0, field: value})
+
+
+@pytest.mark.parametrize("sigma", [1e300, 1e154])  # 16 * 1e154^2 is past float range too
+def test_decoder_params_refuse_a_sigma_whose_shell_overflows(sigma):
+    with pytest.raises(ValueError, match=re.escape(
+            f"sigma must give a finite shell n (sigma^2 + eps_n), got {sigma}")):
+        DecoderParams(n=16, sigma=sigma)
+    assert DecoderParams(n=16, sigma=1e153).shell_bounds[1] < math.inf
 
 
 def test_shell_lower_bound_clamps():

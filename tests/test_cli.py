@@ -930,6 +930,34 @@ def test_m_past_64_bits_verifies_and_simulates(tmp_path):
         assert "Traceback" not in res.stderr
 
 
+def _extreme_sigma_code(tmp_path, capsys, sigma):
+    path = tmp_path / "code.json"
+    assert cli.main(["build", "--n", "16", "--k", "8", "--power", "100", "--m", "2",
+                     "--max-roots", "2", "--sigma", sigma, "--out", str(path)]) == 0
+    capsys.readouterr()
+    return str(path)
+
+
+def test_simulate_where_sigma_squared_underflows(tmp_path, capsys):
+    # 1e-170^2 rounds to 0: the shell laws take their sigma -> 0 limit
+    code = _extreme_sigma_code(tmp_path, capsys, "1e-170")
+    assert cli.main(["simulate", "--code", code, "--type1", "--type2", "--trials", "1000"]) == 0
+    out, err = capsys.readouterr()
+    rows = [dict(zip(REPORT_COLUMNS, line.split(","))) for line in out.splitlines()[1:]]
+    assert [(r["mc_kind"], r["mc_hits"]) for r in rows] == [("type1", "0"), ("type2", "0")]
+    assert "Traceback" not in err
+
+
+def test_simulate_refuses_a_sigma_whose_shell_overflows(tmp_path, capsys):
+    code = _extreme_sigma_code(tmp_path, capsys, "1e300")
+    assert cli.main(["simulate", "--code", code, "--type1", "--trials", "1000"]) == 2
+    out, err = capsys.readouterr()
+    assert not out
+    assert "error: sigma must give a finite shell n (sigma^2 + eps_n), got 1e+300" in err
+    assert cli.main(["rate", "--code", code]) == 0  # a row with no estimate needs no decoder
+    assert "1e+300" in capsys.readouterr().out
+
+
 def test_rate_formula_mode_out_of_float_range():
     res = run_cli("rate", "--n", "8192", "--power", "1", "--k", "16")
     assert res.returncode == 0, res.stderr

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import tracemalloc
 from unittest import mock
 
@@ -14,14 +15,13 @@ from galaxyid.experiments import (
     _worker_count,
     estimate_type1,
     estimate_type2,
-    rate_report,
     select_pairs,
     verify_structure,
     wilson_interval,
 )
-from galaxyid.galaxy import GalaxyParams, build_code
+from galaxyid.galaxy import GalaxyParams, build_code, theta_of_k
 from galaxyid.gaussian import projection_tail
-from galaxyid.reports import rate_columns
+from galaxyid.reports import build_row, rate_columns
 from reference import codeword_table, from_arrays, index_paths, meet_depth
 from test_cli import run_python
 from test_galaxy import BENCHMARK_BUILDS
@@ -492,15 +492,27 @@ def test_verify_empty_raises(small_code):
 
 
 def test_rate_report(small_code):
-    rep = rate_report(small_code)
+    row = build_row("rate", small_code.params, small_code)
     p = small_code.params
     n_exp = len(small_code.roots) * p.m_per_level**p.t_bar
-    assert rep.num_codewords == n_exp
-    assert rep.rate_achieved == pytest.approx(math.log2(n_exp) / (p.n * math.log2(p.n)))
-    assert rep.m_achieved == 4
+    assert row["num_codewords"] == n_exp
+    assert row["rate_achieved"] == pytest.approx(math.log2(n_exp) / (p.n * math.log2(p.n)))
+    assert row["m_achieved"] == 4
     cols = rate_columns(p.k, p.b, p.theta, p.n, p.power)
-    assert rep.num_roots <= cols["count_bound_claim1_hi"]
+    assert row["num_roots"] <= cols["count_bound_claim1_hi"]
     assert cols["rate_asymptotic"] == pytest.approx(0.375 - 1 / 6)
+
+
+@pytest.mark.parametrize("n, power, message", [
+    (1, None, "n must be >= 2, got 1"),
+    (None, 5.0, "--power needs --n"),
+    (16, 0.0, "power must be > 0, got 0.0"),
+    (16, math.inf, "power must be finite, got inf"),
+])
+def test_rate_columns_refuses_bad_formula_inputs(n, power, message):
+    # the messages formula-mode `galaxyid rate` prints
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        rate_columns(16, 0.0, theta_of_k(16), n, power)
 
 
 def test_rate_report_out_of_float_range():
@@ -520,9 +532,9 @@ def test_rate_report_single_codeword():
             n=8, power=0.7, k=8, m_per_level=1, master_seed=3, max_roots=1, saturation_probes=10
         )
     )
-    rep = rate_report(code)
-    assert rep.num_codewords == 1
-    assert rep.rate_achieved == 0.0
+    row = build_row("rate", code.params, code)
+    assert row["num_codewords"] == 1
+    assert row["rate_achieved"] == 0.0
 
 
 def test_example_rate_arithmetic():

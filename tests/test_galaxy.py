@@ -394,6 +394,17 @@ def test_build_code_matches_per_node_reference(params):
     assert_same_code(build_code(params), build_code_reference(params))
 
 
+def test_exception_rows_grow_into_the_callers_buffers():
+    # Exception nodes here hold up to 10 points past an 8-point prefix: their
+    # rows take a clipped prefix row first, then their own points replace it.
+    code = build_code(GalaxyParams(**EQUIVALENCE_GRID["tail-uneven-seed3"]))
+    assert code.exceptions[1].max() > len(code.prefix)
+    rows = np.arange(len(code.codewords))[::-1]
+    out, scratch = (np.empty((len(rows), code.params.n)) for _ in range(2))
+    assert code.codewords.grow(rows, out, scratch) is out
+    assert out.tobytes() == codeword_table(code)[rows].tobytes()
+
+
 @settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(name=st.sampled_from(sorted(SHAPED_BUILDS)), seed=st.integers(0, 2**16))
 def test_nodes_are_in_level_order(name, seed):

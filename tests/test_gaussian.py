@@ -176,6 +176,16 @@ def test_shell_prob_cross_values():
         shell_prob_cross(spec, -1.0)
 
 
+def test_shell_laws_take_the_zero_noise_limit_where_sigma_squared_underflows():
+    # 5e-324^2 rounds to 0: the own shell keeps every draw, and another
+    # codeword's shell takes the output iff d^2 < n eps_n, half of it on the radius
+    spec = DecoderParams(n=100, sigma=5e-324)
+    assert shell_prob_miss(spec) == 0.0
+    radius = math.sqrt(100 * spec.eps_n)
+    assert [shell_prob_cross(spec, d) for d in (0.0, radius / 2, 2 * radius)] == [1.0, 1.0, 0.0]
+    assert shell_prob_cross(DecoderParams(n=1, sigma=5e-324, eps_n=0.0625), 0.25) == 0.5
+
+
 def test_mills_bound_value_and_dominance():
     spec = spec100()
     assert mills_bound(spec) == pytest.approx(MILLS_100, rel=1e-10)
